@@ -1,8 +1,29 @@
-"""Initial value problem solvers producing :class:`~approxred.core.Trajectory`.
+"""Batched explicit Runge-Kutta integration.
 
-Two methods are offered: a hand-rolled fixed-step classical RK4 and the
-adaptive Dormand-Prince RK45 stepper from scipy, driven step by step so the
-step budget and blow-up detection contracts can be enforced uniformly.
+One engine advances a batch of initial states, shape ``(N, n)``, from t = 0 to
+``t_end`` with one of two tableaus:
+
+* ``rk4``: classical fixed-step RK4 on a grid shared by every row;
+* ``rk45``: Dormand-Prince 5(4) with the step-size controller and initial
+  step selection of Hairer, Norsett & Wanner, *Solving ODEs I*, section II.4
+  (the controller of scipy's ``RK45``), applied per row: each row keeps its
+  own time, step size, rejection flag, step budget and failure state.
+
+Stage sums are written out elementwise (never a dot product), so a row's
+numbers are bit-identical whichever rows share its batch; nested Sobol samples
+therefore give nested estimates.
+
+A row stops with :class:`DivergenceError` when its state turns non-finite or
+its adaptive step falls below ten ulps of its time, and with
+:class:`StepBudgetError` after ``max_steps`` accepted steps; the other rows
+carry on. The right-hand side is probed once per run on the whole batch and
+evaluated row by row for that run if it does not return shape ``(N, n)``.
+
+Each accepted step is handed to a sink with its end states and derivatives.
+``integrate_field`` keeps them as the nodes of a batch of one;
+``integrate_on_grid`` evaluates the step's cubic Hermite interpolant straight
+onto a shared time grid, the same interpolant ``resample`` builds from stored
+nodes, so full trajectories are never stored.
 
 Downstream tolerances: every comparison made on integrated trajectories adds
 slack of ten times the integrator tolerance, so the defaults (rtol = atol =
@@ -15,8 +36,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import RK45
-from scipy.interpolate import CubicHermiteSpline
 
 from .core import (
     ControlSystemDef,
@@ -31,6 +50,24 @@ from .core import (
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-9
 DEFAULT_MAX_STEPS = 10_000_000
+
+# Dormand-Prince 5(4): stage nodes, stage matrix, fifth-order weights and
+# error weights (the last one multiplies the derivative at the step's end)
+_DP_C_COL = np.array([[0.0], [1 / 5], [3 / 10], [4 / 5], [8 / 9], [1.0]])
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1 / 5  # -1 / (order of the embedded error estimate + 1)
+
+_NONFINITE, _UNDERFLOW, _BUDGET = 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -63,99 +100,331 @@ class IntegratorConfig:
             raise InputError("max_steps must be at least 2")
 
 
-def _integrate_rhs(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    cfg: IntegratorConfig,
-    label: str,
-) -> Trajectory:
-    """Drive ``rhs(t, y)`` from 0 to cfg.t_end and collect the step grid."""
-    if cfg.method == "rk4":
-        return _rk4_loop(rhs, x0, cfg, label)
-    return _rk45_loop(rhs, x0, cfg, label)
+# ------------------------------------------------------------------ engine
 
 
-def _rk4_loop(rhs, x0, cfg, label) -> Trajectory:
+def _lincomb(coeffs, K):
+    """sum_j coeffs[j] * K[j], elementwise so no row's bits depend on its batch."""
+    acc = None
+    for c, k in zip(coeffs, K):
+        if c != 0.0:
+            acc = c * k if acc is None else acc + c * k
+    return acc
+
+
+def _rms(X: np.ndarray) -> np.ndarray:
+    """Root mean square of each row of an (N, n) array."""
+    sq = X[:, 0] * X[:, 0]
+    for j in range(1, X.shape[1]):
+        sq = sq + X[:, j] * X[:, j]
+    return np.sqrt(sq) / X.shape[1] ** 0.5
+
+
+def _initial_step(rhs, y, f, cfg: IntegratorConfig) -> np.ndarray:
+    """Per-row first step size (Hairer, Norsett & Wanner, section II.4)."""
+    scale = cfg.atol + np.abs(y) * cfg.rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), cfg.t_end)
+    d2 = _rms((rhs(h0, y + h0[:, None] * f) - f) / scale) / h0
+    h1 = np.where(
+        (d1 <= 1e-15) & (d2 <= 1e-15),
+        np.maximum(1e-6, h0 * 1e-3),
+        (0.01 / np.maximum(d1, d2)) ** (1 / 5),
+    )
+    return np.minimum(np.minimum(100 * h0, h1), cfg.t_end)
+
+
+class _Batch:
+    """The rows of a run still integrating and their per-row state; records
+    how each dropped row failed."""
+
+    def __init__(self, X0, F0):
+        n_rows = X0.shape[0]
+        self.rows = np.arange(n_rows)
+        self.t = np.zeros(n_rows)
+        self.y, self.f = X0, F0
+        self.h_abs = self.rejected = self.steps = None  # set by the rk45 loop
+        self.kind = np.zeros(n_rows, dtype=np.int8)
+        self.t_last = np.zeros(n_rows)
+
+    def stop(self, mask, kind: int = 0) -> None:
+        """Drop the rows in ``mask``, as failures of ``kind`` unless it is 0."""
+        if kind:
+            self.kind[self.rows[mask]] = kind
+            self.t_last[self.rows[mask]] = self.t[mask]
+        keep = ~mask
+        for name in ("rows", "t", "y", "f", "h_abs", "rejected", "steps"):
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, value[keep])
+
+    def errors(self, label: str, cfg: IntegratorConfig) -> list:
+        """One entry per row: None if it reached t_end, else what stopped it."""
+        out = []
+        for kind, t in zip(self.kind.tolist(), self.t_last.tolist()):
+            if kind == _NONFINITE:
+                msg = f"{label}: state became non-finite after t={t:.6g}"
+                out.append(DivergenceError(msg, t))
+            elif kind == _UNDERFLOW:
+                msg = f"{label}: adaptive step size underflow near t={t:.6g}"
+                out.append(DivergenceError(msg, t))
+            elif kind == _BUDGET:
+                msg = f"{label}: step budget of {cfg.max_steps} exhausted at t={t:.6g}"
+                out.append(StepBudgetError(msg, t))
+            else:
+                out.append(None)
+        return out
+
+
+def _rk4(rhs, b: _Batch, cfg: IntegratorConfig, sink) -> None:
     n_full = int(np.floor(cfg.t_end / cfg.dt + 1e-12))
     remainder = cfg.t_end - n_full * cfg.dt
     n_steps = n_full + (1 if remainder > 1e-12 * cfg.t_end else 0)
     if n_steps < 1:
         n_steps, n_full, remainder = 1, 0, cfg.t_end
     if n_steps > cfg.max_steps:
-        raise StepBudgetError(
-            f"{label}: {n_steps} rk4 steps exceed the budget of {cfg.max_steps}", 0.0
-        )
-    times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, x0.shape[0]))
-    derivs = np.empty_like(states)
-    times[0] = 0.0
-    states[0] = x0
-    t, y = 0.0, x0.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            h = cfg.dt if i < n_full else remainder
-            k1 = rhs(t, y)
-            derivs[i] = k1
-            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t = cfg.t_end if i == n_steps - 1 else t + h
-            if not np.all(np.isfinite(y)):
-                raise DivergenceError(
-                    f"{label}: state became non-finite after t={times[i]:.6g}",
-                    times[i],
-                )
-            times[i + 1] = t
-            states[i + 1] = y
-        derivs[n_steps] = rhs(t, y)
-    return Trajectory(times=times, states=states, dim=x0.shape[0], derivs=derivs)
+        b.stop(np.ones(b.rows.size, dtype=bool), _BUDGET)
+        return
+    t = 0.0
+    for i in range(n_steps):
+        h = cfg.dt if i < n_full else remainder
+        t_new = cfg.t_end if i == n_steps - 1 else t + h
+        y, f = b.y, b.f
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * f)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y_new = y + (h / 6.0) * (f + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(y_new).all():
+            ok = np.isfinite(y_new).all(axis=1)
+            b.t = np.full(b.rows.size, t)
+            b.stop(~ok, _NONFINITE)
+            if not b.rows.size:
+                return
+            y, f, y_new = b.y, b.f, y_new[ok]
+        f_new = rhs(t_new, y_new)
+        sink(b.rows, t, t_new, y, y_new, f, f_new)
+        t, b.y, b.f = t_new, y_new, f_new
 
 
-def _rk45_loop(rhs, x0, cfg, label) -> Trajectory:
-    with np.errstate(over="ignore", invalid="ignore"):
-        solver = RK45(
-            rhs, 0.0, x0, cfg.t_end, rtol=cfg.rtol, atol=cfg.atol, first_step=None
+def _dopri5(rhs, b: _Batch, cfg: IntegratorConfig, sink) -> None:
+    b.h_abs = _initial_step(rhs, b.y, b.f, cfg)
+    b.rejected = np.zeros(b.rows.size, dtype=bool)
+    b.steps = np.zeros(b.rows.size, dtype=np.int64)
+    while b.rows.size:
+        min_step = 10 * np.spacing(b.t)
+        b.h_abs = np.where(b.rejected, b.h_abs, np.maximum(b.h_abs, min_step))
+        over = b.steps >= cfg.max_steps
+        small = ~(b.h_abs >= min_step)  # a NaN step size counts as underflow
+        if (over | small).any():
+            b.stop(over, _BUDGET)
+            b.stop(small[~over], _UNDERFLOW)
+            continue
+        t, y, f = b.t, b.y, b.f
+        t_new = np.minimum(t + b.h_abs, cfg.t_end)
+        h = t_new - t
+        hc = h[:, None]
+        stage_t = t + _DP_C_COL * h
+        K = [f]
+        for s, a in enumerate(_DP_A[1:], start=1):
+            K.append(rhs(stage_t[s], y + _lincomb(a, K) * hc))
+        y_new = y + hc * _lincomb(_DP_B, K)
+        f_new = rhs(t_new, y_new)
+        K.append(f_new)
+        scale = cfg.atol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rtol
+        err = _rms(_lincomb(_DP_E, K) * hc / scale)
+        accept = err < 1
+        # err = 0 makes the factor infinite, which the caps below absorb
+        factor = _SAFETY * err**_ERROR_EXPONENT
+        grow = np.minimum(np.where(b.rejected, 1.0, _MAX_FACTOR), factor)
+        b.h_abs = h * np.where(accept, grow, np.fmax(_MIN_FACTOR, factor))
+        b.rejected = ~accept
+        ok = accept & np.isfinite(y_new).all(axis=1)
+        if ok.all():
+            sink(b.rows, t, t_new, y, y_new, f, f_new)
+            b.t, b.y, b.f, b.steps = t_new, y_new, f_new, b.steps + 1
+        else:
+            if ok.any():
+                sink(b.rows[ok], t[ok], t_new[ok], y[ok], y_new[ok], f[ok], f_new[ok])
+                b.t = np.where(ok, t_new, t)
+                b.y = np.where(ok[:, None], y_new, y)
+                b.f = np.where(ok[:, None], f_new, f)
+                b.steps = b.steps + ok
+            bad = accept & ~ok
+            if bad.any():
+                b.stop(bad, _NONFINITE)
+        done = b.t == cfg.t_end
+        if done.any():
+            b.stop(done)
+
+
+def _solve(rhs, X0, F0, cfg: IntegratorConfig, sink, label: str) -> list:
+    """Advance every row of X0 to cfg.t_end, handing each accepted step to
+    ``sink(rows, t0, t1, y0, y1, f0, f1)``; return one entry per row, None or
+    the :class:`NumericalError` that stopped it."""
+    b = _Batch(X0, F0)
+    b.stop(~(np.isfinite(X0).all(axis=1) & np.isfinite(F0).all(axis=1)), _NONFINITE)
+    if b.rows.size:
+        (_rk4 if cfg.method == "rk4" else _dopri5)(rhs, b, cfg, sink)
+    return b.errors(label, cfg)
+
+
+def _batch_rhs(f: VectorFieldDef, X0: np.ndarray):
+    """``f.rhs`` as a map of (N, n) batches for one run, and its value at X0.
+
+    The probe is the run's first evaluation: when ``f.rhs(X0)`` raises a
+    type, value or index error or returns another shape than X0, the run
+    evaluates row by row instead. A lone row is always passed as the 1-d
+    state that right-hand sides are written for, which is also the cheapest.
+    """
+    if X0.shape[0] == 1:
+        return (lambda _t, Y: np.asarray(f.rhs(Y[0]), dtype=float)[None, :]), f(X0[0])[None, :]
+    try:
+        F0 = np.asarray(f.rhs(X0), dtype=float)
+    except (TypeError, ValueError, IndexError):
+        F0 = None
+    if F0 is not None and F0.shape == X0.shape:
+        return (lambda _t, Y: np.asarray(f.rhs(Y), dtype=float)), F0
+
+    def rowwise(_t, Y):
+        return np.stack([f(y) for y in Y])
+
+    return rowwise, rowwise(0.0, X0)
+
+
+class _Nodes:
+    """Sink keeping the accepted steps of a batch of one as trajectory nodes."""
+
+    def __init__(self, X0, F0):
+        self.times, self.states, self.derivs = [], [X0], [F0]
+
+    def __call__(self, rows, t0, t1, y0, y1, f0, f1):
+        self.times.append(t1)  # a float (rk4) or a (1,) array (rk45)
+        self.states.append(y1)
+        self.derivs.append(f1)
+
+    def trajectory(self) -> Trajectory:
+        states = np.concatenate(self.states)
+        return Trajectory(
+            times=np.concatenate([[0.0], np.asarray(self.times).ravel()]),
+            states=states,
+            dim=states.shape[1],
+            derivs=np.concatenate(self.derivs),
         )
-        times = [0.0]
-        states = [x0.copy()]
-        derivs = [np.asarray(rhs(0.0, x0), dtype=float)]
-        steps = 0
-        while solver.status == "running":
-            if steps >= cfg.max_steps:
-                raise StepBudgetError(
-                    f"{label}: step budget of {cfg.max_steps} exhausted at "
-                    f"t={times[-1]:.6g}",
-                    times[-1],
-                )
-            message = solver.step()
-            if not np.all(np.isfinite(solver.y)):
-                raise DivergenceError(
-                    f"{label}: state became non-finite after t={times[-1]:.6g}",
-                    times[-1],
-                )
-            times.append(solver.t)
-            states.append(solver.y.copy())
-            derivs.append(np.asarray(solver.f, dtype=float))
-            steps += 1
-        if solver.status == "failed":
-            raise DivergenceError(
-                f"{label}: adaptive step size underflow near t={times[-1]:.6g}"
-                + (f" ({message})" if message else ""),
-                times[-1],
-            )
-    return Trajectory(
-        times=np.array(times),
-        states=np.array(states),
-        dim=x0.shape[0],
-        derivs=np.array(derivs),
-    )
+
+
+class _OnGrid:
+    """Sink evaluating each accepted step's cubic Hermite on the grid times it
+    covers, [t0, t1) and the horizon itself, for the leading ``keep``
+    coordinates. It stores the values, or with a ``target`` of the same
+    shape keeps only each row's largest Euclidean distance to it."""
+
+    def __init__(self, grid, n_rows: int, keep: int, t_end: float, target=None):
+        inside = grid.ndim == 1 and 0 <= grid[0] and grid[-1] <= t_end
+        if not (inside and np.all(np.diff(grid) > 0)):
+            raise InputError("the grid must be increasing within [0, t_end]")
+        self.grid, self.keep, self.t_end, self.target = grid, keep, t_end, target
+        if target is None:
+            self.out = np.full((n_rows, grid.size, keep), np.nan)
+        else:
+            self.out = np.full(n_rows, -np.inf)
+
+    def __call__(self, rows, t0, t1, y0, y1, f0, f1):
+        t0 = np.broadcast_to(t0, rows.shape)
+        t1 = np.broadcast_to(t1, rows.shape)
+        lo = np.searchsorted(self.grid, t0)
+        hi = np.where(t1 == self.t_end, self.grid.size, np.searchsorted(self.grid, t1))
+        counts = hi - lo
+        total = int(counts.sum())
+        if not total:
+            return
+        r = np.repeat(np.arange(rows.size), counts)
+        g = np.arange(total) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        k = self.keep
+        t0r = t0[r][:, None]
+        values = _hermite(
+            self.grid[g][:, None] - t0r, t1[r][:, None] - t0r,
+            y0[r, :k], y1[r, :k], f0[r, :k], f1[r, :k],
+        )[0]
+        if self.target is None:
+            self.out[rows[r], g] = values
+        else:
+            gap = np.linalg.norm(self.target[rows[r], g] - values, axis=-1)
+            np.maximum.at(self.out, rows[r], gap)
+
+
+def _hermite(s, h, y0, y1, f0, f1):
+    """Value and slope at offsets ``s`` of the cubic through (0, y0) with slope
+    f0 and (h, y1) with slope f1."""
+    slope = (y1 - y0) / h
+    c = (f0 + f1 - 2.0 * slope) / h
+    c3, c2 = c / h, (slope - f0) / h - c
+    return ((c3 * s + c2) * s + f0) * s + y0, (3.0 * c3 * s + 2.0 * c2) * s + f0
+
+
+def _quiet():
+    """Overflow and NaN are detected per row, so numpy need not warn of them."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+def _trajectory(rhs, X0, F0, cfg: IntegratorConfig, label: str) -> Trajectory:
+    """Integrate a batch of one and return its step nodes; raise its failure."""
+    nodes = _Nodes(X0, F0)
+    error = _solve(rhs, X0, F0, cfg, nodes, label)[0]
+    if error is not None:
+        raise error
+    return nodes.trajectory()
+
+
+# ------------------------------------------------------------------ public
 
 
 def integrate_field(f: VectorFieldDef, x0, cfg: IntegratorConfig) -> Trajectory:
-    """Solve dx/dt = f(x) from x0 over [0, cfg.t_end]."""
-    x0 = as_state(x0, f.n)
-    return _integrate_rhs(lambda _t, y: np.asarray(f.rhs(y), dtype=float), x0, cfg, f.name)
+    """Solve dx/dt = f(x) from x0 over [0, cfg.t_end]; return the step nodes."""
+    X0 = as_state(x0, f.n)[None, :]
+    with _quiet():
+        rhs, F0 = _batch_rhs(f, X0)
+        return _trajectory(rhs, X0, F0, cfg, f.name)
+
+
+def integrate_on_grid(
+    f: VectorFieldDef, X0, cfg: IntegratorConfig, grid, keep: int | None = None
+) -> tuple[np.ndarray, list]:
+    """Integrate every row of X0 and evaluate it on ``grid``.
+
+    ``grid`` is increasing within [0, cfg.t_end]. Returns ``(values,
+    errors)``: ``values[i]`` holds the leading ``keep`` coordinates (all by
+    default) of row i at each grid time, NaN if the row failed, and
+    ``errors[i]`` is None or the :class:`NumericalError` that stopped it.
+    """
+    grid = np.asarray(grid, dtype=float)
+    return _run_on_grid(f, X0, cfg, _OnGrid(grid, len(X0), keep or f.n, cfg.t_end))
+
+
+def sup_distance_on_grid(
+    f: VectorFieldDef, X0, cfg: IntegratorConfig, grid, target
+) -> tuple[np.ndarray, list]:
+    """Largest Euclidean distance over ``grid`` from each row's run to its
+    row of ``target``, shape (N, len(grid), k) for the leading k coordinates.
+
+    Equals the maximum over the grid axis of ``|values - target|`` for the
+    ``values`` of :func:`integrate_on_grid`, without holding them. Returns
+    ``(sups, errors)``; ``sups[i]`` is NaN if row i failed or its target
+    holds NaN.
+    """
+    target = np.asarray(target, dtype=float)
+    grid = np.asarray(grid, dtype=float)
+    return _run_on_grid(f, X0, cfg, _OnGrid(grid, len(X0), target.shape[-1], cfg.t_end, target))
+
+
+def _run_on_grid(f: VectorFieldDef, X0, cfg: IntegratorConfig, sink: _OnGrid):
+    X0 = np.asarray(X0, dtype=float)
+    if X0.ndim != 2 or X0.shape[1] != f.n:
+        raise InputError(f"expected initial states of shape (N, {f.n}), got {X0.shape}")
+    with _quiet():
+        rhs, F0 = _batch_rhs(f, X0)
+        errors = _solve(rhs, X0, F0, cfg, sink, f.name)
+    sink.out[[e is not None for e in errors]] = np.nan
+    return sink.out, errors
 
 
 class InputSignal:
@@ -230,9 +499,13 @@ def integrate_control(
             f"input signal defined up to t={sig.span[1]:.6g} but horizon is "
             f"{cfg.t_end:.6g}"
         )
-    return _integrate_rhs(
-        lambda t, y: np.asarray(F.rhs(y, sig(t)), dtype=float), x0, cfg, F.name
-    )
+
+    def rhs(t, Y):  # a batch of one; t is the stage time, a float or (1,) array
+        return F(Y[0], sig(float(np.ravel(t)[0])))[None, :]
+
+    X0 = x0[None, :]
+    with _quiet():
+        return _trajectory(rhs, X0, rhs(0.0, X0), cfg, F.name)
 
 
 def resample(traj: Trajectory, times) -> Trajectory:
@@ -254,9 +527,14 @@ def resample(traj: Trajectory, times) -> Trajectory:
             f"horizon {traj.times[-1]:.6g}"
         )
     if traj.derivs is not None:
-        spline = CubicHermiteSpline(traj.times, traj.states, traj.derivs, axis=0)
-        states = spline(new_times)
-        derivs = spline.derivative()(new_times)
+        # node k covers [t_k, t_k+1), the last one its closed interval
+        k = np.searchsorted(traj.times, new_times, side="right") - 1
+        k = np.minimum(k, traj.times.shape[0] - 2)
+        t0 = traj.times[k][:, None]
+        states, derivs = _hermite(
+            new_times[:, None] - t0, traj.times[k + 1][:, None] - t0,
+            traj.states[k], traj.states[k + 1], traj.derivs[k], traj.derivs[k + 1],
+        )
     else:
         states = np.column_stack(
             [np.interp(new_times, traj.times, traj.states[:, j]) for j in range(traj.dim)]

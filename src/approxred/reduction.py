@@ -29,12 +29,20 @@ from .core import (
     VectorFieldDef,
     project,
 )
-from .integrate import IntegratorConfig, integrate_field, resample
+from .integrate import (
+    IntegratorConfig,
+    integrate_field,
+    integrate_on_grid,
+    resample,
+    sup_distance_on_grid,
+)
 from .numdiff import batch_eval, jacobian_batch
 from .sampling import DEFAULT_SEED, sobol_points
 
 DEFAULT_TOL = 1e-6
 DEFAULT_GRID_POINTS = 2001
+# initial conditions integrated together; bounds the grid arrays held at once
+BLOCK_ROWS = 128
 
 REDUCIBLE = "REDUCIBLE_UP_TO_TOL"
 NOT_REDUCIBLE = "NOT_REDUCIBLE"
@@ -328,37 +336,27 @@ def estimate_delta(
         raise InputError("sampling box dimension does not match the field")
     if reduced is None:
         reduced = construct_reduced(f, d).field_def
-    failures = 0
-    best = -np.inf
     if pair_mode == "projected":
         X0 = sobol_points(S, n_ic, seed)
-        for x0 in X0:
-            try:
-                rep = measure_deviation(f, d, x0, cfg, reduced=reduced, n_grid=n_grid)
-            except NumericalError:
-                failures += 1
-                continue
-            best = max(best, rep.sup_dev)
+        Y0 = X0[:, : d.m]
     else:
-        joint = S.concat(S.project(d, "m"))
-        P = sobol_points(joint, n_ic, seed)
-        grid = np.linspace(0.0, cfg.t_end, n_grid)
-        for row in P:
-            x0, y0 = row[: f.n], row[f.n :]
-            try:
-                full_traj = integrate_field(f, x0, cfg)
-                red_traj = integrate_field(reduced, y0, cfg)
-            except NumericalError:
-                failures += 1
-                continue
-            full_proj = resample(full_traj, grid).states[:, : d.m]
-            red_states = resample(red_traj, grid).states
-            dev = np.linalg.norm(full_proj - red_states, axis=1)
-            best = max(best, float(dev.max()))
+        P = sobol_points(S.concat(S.project(d, "m")), n_ic, seed)
+        X0, Y0 = P[:, : f.n], P[:, f.n :]
+    grid = np.linspace(0.0, cfg.t_end, n_grid)
+    sups = []
+    for start in range(0, n_ic, BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        full = integrate_on_grid(f, X0[block], cfg, grid, keep=d.m)[0]
+        # NaN where either run failed, as a failed full run leaves NaN values
+        sups.append(sup_distance_on_grid(reduced, Y0[block], cfg, grid, full)[0])
+    sups = np.concatenate(sups)
+    ok = ~np.isnan(sups)
+    failures = n_ic - int(ok.sum())
     if failures == n_ic:
         raise NumericalError(
             f"all {n_ic} sampled initial conditions failed to integrate"
         )
+    best = sups[ok].max()
     return DeltaEstimate(
         delta_hat=float(best),
         mode=pair_mode,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.stats import qmc
 
 from .core import Box
 
@@ -22,6 +21,8 @@ DEFAULT_SEED = 42
 
 def unit_sobol(dim: int, n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     """First ``n`` scrambled Sobol points in the unit cube of ``dim`` dimensions."""
+    from scipy.stats import qmc  # imported here: commands that never sample skip scipy
+
     engine = qmc.Sobol(d=dim, scramble=True, seed=seed)
     with warnings.catch_warnings():
         # n not a power of two only degrades balance, which we do not rely on

@@ -556,3 +556,58 @@ class TestReproducibility:
         out2 = tmp_path / "r2.csv"
         assert main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestImportFloor:
+    """Only sampling needs scipy, and it imports scipy on first use."""
+
+    def test_integration_commands_never_import_scipy(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        import approxred
+
+        script = (
+            "import json, sys\n"
+            "from approxred import cli\n"
+            "try:\n"
+            "    rc = cli.main(json.loads(sys.argv[1]))\n"
+            "except SystemExit as stop:  # --version exits from argparse\n"
+            "    rc = stop.code\n"
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        out = ["--out", str(tmp_path / "o.csv")]
+        commands = [
+            ["--version"],
+            ["simulate", "--system", "ball-hoop", "--t-end", "2", *out],
+            ["simulate", "--system", "cart-pendulum", "--method", "rk4", "--dt", "0.01", *out],
+            ["compare", "--system", "cart-pendulum", "--t-end", "3", *out],
+            ["sweep", "--system", "ball-hoop", "--param", "R", "--values", "5,10", *out],
+        ]
+        src = os.path.dirname(os.path.dirname(approxred.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        for argv in commands:
+            proc = subprocess.run(
+                [sys.executable, "-c", script, json.dumps(argv)],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip().splitlines()[-1] == "0 []", argv
+
+    def test_no_module_imports_scipy_integrate_or_interpolate(self):
+        import ast
+        import pathlib
+
+        import approxred
+
+        for path in pathlib.Path(approxred.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                for name in names:
+                    assert not name.startswith(("scipy.integrate", "scipy.interpolate")), path

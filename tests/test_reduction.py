@@ -14,6 +14,7 @@ from approxred.reduction import (
     estimate_delta,
     measure_deviation,
 )
+from approxred.sampling import sobol_points
 from approxred.systems import lookup
 
 from reference_values import (
@@ -310,3 +311,56 @@ class TestJacobians:
             J_fd = jacobian(entry.field.rhs, x, 2)
             J_an = entry.jacobian(x)
             assert np.allclose(J_fd, J_an, rtol=1e-5, atol=1e-7)
+
+
+class TestBatchedEstimate:
+    """estimate_delta integrates its initial conditions in row blocks."""
+
+    def test_block_size_does_not_change_the_estimate(self, monkeypatch):
+        from approxred import reduction
+
+        entry = lookup("cart-pendulum", {})
+        box = Box(entry.default_ic - 0.3, entry.default_ic + 0.3)
+        cfg = IntegratorConfig(t_end=5.0)
+
+        def both_modes():
+            return [
+                estimate_delta(
+                    entry.field, entry.decomp, box, 12, cfg, pair_mode=mode,
+                    reduced=entry.reduced_override,
+                ).delta_hat
+                for mode in ("projected", "cross")
+            ]
+
+        whole = both_modes()
+        monkeypatch.setattr(reduction, "BLOCK_ROWS", 5)
+        assert both_modes() == whole
+
+    @pytest.mark.parametrize("name", ["ball-hoop", "cart-pendulum"])
+    def test_single_ic_equals_measure_deviation(self, name):
+        # bound and compare evaluate the same interpolants on the same grid
+        entry = lookup(name, {})
+        box = Box(entry.default_ic - 0.3, entry.default_ic + 0.3)
+        cfg = IntegratorConfig(t_end=10.0)
+        est = estimate_delta(
+            entry.field, entry.decomp, box, 1, cfg, reduced=entry.reduced_override
+        )
+        rep = measure_deviation(
+            entry.field, entry.decomp, sobol_points(box, 1)[0], cfg,
+            reduced=entry.reduced_override,
+        )
+        assert est.delta_hat == rep.sup_dev
+
+    def test_failure_on_both_sides_counts_once(self):
+        def rhs(s):
+            s = np.asarray(s, dtype=float)
+            y, z = s[..., 0], s[..., 1]
+            # full and reduced runs both blow up at t = 1 / y0 when y0 > 0
+            return np.stack([y**2 * (y > 0), -z], axis=-1)
+
+        f = VectorFieldDef(n=2, rhs=rhs, name="half-blowup")
+        d = Decomposition(n=2, m=1, k=1)
+        box = Box.from_pairs([(-2, 2), (-1, 1)])
+        expected = int((sobol_points(box, 16)[:, 0] > 1 / 5.0).sum())  # before t = 5
+        est = estimate_delta(f, d, box, 16, IntegratorConfig(t_end=5.0))
+        assert 0 < est.failures == expected < 16
