@@ -13,8 +13,9 @@ independent of the package's production code paths:
   evaluation of the equations of motion.
 
 The only shared convention is the sampling one: Sobol initial conditions are
-drawn with scipy.stats.qmc exactly as the package draws them (scrambled,
-seed 42), because the pinned quantity is defined over those very samples.
+drawn with scipy.stats.qmc (scrambled, seed 42), whose points the package's
+own numpy generator reproduces bit for bit, because the pinned quantity is
+defined over those very samples.
 
 Run from the repository root:
 

@@ -65,6 +65,22 @@ class EvaluationError(InputError, NumericalError):
     """
 
 
+def try_batch(evaluate: Callable[[], object]):
+    """``evaluate()``, a map applied to a whole block, or None if it cannot take one.
+
+    A map written for a single state fails on a block with a type, value or
+    index error; those send the caller to row-by-row evaluation. An
+    :class:`EvaluationError` is a genuine failure and propagates, as does
+    every other exception.
+    """
+    try:
+        return evaluate()
+    except EvaluationError:
+        raise
+    except (TypeError, ValueError, IndexError):
+        return None
+
+
 def as_state(x, n: int | None = None) -> np.ndarray:
     """Coerce ``x`` to a 1-d float64 array, optionally checking its length."""
     arr = np.asarray(x, dtype=float)

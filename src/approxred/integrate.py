@@ -45,6 +45,7 @@ from .core import (
     Trajectory,
     VectorFieldDef,
     as_state,
+    try_batch,
 )
 
 DEFAULT_RTOL = 1e-9
@@ -271,17 +272,15 @@ def _solve(rhs, X0, F0, cfg: IntegratorConfig, sink, label: str) -> list:
 def _batch_rhs(f: VectorFieldDef, X0: np.ndarray):
     """``f.rhs`` as a map of (N, n) batches for one run, and its value at X0.
 
-    The probe is the run's first evaluation: when ``f.rhs(X0)`` raises a
-    type, value or index error or returns another shape than X0, the run
-    evaluates row by row instead. A lone row is always passed as the 1-d
-    state that right-hand sides are written for, which is also the cheapest.
+    The probe is the run's first evaluation: when ``f.rhs(X0)`` cannot take
+    a batch (see :func:`~approxred.core.try_batch`) or returns another shape
+    than X0, the run evaluates row by row instead. A lone row is always
+    passed as the 1-d state that right-hand sides are written for, which is
+    also the cheapest.
     """
     if X0.shape[0] == 1:
         return (lambda _t, Y: np.asarray(f.rhs(Y[0]), dtype=float)[None, :]), f(X0[0])[None, :]
-    try:
-        F0 = np.asarray(f.rhs(X0), dtype=float)
-    except (TypeError, ValueError, IndexError):
-        F0 = None
+    F0 = try_batch(lambda: np.asarray(f.rhs(X0), dtype=float))
     if F0 is not None and F0.shape == X0.shape:
         return (lambda _t, Y: np.asarray(f.rhs(Y), dtype=float)), F0
 

@@ -5,7 +5,8 @@ compromise between truncation and round-off for float64.
 
 ``batch_eval`` lets every caller exploit vectorized right-hand sides when
 available: a map is first called with the full (N, d) sample block and only
-evaluated row by row if that fails or returns the wrong shape.
+evaluated row by row if it cannot take one (see ``core.try_batch``) or
+returns the wrong shape.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import EvaluationError
+from .core import EvaluationError, try_batch
 
 FD_SCALE = 1e-6
 
@@ -27,16 +28,12 @@ def batch_eval(fn: Callable, X: np.ndarray, out_dim: int | None = None) -> np.nd
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    try:
-        out = np.asarray(fn(X), dtype=float)
-        if out_dim is None and out.shape == (n,):
-            return out
-        if out_dim == 1 and out.shape == (n,):
-            return out[:, None]
+    out = try_batch(lambda: np.asarray(fn(X), dtype=float))
+    if out is not None:
+        if out.shape == (n,) and out_dim in (None, 1):
+            return out if out_dim is None else out[:, None]
         if out_dim is not None and out.shape == (n, out_dim):
             return out
-    except Exception:
-        pass
     rows = [np.asarray(fn(x), dtype=float) for x in X]
     out = np.stack([np.atleast_1d(r) for r in rows])
     if out.shape[1] == 1 and out_dim is None:
@@ -46,13 +43,9 @@ def batch_eval(fn: Callable, X: np.ndarray, out_dim: int | None = None) -> np.nd
 
 def batch_eval_pair(fn: Callable, X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
     """Evaluate a scalar two-argument map on paired rows, result shape (N,)."""
-    n = X1.shape[0]
-    try:
-        out = np.asarray(fn(X1, X2), dtype=float)
-        if out.shape == (n,):
-            return out
-    except Exception:
-        pass
+    out = try_batch(lambda: np.asarray(fn(X1, X2), dtype=float))
+    if out is not None and out.shape == (X1.shape[0],):
+        return out
     return np.array([float(fn(x1, x2)) for x1, x2 in zip(X1, X2)])
 
 

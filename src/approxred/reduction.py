@@ -247,6 +247,13 @@ class DeviationReport:
     horizon: float
 
 
+def _grid(t_end: float, n_grid: int) -> np.ndarray:
+    """The shared uniform comparison grid on [0, t_end]."""
+    if n_grid < 2:
+        raise InputError(f"n_grid needs at least two time points, got {n_grid}")
+    return np.linspace(0.0, t_end, n_grid)
+
+
 def measure_deviation(
     f: VectorFieldDef,
     d: Decomposition,
@@ -263,6 +270,7 @@ def measure_deviation(
     overrides the slice construction when a system ships its own reduced form.
     """
     x0 = np.asarray(x0, dtype=float)
+    grid = _grid(cfg.t_end, n_grid)
     if reduced is None:
         reduced = construct_reduced(f, d).field_def
     y0 = project(x0, d, "m")
@@ -275,7 +283,6 @@ def measure_deviation(
 
     full_traj = labeled("full", f, x0)
     red_traj = labeled("reduced", reduced, y0)
-    grid = np.linspace(0.0, cfg.t_end, n_grid)
     full_rs = resample(full_traj, grid)
     red_rs = resample(red_traj, grid)
     full_proj = full_rs.states[:, : d.m]
@@ -332,6 +339,7 @@ def estimate_delta(
         raise InputError(f"pair_mode must be 'projected' or 'cross', got {pair_mode!r}")
     if n_ic < 1:
         raise InputError("n_ic must be at least 1")
+    grid = _grid(cfg.t_end, n_grid)
     if S.dim != f.n:
         raise InputError("sampling box dimension does not match the field")
     if reduced is None:
@@ -342,7 +350,6 @@ def estimate_delta(
     else:
         P = sobol_points(S.concat(S.project(d, "m")), n_ic, seed)
         X0, Y0 = P[:, : f.n], P[:, f.n :]
-    grid = np.linspace(0.0, cfg.t_end, n_grid)
     sups = []
     for start in range(0, n_ic, BLOCK_ROWS):
         block = slice(start, start + BLOCK_ROWS)

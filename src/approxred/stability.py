@@ -26,6 +26,7 @@ from .core import (
     EvaluationError,
     InputError,
     VectorFieldDef,
+    try_batch,
 )
 from .numdiff import (
     batch_eval,
@@ -168,14 +169,14 @@ def _eval_V_pair(V: ScalarFunctionDef, X1, X2) -> np.ndarray:
 
 def _pair_grads(V: ScalarFunctionDef, X1, X2) -> tuple[np.ndarray, np.ndarray]:
     if V.grad is not None:
-        try:
+
+        def both():
             g1, g2 = V.grad(X1, X2)
-            g1 = np.asarray(g1, dtype=float)
-            g2 = np.asarray(g2, dtype=float)
-            if g1.shape == X1.shape and g2.shape == X2.shape:
-                return g1, g2
-        except Exception:
-            pass
+            return np.asarray(g1, dtype=float), np.asarray(g2, dtype=float)
+
+        grads = try_batch(both)
+        if grads is not None and grads[0].shape == X1.shape and grads[1].shape == X2.shape:
+            return grads
         pairs = [V.grad(x1, x2) for x1, x2 in zip(X1, X2)]
         g1 = np.stack([np.asarray(p[0], dtype=float) for p in pairs])
         g2 = np.stack([np.asarray(p[1], dtype=float) for p in pairs])
@@ -199,13 +200,9 @@ def _vdot_batch(
 
 
 def _eval_control_batch(F: ControlSystemDef, X, U) -> np.ndarray:
-    n = X.shape[0]
-    try:
-        out = np.asarray(F.rhs(X, U), dtype=float)
-        if out.shape == (n, F.n):
-            return out
-    except Exception:
-        pass
+    out = try_batch(lambda: np.asarray(F.rhs(X, U), dtype=float))
+    if out is not None and out.shape == (X.shape[0], F.n):
+        return out
     return np.stack([np.asarray(F.rhs(x, u), dtype=float) for x, u in zip(X, U)])
 
 
@@ -507,12 +504,9 @@ def check_fiberwise(
 
 
 def _state_grads(V: ScalarFunctionDef, X: np.ndarray) -> np.ndarray:
-    try:
-        G = np.asarray(V.grad(X), dtype=float)
-        if G.shape == X.shape:
-            return G
-    except Exception:
-        pass
+    G = try_batch(lambda: np.asarray(V.grad(X), dtype=float))
+    if G is not None and G.shape == X.shape:
+        return G
     return np.stack([np.asarray(V.grad(x), dtype=float) for x in X])
 
 

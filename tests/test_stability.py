@@ -10,8 +10,11 @@ from approxred.core import (
     ComparisonFunction,
     ControlSystemDef,
     Decomposition,
+    EvaluationError,
     VectorFieldDef,
 )
+from approxred.integrate import _batch_rhs
+from approxred.numdiff import batch_eval, batch_eval_pair
 from approxred.stability import (
     COUNTEREXAMPLE,
     NO_COUNTEREXAMPLE,
@@ -19,6 +22,9 @@ from approxred.stability import (
     IISSCertificate,
     IUBIBSSCertificate,
     ScalarFunctionDef,
+    _eval_control_batch,
+    _pair_grads,
+    _state_grads,
     check_fiberwise,
     check_iiss,
     check_iubibss,
@@ -359,3 +365,48 @@ class TestIISSBridgeProperty:
         )
         rep2 = check_iubibss(DRIVEN, derived, SYM_BOX_1, SYM_BOX_1, 1024)
         assert rep2.verdict == NO_COUNTEREXAMPLE
+
+
+BLOCK = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+
+# each batched call site, fed a map that raises on every call
+BATCH_SITES = {
+    "batch_eval": lambda fn: batch_eval(fn, BLOCK),
+    "batch_eval_pair": lambda fn: batch_eval_pair(fn, BLOCK, BLOCK),
+    "eval_control_batch": lambda fn: _eval_control_batch(
+        ControlSystemDef(n=2, m_in=2, rhs=fn), BLOCK, BLOCK
+    ),
+    "pair_grads": lambda fn: _pair_grads(
+        ScalarFunctionDef("pair", fn=lambda x1, x2: 0.0, grad=fn), BLOCK, BLOCK
+    ),
+    "state_grads": lambda fn: _state_grads(
+        ScalarFunctionDef("state", fn=lambda x: 0.0, grad=fn), BLOCK
+    ),
+    "integrator_probe": lambda fn: _batch_rhs(VectorFieldDef(n=2, rhs=fn), BLOCK),
+}
+
+
+class TestBatchFallback:
+    """Only the errors of a single-state map on a block send it row by row."""
+
+    @pytest.mark.parametrize("site", sorted(BATCH_SITES))
+    @pytest.mark.parametrize(
+        "exc,calls",
+        [
+            (EvaluationError, 1),  # a genuine failure: no retry
+            (RuntimeError, 1),
+            (TypeError, 2),  # the block, then the first row
+            (IndexError, 2),
+        ],
+    )
+    def test_which_errors_retry_row_by_row(self, site, exc, calls):
+        seen = []
+
+        def fn(*args):
+            seen.append(args)
+            raise exc("boom")
+
+        with pytest.raises(exc, match="boom"):
+            BATCH_SITES[site](fn)
+        assert len(seen) == calls
+        assert np.shape(seen[0][0]) == BLOCK.shape
