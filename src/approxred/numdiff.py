@@ -71,20 +71,25 @@ def jacobian(fn: Callable, x: np.ndarray, out_dim: int) -> np.ndarray:
     return J
 
 
-def jacobian_batch(fn: Callable, X: np.ndarray, out_dim: int) -> np.ndarray:
-    """Central-difference Jacobians on a block of points, shape (N, out_dim, d)."""
+def jacobian_batch(fn: Callable, X: np.ndarray, out_dim: int, cols=None) -> np.ndarray:
+    """Central-difference Jacobians on a block of points, shape (N, out_dim, c).
+
+    ``cols`` lists the coordinates to differentiate along (default: all d),
+    so a caller that needs a few columns pays two evaluations per column only.
+    """
     X = np.asarray(X, dtype=float)
     n, d = X.shape
+    cols = range(d) if cols is None else cols
     H = fd_steps(X)
-    J = np.empty((n, out_dim, d))
-    for i in range(d):
+    J = np.empty((n, out_dim, len(cols)))
+    for j, i in enumerate(cols):
         Xp = X.copy()
         Xm = X.copy()
         Xp[:, i] += H[:, i]
         Xm[:, i] -= H[:, i]
         up = batch_eval(fn, Xp, out_dim)
         dn = batch_eval(fn, Xm, out_dim)
-        J[:, :, i] = (np.atleast_2d(up.reshape(n, out_dim)) - dn.reshape(n, out_dim)) / (
+        J[:, :, j] = (np.atleast_2d(up.reshape(n, out_dim)) - dn.reshape(n, out_dim)) / (
             2.0 * H[:, i][:, None]
         )
     return J

@@ -23,6 +23,9 @@ DEFAULT_SEED = 42
 BITS = 30
 MAX_POINTS = 2**BITS
 MAX_DIM = 64
+# sampled points a checker evaluates together: few enough that a block's
+# temporaries stay in cache, enough to amortise numpy's per-call overhead
+SAMPLE_BLOCK_ROWS = 8192
 
 # Joe and Kuo's new-joe-kuo-6.21201, first MAX_DIM rows, each a primitive
 # polynomial and its initial direction numbers; the first dimension is
@@ -106,4 +109,17 @@ def unit_sobol(dim: int, n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
 def sobol_points(box: Box, n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     """``n`` Sobol points inside ``box``, shape (n, box.dim)."""
     pts = unit_sobol(box.dim, n, seed)
-    return box.lower + pts * (box.upper - box.lower)
+    pts *= box.widths
+    pts += box.lower
+    return pts
+
+
+def row_blocks(n: int, width: int = 1) -> list[slice]:
+    """Consecutive slices covering ``n`` rows of ``width`` points each.
+
+    A slice holds about ``SAMPLE_BLOCK_ROWS`` points, and at least one row.
+    Every sampled check walks its points through these blocks; with row-wise
+    maps the results are the same bits as one whole-array evaluation.
+    """
+    step = max(1, SAMPLE_BLOCK_ROWS // width)
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]

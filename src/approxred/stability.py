@@ -35,7 +35,7 @@ from .numdiff import (
     jacobian_batch,
     pair_gradient_batch,
 )
-from .sampling import DEFAULT_SEED, sobol_points
+from .sampling import DEFAULT_SEED, row_blocks, sobol_points
 
 NO_COUNTEREXAMPLE = "NO_COUNTEREXAMPLE"
 COUNTEREXAMPLE = "COUNTEREXAMPLE"
@@ -238,15 +238,79 @@ def _worst(violations: np.ndarray, mask: np.ndarray) -> int | None:
     return int(idx[order])
 
 
-def _sample_pairs(state_box: Box, input_box: Box, n_samples: int, seed: int):
+def _sandwich(mask, V, lo, hi) -> list:
+    """The condition rows of lo <= V <= hi on the samples ``mask`` selects."""
+    return [
+        ("lower_bound", mask, (lo - V) - _slack(V), lo, V),
+        ("upper_bound", mask, (V - hi) - _slack(V), V, hi),
+    ]
+
+
+def _falsify(
+    sample_box: Box,
+    parts: dict,
+    n_samples: int,
+    seed: int,
+    conditions: Callable,
+    boxes: dict,
+    counts: Callable[[dict], dict],
+    prior: Counterexample | None = None,
+) -> CertificateReport:
+    """Sample ``sample_box`` once and report the worst certificate violation.
+
+    ``parts`` names column slices of a sample. ``conditions`` gets those
+    slices of one row block of samples, in order, and returns the block's
+    table ``[(name, mask, violation, observed, bound), ...]``; a condition is
+    violated where its mask holds and its violation is positive. Each
+    condition keeps a running worst over the blocks, ties going to the lowest
+    sample index. After the last block the conditions are merged in table
+    order behind ``prior`` (a violation found off the samples), and only a
+    strictly larger violation displaces an earlier one; merging inside the
+    block loop would break that tie rule. The witness records the parts by
+    name; ``counts`` turns the samples each condition's mask selected into
+    the report's condition counts.
+    """
+    P = sobol_points(sample_box, n_samples, seed)
+    worst = {}  # name -> (violation, sample index, observed, bound)
+    checked = {}
+    for block in row_blocks(n_samples):
+        table = conditions(*(P[block, cols] for cols in parts.values()))
+        for name, mask, viol, observed, bound in table:
+            checked[name] = checked.get(name, 0) + int(mask.sum())
+            i = _worst(viol, mask)
+            if i is not None and (name not in worst or viol[i] > worst[name][0]):
+                worst[name] = (viol[i], block.start + i, float(observed[i]), float(bound[i]))
+    best = prior
+    for name, *_ in table:
+        if name in worst:
+            mag, i, observed, bound = worst[name]
+            if best is None or mag > best.magnitude:
+                point = {key: P[i, cols].copy() for key, cols in parts.items()}
+                best = Counterexample(name, float(mag), i, point, observed, bound)
+    report = dict(samples_checked=n_samples, boxes=boxes, condition_counts=counts(checked))
+    if best is None:
+        return CertificateReport(verdict=NO_COUNTEREXAMPLE, **report)
+    return CertificateReport(
+        verdict=COUNTEREXAMPLE,
+        counterexample=best,
+        note="counterexample found; violation exceeds the numerical slack",
+        **report,
+    )
+
+
+def _pair_samples(F: ControlSystemDef, state_box: Box, input_box: Box):
+    """The joint box of (x1, x2, u1, u2), its column slices and the report boxes."""
+    if state_box.dim != F.n or input_box.dim != F.m_in:
+        raise InputError("box dimensions do not match the control system")
+    n, m = F.n, F.m_in
     joint = state_box.concat(state_box).concat(input_box).concat(input_box)
-    P = sobol_points(joint, n_samples, seed)
-    n, m = state_box.dim, input_box.dim
-    X1 = P[:, :n]
-    X2 = P[:, n : 2 * n]
-    U1 = P[:, 2 * n : 2 * n + m]
-    U2 = P[:, 2 * n + m :]
-    return X1, X2, U1, U2
+    parts = {
+        "x1": slice(0, n),
+        "x2": slice(n, 2 * n),
+        "u1": slice(2 * n, 2 * n + m),
+        "u2": slice(2 * n + m, None),
+    }
+    return joint, parts, {"state_box": state_box, "input_box": input_box}
 
 
 def check_iiss(
@@ -263,66 +327,28 @@ def check_iiss(
     is checked at every sample; the decay condition Vdot <= -alpha(|x1-x2|)
     on the samples where |x1-x2| >= mu(|u1-u2|).
     """
-    if state_box.dim != F.n or input_box.dim != F.m_in:
-        raise InputError("box dimensions do not match the control system")
-    X1, X2, U1, U2 = _sample_pairs(state_box, input_box, n_samples, seed)
-    dx = np.linalg.norm(X1 - X2, axis=1)
-    du = np.linalg.norm(U1 - U2, axis=1)
-    V = _eval_V_pair(cert.V, X1, X2)
 
-    lo = cert.alpha_lower.value(dx)
-    hi = cert.alpha_upper.value(dx)
-    sandwich_lo_viol = (lo - V) - _slack(V)
-    sandwich_hi_viol = (V - hi) - _slack(V)
+    def conditions(X1, X2, U1, U2):
+        dx = np.linalg.norm(X1 - X2, axis=1)
+        du = np.linalg.norm(U1 - U2, axis=1)
+        V = _eval_V_pair(cert.V, X1, X2)
+        lo = cert.alpha_lower.value(dx)
+        hi = cert.alpha_upper.value(dx)
+        decay = cert.alpha_decay.value(dx)
+        vd = _vdot_batch(cert.V, F, X1, X2, U1, U2)
+        return [
+            *_sandwich(np.ones(len(dx), bool), V, lo, hi),
+            ("decay", dx >= cert.mu.value(du), (vd + decay) - _slack(vd), vd, -decay),
+        ]
 
-    decay_mask = dx >= cert.mu.value(du)
-    vd = _vdot_batch(cert.V, F, X1, X2, U1, U2)
-    decay_viol = np.where(decay_mask, (vd + cert.alpha_decay.value(dx)) - _slack(vd), -np.inf)
+    def counts(checked):
+        return {
+            "sandwich_checked": checked["lower_bound"],
+            "decay_checked": checked["decay"],
+        }
 
-    boxes = {"state_box": state_box, "input_box": input_box}
-    counts = {
-        "sandwich_checked": int(n_samples),
-        "decay_checked": int(decay_mask.sum()),
-    }
-    candidates = [
-        ("lower_bound", sandwich_lo_viol, lo, V),
-        ("upper_bound", sandwich_hi_viol, V, hi),
-        ("decay", decay_viol, vd, -cert.alpha_decay.value(dx)),
-    ]
-    best = None
-    for cond, viol, observed, bound in candidates:
-        i = _worst(viol, np.ones(n_samples, bool))
-        if i is not None and (best is None or viol[i] > best[1]):
-            best = (cond, viol[i], i, float(observed[i]), float(bound[i]))
-    if best is None:
-        return CertificateReport(
-            verdict=NO_COUNTEREXAMPLE,
-            samples_checked=n_samples,
-            boxes=boxes,
-            condition_counts=counts,
-        )
-    cond, mag, i, observed, bound = best
-    ce = Counterexample(
-        condition=cond,
-        magnitude=float(mag),
-        sample_index=int(i),
-        point={
-            "x1": X1[i].copy(),
-            "x2": X2[i].copy(),
-            "u1": U1[i].copy(),
-            "u2": U2[i].copy(),
-        },
-        observed=observed,
-        bound=bound,
-    )
-    return CertificateReport(
-        verdict=COUNTEREXAMPLE,
-        samples_checked=n_samples,
-        boxes=boxes,
-        counterexample=ce,
-        condition_counts=counts,
-        note="counterexample found; violation exceeds the numerical slack",
-    )
+    joint, parts, boxes = _pair_samples(F, state_box, input_box)
+    return _falsify(joint, parts, n_samples, seed, conditions, boxes, counts)
 
 
 def check_iubibss(
@@ -341,92 +367,43 @@ def check_iubibss(
     [0, diameter(input_box)], and Vdot <= 0 on samples with
     |x1-x2| >= mu(|u1-u2|) + mu_offset.
     """
-    if state_box.dim != F.n or input_box.dim != F.m_in:
-        raise InputError("box dimensions do not match the control system")
-
     # condition 2 is deterministic in r; check it first on the grid
     r = np.linspace(0.0, input_box.diameter(), gain_grid)
     gain = cert.gain(r)
     gain_viol = (r + cert.xi - gain) - _slack(gain)
-
-    X1, X2, U1, U2 = _sample_pairs(state_box, input_box, n_samples, seed)
-    dx = np.linalg.norm(X1 - X2, axis=1)
-    du = np.linalg.norm(U1 - U2, axis=1)
-    V = _eval_V_pair(cert.V, X1, X2)
-
-    sandwich_mask = dx >= cert.xi
-    lo = cert.alpha_lower.value(dx)
-    hi = cert.alpha_upper.value(dx)
-    sandwich_lo_viol = np.where(sandwich_mask, (lo - V) - _slack(V), -np.inf)
-    sandwich_hi_viol = np.where(sandwich_mask, (V - hi) - _slack(V), -np.inf)
-
-    decay_mask = dx >= cert.gain(du)
-    vd = _vdot_batch(cert.V, F, X1, X2, U1, U2)
-    decay_viol = np.where(decay_mask, vd - _slack(vd), -np.inf)
-
-    boxes = {"state_box": state_box, "input_box": input_box}
-    counts = {
-        "sandwich_checked": int(sandwich_mask.sum()),
-        "gain_grid": int(gain_grid),
-        "decay_checked": int(decay_mask.sum()),
-    }
-
-    i_gain = _worst(gain_viol, np.ones_like(r, bool))
-    best = None
-    if i_gain is not None:
-        best = (
-            "gain_threshold",
-            gain_viol[i_gain],
-            i_gain,
-            {"r": np.array([r[i_gain]])},
-            float(gain[i_gain]),
-            float(r[i_gain] + cert.xi),
+    i = _worst(gain_viol, np.ones_like(r, bool))
+    prior = None
+    if i is not None:
+        prior = Counterexample(
+            condition="gain_threshold",
+            magnitude=float(gain_viol[i]),
+            sample_index=i,
+            point={"r": np.array([r[i]])},
+            observed=float(gain[i]),
+            bound=float(r[i] + cert.xi),
         )
-    candidates = [
-        ("lower_bound", sandwich_lo_viol, lo, V),
-        ("upper_bound", sandwich_hi_viol, V, hi),
-        ("decay", decay_viol, vd, np.zeros(n_samples)),
-    ]
-    for cond, viol, observed, bound in candidates:
-        i = _worst(viol, np.ones(n_samples, bool))
-        if i is not None and (best is None or viol[i] > best[1]):
-            best = (
-                cond,
-                viol[i],
-                i,
-                {
-                    "x1": X1[i].copy(),
-                    "x2": X2[i].copy(),
-                    "u1": U1[i].copy(),
-                    "u2": U2[i].copy(),
-                },
-                float(observed[i]),
-                float(bound[i]),
-            )
-    if best is None:
-        return CertificateReport(
-            verdict=NO_COUNTEREXAMPLE,
-            samples_checked=n_samples,
-            boxes=boxes,
-            condition_counts=counts,
-        )
-    cond, mag, i, point, observed, bound = best
-    ce = Counterexample(
-        condition=cond,
-        magnitude=float(mag),
-        sample_index=int(i),
-        point=point,
-        observed=observed,
-        bound=bound,
-    )
-    return CertificateReport(
-        verdict=COUNTEREXAMPLE,
-        samples_checked=n_samples,
-        boxes=boxes,
-        counterexample=ce,
-        condition_counts=counts,
-        note="counterexample found; violation exceeds the numerical slack",
-    )
+
+    def conditions(X1, X2, U1, U2):
+        dx = np.linalg.norm(X1 - X2, axis=1)
+        du = np.linalg.norm(U1 - U2, axis=1)
+        V = _eval_V_pair(cert.V, X1, X2)
+        lo = cert.alpha_lower.value(dx)
+        hi = cert.alpha_upper.value(dx)
+        vd = _vdot_batch(cert.V, F, X1, X2, U1, U2)
+        return [
+            *_sandwich(dx >= cert.xi, V, lo, hi),
+            ("decay", dx >= cert.gain(du), vd - _slack(vd), vd, np.zeros_like(vd)),
+        ]
+
+    def counts(checked):
+        return {
+            "sandwich_checked": checked["lower_bound"],
+            "gain_grid": int(gain_grid),
+            "decay_checked": checked["decay"],
+        }
+
+    joint, parts, boxes = _pair_samples(F, state_box, input_box)
+    return _falsify(joint, parts, n_samples, seed, conditions, boxes, counts, prior)
 
 
 def check_fiberwise(
@@ -441,66 +418,41 @@ def check_fiberwise(
 
     Both conditions are restricted to samples whose fiber norm is at least
     ``cert.d_threshold``: the sandwich bounds in the fiber norm, and
-    Vdot = grad V . f <= 0.
+    Vdot = grad V . f <= 0. A non-finite V or Vdot on such a sample is an
+    evaluation error.
     """
     if box.dim != f.n or d.n != f.n:
         raise InputError("box and decomposition must match the field dimension")
-    X = sobol_points(box, n_samples, seed)
-    fiber = np.linalg.norm(X[:, d.m :], axis=1)
-    active = fiber >= cert.d_threshold
 
-    V = batch_eval(cert.V.fn, X)
-    if not np.all(np.isfinite(V[active])):
-        bad = int(np.argmax(active & ~np.isfinite(V)))
-        raise EvaluationError(f"V produced a non-finite value at {X[bad].tolist()}")
-    lo = cert.alpha_lower.value(fiber)
-    hi = cert.alpha_upper.value(fiber)
-    lo_viol = np.where(active, (lo - V) - _slack(V), -np.inf)
-    hi_viol = np.where(active, (V - hi) - _slack(V), -np.inf)
+    def conditions(X):
+        fiber = np.linalg.norm(X[:, d.m :], axis=1)
+        active = fiber >= cert.d_threshold
+        V = batch_eval(cert.V.fn, X)
+        _require_finite(V, active, X, "V produced a non-finite value")
+        lo = cert.alpha_lower.value(fiber)
+        hi = cert.alpha_upper.value(fiber)
+        if cert.V.grad is not None:
+            G = _state_grads(cert.V, X)
+        else:
+            G = gradient_batch(cert.V.fn, X)
+        vd = np.einsum("ni,ni->n", G, batch_eval(f.rhs, X, f.n))
+        _require_finite(vd, active, X, "non-finite derivative of V along f")
+        return [
+            *_sandwich(active, V, lo, hi),
+            ("decay", active, vd - _slack(vd), vd, np.zeros_like(vd)),
+        ]
 
-    if cert.V.grad is not None:
-        G = _state_grads(cert.V, X)
-    else:
-        G = gradient_batch(cert.V.fn, X)
-    FX = batch_eval(f.rhs, X, f.n)
-    vd = np.einsum("ni,ni->n", G, FX)
-    decay_viol = np.where(active, vd - _slack(vd), -np.inf)
+    def counts(checked):
+        return {"active_samples": checked["lower_bound"]}
 
-    boxes = {"box": box}
-    counts = {"active_samples": int(active.sum())}
-    best = None
-    for cond, viol, observed, bound in [
-        ("lower_bound", lo_viol, lo, V),
-        ("upper_bound", hi_viol, V, hi),
-        ("decay", decay_viol, vd, np.zeros(n_samples)),
-    ]:
-        i = _worst(viol, active)
-        if i is not None and (best is None or viol[i] > best[1]):
-            best = (cond, viol[i], i, observed, bound)
-    if best is None:
-        return CertificateReport(
-            verdict=NO_COUNTEREXAMPLE,
-            samples_checked=n_samples,
-            boxes=boxes,
-            condition_counts=counts,
-        )
-    cond, mag, i, observed, bound = best
-    ce = Counterexample(
-        condition=cond,
-        magnitude=float(mag),
-        sample_index=int(i),
-        point={"x": X[i].copy()},
-        observed=float(observed[i]),
-        bound=float(bound[i]),
-    )
-    return CertificateReport(
-        verdict=COUNTEREXAMPLE,
-        samples_checked=n_samples,
-        boxes=boxes,
-        counterexample=ce,
-        condition_counts=counts,
-        note="counterexample found; violation exceeds the numerical slack",
-    )
+    return _falsify(box, {"x": slice(None)}, n_samples, seed, conditions, {"box": box}, counts)
+
+
+def _require_finite(values, active, X, what: str) -> None:
+    """Raise ``EvaluationError`` at the first active sample with a non-finite value."""
+    if not np.all(np.isfinite(values[active])):
+        bad = int(np.argmax(active & ~np.isfinite(values)))
+        raise EvaluationError(f"{what} at {X[bad].tolist()}")
 
 
 def _state_grads(V: ScalarFunctionDef, X: np.ndarray) -> np.ndarray:

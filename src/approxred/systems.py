@@ -34,7 +34,7 @@ from .core import (
     UnknownSystemError,
     VectorFieldDef,
 )
-from .sampling import DEFAULT_SEED, sobol_points
+from .sampling import DEFAULT_SEED, row_blocks, sobol_points
 from .stability import (
     FiberwiseCertificate,
     IISSCertificate,
@@ -204,18 +204,23 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
         if c is None:
             c = sublevel_value(default_ic)
         w_max = np.sqrt(2.0 * c / (m * R**2))
-        W, TH = np.meshgrid(
-            np.linspace(-w_max, w_max, grid),
-            np.linspace(-np.pi, np.pi, grid),
-            indexing="ij",
-        )
-        mask = lyap(np.stack([W, TH], axis=-1)) <= c
-        if not mask.any():
+        w = np.linspace(-w_max, w_max, grid)
+        th = np.linspace(-np.pi, np.pi, grid)
+        # scanned a block of omega rows at a time; which rows and which
+        # theta columns meet the set is all the box needs
+        rows = np.zeros(grid, bool)
+        cols = np.zeros(grid, bool)
+        for block in row_blocks(grid, width=grid):
+            W, TH = np.meshgrid(w[block], th, indexing="ij")
+            inside = lyap(np.stack([W, TH], axis=-1)) <= c
+            rows[block] = inside.any(axis=1)
+            cols |= inside.any(axis=0)
+        if not rows.any():
             raise InputError(f"sublevel value {c} produced an empty set")
         return Box.from_pairs(
             [
-                (W[mask].min(), W[mask].max()),
-                (TH[mask].min(), TH[mask].max()),
+                (w[rows].min(), w[rows].max()),
+                (th[cols].min(), th[cols].max()),
             ]
         )
 

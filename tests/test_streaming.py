@@ -1,0 +1,331 @@
+"""The sampled checks stream their samples through row blocks.
+
+Every check evaluates ``sampling.SAMPLE_BLOCK_ROWS`` samples at a time and must
+report exactly what one whole-array evaluation reports: same verdict, witness,
+magnitude, index and counts, and the same output bytes.
+"""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from approxred import cli, reduction, sampling, systems
+from approxred.core import (
+    Box,
+    ComparisonFunction,
+    ControlSystemDef,
+    Decomposition,
+    EvaluationError,
+    VectorFieldDef,
+)
+from approxred.numdiff import jacobian_batch
+from approxred.reduction import check_exact_reducible
+from approxred.sampling import sobol_points, unit_sobol
+from approxred.stability import (
+    FiberwiseCertificate,
+    IISSCertificate,
+    ScalarFunctionDef,
+    _falsify,
+    check_fiberwise,
+    check_iiss,
+)
+from approxred.systems import CertificateSpec, SystemEntry, lookup
+
+SMALL_BLOCKS = (7, 1)
+UNIT_SQUARE = Box.from_pairs([(-1.0, 1.0)] * 2)
+HALF_SQ = ComparisonFunction.power(0.5, 2.0)
+FIBER = Decomposition(n=2, m=1, k=1)
+
+
+def fiber_square() -> ScalarFunctionDef:
+    """V = z^2 / 2 on a (y, z) state, no analytic gradient."""
+    return ScalarFunctionDef("state", fn=lambda s: 0.5 * np.asarray(s)[..., 1] ** 2)
+
+
+def field(dy, dz) -> VectorFieldDef:
+    def rhs(s):
+        s = np.asarray(s, dtype=float)
+        y, z = s[..., 0], s[..., 1]
+        return np.stack([dy(y, z), dz(y, z)], axis=-1)
+
+    return VectorFieldDef(n=2, rhs=rhs, name="test-field")
+
+
+class TestBlockSizeInvariance:
+    """Blocks of 7 rows and of 1 row report what a single block reports."""
+
+    @pytest.mark.parametrize("name", ["ball-hoop", "cart-pendulum"])
+    def test_check_exact_reports(self, name, monkeypatch):
+        entry = lookup(name, {})
+        box = cli._default_box(entry)
+        whole = [
+            cli.to_jsonable(check_exact_reducible(entry.field, entry.decomp, box, n, seed=s))
+            for n, s in ((300, 42), (129, 7), (1, 3))
+        ]
+        for rows in SMALL_BLOCKS:
+            monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", rows)
+            blocked = [
+                cli.to_jsonable(check_exact_reducible(entry.field, entry.decomp, box, n, seed=s))
+                for n, s in ((300, 42), (129, 7), (1, 3))
+            ]
+            assert blocked == whole
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-exact", "--system", "ball-hoop", "--samples", "300"],
+            ["check-exact", "--system", "cart-pendulum", "--samples", "300"],
+            *(
+                ["check-lyapunov", "--system", system, "--certificate", cert,
+                 "--samples", "300", *negate]
+                for system, cert in (
+                    ("ball-hoop", "fiberwise"),
+                    ("ball-hoop", "iiss"),
+                    ("cart-pendulum", "iubibss"),
+                )
+                for negate in ([], ["--negate-v"])
+            ),
+        ],
+        ids=lambda argv: "-".join(a.lstrip("-") for a in argv if a != "--samples"),
+    )
+    def test_cli_writes_the_same_bytes(self, argv, tmp_path, monkeypatch):
+        def run(rows):
+            if rows is not None:
+                monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", rows)
+            out = tmp_path / f"{rows}.json"
+            rc = cli.main([*argv, "--out", str(out)])
+            return rc, out.read_bytes()
+
+        whole = run(None)
+        assert whole[0] in (0, 3)
+        for rows in SMALL_BLOCKS:
+            assert run(rows) == whole
+
+    def test_negated_certificates_keep_their_counterexample(self, tmp_path, monkeypatch):
+        # the blocked walk must still find the violation a negated V guarantees
+        monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", 7)
+        out = tmp_path / "neg.json"
+        rc = cli.main(["check-lyapunov", "--system", "ball-hoop", "--certificate",
+                       "iiss", "--samples", "100", "--negate-v", "--out", str(out)])
+        report = json.loads(out.read_text())["report"]
+        assert rc == 3 and report["verdict"] == "COUNTEREXAMPLE"
+
+    @pytest.mark.parametrize("c", [None, 0.5, 3.0, 20.0])
+    def test_sublevel_box_matches_the_whole_grid_scan(self, c, monkeypatch):
+        entry = lookup("ball-hoop", {})
+        p = entry.params
+        lyap = entry.aux["lyapunov"].fn
+        level = entry.aux["sublevel_value"](entry.default_ic) if c is None else c
+        w_max = np.sqrt(2.0 * level / (p["m"] * p["R"] ** 2))
+        W, TH = np.meshgrid(
+            np.linspace(-w_max, w_max, 1001), np.linspace(-np.pi, np.pi, 1001),
+            indexing="ij",
+        )
+        mask = lyap(np.stack([W, TH], axis=-1)) <= level
+        expected = [W[mask].min(), TH[mask].min(), W[mask].max(), TH[mask].max()]
+        for rows in (None, 7, 1):
+            if rows is not None:
+                monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", rows)
+            box = entry.aux["sublevel_box"](c)
+            assert [*box.lower, *box.upper] == expected
+
+
+class TestTies:
+    def test_tie_across_blocks_keeps_the_lowest_index(self, monkeypatch):
+        # Vdot = 1 wherever z > 0: every such sample ties for the worst decay
+        f = field(lambda y, z: -y, lambda y, z: (z > 0).astype(float))
+
+        def grad(s):
+            z = np.asarray(s)[..., 1]
+            return np.stack([np.zeros_like(z), np.sign(z)], axis=-1)
+
+        V = ScalarFunctionDef("state", fn=lambda s: np.abs(np.asarray(s)[..., 1]),
+                              grad=grad)
+        cert = FiberwiseCertificate(V=V, alpha_lower=ComparisonFunction.linear(1e-12),
+                                    alpha_upper=ComparisonFunction.linear(1e12))
+        first = int(np.argmax(sobol_points(UNIT_SQUARE, 64)[:, 1] > 0))
+        for rows in (None, 7, 1):
+            if rows is not None:
+                monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", rows)
+            ce = check_fiberwise(f, FIBER, cert, UNIT_SQUARE, 64).counterexample
+            assert (ce.condition, ce.sample_index) == ("decay", first)
+
+    def test_check_exact_tie_across_blocks_keeps_the_lowest_index(self, monkeypatch):
+        # partials of 1 wherever y > 0.5 and 0 elsewhere: those samples tie
+        def step_partials(fn, X, out_dim, cols):
+            return np.broadcast_to((X[:, :1, None] > 0.5) * 1.0, (len(X), out_dim, len(cols)))
+
+        monkeypatch.setattr(reduction, "jacobian_batch", step_partials)
+        X = sobol_points(UNIT_SQUARE, 64)
+        first = int(np.argmax(X[:, 0] > 0.5))
+        assert first > 0
+        f = field(lambda y, z: -y, lambda y, z: -z)
+        for rows in (None, 7, 1):
+            if rows is not None:
+                monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", rows)
+            witness = check_exact_reducible(f, FIBER, UNIT_SQUARE, 64).witness
+            assert witness.point.tolist() == X[first].tolist()
+
+    def test_conditions_tie_in_table_order(self, monkeypatch):
+        # equal violations: the earlier condition in the table wins, even when
+        # the later condition met its worst sample in an earlier block
+        box = Box.from_pairs([(0.0, 1.0)])
+        x = sobol_points(box, 64)[:, 0]
+        late, early = int(np.argmax(x > 0.9)), int(np.argmax(x > 0.1))
+        assert early < late
+
+        def conditions(X):
+            x = X[:, 0]
+            one = np.ones_like(x)
+            return [("late", x > 0.9, one, x, x), ("early", x > 0.1, one, x, x)]
+
+        def falsify():
+            return _falsify(box, {"x": slice(None)}, 64, 42, conditions, {"box": box},
+                            lambda checked: dict(checked))
+
+        for rows in (None, 7, 1):
+            if rows is not None:
+                monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", rows)
+            report = falsify()
+            ce = report.counterexample
+            assert (ce.condition, ce.sample_index) == ("late", late)
+            assert report.condition_counts == {
+                "late": int((x > 0.9).sum()), "early": int((x > 0.1).sum())
+            }
+
+
+class TestNonFiniteInALaterBlock:
+    """A non-finite value is reported even when the first block is clean."""
+
+    def first_bad(self, X, bad) -> list:
+        i = int(np.argmax(bad))
+        assert i >= 7, "the fixture needs its first bad sample past the first block"
+        return X[i].tolist()
+
+    def test_check_exact(self, monkeypatch):
+        monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", 7)
+        f = field(lambda y, z: np.where(y > 0.95, np.nan, -y) + z, lambda y, z: -z)
+        X = sobol_points(UNIT_SQUARE, 128)
+        expected = self.first_bad(X, X[:, 0] > 0.95)
+        with pytest.raises(EvaluationError) as err:
+            check_exact_reducible(f, FIBER, UNIT_SQUARE, 128)
+        assert str(expected) in str(err.value)
+
+    def test_iiss_v(self, monkeypatch):
+        monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", 7)
+
+        def fn(x1, x2):
+            x1 = np.asarray(x1, dtype=float)[..., 0]
+            return np.where(x1 > 0.8, np.nan, (x1 - np.asarray(x2)[..., 0]) ** 2)
+
+        line = Box.from_pairs([(-1.0, 1.0)])
+        contract = ControlSystemDef(n=1, m_in=1, rhs=lambda x, u: -np.asarray(x))
+        cert = IISSCertificate(V=ScalarFunctionDef("pair", fn=fn), alpha_lower=HALF_SQ,
+                               alpha_upper=HALF_SQ, alpha_decay=HALF_SQ,
+                               mu=ComparisonFunction.linear(2.0))
+        P = sobol_points(line.concat(line).concat(line).concat(line), 256)
+        expected = self.first_bad(P, P[:, 0] > 0.8)[0]
+        with pytest.raises(EvaluationError) as err:
+            check_iiss(contract, cert, line, line, 256)
+        assert f"x1=[{expected!r}]" in str(err.value)
+
+    def test_fiberwise_vdot_nan_on_a_quarter_of_the_box(self):
+        # used to return NO_COUNTEREXAMPLE: Vdot was never checked for finiteness
+        f = field(lambda y, z: -y, lambda y, z: np.where(z > 0.5, np.nan, -z))
+        cert = FiberwiseCertificate(V=fiber_square(), alpha_lower=HALF_SQ,
+                                    alpha_upper=HALF_SQ)
+        X = sobol_points(UNIT_SQUARE, 1024)
+        expected = X[np.argmax(X[:, 1] > 0.5)].tolist()
+        with pytest.raises(EvaluationError, match="along f") as err:
+            check_fiberwise(f, FIBER, cert, UNIT_SQUARE, 1024)
+        assert str(expected) in str(err.value)
+
+    def test_fiberwise_vdot(self, monkeypatch):
+        monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", 7)
+        f = field(lambda y, z: -y, lambda y, z: np.where(z > 0.9, np.nan, -z))
+        cert = FiberwiseCertificate(V=fiber_square(), alpha_lower=HALF_SQ,
+                                    alpha_upper=HALF_SQ)
+        X = sobol_points(UNIT_SQUARE, 1024)
+        expected = self.first_bad(X, X[:, 1] > 0.9)
+        with pytest.raises(EvaluationError, match="along f") as err:
+            check_fiberwise(f, FIBER, cert, UNIT_SQUARE, 1024)
+        assert str(expected) in str(err.value)
+
+    def test_fiberwise_vdot_ignores_inactive_samples(self):
+        # only samples with fiber norm >= d_threshold are checked
+        f = field(lambda y, z: -y, lambda y, z: np.where(np.abs(z) < 0.1, np.nan, -z))
+        cert = FiberwiseCertificate(V=fiber_square(), alpha_lower=HALF_SQ,
+                                    alpha_upper=ComparisonFunction.power(1.0, 2.0),
+                                    d_threshold=0.2)
+        report = check_fiberwise(f, FIBER, cert, UNIT_SQUARE, 1024)
+        assert report.passed
+
+    def test_fiberwise_vdot_exits_2(self, tmp_path, monkeypatch, capsys):
+        f = field(lambda y, z: -y, lambda y, z: np.where(z > 0.5, np.nan, -z))
+        cert = FiberwiseCertificate(V=fiber_square(), alpha_lower=HALF_SQ,
+                                    alpha_upper=HALF_SQ)
+
+        def factory(params):
+            spec = CertificateSpec("fiberwise", cert, UNIT_SQUARE)
+            return SystemEntry(
+                name="nan-fiber", params=params, field=f, decomp=FIBER,
+                default_ic=np.zeros(2),
+                certificates={"fiberwise": lambda **kw: spec},
+            )
+
+        monkeypatch.setitem(systems.REGISTRY, "nan-fiber", (factory, {}))
+        rc = cli.main(["check-lyapunov", "--system", "nan-fiber", "--certificate",
+                       "fiberwise", "--samples", "1024", "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert rc == 2 and "along f" in err and "Traceback" not in err
+
+
+class TestFiberColumns:
+    @pytest.mark.parametrize("name", ["ball-hoop", "cart-pendulum"])
+    def test_fiber_columns_equal_the_full_jacobian_slice(self, name):
+        entry = lookup(name, {})
+        d = entry.decomp
+        X = sobol_points(cli._default_box(entry), 1000, seed=9)
+        full = jacobian_batch(entry.field.rhs, X, d.n)
+        fiber = jacobian_batch(entry.field.rhs, X, d.n, cols=range(d.m, d.n))
+        assert fiber.shape == (1000, d.n, d.k)
+        assert np.array_equal(fiber, full[:, :, d.m :])
+        picked = jacobian_batch(entry.field.rhs, X, d.n, cols=[d.n - 1, 0])
+        assert np.array_equal(picked, full[:, :, [d.n - 1, 0]])
+
+    def test_check_exact_evaluates_the_fiber_columns_only(self):
+        # two evaluations per fiber coordinate and sample, none for y
+        entry = lookup("cart-pendulum", {})
+        points = []
+
+        def rhs(s):
+            points.append(len(s))
+            return entry.field.rhs(s)
+
+        f = VectorFieldDef(n=4, rhs=rhs)
+        check_exact_reducible(f, entry.decomp, cli._default_box(entry), 500)
+        assert sum(points) == 2 * entry.decomp.k * 500
+
+    def test_peak_memory_stays_near_the_sample_array(self):
+        # whole-array evaluation holds several (N, n) copies and the (N, n, k)
+        # Jacobian at once; streaming holds the Sobol sample and one block
+        entry = lookup("cart-pendulum", {})
+        box = cli._default_box(entry)
+        n = 2**18
+        check_exact_reducible(entry.field, entry.decomp, box, 64)  # warm up
+        tracemalloc.start()
+        try:
+            check_exact_reducible(entry.field, entry.decomp, box, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        samples_bytes = n * entry.field.n * 8
+        assert peak < 2 * samples_bytes
+
+
+def test_sobol_points_scale_in_place_to_the_same_bits():
+    box = Box.from_pairs([(-0.7, 0.3), (2.0, 2.5), (-1e3, 1e-3)])
+    expected = box.lower + unit_sobol(3, 1000, 11) * (box.upper - box.lower)
+    assert np.array_equal(sobol_points(box, 1000, 11), expected)
