@@ -37,7 +37,7 @@ from .integrate import (
     sup_distance_on_grid,
 )
 from .numdiff import batch_eval, jacobian_batch
-from .sampling import DEFAULT_SEED, row_blocks, sobol_points
+from .sampling import DEFAULT_SEED, sobol_blocks, sobol_points
 
 DEFAULT_TOL = 1e-6
 DEFAULT_GRID_POINTS = 2001
@@ -194,8 +194,8 @@ def check_exact_reducible(
     For the canonical projection the bracket-invariance condition for an exact
     reduction collapses to d f_j / d z_i = 0 for every retained component j
     and fiber coordinate i; these partials are estimated at Sobol samples by
-    central differences along the fiber coordinates only, one row block of
-    samples at a time.
+    central differences along the fiber coordinates only, one streamed block
+    of samples at a time.
     """
     if d.n != f.n:
         raise InputError(f"decomposition is on R^{d.n} but field lives on R^{f.n}")
@@ -203,11 +203,9 @@ def check_exact_reducible(
         raise InputError("sampling box dimension does not match the field")
     if not (tol > 0):
         raise InputError("tol must be positive")
-    X = sobol_points(box, n_samples, seed)
     fiber = range(d.m, d.n)
-    best = None  # (max partial, sample index, flat entry index)
-    for block in row_blocks(n_samples):
-        Xb = X[block]
+    best = None  # (max partial, flat entry index, sample)
+    for _start, Xb in sobol_blocks(box, n_samples, seed):
         J = jacobian_batch(f.rhs, Xb, f.n, cols=fiber)  # (b, n, k)
         flat = np.abs(J[:, : d.m]).reshape(len(Xb), -1)  # (b, m*k)
         if not np.all(np.isfinite(flat)):
@@ -219,8 +217,8 @@ def check_exact_reducible(
         i = int(np.argmax(row_max))
         # strict: a tie with an earlier block keeps the lower sample index
         if best is None or row_max[i] > best[0]:
-            best = (row_max[i], block.start + i, int(np.argmax(flat[i])))
-    max_partial, worst_sample, worst_entry = float(best[0]), best[1], best[2]
+            best = (row_max[i], int(np.argmax(flat[i])), Xb[i].copy())
+    max_partial, worst_entry, worst_point = float(best[0]), best[1], best[2]
     comp, fib = divmod(worst_entry, d.k)
     if max_partial <= tol:
         return ReducibilityReport(
@@ -232,7 +230,7 @@ def check_exact_reducible(
         tol=tol,
         max_residual=max_partial,
         witness=ReducibilityWitness(
-            point=X[worst_sample].copy(),
+            point=worst_point,
             magnitude=max_partial,
             component=comp,
             fiber_index=fib,

@@ -35,7 +35,7 @@ from .numdiff import (
     jacobian_batch,
     pair_gradient_batch,
 )
-from .sampling import DEFAULT_SEED, row_blocks, sobol_points
+from .sampling import DEFAULT_SEED, sobol_blocks, sobol_points
 
 NO_COUNTEREXAMPLE = "NO_COUNTEREXAMPLE"
 COUNTEREXAMPLE = "COUNTEREXAMPLE"
@@ -256,36 +256,38 @@ def _falsify(
     counts: Callable[[dict], dict],
     prior: Counterexample | None = None,
 ) -> CertificateReport:
-    """Sample ``sample_box`` once and report the worst certificate violation.
+    """Stream Sobol samples of ``sample_box`` and report the worst violation.
 
     ``parts`` names column slices of a sample. ``conditions`` gets those
-    slices of one row block of samples, in order, and returns the block's
-    table ``[(name, mask, violation, observed, bound), ...]``; a condition is
-    violated where its mask holds and its violation is positive. Each
-    condition keeps a running worst over the blocks, ties going to the lowest
-    sample index. After the last block the conditions are merged in table
-    order behind ``prior`` (a violation found off the samples), and only a
-    strictly larger violation displaces an earlier one; merging inside the
-    block loop would break that tie rule. The witness records the parts by
+    slices of one block of samples from ``sobol_blocks``, in order, and
+    returns the block's table ``[(name, mask, violation, observed, bound),
+    ...]``; a condition is violated where its mask holds and its violation is
+    positive. Each condition keeps a running worst over the blocks, with a
+    copy of its sample, ties going to the lowest sample index. After the last
+    block the conditions are merged in table order behind ``prior`` (a
+    violation found off the samples), and only a strictly larger violation
+    displaces an earlier one; merging inside the block loop would break that
+    tie rule. The witness records the parts by
     name; ``counts`` turns the samples each condition's mask selected into
     the report's condition counts.
     """
-    P = sobol_points(sample_box, n_samples, seed)
-    worst = {}  # name -> (violation, sample index, observed, bound)
+    worst = {}  # name -> (violation, sample index, observed, bound, sample)
     checked = {}
-    for block in row_blocks(n_samples):
-        table = conditions(*(P[block, cols] for cols in parts.values()))
+    for start, P in sobol_blocks(sample_box, n_samples, seed):
+        table = conditions(*(P[:, cols] for cols in parts.values()))
         for name, mask, viol, observed, bound in table:
             checked[name] = checked.get(name, 0) + int(mask.sum())
             i = _worst(viol, mask)
             if i is not None and (name not in worst or viol[i] > worst[name][0]):
-                worst[name] = (viol[i], block.start + i, float(observed[i]), float(bound[i]))
+                worst[name] = (
+                    viol[i], start + i, float(observed[i]), float(bound[i]), P[i].copy()
+                )
     best = prior
     for name, *_ in table:
         if name in worst:
-            mag, i, observed, bound = worst[name]
+            mag, i, observed, bound, sample = worst[name]
             if best is None or mag > best.magnitude:
-                point = {key: P[i, cols].copy() for key, cols in parts.items()}
+                point = {key: sample[cols] for key, cols in parts.items()}
                 best = Counterexample(name, float(mag), i, point, observed, bound)
     report = dict(samples_checked=n_samples, boxes=boxes, condition_counts=counts(checked))
     if best is None:

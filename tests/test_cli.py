@@ -602,6 +602,69 @@ class TestReproducibility:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+class TestNegativeSeed:
+    """A seed below 0 exits 1 cleanly, from the flag or the environment."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-exact", "--system", "ball-hoop", "--seed", "-1"],
+            *(
+                ["check-lyapunov", "--system", system, "--certificate", cert, "--seed", "-3"]
+                for system, cert in (
+                    ("ball-hoop", "iiss"),
+                    ("ball-hoop", "fiberwise"),
+                    ("cart-pendulum", "iubibss"),
+                )
+            ),
+            ["bound", "--system", "ball-hoop", "--n-ic", "4", "--seed", "-3"],
+        ],
+        ids=lambda argv: "-".join(argv[::2]),
+    )
+    def test_seed_flag(self, argv, tmp_path, capsys):
+        rc = main([*argv, "--out", str(tmp_path / "out.json")])
+        assert_clean_usage_error(rc, capsys, "non-negative", f"got {argv[-1]}")
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-exact", "--system", "ball-hoop"],
+            ["check-lyapunov", "--system", "ball-hoop", "--certificate", "iiss"],
+            ["bound", "--system", "ball-hoop", "--n-ic", "4"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_seed_environment_variable(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("APPROXRED_SEED", "-3")
+        assert_clean_usage_error(main(argv), capsys, "non-negative", "got -3")
+
+
+@pytest.mark.filterwarnings("error")
+class TestArithmeticInExpressions:
+    """Arithmetic errors and complex values in a config rhs exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("expr", ["1/0 + y", "-z + 10.0**400", "(-8)**(1/3) - y"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--t-end", "1"],
+            ["bound", "--n-ic", "4", "--t-end", "1"],
+            ["check-exact", "--samples", "64"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_exit_2_naming_the_expression(self, expr, argv, tmp_path, capsys):
+        doc = {"name": "arith", "state": ["y", "z"], "m": 1, "rhs": ["-y", expr]}
+        path = tmp_path / "arith.json"
+        path.write_text(json.dumps(doc))
+        rc = main([*argv, "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("approxred: numerical failure:") and "Traceback" not in err
+        assert repr(expr) in err
+
+
 class TestImportFloor:
     """No command imports scipy: the package runs on numpy alone."""
 

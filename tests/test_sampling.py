@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from approxred import sampling
 from approxred.core import Box, InputError
 from approxred.sampling import (
     BITS,
@@ -13,6 +14,7 @@ from approxred.sampling import (
     MAX_DIM,
     MAX_POINTS,
     joe_kuo,
+    sobol_blocks,
     sobol_points,
     unit_sobol,
 )
@@ -60,6 +62,51 @@ class TestScipyOracle:
         assert np.array_equal(table, vinit)
 
 
+# counts around the 8192-row blocks and the 2^16-point Gray-code chunks
+CHUNK_EDGES = (8191, 8192, 8193, 65535, 65536, 65537, 3 * 2**16 + 5)
+
+
+class TestStream:
+    """``sobol_blocks`` chunks one Gray-code table; the points stay scipy's."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 10, 64])
+    def test_chunk_and_block_edges(self, dim):
+        for n in CHUNK_EDGES:
+            assert_same_bytes(unit_sobol(dim, n, 9), scipy_sobol(dim, n, 9))
+
+    @pytest.mark.parametrize("block_rows", [1, 7])
+    def test_tiny_chunks_and_blocks(self, block_rows, monkeypatch):
+        monkeypatch.setattr(sampling, "SOBOL_CHUNK_ROWS", 8)
+        monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", block_rows)
+        for dim in (1, 3, 10):
+            for n in (1, 7, 8, 9, 16, 17, 100, 1000):
+                assert_same_bytes(unit_sobol(dim, n, 4), scipy_sobol(dim, n, 4))
+
+    @pytest.mark.parametrize("chunk_rows", [8, 2**16])
+    def test_nested_across_chunks(self, chunk_rows, monkeypatch):
+        monkeypatch.setattr(sampling, "SOBOL_CHUNK_ROWS", chunk_rows)
+        big = unit_sobol(5, 3 * chunk_rows + 5, 11)
+        for n in (1, chunk_rows - 1, chunk_rows, chunk_rows + 1, 2 * chunk_rows + 3):
+            assert np.array_equal(unit_sobol(5, n, 11), big[:n])
+
+    @pytest.mark.parametrize("block_rows", [7, 8192])
+    def test_blocks_are_consecutive_fresh_and_bounded(self, block_rows, monkeypatch):
+        monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", block_rows)
+        box = Box.from_pairs([(-1.0, 3.0), (0.5, 0.75), (2.0, 2.0)])
+        n = 2**16 + 2 * 8192 + 3
+        end = 0
+        for start, pts in sobol_blocks(box, n, 6):
+            assert start == end and 1 <= len(pts) <= block_rows
+            assert pts.shape[1] == 3 and pts.flags.owndata
+            end += len(pts)
+        assert end == n
+
+    def test_bad_arguments_fail_at_the_call(self):
+        box = Box.from_pairs([(0.0, 1.0)])
+        with pytest.raises(InputError, match=r"2\*\*30"):
+            sobol_blocks(box, 0)
+
+
 class TestProperties:
     def test_nested_and_deterministic(self):
         big = unit_sobol(6, 1000, 11)
@@ -77,6 +124,11 @@ class TestProperties:
     def test_sample_count_limits(self, n):
         with pytest.raises(InputError, match=r"2\*\*30"):
             sobol_points(Box.from_pairs([(0.0, 1.0)]), n)
+
+    @pytest.mark.parametrize("seed", [-1, -3])
+    def test_negative_seed(self, seed):
+        with pytest.raises(InputError, match="non-negative"):
+            sobol_points(Box.from_pairs([(0.0, 1.0)]), 4, seed)
 
     def test_dimension_limit(self):
         box = Box(np.zeros(MAX_DIM + 1), np.ones(MAX_DIM + 1))

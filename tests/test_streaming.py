@@ -1,17 +1,19 @@
 """The sampled checks stream their samples through row blocks.
 
-Every check evaluates ``sampling.SAMPLE_BLOCK_ROWS`` samples at a time and must
-report exactly what one whole-array evaluation reports: same verdict, witness,
+Every check draws its Sobol points from ``sampling.sobol_blocks``, evaluates
+at most ``sampling.SAMPLE_BLOCK_ROWS`` samples at a time and must report
+exactly what one whole-array evaluation reports: same verdict, witness,
 magnitude, index and counts, and the same output bytes.
 """
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from approxred import cli, reduction, sampling, systems
+from approxred import cli, reduction, sampling, stability, systems
 from approxred.core import (
     Box,
     ComparisonFunction,
@@ -30,6 +32,7 @@ from approxred.stability import (
     _falsify,
     check_fiberwise,
     check_iiss,
+    check_iubibss,
 )
 from approxred.systems import CertificateSpec, SystemEntry, lookup
 
@@ -130,6 +133,73 @@ class TestBlockSizeInvariance:
                 monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", rows)
             box = entry.aux["sublevel_box"](c)
             assert [*box.lower, *box.upper] == expected
+
+
+def run_check(name, kind, n, seed, negate=False):
+    """The JSON form of one check's report on a bundled system."""
+    entry = lookup(name, {})
+    if kind == "exact":
+        report = check_exact_reducible(entry.field, entry.decomp, cli._default_box(entry),
+                                       n, seed=seed)
+        return cli.to_jsonable(report)
+    spec = entry.certificates[kind](state_box=None, input_box=None, seed=seed)
+    cert = cli._negate_certificate(spec.certificate) if negate else spec.certificate
+    if kind == "fiberwise":
+        report = check_fiberwise(entry.field, entry.decomp, cert, spec.state_box, n, seed)
+    else:
+        check = check_iiss if kind == "iiss" else check_iubibss
+        report = check(spec.control, cert, spec.state_box, spec.input_box, n, seed)
+    return cli.to_jsonable(report)
+
+
+CHECKS = [
+    ("ball-hoop", "exact", False),
+    ("cart-pendulum", "exact", False),
+    *(
+        (name, kind, negate)
+        for name, kind in (("ball-hoop", "iiss"), ("ball-hoop", "fiberwise"),
+                           ("cart-pendulum", "iubibss"))
+        for negate in (False, True)
+    ),
+]
+
+
+class TestWholeArrayOracle:
+    """Streamed reports equal one evaluation of scipy's whole Sobol sample."""
+
+    @pytest.fixture
+    def whole_array(self, monkeypatch):
+        qmc = pytest.importorskip("scipy.stats.qmc")
+
+        def one_block(box, n, seed=sampling.DEFAULT_SEED):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # n not a power of two
+                pts = qmc.Sobol(d=box.dim, scramble=True, seed=seed).random(n)
+            pts *= box.widths
+            pts += box.lower
+            yield 0, pts
+
+        def use():
+            monkeypatch.setattr(stability, "sobol_blocks", one_block)
+            monkeypatch.setattr(reduction, "sobol_blocks", one_block)
+
+        return use
+
+    @pytest.mark.parametrize("name,kind,negate", CHECKS,
+                             ids=lambda v: v if isinstance(v, str) else f"negate={v}")
+    def test_default_chunks(self, name, kind, negate, whole_array):
+        streamed = run_check(name, kind, 2**16 + 8192 + 5, 13, negate)
+        whole_array()
+        assert run_check(name, kind, 2**16 + 8192 + 5, 13, negate) == streamed
+
+    @pytest.mark.parametrize("name,kind,negate", CHECKS,
+                             ids=lambda v: v if isinstance(v, str) else f"negate={v}")
+    def test_tiny_chunks(self, name, kind, negate, whole_array, monkeypatch):
+        monkeypatch.setattr(sampling, "SOBOL_CHUNK_ROWS", 8)
+        monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", 7)
+        streamed = [run_check(name, kind, n, s, negate) for n, s in ((300, 42), (17, 5))]
+        whole_array()
+        assert [run_check(name, kind, n, s, negate) for n, s in ((300, 42), (17, 5))] == streamed
 
 
 class TestTies:
@@ -323,6 +393,37 @@ class TestFiberColumns:
             tracemalloc.stop()
         samples_bytes = n * entry.field.n * 8
         assert peak < 2 * samples_bytes
+
+
+class TestConstantMemory:
+    """The streamed checks peak at the same memory for 2^16 and 2^20 samples."""
+
+    @staticmethod
+    def peak(check, n) -> int:
+        check(64)  # warm up
+        tracemalloc.start()
+        try:
+            check(n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def assert_constant(self, check):
+        # one whole (2^20, dim) float64 sample alone would add 32 MiB or more
+        assert self.peak(check, 2**20) < self.peak(check, 2**16) + 4 * 2**20
+
+    def test_check_exact(self):
+        entry = lookup("cart-pendulum", {})
+        box = cli._default_box(entry)
+        self.assert_constant(lambda n: check_exact_reducible(entry.field, entry.decomp, box, n))
+
+    def test_check_iubibss(self):
+        spec = lookup("cart-pendulum", {}).certificates["iubibss"](
+            state_box=None, input_box=None, seed=42
+        )
+        self.assert_constant(lambda n: check_iubibss(
+            spec.control, spec.certificate, spec.state_box, spec.input_box, n
+        ))
 
 
 def test_sobol_points_scale_in_place_to_the_same_bits():

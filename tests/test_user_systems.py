@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from approxred.core import InputError
+from approxred.core import EvaluationError, InputError
 from approxred.user_systems import (
     compile_expression,
     load_system_config,
@@ -40,6 +41,14 @@ class TestExpressionLanguage:
     def test_unary_minus(self):
         fn = compile_expression("-y + -2", ["y"])
         assert fn({"y": 1.0}) == -3.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("expr", ["1/0 + y", "-y + 10.0**400", "(-8)**(1/3) - y"])
+    def test_a_lone_row_and_a_batch_fail_alike(self, expr):
+        fn = compile_expression(expr, ["y"])
+        for y in (0.5, np.array([0.5, 1.0, 2.0])):
+            with pytest.raises(EvaluationError, match=re.escape(repr(expr))):
+                fn({"y": y})
 
     def test_unknown_name_rejected(self):
         with pytest.raises(InputError):
