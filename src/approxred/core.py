@@ -311,7 +311,10 @@ class KLFunction:
 
 @dataclass(frozen=True)
 class Box:
-    """A nonempty axis-aligned box, used as compact set and sampling region."""
+    """A nonempty axis-aligned box, used as compact set and sampling region.
+
+    Its bounds and widths are finite, so sampling it never overflows.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
@@ -323,8 +326,16 @@ class Box:
         object.__setattr__(self, "upper", upper)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise InputError("box bounds must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+            raise InputError(
+                f"box bounds must be finite, got {lower.tolist()} to {upper.tolist()}"
+            )
         if not np.all(lower <= upper):
             raise InputError("box lower bounds must not exceed upper bounds")
+        with np.errstate(over="ignore"):
+            widths = upper - lower
+        if not np.all(np.isfinite(widths)):
+            raise InputError(f"box widths must be finite, got {widths.tolist()}")
 
     @classmethod
     def from_pairs(cls, pairs) -> "Box":

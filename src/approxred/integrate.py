@@ -76,7 +76,9 @@ class IntegratorConfig:
     """Integration settings.
 
     ``method`` is "rk45" (adaptive, uses rtol/atol) or "rk4" (fixed step,
-    uses dt). ``max_steps`` bounds the number of accepted steps.
+    uses dt). ``max_steps`` bounds the number of accepted steps. The horizon,
+    the step and the tolerances must be finite: an infinite horizon would
+    never end.
     """
 
     t_end: float
@@ -89,6 +91,10 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
             raise InputError(f"unknown integration method {self.method!r}")
+        for name in ("t_end", "dt", "rtol", "atol"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value}")
         if not (self.t_end > 0):
             raise InputError("t_end must be positive")
         if self.method == "rk4":

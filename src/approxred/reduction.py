@@ -203,11 +203,15 @@ def check_exact_reducible(
         raise InputError("sampling box dimension does not match the field")
     if not (tol > 0):
         raise InputError("tol must be positive")
-    fiber = range(d.m, d.n)
+    m, fiber = d.m, range(d.m, d.n)
+
+    def retained(X):  # each FD difference keeps the m retained rows only
+        return np.asarray(f.rhs(X), dtype=float)[..., :m]
+
     best = None  # (max partial, flat entry index, sample)
     for _start, Xb in sobol_blocks(box, n_samples, seed):
-        J = jacobian_batch(f.rhs, Xb, f.n, cols=fiber)  # (b, n, k)
-        flat = np.abs(J[:, : d.m]).reshape(len(Xb), -1)  # (b, m*k)
+        J = jacobian_batch(retained, Xb, m, cols=fiber)  # (b, m, k)
+        flat = np.abs(J).reshape(len(Xb), -1)  # (b, m*k)
         if not np.all(np.isfinite(flat)):
             bad = int(np.argmax((~np.isfinite(flat)).any(axis=1)))
             raise EvaluationError(

@@ -14,11 +14,15 @@ small draws.
 The generator is scipy's scrambled Sobol sequence written out in numpy: the
 points equal ``scipy.stats.qmc.Sobol(dim, scramble=True, seed=seed).random(n)``
 bit for bit. It uses Joe and Kuo's direction numbers, 30 bits, and a linear
-matrix scramble plus a digital shift drawn from ``np.random.default_rng(seed)``.
+matrix scramble plus a digital shift. The scramble bits come from an in-house
+copy of numpy's ``SeedSequence`` and ``PCG64`` (O'Neill 2014): they equal the
+draws of numpy's ``default_rng(seed).integers(2, ...)``, without loading
+numpy's random module, and they do not change with numpy's version.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator
 
 import numpy as np
@@ -92,22 +96,90 @@ def _direction_numbers(dim: int) -> np.ndarray:
     return v << np.arange(BITS - 1, -1, -1, dtype=np.uint32)
 
 
+_MASK32 = 0xFFFFFFFF
+_MASK128 = 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed: int) -> list[int]:
+    """numpy's ``SeedSequence(seed).generate_state(8, uint32)``: 8 words of state."""
+    entropy = []  # the seed as 32-bit words, least significant first
+    while True:
+        entropy.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    words, hash_const = [], 0x8B51F9DD
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        words.append(value ^ value >> 16)
+    return words
+
+
+def _random_bits(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` uint32 0/1 draws of numpy's ``default_rng(seed)``.
+
+    They equal ``integers(2, dtype=np.uint32)`` draws however these are split
+    into calls. PCG64 is the XSL-RR 128/64 generator seeded from the
+    SeedSequence state. With range 2, numpy's bounded draw is bit 31 of a
+    32-bit draw, and each 64-bit output gives two 32-bit draws, its low half
+    first.
+    """
+    w = _seed_words(seed)
+    # the state words as four little-endian uint64, read as (high, low) pairs
+    initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+    inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & _MASK128 | 1
+    # from state 0: step, add initstate, step again
+    state = (inc + initstate) * _PCG_MULT + inc & _MASK128
+    states = []
+    for _ in range((count + 1) // 2):
+        state = state * _PCG_MULT + inc & _MASK128
+        states.append(state.to_bytes(16, "little"))
+    lo, hi = np.frombuffer(b"".join(states), dtype="<u8").reshape(-1, 2).T
+    # XSL-RR: xor the halves, rotate right by the top 6 bits of the state
+    x, r = hi ^ lo, hi >> 58
+    out = (x >> r | x << (64 - r & 63)).astype("<u8")
+    return (out.view("<u4")[:count] >> 31).astype(np.uint32)
+
+
 def _scramble(dim: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The digital shift (dim,) and scrambled direction numbers (dim, BITS)."""
     if not 1 <= n <= MAX_POINTS:
         raise InputError(f"need between 1 and 2**{BITS} samples, got {n}")
     if not 1 <= dim <= MAX_DIM:
         raise InputError(f"Sobol sampling supports 1 to {MAX_DIM} dimensions, got {dim}")
+    seed = operator.index(seed)
     if seed < 0:
         raise InputError(f"the sampling seed must be a non-negative integer, got {seed}")
-    rng = np.random.default_rng(seed)
+    bits = _random_bits(seed, dim * BITS * (1 + BITS))
     bit = np.arange(BITS, dtype=np.uint32)
-    shift = (rng.integers(2, size=(dim, BITS), dtype=np.uint32) << bit).sum(
-        axis=1, dtype=np.uint32
-    )
+    shift = (bits[: dim * BITS].reshape(dim, BITS) << bit).sum(axis=1, dtype=np.uint32)
     # lower-triangular scramble with unit diagonal, rewriting each direction
     # number v as L·v mod 2 with v read as an MSB-first bit vector
-    L = np.tril(rng.integers(2, size=(dim, BITS, BITS), dtype=np.uint32))
+    L = np.tril(bits[dim * BITS :].reshape(dim, BITS, BITS))
     L[:, bit, bit] = 1
     msb = bit[::-1]
     V = (_direction_numbers(dim)[:, :, None] >> msb) & 1
@@ -178,13 +250,3 @@ def unit_sobol(dim: int, n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     """First ``n`` scrambled Sobol points in the unit cube of ``dim`` dimensions."""
     return sobol_points(Box(np.zeros(dim), np.ones(dim)), n, seed)
 
-
-def row_blocks(n: int, width: int = 1) -> list[slice]:
-    """Consecutive slices covering ``n`` rows of ``width`` points each.
-
-    A slice holds about ``SAMPLE_BLOCK_ROWS`` points, and at least one row.
-    Walking a row-wise map through these blocks gives the same bits as one
-    whole-array evaluation.
-    """
-    step = max(1, SAMPLE_BLOCK_ROWS // width)
-    return [slice(start, min(start + step, n)) for start in range(0, n, step)]

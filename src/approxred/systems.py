@@ -34,7 +34,7 @@ from .core import (
     UnknownSystemError,
     VectorFieldDef,
 )
-from .sampling import DEFAULT_SEED, row_blocks, sobol_points
+from .sampling import DEFAULT_SEED, sobol_points
 from .stability import (
     FiberwiseCertificate,
     IISSCertificate,
@@ -200,28 +200,37 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
         return float(lyap(np.asarray(state, dtype=float)))
 
     def sublevel_box(c: float | None = None, grid: int = 1001) -> Box:
-        """Bounding box of the invariant sublevel set {V <= c}, by grid scan."""
+        """Bounding box of the invariant sublevel set {V <= c} on a grid.
+
+        V = (K*omega^2 + B1(theta)) - B2(theta) is non-decreasing in omega^2
+        under rounding. So the theta columns that meet the set are those of
+        the omega row nearest 0, and the rows that meet it form an interval
+        around that row, whose ends are found by bisection, one row a probe.
+        """
         if c is None:
             c = sublevel_value(default_ic)
         w_max = np.sqrt(2.0 * c / (m * R**2))
         w = np.linspace(-w_max, w_max, grid)
         th = np.linspace(-np.pi, np.pi, grid)
-        # scanned a block of omega rows at a time; which rows and which
-        # theta columns meet the set is all the box needs
-        rows = np.zeros(grid, bool)
-        cols = np.zeros(grid, bool)
-        for block in row_blocks(grid, width=grid):
-            W, TH = np.meshgrid(w[block], th, indexing="ij")
-            inside = lyap(np.stack([W, TH], axis=-1)) <= c
-            rows[block] = inside.any(axis=1)
-            cols |= inside.any(axis=0)
-        if not rows.any():
+
+        def inside(row: int) -> np.ndarray:
+            return lyap(np.stack([np.full(grid, w[row]), th], axis=-1)) <= c
+
+        mid = int(np.argmin(np.abs(w)))
+        cols = inside(mid)
+        if not cols.any():
             raise InputError(f"sublevel value {c} produced an empty set")
+        lo, hi = 0, mid  # the first row that meets the set lies in [lo, hi]
+        while lo < hi:
+            row = (lo + hi) // 2
+            lo, hi = (lo, row) if inside(row).any() else (row + 1, hi)
+        first = lo
+        lo, hi = mid, grid - 1  # the last one lies in [lo, hi]
+        while lo < hi:
+            row = (lo + hi + 1) // 2
+            lo, hi = (row, hi) if inside(row).any() else (lo, row - 1)
         return Box.from_pairs(
-            [
-                (w[rows].min(), w[rows].max()),
-                (th[cols].min(), th[cols].max()),
-            ]
+            [(w[first], w[lo]), (th[cols].min(), th[cols].max())]
         )
 
     def cert_fiberwise(

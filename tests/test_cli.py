@@ -665,25 +665,41 @@ class TestArithmeticInExpressions:
         assert repr(expr) in err
 
 
+def run_in_subprocess(argv, timeout=120, script=None):
+    """Run ``python -m approxred argv`` (or ``script``) in a fresh interpreter."""
+    import os
+    import subprocess
+    import sys
+
+    import approxred
+
+    src = os.path.dirname(os.path.dirname(approxred.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    head = ["-c", script] if script is not None else ["-m", "approxred"]
+    return subprocess.run(
+        [sys.executable, *head, *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
+# runs a command in-process, then prints its exit code and the loaded modules
+# that start with the package name given as the second argument
+MODULES_SCRIPT = (
+    "import json, sys\n"
+    "from approxred import cli\n"
+    "try:\n"
+    "    rc = cli.main(json.loads(sys.argv[1]))\n"
+    "except SystemExit as stop:  # --version exits from argparse\n"
+    "    rc = stop.code\n"
+    "prefix = sys.argv[2]\n"
+    "print(rc, sorted(m for m in sys.modules if (m + '.').startswith(prefix + '.')))\n"
+)
+
+
 class TestImportFloor:
     """No command imports scipy: the package runs on numpy alone."""
 
     def test_no_command_imports_scipy(self, tmp_path):
-        import os
-        import subprocess
-        import sys
-
-        import approxred
-
-        script = (
-            "import json, sys\n"
-            "from approxred import cli\n"
-            "try:\n"
-            "    rc = cli.main(json.loads(sys.argv[1]))\n"
-            "except SystemExit as stop:  # --version exits from argparse\n"
-            "    rc = stop.code\n"
-            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        )
         out = ["--out", str(tmp_path / "o.csv")]
         commands = [
             ["--version"],
@@ -696,15 +712,29 @@ class TestImportFloor:
              "--samples", "1000", *out],
             ["bound", "--system", "ball-hoop", "--n-ic", "4", "--t-end", "2", *out],
         ]
-        src = os.path.dirname(os.path.dirname(approxred.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
         for argv in commands:
-            proc = subprocess.run(
-                [sys.executable, "-c", script, json.dumps(argv)],
-                capture_output=True, text=True, env=env,
-            )
+            proc = run_in_subprocess([json.dumps(argv), "scipy"], script=MODULES_SCRIPT)
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.strip().splitlines()[-1] == "0 []", argv
+
+    def test_sampled_commands_leave_numpy_random_unloaded(self, tmp_path):
+        # the Sobol scramble bits come from the in-house PCG64 stream
+        out = ["--out", str(tmp_path / "o.json")]
+        commands = [
+            ["check-exact", "--system", "cart-pendulum", "--samples", "1000", *out],
+            ["check-lyapunov", "--system", "ball-hoop", "--certificate", "fiberwise",
+             "--samples", "1000", *out],
+            ["check-lyapunov", "--system", "ball-hoop", "--certificate", "iiss",
+             "--samples", "1000", *out],
+            ["check-lyapunov", "--system", "cart-pendulum", "--certificate", "iubibss",
+             "--samples", "1000", *out],
+            ["bound", "--system", "ball-hoop", "--n-ic", "4", "--t-end", "2", *out],
+        ]
+        for argv in commands:
+            proc = run_in_subprocess([json.dumps(argv), "numpy.random"], script=MODULES_SCRIPT)
+            assert proc.returncode == 0, proc.stderr
+            rc, loaded = proc.stdout.strip().splitlines()[-1].split(" ", 1)
+            assert rc in ("0", "3") and loaded == "[]", argv
 
     def test_no_module_imports_scipy(self):
         import ast
@@ -722,3 +752,69 @@ class TestImportFloor:
                     continue
                 for name in names:
                     assert name.split(".")[0] != "scipy", path
+
+    def test_no_module_names_numpy_random(self):
+        import ast
+        import pathlib
+
+        import approxred
+
+        for path in pathlib.Path(approxred.__file__).parent.glob("*.py"):
+            text = path.read_text()
+            assert "np.random" not in text and "numpy.random" not in text, path
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                    assert "random" not in [a.name for a in node.names], path
+
+
+class TestNonFiniteSettings:
+    """A non-finite horizon, step or tolerance exits 1 at once, in every command
+    that integrates: no hang, no traceback, no warning."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--t-end", "inf"],
+            ["simulate", "--t-end", "inf", "--method", "rk4", "--dt", "0.1"],
+            ["simulate", "--method", "rk4", "--dt", "nan"],
+            ["compare", "--t-end", "inf"],
+            ["compare", "--atol", "nan"],
+            ["sweep", "--param", "R", "--values", "5,10", "--t-end", "inf"],
+            ["bound", "--n-ic", "4", "--t-end", "inf"],
+            ["bound", "--n-ic", "4", "--rtol", "inf"],
+        ],
+        ids=" ".join,
+    )
+    def test_exit_1_in_a_fresh_process(self, argv):
+        proc = run_in_subprocess([*argv, "--system", "ball-hoop"], timeout=60)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("approxred: error:") and "must be finite" in lines[0]
+
+
+@pytest.mark.filterwarnings("error")
+class TestNonFiniteBoxes:
+    """A box with an infinite or NaN bound, or an overflowing width, exits 1."""
+
+    @pytest.mark.parametrize("bad", ["-inf,1", "0,inf", "nan,1", "-1e308,1e308"])
+    @pytest.mark.parametrize(
+        "argv,flag,dim",
+        [
+            (["check-exact", "--system", "ball-hoop", "--samples", "64"], "--box", 2),
+            (["check-lyapunov", "--system", "ball-hoop", "--certificate", "fiberwise",
+              "--samples", "64"], "--box", 2),
+            (["check-lyapunov", "--system", "ball-hoop", "--certificate", "iiss",
+              "--samples", "64"], "--input-box", 1),
+            (["check-lyapunov", "--system", "cart-pendulum", "--certificate", "iubibss",
+              "--samples", "64"], "--box", 2),
+            (["check-lyapunov", "--system", "cart-pendulum", "--certificate", "iubibss",
+              "--samples", "64"], "--input-box", 2),
+            (["bound", "--system", "ball-hoop", "--n-ic", "4", "--t-end", "1"], "--box", 2),
+        ],
+        ids=["check-exact", "fiberwise", "iiss-input", "iubibss", "iubibss-input", "bound"],
+    )
+    def test_exit_1(self, argv, flag, dim, bad, tmp_path, capsys):
+        box = ";".join([bad] + ["0,1"] * (dim - 1))
+        rc = main([*argv, f"{flag}={box}", "--out", str(tmp_path / "o")])
+        assert_clean_usage_error(rc, capsys, "must be finite")

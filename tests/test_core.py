@@ -180,6 +180,20 @@ class TestBox:
         with pytest.raises(InputError):
             Box([0.0, 1.0], [1.0, 0.0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "lower,upper,needle",
+        [
+            ([-np.inf, 0.0], [1.0, 1.0], "bounds"),
+            ([0.0, 0.0], [1.0, np.inf], "bounds"),
+            ([0.0, np.nan], [1.0, 1.0], "bounds"),
+            ([-1e308, 0.0], [1e308, 1.0], "widths"),
+        ],
+    )
+    def test_rejects_non_finite_bounds_and_widths(self, lower, upper, needle):
+        with pytest.raises(InputError, match=f"box {needle} must be finite"):
+            Box(lower, upper)
+
     def test_projection(self):
         d = Decomposition(n=3, m=2, k=1)
         box = Box.from_pairs([(-1, 1), (-2, 2), (-3, 3)])

@@ -88,6 +88,21 @@ class TestIntegrateField:
         with pytest.raises(InputError):
             IntegratorConfig(t_end=1.0, method="euler", dt=0.1)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"t_end": math.inf},
+            {"t_end": math.nan},
+            {"t_end": math.inf, "method": "rk4", "dt": 0.1},
+            {"t_end": 1.0, "method": "rk4", "dt": math.inf},
+            {"t_end": 1.0, "rtol": math.inf},
+            {"t_end": 1.0, "atol": math.nan},
+        ],
+    )
+    def test_config_rejects_non_finite_values(self, kwargs):
+        with pytest.raises(InputError, match="must be finite"):
+            IntegratorConfig(**kwargs)
+
 
 class TestAdaptiveFixedAgreement:
     @pytest.mark.slow

@@ -107,6 +107,34 @@ class TestStream:
             sobol_blocks(box, 0)
 
 
+class TestScrambleBits:
+    """The scramble bits come from an in-house PCG64 stream equal to numpy's."""
+
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 3, 2**200]
+    )
+    def test_equal_to_default_rng(self, seed):
+        # 2**128 + 3 and 2**200 are more than four 32-bit words of entropy
+        for dim in (1, 2, 10, 64):
+            rng = np.random.default_rng(seed)
+            shift = rng.integers(2, size=(dim, BITS), dtype=np.uint32)
+            matrix = rng.integers(2, size=(dim, BITS, BITS), dtype=np.uint32)
+            bits = sampling._random_bits(seed, dim * BITS * (1 + BITS))
+            assert bits.dtype == np.uint32
+            assert np.array_equal(bits, np.concatenate([shift.ravel(), matrix.ravel()]))
+
+    def test_an_odd_count_carries_the_high_half_over(self):
+        rng = np.random.default_rng(7)
+        first = rng.integers(2, size=3, dtype=np.uint32)
+        rest = rng.integers(2, size=6, dtype=np.uint32)
+        assert np.array_equal(sampling._random_bits(7, 9), np.concatenate([first, rest]))
+
+    def test_integer_seeds_only(self):
+        assert np.array_equal(unit_sobol(3, 16, np.int64(5)), unit_sobol(3, 16, 5))
+        with pytest.raises(TypeError):
+            unit_sobol(3, 16, 5.0)
+
+
 class TestProperties:
     def test_nested_and_deterministic(self):
         big = unit_sobol(6, 1000, 11)

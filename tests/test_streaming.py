@@ -35,6 +35,7 @@ from approxred.stability import (
     check_iubibss,
 )
 from approxred.systems import CertificateSpec, SystemEntry, lookup
+from approxred.user_systems import system_from_dict
 
 SMALL_BLOCKS = (7, 1)
 UNIT_SQUARE = Box.from_pairs([(-1.0, 1.0)] * 2)
@@ -115,24 +116,23 @@ class TestBlockSizeInvariance:
         report = json.loads(out.read_text())["report"]
         assert rc == 3 and report["verdict"] == "COUNTEREXAMPLE"
 
-    @pytest.mark.parametrize("c", [None, 0.5, 3.0, 20.0])
-    def test_sublevel_box_matches_the_whole_grid_scan(self, c, monkeypatch):
-        entry = lookup("ball-hoop", {})
-        p = entry.params
-        lyap = entry.aux["lyapunov"].fn
-        level = entry.aux["sublevel_value"](entry.default_ic) if c is None else c
-        w_max = np.sqrt(2.0 * level / (p["m"] * p["R"] ** 2))
-        W, TH = np.meshgrid(
-            np.linspace(-w_max, w_max, 1001), np.linspace(-np.pi, np.pi, 1001),
-            indexing="ij",
-        )
-        mask = lyap(np.stack([W, TH], axis=-1)) <= level
-        expected = [W[mask].min(), TH[mask].min(), W[mask].max(), TH[mask].max()]
-        for rows in (None, 7, 1):
-            if rows is not None:
-                monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", rows)
+    @pytest.mark.parametrize("c", [None, 0.5, 3.0, 20.0, 1e-6, 0.01, 1e3, 1e6])
+    def test_sublevel_box_matches_the_whole_grid_scan(self, c):
+        # the bisection over omega rows finds the box the whole 1001 x 1001 scan finds
+        for R, xi in ((5.0, 0.1), (10.0, 0.3), (20.0, 0.6), (40.0, 0.3)):
+            entry = lookup("ball-hoop", {"R": R, "xi_hoop": xi})
+            p = entry.params
+            lyap = entry.aux["lyapunov"].fn
+            level = entry.aux["sublevel_value"](entry.default_ic) if c is None else c
+            w_max = np.sqrt(2.0 * level / (p["m"] * p["R"] ** 2))
+            W, TH = np.meshgrid(
+                np.linspace(-w_max, w_max, 1001), np.linspace(-np.pi, np.pi, 1001),
+                indexing="ij",
+            )
+            mask = lyap(np.stack([W, TH], axis=-1)) <= level
+            expected = [W[mask].min(), TH[mask].min(), W[mask].max(), TH[mask].max()]
             box = entry.aux["sublevel_box"](c)
-            assert [*box.lower, *box.upper] == expected
+            assert [*box.lower, *box.upper] == expected, (R, xi)
 
 
 def run_check(name, kind, n, seed, negate=False):
@@ -393,6 +393,35 @@ class TestFiberColumns:
             tracemalloc.stop()
         samples_bytes = n * entry.field.n * 8
         assert peak < 2 * samples_bytes
+
+
+def test_check_exact_keeps_the_retained_rows_only():
+    # a 16-state chain with m = 2: the whole (8192, 16, 14) FD Jacobian of a
+    # block alone takes 14 MiB, the retained (8192, 2, 14) rows 1.8 MiB
+    n, m = 16, 2
+    doc = {
+        "name": "chain16",
+        "state": [f"x{i}" for i in range(n)],
+        "m": m,
+        "rhs": [f"-x{i} + 0.1*sin(x{(i + 1) % n})" for i in range(n)],
+    }
+    entry, _ = system_from_dict(doc)
+    box = Box(-np.ones(n), np.ones(n))
+    check_exact_reducible(entry.field, entry.decomp, box, 64)  # warm up
+    tracemalloc.start()
+    try:
+        report = check_exact_reducible(entry.field, entry.decomp, box, 8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20  # 22 MiB with the whole Jacobian
+    # the oracle: the whole Jacobian, then its retained rows
+    X = sobol_points(box, 8192)
+    J = np.abs(jacobian_batch(entry.field.rhs, X, n, cols=range(m, n))[:, :m])
+    sample, comp, fib = np.unravel_index(np.argmax(J), J.shape)
+    assert report.max_residual == J.max()
+    assert report.witness.point.tolist() == X[sample].tolist()
+    assert (report.witness.component, report.witness.fiber_index) == (comp, fib)
 
 
 class TestConstantMemory:
