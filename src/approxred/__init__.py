@@ -15,24 +15,19 @@ from .core import (
     Decomposition,
     DivergenceError,
     InputError,
-    KLFunction,
     NumericalError,
     StepBudgetError,
     Trajectory,
     VectorFieldDef,
-    eval_comparison,
     project,
 )
 from .integrate import (
-    InputSignal,
     IntegratorConfig,
-    integrate_control,
     integrate_field,
     resample,
 )
 from .reduction import (
     DeviationReport,
-    ReducedField,
     ReducibilityReport,
     SmoothMap,
     check_exact_reducible,
@@ -63,20 +58,15 @@ __all__ = [
     "Decomposition",
     "DivergenceError",
     "InputError",
-    "KLFunction",
     "NumericalError",
     "StepBudgetError",
     "Trajectory",
     "VectorFieldDef",
-    "eval_comparison",
     "project",
-    "InputSignal",
     "IntegratorConfig",
-    "integrate_control",
     "integrate_field",
     "resample",
     "DeviationReport",
-    "ReducedField",
     "ReducibilityReport",
     "SmoothMap",
     "check_exact_reducible",

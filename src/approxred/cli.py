@@ -21,6 +21,7 @@ shortest representation that round-trips.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -82,8 +83,6 @@ def fmt_float(x: float) -> str:
 
 def to_jsonable(obj):
     """Recursively convert reports, arrays and boxes to JSON-safe values."""
-    import dataclasses
-
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
@@ -228,8 +227,10 @@ def _resolve_seed(args) -> int:
     return DEFAULT_SEED
 
 
-def _resolve_entry(args) -> SystemEntry:
-    overrides = _parse_set(args.set)
+def _resolve_entry(args, overrides: dict | None = None) -> SystemEntry:
+    """The system the arguments name, with ``--set`` and then ``overrides``
+    merged into its parameters and ``--m`` applied to its decomposition."""
+    overrides = {**_parse_set(args.set), **(overrides or {})}
     extra = None
     if getattr(args, "config", None):
         _entry, extra = load_system_config(args.config)
@@ -244,18 +245,10 @@ def _resolve_entry(args) -> SystemEntry:
                 f"--m must be in [1, {entry.field.n - 1}] for system {entry.name!r}"
             )
         if args.m != entry.decomp.m:
-            entry = SystemEntry(
-                name=entry.name,
-                params=entry.params,
-                field=entry.field,
+            entry = dataclasses.replace(
+                entry,
                 decomp=Decomposition.retain(entry.field.n, args.m),
-                default_ic=entry.default_ic,
-                jacobian=entry.jacobian,
                 reduced_override=None,  # the bundled reduction is for the stock split
-                certificates=entry.certificates,
-                controls=entry.controls,
-                aux=entry.aux,
-                notes=entry.notes,
             )
     return entry
 
@@ -380,21 +373,11 @@ def cmd_sweep(args) -> int:
     if not args.values:
         raise UsageError("--values must list at least one number")
     values = _parse_floats(args.values, "--values")
-    base_overrides = _parse_set(args.set)
-    extra = None
-    if getattr(args, "config", None):
-        _entry, extra = load_system_config(args.config)
-        if args.system is None:
-            args.system = _entry.name
-    if args.system is None:
-        raise UsageError("--system is required (or provide --config)")
     cfg = _integrator_config(args)
     rows = []
-    entry = None
     x0 = None
     for value in values:
-        overrides = {**base_overrides, args.param: value}
-        entry = lookup(args.system, overrides, extra_registry=extra)
+        entry = _resolve_entry(args, {args.param: value})
         if x0 is None:
             x0 = _resolve_x0(args, entry)  # the ic stays fixed across rows
         rep = measure_deviation(
@@ -506,8 +489,6 @@ def _negate_certificate(cert):
     function; this gives a one-flag self test that verdicts are not
     vacuously green.
     """
-    import dataclasses
-
     V = cert.V
     neg_fn = lambda *xs: -np.asarray(V.fn(*xs), dtype=float)
     if V.grad is not None:

@@ -140,16 +140,6 @@ class ControlSystemDef:
         if self.n < 1 or self.m_in < 1:
             raise InputError("state and input dimensions must be >= 1")
 
-    def __call__(self, x, u) -> np.ndarray:
-        x = as_state(x, self.n)
-        u = as_state(u, self.m_in)
-        out = np.asarray(self.rhs(x, u), dtype=float)
-        if out.shape != (self.n,):
-            raise InputError(
-                f"rhs of '{self.name}' returned shape {out.shape}, expected ({self.n},)"
-            )
-        return out
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -280,33 +270,6 @@ class ComparisonFunction:
         else:
             out = self.a * r**self.p + self.b * r
         return float(out) if out.ndim == 0 else out
-
-
-def eval_comparison(f: ComparisonFunction, r: float) -> float:
-    """Evaluate a comparison function at a single nonnegative radius."""
-    if r < 0:
-        raise InputError(f"comparison functions require r >= 0, got {r}")
-    return float(f.value(r))
-
-
-@dataclass(frozen=True)
-class KLFunction:
-    """A class-KL function of the separable form beta(r, s) = gamma(r)*exp(-lam*s)."""
-
-    gamma: ComparisonFunction
-    lam: float
-
-    def __post_init__(self):
-        if not (self.lam > 0):
-            raise InputError("decay rate lam must be positive")
-
-    def value(self, r, s):
-        r = np.asarray(r, dtype=float)
-        s = np.asarray(s, dtype=float)
-        if np.any(s < 0):
-            raise InputError("KL functions are defined for s >= 0 only")
-        out = self.gamma.value(r) * np.exp(-self.lam * s)
-        return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)

@@ -33,12 +33,10 @@ slack of ten times the integrator tolerance, so the defaults (rtol = atol =
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .core import (
-    ControlSystemDef,
     DivergenceError,
     InputError,
     StepBudgetError,
@@ -371,15 +369,6 @@ def _quiet():
     return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
-def _trajectory(rhs, X0, F0, cfg: IntegratorConfig, label: str) -> Trajectory:
-    """Integrate a batch of one and return its step nodes; raise its failure."""
-    nodes = _Nodes(X0, F0)
-    error = _solve(rhs, X0, F0, cfg, nodes, label)[0]
-    if error is not None:
-        raise error
-    return nodes.trajectory()
-
-
 # ------------------------------------------------------------------ public
 
 
@@ -388,7 +377,11 @@ def integrate_field(f: VectorFieldDef, x0, cfg: IntegratorConfig) -> Trajectory:
     X0 = as_state(x0, f.n)[None, :]
     with _quiet():
         rhs, F0 = _batch_rhs(f, X0)
-        return _trajectory(rhs, X0, F0, cfg, f.name)
+        nodes = _Nodes(X0, F0)
+        error = _solve(rhs, X0, F0, cfg, nodes, f.name)[0]
+    if error is not None:
+        raise error
+    return nodes.trajectory()
 
 
 def integrate_on_grid(
@@ -430,87 +423,6 @@ def _run_on_grid(f: VectorFieldDef, X0, cfg: IntegratorConfig, sink: _OnGrid):
         errors = _solve(rhs, X0, F0, cfg, sink, f.name)
     sink.out[[e is not None for e in errors]] = np.nan
     return sink.out, errors
-
-
-class InputSignal:
-    """A time-indexed input u(t) on [0, t_end].
-
-    Either wraps a callable (assumed defined wherever it is asked) or a
-    sampled grid with linear interpolation between the nodes. Evaluation
-    outside the grid's span raises :class:`InputError`.
-    """
-
-    def __init__(self, fn: Callable[[float], np.ndarray], m_in: int, span=None):
-        self._fn = fn
-        self.m_in = m_in
-        self.span = span
-
-    @classmethod
-    def from_callable(cls, fn: Callable[[float], object], m_in: int) -> "InputSignal":
-        return cls(lambda t: as_state(fn(t), m_in), m_in)
-
-    @classmethod
-    def constant(cls, value) -> "InputSignal":
-        v = as_state(value)
-        return cls(lambda _t: v, v.shape[0])
-
-    @classmethod
-    def from_grid(cls, times, values) -> "InputSignal":
-        times = np.asarray(times, dtype=float)
-        values = np.atleast_2d(np.asarray(values, dtype=float))
-        if values.shape[0] != times.shape[0]:
-            values = values.T
-        if values.shape[0] != times.shape[0]:
-            raise InputError("input grid values do not match the time grid")
-        if not np.all(np.diff(times) > 0):
-            raise InputError("input grid times must be strictly increasing")
-        m_in = values.shape[1]
-
-        def fn(t: float) -> np.ndarray:
-            if t < times[0] or t > times[-1]:
-                raise InputError(
-                    f"input signal undefined at t={t:.6g}; grid spans "
-                    f"[{times[0]:.6g}, {times[-1]:.6g}]"
-                )
-            return np.array([np.interp(t, times, values[:, j]) for j in range(m_in)])
-
-        return cls(fn, m_in, span=(float(times[0]), float(times[-1])))
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self._fn(t)
-
-
-def integrate_control(
-    F: ControlSystemDef, x0, u, cfg: IntegratorConfig
-) -> Trajectory:
-    """Solve dx/dt = F(x, u(t)) from x0 over [0, cfg.t_end].
-
-    ``u`` may be an :class:`InputSignal`, a plain callable t -> R^m_in, or a
-    constant vector.
-    """
-    x0 = as_state(x0, F.n)
-    if isinstance(u, InputSignal):
-        sig = u
-    elif callable(u):
-        sig = InputSignal.from_callable(u, F.m_in)
-    else:
-        sig = InputSignal.constant(u)
-    if sig.m_in != F.m_in:
-        raise InputError(
-            f"input signal dimension {sig.m_in} does not match m_in={F.m_in}"
-        )
-    if sig.span is not None and sig.span[1] < cfg.t_end:
-        raise InputError(
-            f"input signal defined up to t={sig.span[1]:.6g} but horizon is "
-            f"{cfg.t_end:.6g}"
-        )
-
-    def rhs(t, Y):  # a batch of one; t is the stage time, a float or (1,) array
-        return F(Y[0], sig(float(np.ravel(t)[0])))[None, :]
-
-    X0 = x0[None, :]
-    with _quiet():
-        return _trajectory(rhs, X0, rhs(0.0, X0), cfg, F.name)
 
 
 def resample(traj: Trajectory, times) -> Trajectory:

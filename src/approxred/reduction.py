@@ -41,6 +41,7 @@ from .sampling import DEFAULT_SEED, sobol_blocks, sobol_points
 
 DEFAULT_TOL = 1e-6
 DEFAULT_GRID_POINTS = 2001
+MAX_GRID_POINTS = 100_000
 # initial conditions integrated together; bounds the grid arrays held at once
 BLOCK_ROWS = 128
 
@@ -48,28 +49,9 @@ REDUCIBLE = "REDUCIBLE_UP_TO_TOL"
 NOT_REDUCIBLE = "NOT_REDUCIBLE"
 
 
-@dataclass(frozen=True)
-class ReducedField:
-    """The reduced vector field y -> pi_m(f(y, 0)) packaged as a field of its own."""
-
-    parent: VectorFieldDef
-    decomp: Decomposition
-    field_def: VectorFieldDef
-
-    @property
-    def n(self) -> int:
-        return self.decomp.m
-
-    @property
-    def rhs(self):
-        return self.field_def.rhs
-
-    def __call__(self, y) -> np.ndarray:
-        return self.field_def(y)
-
-
-def construct_reduced(f: VectorFieldDef, d: Decomposition) -> ReducedField:
-    """Slice the field at fiber = 0 and keep the retained velocity components."""
+def construct_reduced(f: VectorFieldDef, d: Decomposition) -> VectorFieldDef:
+    """The reduced field y -> pi_m(f(y, 0)): slice the field at fiber = 0 and
+    keep the retained velocity components."""
     if d.n != f.n:
         raise InputError(f"decomposition is on R^{d.n} but field lives on R^{f.n}")
     m, k = d.m, d.k
@@ -79,10 +61,7 @@ def construct_reduced(f: VectorFieldDef, d: Decomposition) -> ReducedField:
         full = np.concatenate([y, np.zeros(y.shape[:-1] + (k,))], axis=-1)
         return np.asarray(f.rhs(full), dtype=float)[..., :m]
 
-    red = VectorFieldDef(
-        n=m, rhs=rhs, params=dict(f.params), name=f"{f.name}_reduced"
-    )
-    return ReducedField(parent=f, decomp=d, field_def=red)
+    return VectorFieldDef(n=m, rhs=rhs, params=dict(f.params), name=f"{f.name}_reduced")
 
 
 @dataclass(frozen=True)
@@ -150,9 +129,9 @@ def check_phi_related(
     if not (tol > 0):
         raise InputError("tol must be positive")
     X = sobol_points(box, n_samples, seed)
-    FX = batch_eval(f.rhs, X, f.n)
-    PHIX = batch_eval(phi.fn, X, phi.n_out)
-    GPHIX = batch_eval(g.rhs, PHIX, g.n)
+    FX = batch_eval(f.rhs, X, out_dim=f.n)
+    PHIX = batch_eval(phi.fn, X, out_dim=phi.n_out)
+    GPHIX = batch_eval(g.rhs, PHIX, out_dim=g.n)
     if phi.jacobian is not None:
         push = np.stack(
             [np.asarray(phi.jacobian(x), dtype=float) @ fx for x, fx in zip(X, FX)]
@@ -260,6 +239,8 @@ def _grid(t_end: float, n_grid: int) -> np.ndarray:
     """The shared uniform comparison grid on [0, t_end]."""
     if n_grid < 2:
         raise InputError(f"n_grid needs at least two time points, got {n_grid}")
+    if n_grid > MAX_GRID_POINTS:
+        raise InputError(f"n_grid must be at most {MAX_GRID_POINTS}, got {n_grid}")
     return np.linspace(0.0, t_end, n_grid)
 
 
@@ -281,7 +262,7 @@ def measure_deviation(
     x0 = np.asarray(x0, dtype=float)
     grid = _grid(cfg.t_end, n_grid)
     if reduced is None:
-        reduced = construct_reduced(f, d).field_def
+        reduced = construct_reduced(f, d)
     y0 = project(x0, d, "m")
 
     def labeled(which: str, fld, ic):
@@ -292,10 +273,19 @@ def measure_deviation(
 
     full_traj = labeled("full", f, x0)
     red_traj = labeled("reduced", reduced, y0)
-    full_rs = resample(full_traj, grid)
-    red_rs = resample(red_traj, grid)
-    full_proj = full_rs.states[:, : d.m]
-    dev = np.linalg.norm(full_proj - red_rs.states, axis=1)
+    # both runs are finite at their nodes, so a non-finite value here comes
+    # from the interpolation overflowing (steps too short to divide by)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        full_rs = resample(full_traj, grid)
+        red_rs = resample(red_traj, grid)
+        full_proj = full_rs.states[:, : d.m]
+        dev = np.linalg.norm(full_proj - red_rs.states, axis=1)
+    if not np.all(np.isfinite(dev)):
+        bad = int(np.argmax(~np.isfinite(dev)))
+        raise NumericalError(
+            f"non-finite deviation at t={grid[bad]:.6g}: interpolating the "
+            f"steps of the runs over [0, {cfg.t_end:.6g}] overflowed"
+        )
     i_sup = int(np.argmax(dev))
     return DeviationReport(
         sup_dev=float(dev[i_sup]),
@@ -352,7 +342,7 @@ def estimate_delta(
     if S.dim != f.n:
         raise InputError("sampling box dimension does not match the field")
     if reduced is None:
-        reduced = construct_reduced(f, d).field_def
+        reduced = construct_reduced(f, d)
     if pair_mode == "projected":
         X0 = sobol_points(S, n_ic, seed)
         Y0 = X0[:, : d.m]

@@ -26,7 +26,6 @@ from .core import (
     EvaluationError,
     InputError,
     VectorFieldDef,
-    try_batch,
 )
 from .numdiff import (
     batch_eval,
@@ -168,20 +167,17 @@ def _eval_V_pair(V: ScalarFunctionDef, X1, X2) -> np.ndarray:
 
 
 def _pair_grads(V: ScalarFunctionDef, X1, X2) -> tuple[np.ndarray, np.ndarray]:
-    if V.grad is not None:
+    if V.grad is None:
+        return pair_gradient_batch(V.fn, X1, X2)
+    d = X1.shape[1]
+    G = batch_eval(lambda x1, x2: np.hstack(V.grad(x1, x2)), X1, X2, out_dim=2 * d)
+    return G[:, :d], G[:, d:]
 
-        def both():
-            g1, g2 = V.grad(X1, X2)
-            return np.asarray(g1, dtype=float), np.asarray(g2, dtype=float)
 
-        grads = try_batch(both)
-        if grads is not None and grads[0].shape == X1.shape and grads[1].shape == X2.shape:
-            return grads
-        pairs = [V.grad(x1, x2) for x1, x2 in zip(X1, X2)]
-        g1 = np.stack([np.asarray(p[0], dtype=float) for p in pairs])
-        g2 = np.stack([np.asarray(p[1], dtype=float) for p in pairs])
-        return g1, g2
-    return pair_gradient_batch(V.fn, X1, X2)
+def _state_grads(V: ScalarFunctionDef, X) -> np.ndarray:
+    if V.grad is None:
+        return gradient_batch(V.fn, X)
+    return batch_eval(V.grad, X, out_dim=X.shape[1])
 
 
 def _vdot_batch(
@@ -200,10 +196,7 @@ def _vdot_batch(
 
 
 def _eval_control_batch(F: ControlSystemDef, X, U) -> np.ndarray:
-    out = try_batch(lambda: np.asarray(F.rhs(X, U), dtype=float))
-    if out is not None and out.shape == (X.shape[0], F.n):
-        return out
-    return np.stack([np.asarray(F.rhs(x, u), dtype=float) for x, u in zip(X, U)])
+    return batch_eval(F.rhs, X, U, out_dim=F.n)
 
 
 def vdot(
@@ -433,11 +426,8 @@ def check_fiberwise(
         _require_finite(V, active, X, "V produced a non-finite value")
         lo = cert.alpha_lower.value(fiber)
         hi = cert.alpha_upper.value(fiber)
-        if cert.V.grad is not None:
-            G = _state_grads(cert.V, X)
-        else:
-            G = gradient_batch(cert.V.fn, X)
-        vd = np.einsum("ni,ni->n", G, batch_eval(f.rhs, X, f.n))
+        G = _state_grads(cert.V, X)
+        vd = np.einsum("ni,ni->n", G, batch_eval(f.rhs, X, out_dim=f.n))
         _require_finite(vd, active, X, "non-finite derivative of V along f")
         return [
             *_sandwich(active, V, lo, hi),
@@ -455,13 +445,6 @@ def _require_finite(values, active, X, what: str) -> None:
     if not np.all(np.isfinite(values[active])):
         bad = int(np.argmax(active & ~np.isfinite(values)))
         raise EvaluationError(f"{what} at {X[bad].tolist()}")
-
-
-def _state_grads(V: ScalarFunctionDef, X: np.ndarray) -> np.ndarray:
-    G = try_batch(lambda: np.asarray(V.grad(X), dtype=float))
-    if G is not None and G.shape == X.shape:
-        return G
-    return np.stack([np.asarray(V.grad(x), dtype=float) for x in X])
 
 
 def estimate_lipschitz(

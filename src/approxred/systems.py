@@ -11,10 +11,9 @@ Two benchmark systems ship with the package:
   (x, v, theta, omega) so the retained pair (x, v) is leading; conversion
   helpers live in the entry's aux dict.
 
-Each entry bundles parameter defaults, an optional analytic Jacobian, the
-control-system forms used by the certificate checkers, certificate factories,
-and (for the cart) an explicit linear reduced model used by the comparison
-commands.
+Each entry bundles parameter defaults, certificate factories (each with the
+control-system form its checker needs), and (for the cart) an explicit linear
+reduced model used by the comparison commands.
 """
 
 from __future__ import annotations
@@ -70,10 +69,8 @@ class SystemEntry:
     field: VectorFieldDef
     decomp: Decomposition
     default_ic: np.ndarray
-    jacobian: Callable | None = None
     reduced_override: VectorFieldDef | None = None
     certificates: dict = dc_field(default_factory=dict)
-    controls: dict = dc_field(default_factory=dict)
     aux: dict = dc_field(default_factory=dict)
     notes: dict = dc_field(default_factory=dict)
 
@@ -130,17 +127,6 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
         w, th = s[..., 0], s[..., 1]
         dw = -(mu / m) * w + xi2 * np.sin(th) * np.cos(th) - (g / R) * np.sin(th)
         return _columns(dw, w)
-
-    def jac(s):
-        s = np.asarray(s, dtype=float)
-        th = s[..., 1]
-        j11 = -(mu / m) * np.ones_like(th)
-        j12 = xi2 * np.cos(2.0 * th) - (g / R) * np.cos(th)
-        one = np.ones_like(th)
-        zero = np.zeros_like(th)
-        return np.stack(
-            [np.stack([j11, j12], axis=-1), np.stack([one, zero], axis=-1)], axis=-2
-        )
 
     field = VectorFieldDef(n=2, rhs=rhs, params=p, name="ball-hoop")
     decomp = Decomposition(n=2, m=1, k=1)
@@ -284,9 +270,7 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
         field=field,
         decomp=decomp,
         default_ic=default_ic,
-        jacobian=jac,
         certificates={"fiberwise": cert_fiberwise, "iiss": cert_iiss},
-        controls={"default": control},
         aux={
             "lyapunov": lyapunov,
             "velocity_gap": gap_fn,
@@ -345,21 +329,6 @@ def make_cart_pendulum(params: dict) -> SystemEntry:
 
     reduced = VectorFieldDef(
         n=2, rhs=reduced_rhs, params=p, name="cart-pendulum_reduced"
-    )
-
-    def control_rhs(s, u):
-        """Retained dynamics with (theta, omega) as inputs."""
-        s = np.asarray(s, dtype=float)
-        u = np.asarray(u, dtype=float)
-        x, v = s[..., 0], s[..., 1]
-        th, w = u[..., 0], u[..., 1]
-        sin, cos = np.sin(th), np.cos(th)
-        den = M + m * sin**2
-        dv = (m * R * w**2 * sin + m * g * sin * cos - k * x - d * v + (b / R) * cos) / den
-        return np.stack([v, dv], axis=-1)
-
-    control = ControlSystemDef(
-        n=2, m_in=2, rhs=control_rhs, params=p, name="cart-pendulum-control"
     )
 
     def accel_coupling(u):
@@ -462,10 +431,8 @@ def make_cart_pendulum(params: dict) -> SystemEntry:
         field=field,
         decomp=decomp,
         default_ic=default_ic,
-        jacobian=None,
         reduced_override=reduced,
         certificates={"iubibss": cert_iubibss},
-        controls={"default": control, "accel": control_accel},
         aux={
             "energy": energy_fn,
             "position_gap": gap_fn,

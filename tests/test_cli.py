@@ -469,6 +469,26 @@ class TestDecompositionOverride:
         assert np.allclose(red, red[0], atol=1e-12)
 
 
+    def test_sweep_m_out_of_range_is_usage_error(self, capsys):
+        rc = main(
+            ["sweep", "--system", "cart-pendulum", "--m", "7",
+             "--param", "d", "--values", "1", "--t-end", "1"]
+        )
+        assert_clean_usage_error(rc, capsys, "--m must be in [1, 3]")
+
+    def test_sweep_honours_m(self, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        argv = ["--system", "cart-pendulum", "--m", "1", "--t-end", "1"]
+        rc = main(["sweep", *argv, "--param", "d", "--values", "1",
+                   "--format", "json", "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"]["m"] == 1
+        assert main(["compare", *argv, "--set", "d=1", "--out", str(tmp_path / "c.csv")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert doc["rows"][0]["sup_dev"] == summary["sup_dev"]
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self, tmp_path):
         import subprocess
@@ -791,6 +811,53 @@ class TestNonFiniteSettings:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith("approxred: error:") and "must be finite" in lines[0]
+
+
+GRID_COMMANDS = [
+    ["bound", "--n-ic", "2"], ["compare"], ["sweep", "--param", "R", "--values", "5"]
+]
+
+
+class TestGridLimit:
+    """More than 100000 grid points is a usage error, raised before the grid
+    is built."""
+
+    @pytest.mark.parametrize("command", GRID_COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("n_grid", ["100001", "100000000"])
+    def test_above_the_limit_is_usage_error(self, command, n_grid, capsys, monkeypatch):
+        linspace = np.linspace
+
+        def small_linspace(start, stop, num=50, **kwargs):
+            assert num <= 100_000, "the grid was built"
+            return linspace(start, stop, num, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", small_linspace)
+        rc = main([*command, "--system", "ball-hoop", "--n-grid", n_grid])
+        assert_clean_usage_error(rc, capsys, "at most 100000", f"got {n_grid}")
+
+    def test_the_limit_itself_runs(self, tmp_path):
+        out = tmp_path / "cmp.csv"
+        argv = ["compare", "--system", "ball-hoop", "--t-end", "0.5"]
+        assert main([*argv, "--n-grid", "100000", "--out", str(out)]) == 0
+
+
+class TestTinyHorizon:
+    """A horizon too short to interpolate on exits 2 with one clean line and
+    no warning, never with NaN rows."""
+
+    @pytest.mark.parametrize("command", GRID_COMMANDS, ids=" ".join)
+    def test_exit_2_in_a_fresh_process(self, command, tmp_path):
+        out = tmp_path / "out"
+        proc = run_in_subprocess(
+            [*command, "--system", "ball-hoop", "--t-end", "1e-300", "--n-grid", "3",
+             "--out", str(out)],
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("approxred: numerical failure:")
+        assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")

@@ -8,10 +8,8 @@ from approxred.core import (
     ComparisonFunction,
     Decomposition,
     InputError,
-    KLFunction,
     Trajectory,
     VectorFieldDef,
-    eval_comparison,
     project,
 )
 
@@ -88,18 +86,18 @@ comparison_functions = st.one_of(
 
 class TestComparisonFunction:
     def test_linear_value(self):
-        assert eval_comparison(ComparisonFunction.linear(2.0), 3.0) == 6.0
+        assert ComparisonFunction.linear(2.0).value(3.0) == 6.0
 
     def test_power_zero_at_zero(self):
-        assert eval_comparison(ComparisonFunction.power(1.0, 2.0), 0.0) == 0.0
+        assert ComparisonFunction.power(1.0, 2.0).value(0.0) == 0.0
 
     def test_affine_power_value(self):
         f = ComparisonFunction.affine_power(1.0, 2.0, 0.5)
-        assert eval_comparison(f, 2.0) == pytest.approx(5.0, abs=0)
+        assert f.value(2.0) == pytest.approx(5.0, abs=0)
 
     def test_negative_radius_rejected(self):
         with pytest.raises(InputError):
-            eval_comparison(ComparisonFunction.linear(1.0), -0.1)
+            ComparisonFunction.linear(1.0).value(-0.1)
 
     def test_nonpositive_coefficient_rejected(self):
         with pytest.raises(InputError):
@@ -118,31 +116,6 @@ class TestComparisonFunction:
     @settings(max_examples=30)
     def test_unbounded_growth(self, f):
         assert f.value(1e12) > f.value(1e6) > 0
-
-
-class TestKLFunction:
-    def test_requires_positive_decay(self):
-        with pytest.raises(InputError):
-            KLFunction(gamma=ComparisonFunction.linear(1.0), lam=0.0)
-
-    @given(
-        comparison_functions,
-        st.floats(min_value=1e-3, max_value=10.0),
-        st.floats(min_value=1e-3, max_value=1e3),
-    )
-    @settings(max_examples=60)
-    def test_decreasing_in_time(self, gamma, lam, r):
-        beta = KLFunction(gamma=gamma, lam=lam)
-        s = np.linspace(0.0, 20.0, 64)
-        vals = beta.value(r, s)
-        assert np.all(np.diff(vals) <= 0)
-        assert vals[-1] < vals[0]
-
-    @given(comparison_functions, st.floats(min_value=0.0, max_value=1e6))
-    @settings(max_examples=60)
-    def test_at_time_zero_equals_gamma(self, gamma, r):
-        beta = KLFunction(gamma=gamma, lam=0.7)
-        assert beta.value(r, 0.0) == gamma.value(r)
 
 
 class TestTrajectory:

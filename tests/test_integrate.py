@@ -5,16 +5,13 @@ import pytest
 
 from approxred.core import (
     Box,
-    ControlSystemDef,
     DivergenceError,
     InputError,
     StepBudgetError,
     VectorFieldDef,
 )
 from approxred.integrate import (
-    InputSignal,
     IntegratorConfig,
-    integrate_control,
     integrate_field,
     integrate_on_grid,
     resample,
@@ -116,46 +113,6 @@ class TestAdaptiveFixedAgreement:
             assert np.linalg.norm(end_adaptive - end_fixed) < 1e-6
 
 
-PURE_INTEGRATOR = ControlSystemDef(
-    n=1, m_in=1, rhs=lambda x, u: np.atleast_1d(u[..., 0]), name="integrator"
-)
-LAG = ControlSystemDef(
-    n=1, m_in=1, rhs=lambda x, u: np.atleast_1d(-x[..., 0] + u[..., 0]), name="lag"
-)
-
-
-class TestIntegrateControl:
-    def test_pure_integrator(self):
-        traj = integrate_control(
-            PURE_INTEGRATOR, [0.0], lambda t: [1.0], IntegratorConfig(t_end=2.0)
-        )
-        assert traj.endpoint[0] == pytest.approx(2.0, abs=1e-8)
-
-    def test_zero_input_zero_state(self):
-        traj = integrate_control(LAG, [0.0], [0.0], IntegratorConfig(t_end=4.0))
-        assert np.max(np.abs(traj.states)) == 0.0
-
-    def test_step_response(self):
-        traj = integrate_control(LAG, [0.0], [1.0], IntegratorConfig(t_end=1.0))
-        assert traj.endpoint[0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-8)
-
-    def test_grid_input_linear_interpolation(self):
-        sig = InputSignal.from_grid([0.0, 1.0, 2.0], [[0.0], [1.0], [0.0]])
-        assert sig(0.5)[0] == pytest.approx(0.5)
-        traj = integrate_control(PURE_INTEGRATOR, [0.0], sig, IntegratorConfig(t_end=2.0))
-        # integral of the hat function is 1; the kink costs a little accuracy
-        assert traj.endpoint[0] == pytest.approx(1.0, abs=1e-6)
-
-    def test_undefined_input_rejected(self):
-        sig = InputSignal.from_grid([0.0, 1.0], [[1.0], [1.0]])
-        with pytest.raises(InputError):
-            integrate_control(PURE_INTEGRATOR, [0.0], sig, IntegratorConfig(t_end=2.0))
-
-    def test_input_dimension_checked(self):
-        with pytest.raises(InputError):
-            integrate_control(LAG, [0.0], [1.0, 2.0], IntegratorConfig(t_end=1.0))
-
-
 class TestResample:
     def test_constant_resamples_to_constant(self):
         f = VectorFieldDef(n=2, rhs=lambda x: np.zeros(2))
@@ -224,7 +181,7 @@ def _sides(name, mode, n_ic=5):
     else:
         P = sobol_points(box.concat(box.project(d, "m")), n_ic, seed=3)
         X0, Y0 = P[:, : d.n], P[:, d.n :]
-    reduced = entry.reduced_override or construct_reduced(entry.field, d).field_def
+    reduced = entry.reduced_override or construct_reduced(entry.field, d)
     return [(entry.field, X0, d.m), (reduced, Y0, None)]
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from approxred.core import (
     EvaluationError,
     VectorFieldDef,
 )
+from approxred.cli import to_jsonable
 from approxred.integrate import _batch_rhs
 from approxred.numdiff import batch_eval, batch_eval_pair
 from approxred.stability import (
@@ -48,6 +50,23 @@ def gap_pair() -> ScalarFunctionDef:
     return ScalarFunctionDef(arity="pair", fn=fn)
 
 
+def single_state(fn):
+    """``fn`` as a map written for single states only: it fails on a block,
+    which sends the checkers row by row."""
+
+    def one(*xs):
+        if any(np.ndim(x) != 1 for x in xs):
+            raise TypeError("single states only")
+        return fn(*xs)
+
+    return one
+
+
+def same_report(a, b) -> bool:
+    """Reports equal to the bit: floats print in round-trip form."""
+    return json.dumps(to_jsonable(a)) == json.dumps(to_jsonable(b))
+
+
 CONTRACT = ControlSystemDef(
     n=1, m_in=1, rhs=lambda x, u: -np.asarray(x, dtype=float), name="contract"
 )
@@ -79,7 +98,7 @@ class TestVdot:
         entry = lookup("ball-hoop", {})
         v = vdot(
             entry.aux["velocity_gap"],
-            entry.controls["default"],
+            entry.certificates["iiss"]().control,
             [1.0],
             [0.0],
             [0.0],
@@ -141,6 +160,16 @@ class TestCheckIISS:
         )
         assert rep.verdict == NO_COUNTEREXAMPLE
         assert rep.condition_counts["decay_checked"] > 1000
+
+    @pytest.mark.parametrize("F", [DRIVEN, EXPAND], ids=["driven", "expand"])
+    def test_single_state_maps_give_the_same_report(self, F):
+        twin = contraction_certificate()
+        V = dataclasses.replace(twin.V, fn=single_state(twin.V.fn))
+        cert = dataclasses.replace(twin, V=V)
+        rowwise = dataclasses.replace(F, rhs=single_state(F.rhs))
+        expected = check_iiss(F, twin, SYM_BOX_1, SYM_BOX_1, 1024)
+        rep = check_iiss(rowwise, cert, SYM_BOX_1, SYM_BOX_1, 1024)
+        assert same_report(rep, expected)
 
     def test_witness_reproduces(self):
         rep = check_iiss(EXPAND, contraction_certificate(), SYM_BOX_1, SYM_BOX_1, 2048)
@@ -245,6 +274,27 @@ class TestCheckFiberwise:
         )
         assert rep.verdict == NO_COUNTEREXAMPLE
 
+    # the contracting fiber passes; the expanding one fails the decay
+    # condition, and a too small upper bound the sandwich with V observed
+    @pytest.mark.parametrize(
+        "sign,a_upper",
+        [(-1.0, 0.5), (+1.0, 0.5), (-1.0, 0.25)],
+        ids=["passes", "decay", "sandwich"],
+    )
+    def test_single_state_v_gives_the_same_report(self, sign, a_upper):
+        d = Decomposition(n=2, m=1, k=1)
+        box = Box.from_pairs([(-1, 1)] * 2)
+        twin = dataclasses.replace(
+            self.certificate(), alpha_upper=ComparisonFunction.power(a_upper, 2.0)
+        )
+        cert = dataclasses.replace(
+            twin, V=dataclasses.replace(twin.V, fn=single_state(twin.V.fn))
+        )
+        expected = check_fiberwise(fiber_field(sign), d, twin, box, 1024)
+        rep = check_fiberwise(fiber_field(sign), d, cert, box, 1024)
+        assert same_report(rep, expected)
+        assert rep.passed == (a_upper == 0.5 and sign < 0)
+
     def test_expanding_fiber_fails(self):
         d = Decomposition(n=2, m=1, k=1)
         rep = check_fiberwise(
@@ -256,9 +306,9 @@ class TestCheckFiberwise:
         # analytically, vdot = +z^2 at the witness (finite differences add noise)
         assert rep.counterexample.observed == pytest.approx(x[1] ** 2, rel=1e-6)
         # re-evaluating through the same route reproduces the record exactly
-        from approxred.numdiff import gradient
+        from approxred.numdiff import jacobian
 
-        vd = float(gradient(self.certificate().V.fn, x) @ fiber_field(+1.0).rhs(x))
+        vd = float(jacobian(self.certificate().V.fn, x, 1)[0] @ fiber_field(+1.0).rhs(x))
         assert vd == pytest.approx(rep.counterexample.observed, rel=1e-12)
 
     def test_hoop_energy_certificate(self):
