@@ -20,10 +20,16 @@ carry on. The right-hand side is probed once per run on the whole batch and
 evaluated row by row for that run if it does not return shape ``(N, n)``.
 
 Each accepted step is handed to a sink with its end states and derivatives.
-``integrate_field`` keeps them as the nodes of a batch of one;
-``integrate_on_grid`` evaluates the step's cubic Hermite interpolant straight
-onto a shared time grid, the same interpolant ``resample`` builds from stored
-nodes, so full trajectories are never stored.
+``integrate_field`` keeps them as the nodes of a batch of one.
+``integrate_on_grid`` and ``sup_distance_on_grid`` only append each step's
+end node to a buffer of at most ``_BUFFER_ROW_STEPS`` (row, step) entries.
+When it fills, and at the end of the run, the buffered steps of every row are
+evaluated at once on the stretch of a shared time grid they cover, at most
+``_GRID_CHUNK`` points at a time, and dropped, each row keeping its last node.
+The values are those of the cubic Hermite interpolant ``resample`` builds
+from stored nodes, bit for bit: same step assignment, same coefficients. So
+neither full trajectories nor more than a fixed number of steps are ever
+held, however long the horizon or fine the grid.
 
 Downstream tolerances: every comparison made on integrated trajectories adds
 slack of ten times the integrator tolerance, so the defaults (rtol = atol =
@@ -49,6 +55,10 @@ from .core import (
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-9
 DEFAULT_MAX_STEPS = 10_000_000
+# (row, step) nodes a grid sink buffers before it evaluates them
+_BUFFER_ROW_STEPS = 2048
+# grid points a flush evaluates at once
+_GRID_CHUNK = 2048
 
 # Dormand-Prince 5(4): stage nodes, stage matrix, fifth-order weights and
 # error weights (the last one multiplies the derivative at the step's end)
@@ -315,52 +325,118 @@ class _Nodes:
         )
 
 
-class _OnGrid:
-    """Sink evaluating each accepted step's cubic Hermite on the grid times it
-    covers, [t0, t1) and the horizon itself, for the leading ``keep``
-    coordinates. It stores the values, or with a ``target`` of the same
-    shape keeps only each row's largest Euclidean distance to it."""
+class _GridSink:
+    """Sink evaluating a batch's runs on a shared ``grid``, increasing within
+    [0, t_end], for the leading ``keep`` coordinates.
 
-    def __init__(self, grid, n_rows: int, keep: int, t_end: float, target=None):
-        inside = grid.ndim == 1 and 0 <= grid[0] and grid[-1] <= t_end
-        if not (inside and np.all(np.diff(grid) > 0)):
-            raise InputError("the grid must be increasing within [0, t_end]")
+    Each accepted step only appends its end node (row, t1, y1, f1) to a
+    buffer. When the buffer would pass ``max(_BUFFER_ROW_STEPS, 2 N)``
+    entries, and once more at the end of the run, :meth:`flush` evaluates
+    each row's buffered nodes onto the stretch of the grid they cover and
+    drops them, keeping each row's last node. Without a ``target`` the values
+    fill ``out``, shape (N, len(grid), keep); with a ``target`` of that shape
+    ``out`` keeps each row's largest squared Euclidean distance to it.
+    """
+
+    def __init__(self, grid, X0, F0, keep: int, t_end: float, target=None):
+        n_rows = X0.shape[0]
         self.grid, self.keep, self.t_end, self.target = grid, keep, t_end, target
         if target is None:
             self.out = np.full((n_rows, grid.size, keep), np.nan)
-        else:
-            self.out = np.full(n_rows, -np.inf)
+        else:  # one row of target values per (row, grid time)
+            self.target = np.ascontiguousarray(target).reshape(-1, keep)
+            self.out = np.zeros(n_rows)
+        capacity = max(_BUFFER_ROW_STEPS, 2 * n_rows)
+        self.rows = np.empty(capacity, dtype=np.intp)
+        self.t = np.empty(capacity)
+        self.y = np.empty((keep, capacity))  # coordinates first: long inner loops
+        self.f = np.empty((keep, capacity))
+        self.size = 0
+        self(np.arange(n_rows), None, 0.0, None, X0, None, F0)
 
     def __call__(self, rows, t0, t1, y0, y1, f0, f1):
-        t0 = np.broadcast_to(t0, rows.shape)
-        t1 = np.broadcast_to(t1, rows.shape)
-        lo = np.searchsorted(self.grid, t0)
-        hi = np.where(t1 == self.t_end, self.grid.size, np.searchsorted(self.grid, t1))
-        counts = hi - lo
-        total = int(counts.sum())
-        if not total:
+        if self.size + rows.size > self.t.size:
+            self.flush()
+        a = self.size
+        b = self.size = a + rows.size
+        self.rows[a:b], self.t[a:b] = rows, t1
+        self.y[:, a:b], self.f[:, a:b] = y1[:, : self.keep].T, f1[:, : self.keep].T
+
+    def flush(self) -> None:
+        """Evaluate the buffered steps on the grid times they cover; keep only
+        each row's last node."""
+        if not self.size:
             return
-        r = np.repeat(np.arange(rows.size), counts)
-        g = np.arange(total) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        k = self.keep
-        t0r = t0[r][:, None]
-        values = _hermite(
-            self.grid[g][:, None] - t0r, t1[r][:, None] - t0r,
-            y0[r, :k], y1[r, :k], f0[r, :k], f1[r, :k],
-        )[0]
-        if self.target is None:
-            self.out[rows[r], g] = values
-        else:
-            gap = np.linalg.norm(self.target[rows[r], g] - values, axis=-1)
-            np.maximum.at(self.out, rows[r], gap)
+        order = np.argsort(self.rows[: self.size], kind="stable")
+        R, T = self.rows[order], self.t[order]  # by row, then time
+        Y, F = self.y[:, order], self.f[:, order]
+        last = np.append(R[1:] != R[:-1], True)  # a row's latest node
+        # the step from entry j to j + 1 holds the grid times in [T[j],
+        # T[j + 1]), and a row's last step the horizon too, as in resample;
+        # a step joining two rows holds none, so its cubic is never read
+        bounds = self.grid.searchsorted(T)
+        bounds[last & (T == self.t_end)] = self.grid.size
+        counts = np.diff(bounds)
+        counts[last[:-1]] = 0
+        ends = np.cumsum(counts)  # the grid points of all steps, numbered in turn
+        c3, c2 = _cubic(np.diff(T), Y[:, :-1], Y[:, 1:], F[:, :-1], F[:, 1:])
+        for p0 in range(0, int(ends[-1]) if ends.size else 0, _GRID_CHUNK):
+            p1 = min(p0 + _GRID_CHUNK, int(ends[-1]))
+            j0, j1 = ends.searchsorted([p0, p1 - 1], "right")
+            at = slice(j0, j1 + 1)  # the steps holding points p0 to p1
+            starts = ends[at] - counts[at]
+            n = np.minimum(ends[at], p1) - np.maximum(starts, p0)
+            g = np.arange(p0, p1) + (bounds[at] - starts).repeat(n)  # grid index
+            s = self.grid[g] - T[at].repeat(n)
+            v = c3[:, at].repeat(n, axis=1)  # valued in _hermite's order
+            v *= s
+            v += c2[:, at].repeat(n, axis=1)
+            v *= s
+            v += F[:, at].repeat(n, axis=1)
+            v *= s
+            v += Y[:, at].repeat(n, axis=1)
+            row = R[at].repeat(n)
+            # a row's points are contiguous here, and so are its grid times
+            cut = np.flatnonzero(row[1:] != row[:-1]) + 1
+            first = np.append(0, cut)
+            if self.target is None:
+                for a, b in zip(first.tolist(), np.append(cut, p1 - p0).tolist()):
+                    self.out[row[a], g[a] : g[a] + b - a] = v[:, a:b].T
+                continue
+            # squared distances summed as np.linalg.norm sums them, along
+            # the contiguous last axis
+            d = self.target[row * self.grid.size + g]
+            d -= v.T
+            d *= d
+            sq = np.add.reduce(d, axis=-1)
+            rows = row[first]
+            self.out[rows] = np.maximum(self.out[rows], np.maximum.reduceat(sq, first))
+        n_rows = int(last.sum())
+        self.rows[:n_rows], self.t[:n_rows] = R[last], T[last]
+        self.y[:, :n_rows], self.f[:, :n_rows] = Y[:, last], F[:, last]
+        self.size = n_rows
+
+    def result(self, errors) -> np.ndarray:
+        """The grid values, or each row's largest distance; NaN for each row
+        that failed."""
+        self.flush()
+        out = self.out if self.target is None else np.sqrt(self.out)
+        out[[e is not None for e in errors]] = np.nan
+        return out
+
+
+def _cubic(h, y0, y1, f0, f1):
+    """Coefficients c3, c2 of the cubic ``((c3 s + c2) s + f0) s + y0`` through
+    (0, y0) with slope f0 and (h, y1) with slope f1."""
+    slope = (y1 - y0) / h
+    c = (f0 + f1 - 2.0 * slope) / h
+    return c / h, (slope - f0) / h - c
 
 
 def _hermite(s, h, y0, y1, f0, f1):
     """Value and slope at offsets ``s`` of the cubic through (0, y0) with slope
     f0 and (h, y1) with slope f1."""
-    slope = (y1 - y0) / h
-    c = (f0 + f1 - 2.0 * slope) / h
-    c3, c2 = c / h, (slope - f0) / h - c
+    c3, c2 = _cubic(h, y0, y1, f0, f1)
     return ((c3 * s + c2) * s + f0) * s + y0, (3.0 * c3 * s + 2.0 * c2) * s + f0
 
 
@@ -394,8 +470,7 @@ def integrate_on_grid(
     default) of row i at each grid time, NaN if the row failed, and
     ``errors[i]`` is None or the :class:`NumericalError` that stopped it.
     """
-    grid = np.asarray(grid, dtype=float)
-    return _run_on_grid(f, X0, cfg, _OnGrid(grid, len(X0), keep or f.n, cfg.t_end))
+    return _run_on_grid(f, X0, cfg, grid, keep or f.n)
 
 
 def sup_distance_on_grid(
@@ -410,19 +485,22 @@ def sup_distance_on_grid(
     holds NaN.
     """
     target = np.asarray(target, dtype=float)
-    grid = np.asarray(grid, dtype=float)
-    return _run_on_grid(f, X0, cfg, _OnGrid(grid, len(X0), target.shape[-1], cfg.t_end, target))
+    return _run_on_grid(f, X0, cfg, grid, target.shape[-1], target)
 
 
-def _run_on_grid(f: VectorFieldDef, X0, cfg: IntegratorConfig, sink: _OnGrid):
+def _run_on_grid(f: VectorFieldDef, X0, cfg: IntegratorConfig, grid, keep: int, target=None):
     X0 = np.asarray(X0, dtype=float)
     if X0.ndim != 2 or X0.shape[1] != f.n:
         raise InputError(f"expected initial states of shape (N, {f.n}), got {X0.shape}")
+    grid = np.asarray(grid, dtype=float)
+    inside = grid.ndim == 1 and 0 <= grid[0] and grid[-1] <= cfg.t_end
+    if not (inside and np.all(np.diff(grid) > 0)):
+        raise InputError("the grid must be increasing within [0, t_end]")
     with _quiet():
         rhs, F0 = _batch_rhs(f, X0)
+        sink = _GridSink(grid, X0, F0, keep, cfg.t_end, target)
         errors = _solve(rhs, X0, F0, cfg, sink, f.name)
-    sink.out[[e is not None for e in errors]] = np.nan
-    return sink.out, errors
+        return sink.result(errors), errors
 
 
 def resample(traj: Trajectory, times) -> Trajectory:

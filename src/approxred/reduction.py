@@ -42,8 +42,10 @@ from .sampling import DEFAULT_SEED, sobol_blocks, sobol_points
 DEFAULT_TOL = 1e-6
 DEFAULT_GRID_POINTS = 2001
 MAX_GRID_POINTS = 100_000
-# initial conditions integrated together; bounds the grid arrays held at once
+# initial conditions integrated together, fewer where the full runs' grid
+# values of a block, (rows, n_grid, m) float64, would pass _STORE_BYTES
 BLOCK_ROWS = 128
+_STORE_BYTES = 8 << 20
 
 REDUCIBLE = "REDUCIBLE_UP_TO_TOL"
 NOT_REDUCIBLE = "NOT_REDUCIBLE"
@@ -281,11 +283,7 @@ def measure_deviation(
         full_proj = full_rs.states[:, : d.m]
         dev = np.linalg.norm(full_proj - red_rs.states, axis=1)
     if not np.all(np.isfinite(dev)):
-        bad = int(np.argmax(~np.isfinite(dev)))
-        raise NumericalError(
-            f"non-finite deviation at t={grid[bad]:.6g}: interpolating the "
-            f"steps of the runs over [0, {cfg.t_end:.6g}] overflowed"
-        )
+        raise _overflow(dev, grid, cfg.t_end)
     i_sup = int(np.argmax(dev))
     return DeviationReport(
         sup_dev=float(dev[i_sup]),
@@ -296,6 +294,16 @@ def measure_deviation(
         reduced_states=red_rs.states,
         x0=x0.copy(),
         horizon=cfg.t_end,
+    )
+
+
+def _overflow(dev: np.ndarray, grid: np.ndarray, t_end: float) -> NumericalError:
+    """The error for a deviation series on ``grid`` that is not finite
+    everywhere, though both runs are finite at their nodes."""
+    bad = int(np.argmax(~np.isfinite(dev)))
+    return NumericalError(
+        f"non-finite deviation at t={grid[bad]:.6g}: interpolating the "
+        f"steps of the runs over [0, {t_end:.6g}] overflowed"
     )
 
 
@@ -349,12 +357,20 @@ def estimate_delta(
     else:
         P = sobol_points(S.concat(S.project(d, "m")), n_ic, seed)
         X0, Y0 = P[:, : f.n], P[:, f.n :]
+    rows = max(1, min(BLOCK_ROWS, _STORE_BYTES // (8 * grid.size * d.m)))
     sups = []
-    for start in range(0, n_ic, BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
-        full = integrate_on_grid(f, X0[block], cfg, grid, keep=d.m)[0]
+    for start in range(0, n_ic, rows):
+        block = slice(start, start + rows)
+        full, full_errors = integrate_on_grid(f, X0[block], cfg, grid, keep=d.m)
         # NaN where either run failed, as a failed full run leaves NaN values
-        sups.append(sup_distance_on_grid(reduced, Y0[block], cfg, grid, full)[0])
+        block_sups, errors = sup_distance_on_grid(reduced, Y0[block], cfg, grid, full)
+        for j in np.flatnonzero(~np.isfinite(block_sups)):
+            if full_errors[j] is None and errors[j] is None:
+                # both runs reached the horizon: their interpolation overflowed
+                red = integrate_on_grid(reduced, Y0[start + j][None], cfg, grid)[0][0]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    raise _overflow(np.linalg.norm(full[j] - red, axis=1), grid, cfg.t_end)
+        sups.append(block_sups)
     sups = np.concatenate(sups)
     ok = ~np.isnan(sups)
     failures = n_ic - int(ok.sum())

@@ -73,34 +73,56 @@ def _validate_expr(tree: ast.AST, names: set[str], source: str) -> None:
             )
 
 
+def _parse(source: str, names: list[str]) -> ast.Expression:
+    try:
+        tree = ast.parse(source, mode="eval")
+    except SyntaxError as err:
+        raise InputError(f"cannot parse expression {source!r}: {err}") from err
+    _validate_expr(tree, set(names), source)
+    return tree
+
+
+def _is_complex(value) -> bool:
+    # complex arises only from ** on Python numbers and survives every later
+    # operation, so the result's type shows it (np.iscomplexobj costs 3x as
+    # much per call)
+    return isinstance(value, complex) or getattr(value, "dtype", _REAL).kind == "c"
+
+
+def _error(source: str, what: str) -> EvaluationError:
+    return EvaluationError(f"expression {source!r} {what}")
+
+
 def compile_expression(source: str, names: list[str]) -> Callable:
     """Compile one expression to a function of a name -> value environment.
 
     An arithmetic error (division by zero, float overflow) or a complex value
     raises ``EvaluationError`` naming the expression.
     """
-    try:
-        tree = ast.parse(source, mode="eval")
-    except SyntaxError as err:
-        raise InputError(f"cannot parse expression {source!r}: {err}") from err
-    _validate_expr(tree, set(names), source)
-    code = compile(tree, f"<rhs {source!r}>", "eval")
+    code = compile(_parse(source, names), f"<rhs {source!r}>", "eval")
 
     def fn(env: dict):
         try:
             value = eval(code, {"__builtins__": {}, **_ALLOWED_CALLS}, env)
         except ArithmeticError as err:
-            raise EvaluationError(
-                f"expression {source!r} failed with {type(err).__name__}"
-            ) from err
-        # complex arises only from ** on Python numbers and survives every
-        # later operation, so the result's type shows it (np.iscomplexobj
-        # costs 3x as much per call)
-        if isinstance(value, complex) or getattr(value, "dtype", _REAL).kind == "c":
-            raise EvaluationError(f"expression {source!r} has a complex value")
+            raise _error(source, f"failed with {type(err).__name__}") from err
+        if _is_complex(value):
+            raise _error(source, "has a complex value")
         return value
 
     return fn
+
+
+def _compile_system(sources: list[str], state: list[str], params: list[str]):
+    """One code object for all of a system's expressions: a ``lambda`` of the
+    state columns returning the tuple of their values, to ``eval`` with the
+    parameters, ``sin`` and ``cos`` as its globals. Its values are bit for
+    bit those of evaluating the expressions one by one."""
+    args = ast.arguments(posonlyargs=[], args=[ast.arg(name) for name in state],
+                         kwonlyargs=[], kw_defaults=[], defaults=[])
+    body = ast.Tuple([_parse(src, state + params).body for src in sources], ast.Load())
+    tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(args, body)))
+    return compile(tree, "<rhs>", "eval")
 
 
 def system_from_dict(doc: dict) -> tuple[SystemEntry, dict]:
@@ -133,6 +155,7 @@ def system_from_dict(doc: dict) -> tuple[SystemEntry, dict]:
         raise InputError(f"names used for both state and parameter: {sorted(clash)}")
     names = state + list(params)
     exprs = [compile_expression(src, names) for src in rhs_sources]
+    code = _compile_system(rhs_sources, state, list(params))
     x0 = doc.get("x0")
     if x0 is not None:
         x0 = np.asarray([float(v) for v in x0], dtype=float)
@@ -143,13 +166,28 @@ def system_from_dict(doc: dict) -> tuple[SystemEntry, dict]:
 
     def factory(resolved_params: dict) -> SystemEntry:
         pvals = dict(resolved_params)
+        columns = eval(code, {"__builtins__": {}, **_ALLOWED_CALLS, **pvals})
 
         def rhs(s):
             s = np.asarray(s, dtype=float)
-            env = {nm: s[..., i] for i, nm in enumerate(state)}
-            env.update(pvals)
-            cols = [np.broadcast_to(np.asarray(f(env), dtype=float), s[..., 0].shape) for f in exprs]
-            return np.stack(cols, axis=-1)
+            try:
+                values = columns(*[s[..., i] for i in range(n)])
+            except ArithmeticError:
+                # evaluate one by one to name the first expression that fails
+                env = {nm: s[..., i] for i, nm in enumerate(state)}
+                env.update(pvals)
+                for f in exprs:
+                    f(env)
+                raise
+            out = np.empty(s.shape)
+            for i, value in enumerate(values):
+                if _is_complex(value):  # never cast, which would drop it
+                    raise _error(rhs_sources[i], "has a complex value")
+                try:
+                    out[..., i] = value  # a constant fills the batch
+                except ArithmeticError as err:  # an integer beyond float range
+                    raise _error(rhs_sources[i], f"failed with {type(err).__name__}") from err
+            return out
 
         field = VectorFieldDef(n=n, rhs=rhs, params=pvals, name=name)
         return SystemEntry(

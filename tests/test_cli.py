@@ -859,6 +859,44 @@ class TestTinyHorizon:
         assert lines[0].startswith("approxred: numerical failure:")
         assert not out.exists()
 
+    def test_bound_names_the_overflow_as_compare_does(self):
+        # both runs reach the horizon, so no sampled pair failed to integrate
+        argv = ["--system", "ball-hoop", "--t-end", "1e-300", "--n-grid", "3"]
+        bound = run_in_subprocess(["bound", "--n-ic", "2", *argv], timeout=60)
+        compare = run_in_subprocess(["compare", *argv], timeout=60)
+        assert bound.returncode == compare.returncode == 2
+        assert "overflowed" in compare.stderr
+        assert bound.stderr == compare.stderr
+
+
+# runs the command given as arguments and prints its exit code and peak RSS
+PEAK_RSS_SCRIPT = (
+    "import os, subprocess, sys\n"
+    "proc = subprocess.Popen(sys.argv[1:])\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "proc.returncode = os.waitstatus_to_exitcode(status)\n"
+    "print(proc.returncode, usage.ru_maxrss)\n"
+)
+
+
+class TestGridMemory:
+    """bound holds at most a fixed byte budget of grid values, whatever --n-grid."""
+
+    def test_largest_grid_stays_small(self, tmp_path):
+        import sys
+
+        out = tmp_path / "bound.json"
+        argv = ["bound", "--system", "cart-pendulum", "--n-ic", "128", "--t-end", "1",
+                "--n-grid", "100000", "--out", str(out)]
+        # a small launcher reaps the command: a child's peak RSS counts the
+        # process it was forked from, here the launcher, not this test run
+        proc = run_in_subprocess([sys.executable, "-m", "approxred", *argv], script=PEAK_RSS_SCRIPT)
+        rc, peak_kib = map(int, proc.stdout.split())
+        assert rc == 0
+        assert peak_kib < 100 * 1024
+        # the estimate of one block holding all 128 rows, pinned
+        assert json.loads(out.read_text())["delta_hat"] == 1.7920085863618584
+
 
 @pytest.mark.filterwarnings("error")
 class TestNonFiniteBoxes:

@@ -1,8 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from approxred.core import Box, Decomposition, VectorFieldDef
-from approxred.integrate import IntegratorConfig
+from approxred import integrate, reduction
+from approxred.cli import to_jsonable
+from approxred.core import (
+    Box,
+    Decomposition,
+    DivergenceError,
+    StepBudgetError,
+    VectorFieldDef,
+)
+from approxred.integrate import IntegratorConfig, integrate_field, resample
 from approxred.numdiff import jacobian
 from approxred.reduction import (
     NOT_REDUCIBLE,
@@ -16,6 +26,7 @@ from approxred.reduction import (
 )
 from approxred.sampling import sobol_points
 from approxred.systems import lookup
+from approxred.user_systems import system_from_dict
 
 from reference_values import (
     HOOP_DELTA_R10,
@@ -370,3 +381,142 @@ class TestBatchedEstimate:
         expected = int((sobol_points(box, 16)[:, 0] > 1 / 5.0).sum())  # before t = 5
         est = estimate_delta(f, d, box, 16, IntegratorConfig(t_end=5.0))
         assert 0 < est.failures == expected < 16
+
+
+def half_blowup() -> VectorFieldDef:
+    def rhs(s):
+        s = np.asarray(s, dtype=float)
+        y, z = s[..., 0], s[..., 1]
+        # full and reduced runs both blow up at t = 1 / y0 when y0 > 0
+        return np.stack([y**2 * (y > 0), -z], axis=-1)
+
+    return VectorFieldDef(n=2, rhs=rhs, name="half-blowup")
+
+
+def chain_entry(m: int):
+    """A user system with m retained states, each driven by the next, and
+    one fiber state driven by the first."""
+    names = [f"y{i}" for i in range(m)] + ["z"]
+    rhs = [f"-a*{names[i]} + 0.3*sin({names[i + 1]})" for i in range(m)]
+    rhs.append("-z + 0.5*cos(y0)")
+    doc = {"name": f"chain-{m}", "state": names, "m": m, "params": {"a": 0.7}, "rhs": rhs}
+    return system_from_dict(doc)[0]
+
+
+def estimate_cases():
+    """(field, decomposition, box, reduced, n_ic) per system of the oracle test."""
+    cases = {}
+    for name in ("ball-hoop", "cart-pendulum"):
+        e = lookup(name, {})
+        cases[name] = (e.field, e.decomp, Box(e.default_ic - 0.3, e.default_ic + 0.3),
+                       e.reduced_override, 9)
+    for m in (2, 8, 9):  # up to and past numpy's eight-term unrolled sum
+        e = chain_entry(m)
+        cases[e.name] = (e.field, e.decomp, Box.from_pairs([(-1.0, 1.0)] * (m + 1)), None, 5)
+    cases["half-blowup"] = (half_blowup(), Decomposition(n=2, m=1, k=1),
+                            Box.from_pairs([(-2, 2), (-1, 1)]), None, 12)
+    return cases
+
+
+CASES = estimate_cases()
+METHODS = {"rk45": IntegratorConfig(t_end=3.0),
+           "rk4": IntegratorConfig(t_end=3.0, method="rk4", dt=0.01)}
+
+
+def oracle_delta(f, d, S, n_ic, cfg, pair_mode, reduced, n_grid=201):
+    """delta_hat and failures from one integrate_field + resample + norm per
+    sampled pair, the way compare measures one pair."""
+    grid = np.linspace(0.0, cfg.t_end, n_grid)
+    reduced = reduced or construct_reduced(f, d)
+    if pair_mode == "projected":
+        X0 = sobol_points(S, n_ic)
+        Y0 = X0[:, : d.m]
+    else:
+        P = sobol_points(S.concat(S.project(d, "m")), n_ic)
+        X0, Y0 = P[:, : d.n], P[:, d.n :]
+    sups = []
+    for x0, y0 in zip(X0, Y0):
+        try:
+            full = resample(integrate_field(f, x0, cfg), grid).states[:, : d.m]
+            red = resample(integrate_field(reduced, y0, cfg), grid).states
+        except (DivergenceError, StepBudgetError):
+            continue
+        sups.append(np.linalg.norm(full - red, axis=1).max())
+    return max(sups), n_ic - len(sups)
+
+
+class TestEstimateMatchesPerPairOracle:
+    """bound's batched grid evaluation gives, bit for bit, the deviation that
+    integrating and resampling each pair on its own gives."""
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    @pytest.mark.parametrize("mode", ["projected", "cross"])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bit_identical(self, name, mode, method):
+        f, d, S, reduced, n_ic = CASES[name]
+        cfg = METHODS[method]
+        est = estimate_delta(f, d, S, n_ic, cfg, pair_mode=mode, reduced=reduced, n_grid=201)
+        best, failures = oracle_delta(f, d, S, n_ic, cfg, mode, reduced)
+        assert (est.delta_hat, est.failures) == (best, failures)
+        if name == "half-blowup":
+            assert 0 < failures < n_ic
+
+
+class TestBudgetInvariance:
+    """The buffer, chunk and block sizes never change a report."""
+
+    @pytest.mark.parametrize(
+        "module,constant,value",
+        [
+            (integrate, "_BUFFER_ROW_STEPS", 1),
+            (integrate, "_BUFFER_ROW_STEPS", 2**20),
+            (integrate, "_GRID_CHUNK", 7),
+            (reduction, "BLOCK_ROWS", 5),
+            (reduction, "_STORE_BYTES", 1),
+        ],
+        ids=lambda v: getattr(v, "__name__", str(v)),
+    )
+    @pytest.mark.parametrize("system", ["cart-pendulum", "half-blowup"])
+    def test_report_unchanged(self, system, module, constant, value, monkeypatch):
+        f, d, S, reduced, _ = CASES[system]
+
+        def reports():
+            return [
+                to_jsonable(estimate_delta(f, d, S, 12, cfg, pair_mode=mode, reduced=reduced))
+                for mode in ("projected", "cross")
+                for cfg in METHODS.values()
+            ]
+
+        default = reports()
+        monkeypatch.setattr(module, constant, value)
+        assert reports() == default
+
+
+class TestMemory:
+    def test_peak_does_not_grow_with_the_horizon(self, monkeypatch):
+        # undamped, so the step count grows with the horizon; a small buffer
+        # fills, and small chunks fill, at both horizons
+        monkeypatch.setattr(integrate, "_BUFFER_ROW_STEPS", 256)
+        monkeypatch.setattr(integrate, "_GRID_CHUNK", 64)
+        e = lookup("cart-pendulum", {"d": 0.0, "b": 0.0})
+        box = Box(e.default_ic - 0.3, e.default_ic + 0.3)
+
+        def peak(t_end):
+            tracemalloc.start()
+            try:
+                estimate_delta(e.field, e.decomp, box, 8, IntegratorConfig(t_end=t_end),
+                               reduced=e.reduced_override)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        steps = []
+        flush = integrate._GridSink.flush
+        monkeypatch.setattr(integrate._GridSink, "flush",
+                            lambda sink: steps.append(sink.size) or flush(sink))
+        short = peak(5.0)
+        assert len(steps) > 4  # the buffer filled on both sides
+        long = peak(50.0)
+        # rows and times, then the kept state and derivative columns
+        budget = 256 * (2 + 2 * e.decomp.m) * 8
+        assert abs(long - short) <= budget

@@ -145,3 +145,51 @@ class TestSystemFromConfig:
         path.write_text("{not json")
         with pytest.raises(InputError):
             load_system_config(path)
+
+
+class TestCompiledSystem:
+    """A config's rhs is one compiled function with the bits of evaluating
+    each expression on its own."""
+
+    DOC = {
+        "name": "mixed",
+        "state": ["y", "p", "q", "r"],
+        "m": 1,
+        "params": {"a": 0.7, "k": 2.0},
+        "rhs": ["-a*y + 0.3*sin(p)*cos(q)", "q**2 - y**0.5 + 1/3", "2.5",
+                "-k*p**3 + (1 + y)**-1.5 - r"],
+    }
+
+    def test_bit_identical_to_one_by_one(self):
+        entry, _ = system_from_dict(self.DOC)
+        names = self.DOC["state"] + list(self.DOC["params"])
+        exprs = [compile_expression(src, names) for src in self.DOC["rhs"]]
+        X = np.random.default_rng(3).uniform(0.1, 2.0, (50, 4))
+        for s in (X, X[7]):
+            env = {nm: s[..., i] for i, nm in enumerate(self.DOC["state"])}
+            env.update(self.DOC["params"])
+            cols = [np.broadcast_to(np.asarray(f(env), dtype=float), s[..., 0].shape)
+                    for f in exprs]
+            got = entry.field.rhs(s)
+            assert got.shape == s.shape
+            assert got.tobytes() == np.stack(cols, axis=-1).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "rhs,named",
+        [
+            (["-y", "10**400"], "10**400"),  # an integer beyond float range
+            (["-y", "(-8)**(1/3)"], "(-8)**(1/3)"),  # a complex constant, never cast
+            (["(-8)**(1/3) + y", "1/0"], "(-8)**(1/3) + y"),  # the first failure
+            (["-y", "z/(y - y)"], None),  # numpy division: inf, no error
+        ],
+    )
+    def test_failures_name_the_expression(self, rhs, named):
+        entry, _ = system_from_dict({"name": "bad", "state": ["y", "z"], "m": 1, "rhs": rhs})
+        for s in (np.array([0.5, 1.0]), np.array([[0.5, 1.0], [2.0, 3.0]])):
+            if named is None:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    assert np.isinf(entry.field.rhs(s)[..., 1]).all()
+                continue
+            with pytest.raises(EvaluationError, match=re.escape(repr(named))):
+                entry.field.rhs(s)
