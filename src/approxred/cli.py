@@ -45,6 +45,7 @@ from .reduction import (
     check_exact_reducible,
     estimate_delta,
     measure_deviation,
+    sweep_deviation,
 )
 from .sampling import DEFAULT_SEED
 from .stability import (
@@ -74,11 +75,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
-
-
-def fmt_float(x: float) -> str:
-    """Shortest decimal representation that round-trips a float64."""
-    return repr(float(x))
 
 
 def to_jsonable(obj):
@@ -168,8 +164,9 @@ def _emit(path: str | None, text: str) -> None:
 def _csv_document(meta: dict, header: list[str], rows) -> str:
     lines = _meta_lines(meta)
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(fmt_float(v) for v in row))
+    # Python floats, whose repr is the shortest decimal that round-trips
+    for row in np.asarray(rows, dtype=float).tolist():
+        lines.append(",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -370,29 +367,35 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if not args.values:
-        raise UsageError("--values must list at least one number")
     values = _parse_floats(args.values, "--values")
+    if not values:
+        raise UsageError("--values must list at least one number")
     cfg = _integrator_config(args)
-    rows = []
-    x0 = None
-    for value in values:
-        entry = _resolve_entry(args, {args.param: value})
-        if x0 is None:
-            x0 = _resolve_x0(args, entry)  # the ic stays fixed across rows
-        rep = measure_deviation(
-            entry.field,
-            entry.decomp,
-            x0,
-            cfg,
-            reduced=entry.reduced_override,
-            n_grid=args.n_grid,
-        )
-        rows.append((value, rep.sup_dev, rep.t_of_sup))
+    entries = [_resolve_entry(args, {args.param: values[0]})]
+    x0 = _resolve_x0(args, entries[0])  # the ic stays fixed across rows
+    failed = None  # the first value that does not resolve, raised in turn
+    for value in values[1:]:
+        try:
+            entries.append(_resolve_entry(args, {args.param: value}))
+        except (UsageError, InputError, ConstraintError, UnknownSystemError) as err:
+            failed = err
+            break
+    sweep = sweep_deviation(
+        [e.field for e in entries],
+        entries[0].decomp,
+        x0,
+        cfg,
+        reduced=[e.reduced_override for e in entries],
+        n_grid=args.n_grid,
+    )
+    # list() runs the sweep to its end, so that no error it raises is lost
+    rows = [(value, *dev) for value, dev in zip(values, list(sweep))]
+    if failed is not None:
+        raise failed
     rc = _run_config(
         "sweep",
         args,
-        entry,
+        entries[-1],
         x0,
         param=args.param,
         values=values,

@@ -16,8 +16,16 @@ therefore give nested estimates.
 A row stops with :class:`DivergenceError` when its state turns non-finite or
 its adaptive step falls below ten ulps of its time, and with
 :class:`StepBudgetError` after ``max_steps`` accepted steps; the other rows
-carry on. The right-hand side is probed once per run on the whole batch and
-evaluated row by row for that run if it does not return shape ``(N, n)``.
+carry on.
+
+A batch holds one field for every row, or one field per row (the values of a
+parameter sweep, say). Each evaluation of the right-hand side receives the
+indices of the rows still integrating along with their states, so that each
+row can be evaluated with its own field; the fields are autonomous, so no
+stage time is passed. One field for every row is probed once per run on the
+whole batch and evaluated row by row if it does not return shape ``(N, n)``.
+A lone row, and every row of a batch of fields, is evaluated on its 1-d
+state ``(n,)``, exactly as a run of that row alone is.
 
 Each accepted step is handed to a sink with its end states and derivatives.
 ``integrate_field`` keeps them as the nodes of a batch of one.
@@ -60,9 +68,8 @@ _BUFFER_ROW_STEPS = 2048
 # grid points a flush evaluates at once
 _GRID_CHUNK = 2048
 
-# Dormand-Prince 5(4): stage nodes, stage matrix, fifth-order weights and
-# error weights (the last one multiplies the derivative at the step's end)
-_DP_C_COL = np.array([[0.0], [1 / 5], [3 / 10], [4 / 5], [8 / 9], [1.0]])
+# Dormand-Prince 5(4): stage matrix, fifth-order weights and error weights
+# (the last one multiplies the derivative at the step's end)
 _DP_A = (
     (),
     (1 / 5,),
@@ -135,12 +142,12 @@ def _rms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(sq) / X.shape[1] ** 0.5
 
 
-def _initial_step(rhs, y, f, cfg: IntegratorConfig) -> np.ndarray:
+def _initial_step(rhs, rows, y, f, cfg: IntegratorConfig) -> np.ndarray:
     """Per-row first step size (Hairer, Norsett & Wanner, section II.4)."""
     scale = cfg.atol + np.abs(y) * cfg.rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), cfg.t_end)
-    d2 = _rms((rhs(h0, y + h0[:, None] * f) - f) / scale) / h0
+    d2 = _rms((rhs(rows, y + h0[:, None] * f) - f) / scale) / h0
     h1 = np.where(
         (d1 <= 1e-15) & (d2 <= 1e-15),
         np.maximum(1e-6, h0 * 1e-3),
@@ -173,10 +180,11 @@ class _Batch:
             if value is not None:
                 setattr(self, name, value[keep])
 
-    def errors(self, label: str, cfg: IntegratorConfig) -> list:
-        """One entry per row: None if it reached t_end, else what stopped it."""
+    def errors(self, labels: list, cfg: IntegratorConfig) -> list:
+        """One entry per row: None if it reached t_end, else what stopped it,
+        labelled with the row's entry of ``labels``."""
         out = []
-        for kind, t in zip(self.kind.tolist(), self.t_last.tolist()):
+        for kind, t, label in zip(self.kind.tolist(), self.t_last.tolist(), labels):
             if kind == _NONFINITE:
                 msg = f"{label}: state became non-finite after t={t:.6g}"
                 out.append(DivergenceError(msg, t))
@@ -205,9 +213,9 @@ def _rk4(rhs, b: _Batch, cfg: IntegratorConfig, sink) -> None:
         h = cfg.dt if i < n_full else remainder
         t_new = cfg.t_end if i == n_steps - 1 else t + h
         y, f = b.y, b.f
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * f)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
+        k2 = rhs(b.rows, y + 0.5 * h * f)
+        k3 = rhs(b.rows, y + 0.5 * h * k2)
+        k4 = rhs(b.rows, y + h * k3)
         y_new = y + (h / 6.0) * (f + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(y_new).all():
             ok = np.isfinite(y_new).all(axis=1)
@@ -216,13 +224,13 @@ def _rk4(rhs, b: _Batch, cfg: IntegratorConfig, sink) -> None:
             if not b.rows.size:
                 return
             y, f, y_new = b.y, b.f, y_new[ok]
-        f_new = rhs(t_new, y_new)
+        f_new = rhs(b.rows, y_new)
         sink(b.rows, t, t_new, y, y_new, f, f_new)
         t, b.y, b.f = t_new, y_new, f_new
 
 
 def _dopri5(rhs, b: _Batch, cfg: IntegratorConfig, sink) -> None:
-    b.h_abs = _initial_step(rhs, b.y, b.f, cfg)
+    b.h_abs = _initial_step(rhs, b.rows, b.y, b.f, cfg)
     b.rejected = np.zeros(b.rows.size, dtype=bool)
     b.steps = np.zeros(b.rows.size, dtype=np.int64)
     while b.rows.size:
@@ -238,12 +246,11 @@ def _dopri5(rhs, b: _Batch, cfg: IntegratorConfig, sink) -> None:
         t_new = np.minimum(t + b.h_abs, cfg.t_end)
         h = t_new - t
         hc = h[:, None]
-        stage_t = t + _DP_C_COL * h
         K = [f]
-        for s, a in enumerate(_DP_A[1:], start=1):
-            K.append(rhs(stage_t[s], y + _lincomb(a, K) * hc))
+        for a in _DP_A[1:]:
+            K.append(rhs(b.rows, y + _lincomb(a, K) * hc))
         y_new = y + hc * _lincomb(_DP_B, K)
-        f_new = rhs(t_new, y_new)
+        f_new = rhs(b.rows, y_new)
         K.append(f_new)
         scale = cfg.atol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rtol
         err = _rms(_lincomb(_DP_E, K) * hc / scale)
@@ -272,36 +279,59 @@ def _dopri5(rhs, b: _Batch, cfg: IntegratorConfig, sink) -> None:
             b.stop(done)
 
 
-def _solve(rhs, X0, F0, cfg: IntegratorConfig, sink, label: str) -> list:
+def _solve(rhs, X0, F0, cfg: IntegratorConfig, sink, labels: list) -> list:
     """Advance every row of X0 to cfg.t_end, handing each accepted step to
     ``sink(rows, t0, t1, y0, y1, f0, f1)``; return one entry per row, None or
-    the :class:`NumericalError` that stopped it."""
+    the :class:`NumericalError` that stopped it, labelled as ``labels``."""
     b = _Batch(X0, F0)
     b.stop(~(np.isfinite(X0).all(axis=1) & np.isfinite(F0).all(axis=1)), _NONFINITE)
     if b.rows.size:
         (_rk4 if cfg.method == "rk4" else _dopri5)(rhs, b, cfg, sink)
-    return b.errors(label, cfg)
+    return b.errors(labels, cfg)
 
 
-def _batch_rhs(f: VectorFieldDef, X0: np.ndarray):
-    """``f.rhs`` as a map of (N, n) batches for one run, and its value at X0.
+def _fields(f, X0: np.ndarray) -> list:
+    """One field per row of the initial states X0, from ``f``: a
+    :class:`VectorFieldDef` for every row, or a sequence of one per row."""
+    if isinstance(f, VectorFieldDef):
+        if X0.ndim != 2 or X0.shape[1] != f.n:
+            raise InputError(f"expected initial states of shape (N, {f.n}), got {X0.shape}")
+        return [f] * X0.shape[0]
+    fields = list(f)
+    if X0.ndim != 2 or len(fields) != X0.shape[0] or any(g.n != X0.shape[1] for g in fields):
+        raise InputError(
+            f"expected one initial state per field, got {len(fields)} fields "
+            f"and initial states of shape {X0.shape}"
+        )
+    return fields
 
-    The probe is the run's first evaluation: when ``f.rhs(X0)`` cannot take
-    a batch (see :func:`~approxred.core.try_batch`) or returns another shape
-    than X0, the run evaluates row by row instead. A lone row is always
-    passed as the 1-d state that right-hand sides are written for, which is
-    also the cheapest.
+
+def _batch_rhs(f, X0: np.ndarray):
+    """The right-hand side of a run as a map ``rhs(rows, Y)`` from the states
+    Y of the batch rows ``rows`` to their derivatives, and its value at X0.
+
+    ``f`` is one field for every row or a sequence of one field per row. One
+    field is probed with the whole batch, the run's first evaluation: when
+    ``f.rhs(X0)`` cannot take a batch (see :func:`~approxred.core.try_batch`)
+    or returns another shape than X0, the run evaluates row by row instead.
+    Row by row, as for a lone row and for a field per row, each row is passed
+    as the 1-d state that right-hand sides are written for, which is also
+    the cheapest.
     """
-    if X0.shape[0] == 1:
-        return (lambda _t, Y: np.asarray(f.rhs(Y[0]), dtype=float)[None, :]), f(X0[0])[None, :]
-    F0 = try_batch(lambda: np.asarray(f.rhs(X0), dtype=float))
-    if F0 is not None and F0.shape == X0.shape:
-        return (lambda _t, Y: np.asarray(f.rhs(Y), dtype=float)), F0
+    one = isinstance(f, VectorFieldDef)
+    if one and X0.shape[0] > 1:
+        F0 = try_batch(lambda: np.asarray(f.rhs(X0), dtype=float))
+        if F0 is not None and F0.shape == X0.shape:
+            return (lambda _rows, Y: np.asarray(f.rhs(Y), dtype=float)), F0
+    fields = [f] * X0.shape[0] if one else f
 
-    def rowwise(_t, Y):
-        return np.stack([f(y) for y in Y])
+    def rowwise(rows, Y):
+        out = np.empty(Y.shape)
+        for i, row in enumerate(rows.tolist()):
+            out[i] = fields[row].rhs(Y[i])
+        return out
 
-    return rowwise, rowwise(0.0, X0)
+    return rowwise, np.stack([g(x) for g, x in zip(fields, X0)])
 
 
 class _Nodes:
@@ -454,27 +484,29 @@ def integrate_field(f: VectorFieldDef, x0, cfg: IntegratorConfig) -> Trajectory:
     with _quiet():
         rhs, F0 = _batch_rhs(f, X0)
         nodes = _Nodes(X0, F0)
-        error = _solve(rhs, X0, F0, cfg, nodes, f.name)[0]
+        error = _solve(rhs, X0, F0, cfg, nodes, [f.name])[0]
     if error is not None:
         raise error
     return nodes.trajectory()
 
 
 def integrate_on_grid(
-    f: VectorFieldDef, X0, cfg: IntegratorConfig, grid, keep: int | None = None
+    f, X0, cfg: IntegratorConfig, grid, keep: int | None = None
 ) -> tuple[np.ndarray, list]:
     """Integrate every row of X0 and evaluate it on ``grid``.
 
-    ``grid`` is increasing within [0, cfg.t_end]. Returns ``(values,
-    errors)``: ``values[i]`` holds the leading ``keep`` coordinates (all by
-    default) of row i at each grid time, NaN if the row failed, and
-    ``errors[i]`` is None or the :class:`NumericalError` that stopped it.
+    ``f`` is one :class:`VectorFieldDef` for every row, or a sequence of one
+    field per row, each evaluated on its row's lone state. ``grid`` is
+    increasing within [0, cfg.t_end]. Returns ``(values, errors)``:
+    ``values[i]`` holds the leading ``keep`` coordinates (all by default) of
+    row i at each grid time, NaN if the row failed, and ``errors[i]`` is None
+    or the :class:`NumericalError` that stopped it.
     """
-    return _run_on_grid(f, X0, cfg, grid, keep or f.n)
+    return _run_on_grid(f, X0, cfg, grid, keep)
 
 
 def sup_distance_on_grid(
-    f: VectorFieldDef, X0, cfg: IntegratorConfig, grid, target
+    f, X0, cfg: IntegratorConfig, grid, target
 ) -> tuple[np.ndarray, list]:
     """Largest Euclidean distance over ``grid`` from each row's run to its
     row of ``target``, shape (N, len(grid), k) for the leading k coordinates.
@@ -488,18 +520,17 @@ def sup_distance_on_grid(
     return _run_on_grid(f, X0, cfg, grid, target.shape[-1], target)
 
 
-def _run_on_grid(f: VectorFieldDef, X0, cfg: IntegratorConfig, grid, keep: int, target=None):
+def _run_on_grid(f, X0, cfg: IntegratorConfig, grid, keep: int | None, target=None):
     X0 = np.asarray(X0, dtype=float)
-    if X0.ndim != 2 or X0.shape[1] != f.n:
-        raise InputError(f"expected initial states of shape (N, {f.n}), got {X0.shape}")
+    labels = [g.name for g in _fields(f, X0)]
     grid = np.asarray(grid, dtype=float)
     inside = grid.ndim == 1 and 0 <= grid[0] and grid[-1] <= cfg.t_end
     if not (inside and np.all(np.diff(grid) > 0)):
         raise InputError("the grid must be increasing within [0, t_end]")
     with _quiet():
         rhs, F0 = _batch_rhs(f, X0)
-        sink = _GridSink(grid, X0, F0, keep, cfg.t_end, target)
-        errors = _solve(rhs, X0, F0, cfg, sink, f.name)
+        sink = _GridSink(grid, X0, F0, keep or X0.shape[1], cfg.t_end, target)
+        errors = _solve(rhs, X0, F0, cfg, sink, labels)
         return sink.result(errors), errors
 
 

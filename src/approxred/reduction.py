@@ -3,8 +3,8 @@
 ``construct_reduced`` builds the reduced field by freezing the fiber block at
 zero and projecting the velocity onto the retained block. ``check_phi_related``
 and ``check_exact_reducible`` decide (by sampling) whether a reduction is
-exact; ``measure_deviation`` and ``estimate_delta`` quantify how far an
-inexact reduction drifts from the projected full dynamics.
+exact; ``measure_deviation``, ``sweep_deviation`` and ``estimate_delta``
+quantify how far an inexact reduction drifts from the projected full dynamics.
 
 All verdicts here are sampling based: a REDUCIBLE_UP_TO_TOL verdict is
 evidence on the sampled box, not a proof, and every negative verdict carries a
@@ -42,8 +42,9 @@ from .sampling import DEFAULT_SEED, sobol_blocks, sobol_points
 DEFAULT_TOL = 1e-6
 DEFAULT_GRID_POINTS = 2001
 MAX_GRID_POINTS = 100_000
-# initial conditions integrated together, fewer where the full runs' grid
-# values of a block, (rows, n_grid, m) float64, would pass _STORE_BYTES
+# initial conditions (or swept fields) integrated together, fewer where the
+# grid values a block holds, (rows, n_grid, m) float64 for the full runs and
+# for a sweep's reduced runs as well, would pass _STORE_BYTES
 BLOCK_ROWS = 128
 _STORE_BYTES = 8 << 20
 
@@ -271,7 +272,7 @@ def measure_deviation(
         try:
             return integrate_field(fld, ic, cfg)
         except (DivergenceError, StepBudgetError) as err:
-            raise type(err)(f"{which} system: {err}", err.t_last) from err
+            raise _labeled(which, err) from err
 
     full_traj = labeled("full", f, x0)
     red_traj = labeled("reduced", reduced, y0)
@@ -295,6 +296,66 @@ def measure_deviation(
         x0=x0.copy(),
         horizon=cfg.t_end,
     )
+
+
+def sweep_deviation(
+    fields: list,
+    d: Decomposition,
+    x0,
+    cfg: IntegratorConfig,
+    reduced: list | None = None,
+    n_grid: int = DEFAULT_GRID_POINTS,
+):
+    """Yield ``(sup_dev, t_of_sup)`` for each field of ``fields`` in turn,
+    those of :func:`measure_deviation` from the same ``x0``, bit for bit.
+
+    ``reduced`` lists each field's reduced field, or None for the slice
+    construction. The full runs of a block of fields are integrated as one
+    batch, and so are their reduced runs, each field on its lone state, and
+    evaluated on the grid with the values ``resample`` gives; the grid
+    values a block holds stay within ``_STORE_BYTES``. When a run, an
+    evaluation or the interpolation fails, the first field that fails raises
+    the error :func:`measure_deviation` would raise for it, once the fields
+    before it are yielded.
+    """
+    grid = _grid(cfg.t_end, n_grid)
+    reduced = [
+        construct_reduced(f, d) if r is None else r
+        for f, r in zip(fields, reduced or [None] * len(fields))
+    ]
+    x0 = np.asarray(x0, dtype=float)
+    y0 = project(x0, d, "m")
+    rows = max(1, min(BLOCK_ROWS, _STORE_BYTES // (16 * grid.size * d.m)))
+    for start in range(0, len(fields), rows):
+        block = slice(start, start + rows)
+        count = len(fields[block])
+        try:
+            full, full_errors = integrate_on_grid(
+                fields[block], np.tile(x0, (count, 1)), cfg, grid, keep=d.m
+            )
+            red, red_errors = integrate_on_grid(reduced[block], np.tile(y0, (count, 1)), cfg, grid)
+        except Exception:
+            # an evaluation raised, perhaps for a later field than the first
+            # one that fails: the block field by field raises as a loop would
+            for f, r in zip(fields[block], reduced[block]):
+                rep = measure_deviation(f, d, x0, cfg, r, n_grid)
+                yield rep.sup_dev, rep.t_of_sup
+            raise
+        for j in range(count):
+            for which, err in (("full", full_errors[j]), ("reduced", red_errors[j])):
+                if err is not None:
+                    raise _labeled(which, err) from err
+            with np.errstate(over="ignore", invalid="ignore"):
+                dev = np.linalg.norm(full[j] - red[j], axis=1)
+            if not np.all(np.isfinite(dev)):
+                raise _overflow(dev, grid, cfg.t_end)
+            i_sup = int(np.argmax(dev))
+            yield float(dev[i_sup]), float(grid[i_sup])
+
+
+def _labeled(which: str, err: NumericalError) -> NumericalError:
+    """An integration failure of the ``which`` ("full" or "reduced") run."""
+    return type(err)(f"{which} system: {err}", err.t_last)
 
 
 def _overflow(dev: np.ndarray, grid: np.ndarray, t_end: float) -> NumericalError:

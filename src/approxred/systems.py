@@ -95,9 +95,18 @@ CART_PENDULUM_DEFAULTS = {
 
 
 def _columns(*cols) -> np.ndarray:
-    """``np.stack(cols, axis=-1)`` for equal-shape columns, without the
-    overhead that dominates a single-state evaluation."""
-    out = np.empty(np.shape(cols[0]) + (len(cols),))
+    """``np.stack(cols, axis=-1)`` for equal-shape columns, without its overhead.
+
+    The bundled fields unpack a lone state, shape (n,), into numpy float64
+    scalars, which skip the per-call overhead of 0-d arrays, and get one
+    array of them back; a batch, shape (N, n), gives array columns. They
+    write squares as ``x * x``: numpy's scalar ``**`` calls ``pow`` where an
+    array's ``**`` multiplies, so ``x**2`` could differ in the last bit
+    between a lone state and the same state in a batch.
+    """
+    if not isinstance(cols[0], np.ndarray):
+        return np.array(cols)
+    out = np.empty(cols[0].shape + (len(cols),))
     for j, col in enumerate(cols):
         out[..., j] = col
     return out
@@ -124,8 +133,9 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
 
     def rhs(s):
         s = np.asarray(s, dtype=float)
-        w, th = s[..., 0], s[..., 1]
-        dw = -(mu / m) * w + xi2 * np.sin(th) * np.cos(th) - (g / R) * np.sin(th)
+        w, th = s if s.ndim == 1 else (s[..., 0], s[..., 1])
+        sin = np.sin(th)
+        dw = -(mu / m) * w + xi2 * sin * np.cos(th) - (g / R) * sin
         return _columns(dw, w)
 
     field = VectorFieldDef(n=2, rhs=rhs, params=p, name="ball-hoop")
@@ -144,8 +154,9 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
     def lyap_grad(s):
         s = np.asarray(s, dtype=float)
         w, th = s[..., 0], s[..., 1]
+        sin = np.sin(th)
         gw = m * R**2 * w
-        gth = m * g * R * np.sin(th) - m * R**2 * xi2 * np.sin(th) * np.cos(th)
+        gth = m * g * R * sin - m * R**2 * xi2 * sin * np.cos(th)
         return np.stack([gw, gth], axis=-1)
 
     lyapunov = ScalarFunctionDef(arity="state", fn=lyap, grad=lyap_grad, name="V")
@@ -154,7 +165,8 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
         """Fiber-to-retained coupling term as a function of the angle input."""
         u = np.asarray(u, dtype=float)
         th = u[..., 0]
-        return xi2 * np.sin(th) * np.cos(th) - (g / R) * np.sin(th)
+        sin = np.sin(th)
+        return xi2 * sin * np.cos(th) - (g / R) * sin
 
     def control_rhs(s, u):
         s = np.asarray(s, dtype=float)
@@ -300,12 +312,12 @@ def make_cart_pendulum(params: dict) -> SystemEntry:
 
     def rhs(s):
         s = np.asarray(s, dtype=float)
-        x, v, th, w = s[..., 0], s[..., 1], s[..., 2], s[..., 3]
+        x, v, th, w = s if s.ndim == 1 else (s[..., 0], s[..., 1], s[..., 2], s[..., 3])
         sin, cos = np.sin(th), np.cos(th)
-        den = M + m * sin**2
-        dv = (m * R * w**2 * sin + m * g * sin * cos - k * x - d * v + (b / R) * cos) / den
+        den = M + m * (sin * sin)
+        dv = (m * R * (w * w) * sin + m * g * sin * cos - k * x - d * v + (b / R) * cos) / den
         dw = (
-            -m * R * w**2 * sin * cos
+            -m * R * (w * w) * sin * cos
             - (m + M) * g * sin
             + k * x * cos
             + d * v * cos
@@ -324,7 +336,7 @@ def make_cart_pendulum(params: dict) -> SystemEntry:
     # many states are evaluated together
     def reduced_rhs(y):
         y = np.asarray(y, dtype=float)
-        x, v = y[..., 0], y[..., 1]
+        x, v = y if y.ndim == 1 else (y[..., 0], y[..., 1])
         return _columns(v, (-k / M) * x + (-d / M) * v)
 
     reduced = VectorFieldDef(

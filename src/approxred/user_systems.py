@@ -15,9 +15,10 @@ A config file is a single JSON document describing one system:
 retained dimension, ``params`` maps parameter names to default values, and
 ``rhs`` gives one expression per coordinate in a small arithmetic language:
 literals, state and parameter names, ``+ - * /``, unary minus, ``**`` powers,
-and the functions ``sin`` and ``cos``. Expressions are evaluated in IEEE
-double precision with Python's standard precedence and left-to-right
-association. ``x0`` optionally sets the default initial condition.
+and the functions ``sin`` and ``cos``. No name may be used twice, nor be
+``sin`` or ``cos``. Expressions are evaluated in IEEE double precision with
+Python's standard precedence and left-to-right association. ``x0``
+optionally sets the default initial condition.
 """
 
 from __future__ import annotations
@@ -153,6 +154,9 @@ def system_from_dict(doc: dict) -> tuple[SystemEntry, dict]:
     clash = set(state) & set(params)
     if clash:
         raise InputError(f"names used for both state and parameter: {sorted(clash)}")
+    clash = (set(state) | set(params)) & set(_ALLOWED_CALLS)
+    if clash:
+        raise InputError(f"names used for both a variable and a function: {sorted(clash)}")
     names = state + list(params)
     exprs = [compile_expression(src, names) for src in rhs_sources]
     code = _compile_system(rhs_sources, state, list(params))

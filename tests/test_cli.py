@@ -231,6 +231,98 @@ class TestSweep:
         )
         assert rc == 1
 
+    def test_values_without_a_number(self, capsys):
+        rc = main(["sweep", "--system", "ball-hoop", "--param", "R", "--values", ","])
+        assert_clean_usage_error(rc, capsys, "--values must list at least one number")
+
+
+# a user system whose full run fails at its first step for p = 3 (a growth
+# rate p**600 near 1e286; below 1e-180 for p <= 0.5), whose reduced run
+# fails so for q = 3 (z stays 1, the reduced run sees z = 0), and whose
+# expression divides by zero at p = 5
+SWEEPABLE = {
+    "name": "sweepable",
+    "state": ["y", "z"],
+    "m": 1,
+    "params": {"p": 0.5, "q": 0.5},
+    "rhs": ["y*z*p**300*p**300 + y*(1 - z)*q**300*q**300 - y + 0.5*z*y*y + 0*(1/(p - 5))",
+            "0*z"],
+    "x0": [1.0, 1.0],
+}
+
+# (system arguments, swept parameter, three good values, a bad value): the
+# bad value fails to resolve, or a run or an evaluation fails
+SWEEP_FAILURES = {
+    "hoop-resolution": (["--system", "ball-hoop"], "mu", ["0.5", "1", "2"], "-1"),
+    "hoop-rk4-divergence": (["--system", "ball-hoop", "--method", "rk4", "--dt", "0.05"],
+                            "mu", ["0.5", "1", "2"], "1000"),
+    "cart-resolution": (["--system", "cart-pendulum"], "d", ["0.01", "0.1", "1"], "-1"),
+    "user-full": (["--config", "SWEEPABLE"], "p", ["0.1", "0.2", "0.3"], "3"),
+    "user-reduced": (["--config", "SWEEPABLE"], "q", ["0.1", "0.2", "0.3"], "3"),
+    "user-evaluation": (["--config", "SWEEPABLE"], "p", ["0.1", "0.2", "0.3"], "5"),
+}
+
+
+def sweep_and_loop(argv, param, values, tmp_path, capsys):
+    """sweep's (exit code, stderr, rows), and the same from one compare per
+    value in turn, as a loop over the values gives them."""
+    argv = [str(tmp_path / "sweepable.json") if a == "SWEEPABLE" else a for a in argv]
+    (tmp_path / "sweepable.json").write_text(json.dumps(SWEEPABLE))
+    common = [*argv, "--t-end", "3", "--n-grid", "301", "--format", "json"]
+    out = tmp_path / "sweep.json"
+    rc = main(["sweep", *common, "--param", param, "--values=" + ",".join(values),
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    rows = json.loads(out.read_text())["rows"] if rc == 0 else None
+    assert rc == 0 or not out.exists()
+    swept = (rc, err, rows)
+    rows = []
+    for value in values:
+        one = tmp_path / "compare.json"
+        rc = main(["compare", *common, "--set", f"{param}={value}", "--out", str(one)])
+        err = capsys.readouterr().err
+        if rc != 0:
+            return swept, (rc, err, None)
+        summary = json.loads(one.read_text())["summary"]
+        rows.append({"param_value": float(value), **summary})
+    return swept, (0, "", rows)
+
+
+class TestSweepMatchesPerValueCompare:
+    """sweep writes the rows, or the error and exit code, of one compare per
+    value in turn: the first value whose resolution, full run, reduced run
+    or interpolation fails decides."""
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("case", sorted(SWEEP_FAILURES))
+    def test_a_failing_value_at_each_position(self, case, position, tmp_path, capsys):
+        argv, param, values, bad = SWEEP_FAILURES[case]
+        values = values[:position] + [bad] + values[position:]
+        swept, loop = sweep_and_loop(argv, param, values, tmp_path, capsys)
+        assert swept == loop
+        assert swept[0] == (1 if case.endswith("resolution") else 2)
+
+    @pytest.mark.parametrize("method", [[], ["--method", "rk4", "--dt", "0.01"]], ids=["rk45", "rk4"])
+    @pytest.mark.parametrize("case", ["hoop-resolution", "cart-resolution", "user-full"])
+    def test_rows_bit_identical(self, case, method, tmp_path, capsys):
+        argv, param, values, _ = SWEEP_FAILURES[case]
+        swept, loop = sweep_and_loop([*argv, *method], param, values, tmp_path, capsys)
+        assert swept == loop and swept[0] == 0
+
+    @pytest.mark.parametrize(
+        "values,code",
+        [(["0.5", "-1", "1000"], 1), (["0.5", "1000", "-1"], 2)],
+    )
+    def test_the_earlier_of_two_failures_decides(self, values, code, tmp_path, capsys):
+        argv, param, _, _ = SWEEP_FAILURES["hoop-rk4-divergence"]
+        swept, loop = sweep_and_loop(argv, param, values, tmp_path, capsys)
+        assert swept == loop and swept[0] == code
+
+    @pytest.mark.parametrize("values", [["0.1", "5", "3"], ["0.1", "3", "5"]])
+    def test_a_raising_evaluation_keeps_its_turn(self, values, tmp_path, capsys):
+        swept, loop = sweep_and_loop(["--config", "SWEEPABLE"], "p", values, tmp_path, capsys)
+        assert swept == loop and swept[0] == 2
+
 
 class TestCheckExact:
     def test_hoop_negative_verdict_with_witness(self, tmp_path):
@@ -658,6 +750,25 @@ class TestNegativeSeed:
     def test_seed_environment_variable(self, argv, monkeypatch, capsys):
         monkeypatch.setenv("APPROXRED_SEED", "-3")
         assert_clean_usage_error(main(argv), capsys, "non-negative", "got -3")
+
+
+class TestFunctionNamesInConfigs:
+    """A state or parameter named sin or cos exits 1 naming the clash, never
+    with a traceback from calling a number."""
+
+    @pytest.mark.parametrize(
+        "state,params",
+        [(["y", "z"], {"sin": 2.0}), (["y", "cos"], {})],
+        ids=["parameter-sin", "state-cos"],
+    )
+    def test_exit_1(self, state, params, tmp_path, capsys):
+        doc = {"name": "shadow", "state": state, "m": 1, "params": params,
+               "rhs": [f"-y + sin({state[1]})", f"-{state[1]} + cos(y)"]}
+        path = tmp_path / "shadow.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["simulate", "--config", str(path), "--t-end", "1"])
+        clash = sorted({*state, *params} & {"sin", "cos"})
+        assert_clean_usage_error(rc, capsys, f"variable and a function: {clash}")
 
 
 @pytest.mark.filterwarnings("error")

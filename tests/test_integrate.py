@@ -230,6 +230,34 @@ class TestRowIndependence:
         assert resample(nodes, grid).states.tobytes() == direct.tobytes()
 
 
+class TestFieldPerRow:
+    """A batch with one field per row gives each row the grid values and
+    error of that field's run alone, evaluating it on lone states only."""
+
+    @pytest.mark.parametrize("method", ["rk45", "rk4"])
+    def test_each_row_as_its_field_alone(self, method):
+        cfg = IntegratorConfig(t_end=3.0, method=method, dt=0.01 if method == "rk4" else None)
+        grid = np.linspace(0.0, 3.0, 301)
+        fields = [lookup("ball-hoop", {"R": R}).field for R in (5.0, 10.0, 40.0)]
+        blowup = VectorFieldDef(n=2, rhs=lambda s: 4.0 * np.asarray(s) ** 2, name="blowup")
+        fields.insert(1, blowup)  # blows up at t = 0.5 from the state below
+        counted = [_counted(f) for f in fields]
+        X0 = np.tile([0.5, 0.3], (4, 1))
+        values, errors = integrate_on_grid([f for f, _ in counted], X0, cfg, grid, keep=1)
+        assert all(ndims and set(ndims) == {1} for _, ndims in counted)
+        assert isinstance(errors[1], DivergenceError) and np.all(np.isnan(values[1]))
+        for i, f in enumerate(fields):
+            solo, solo_errors = integrate_on_grid(f, X0[i : i + 1], cfg, grid, keep=1)
+            assert str(solo_errors[0]) == str(errors[i])
+            assert solo[0].tobytes() == values[i].tobytes()
+
+    def test_one_field_per_row_required(self):
+        field = lookup("ball-hoop", {}).field
+        grid = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(InputError, match="one initial state per field"):
+            integrate_on_grid([field] * 2, np.zeros((3, 2)), IntegratorConfig(t_end=1.0), grid)
+
+
 def _counted(field):
     """``field`` whose rhs counts its calls; returns (field, counter)."""
     calls = []

@@ -9,6 +9,7 @@ from approxred.core import (
     Box,
     Decomposition,
     DivergenceError,
+    EvaluationError,
     StepBudgetError,
     VectorFieldDef,
 )
@@ -23,6 +24,7 @@ from approxred.reduction import (
     construct_reduced,
     estimate_delta,
     measure_deviation,
+    sweep_deviation,
 )
 from approxred.sampling import sobol_points
 from approxred.systems import lookup
@@ -393,14 +395,19 @@ def half_blowup() -> VectorFieldDef:
     return VectorFieldDef(n=2, rhs=rhs, name="half-blowup")
 
 
-def chain_entry(m: int):
-    """A user system with m retained states, each driven by the next, and
-    one fiber state driven by the first."""
+def chain_registry(m: int):
+    """The factory and default parameters of a user system with m retained
+    states, each driven by the next, and one fiber state driven by the first."""
     names = [f"y{i}" for i in range(m)] + ["z"]
     rhs = [f"-a*{names[i]} + 0.3*sin({names[i + 1]})" for i in range(m)]
     rhs.append("-z + 0.5*cos(y0)")
     doc = {"name": f"chain-{m}", "state": names, "m": m, "params": {"a": 0.7}, "rhs": rhs}
-    return system_from_dict(doc)[0]
+    return system_from_dict(doc)[1][doc["name"]]
+
+
+def chain_entry(m: int):
+    factory, defaults = chain_registry(m)
+    return factory(defaults)
 
 
 def estimate_cases():
@@ -520,3 +527,150 @@ class TestMemory:
         # rows and times, then the kept state and derivative columns
         budget = 256 * (2 + 2 * e.decomp.m) * 8
         assert abs(long - short) <= budget
+
+
+def outcome(items):
+    """The items an iterable yields, and the type and message of the error
+    that stopped it, if any."""
+    out = []
+    try:
+        for item in items:
+            out.append(item)
+    except Exception as err:
+        return out, (type(err), str(err))
+    return out, None
+
+
+def oracle_runs(f, d, x0, cfg, reduced, grid):
+    """The projected full run and the reduced run on ``grid``, each from one
+    integrate_field + resample, failures labelled as measure_deviation
+    labels them."""
+    runs = []
+    for which, field, ic in (("full", f, x0), ("reduced", reduced, x0[: d.m])):
+        try:
+            runs.append(resample(integrate_field(field, ic, cfg), grid).states[:, : d.m])
+        except (DivergenceError, StepBudgetError) as err:
+            raise type(err)(f"{which} system: {err}", err.t_last) from err
+    return runs
+
+
+def loop_sweep(fields, d, x0, cfg, reduced, n_grid):
+    """The sweep as one oracle_runs and one norm per field, in turn."""
+    grid = np.linspace(0.0, cfg.t_end, n_grid)
+    for f, r in zip(fields, reduced):
+        full, red = oracle_runs(f, d, x0, cfg, r or construct_reduced(f, d), grid)
+        dev = np.linalg.norm(full - red, axis=1)
+        i_sup = int(np.argmax(dev))
+        yield float(dev[i_sup]), float(grid[i_sup])
+
+
+def sweep_cases():
+    """(fields, decomposition, x0, reduced) of a parameter sweep per system."""
+    hoop = [lookup("ball-hoop", {"R": R}) for R in (5.0, 10.0, 20.0, 40.0)]
+    cart = [lookup("cart-pendulum", {"d": d}) for d in (0.001, 0.01, 0.1, 1.0)]
+    factory, _ = chain_registry(3)
+    chain = [factory({"a": a}) for a in (0.2, 0.7, 1.5)]
+    return {
+        name: ([e.field for e in entries], entries[0].decomp, entries[0].default_ic + 0.4,
+               [e.reduced_override for e in entries])
+        for name, entries in (("ball-hoop", hoop), ("cart-pendulum", cart), ("chain-3", chain))
+    }
+
+
+def blowup(n: int, rate: float, name: str) -> VectorFieldDef:
+    """dy/dt = rate * y^2 in every coordinate: from y0 > 0 it blows up at
+    t = 1 / (rate * y0); at rate 1e300 the first step already fails."""
+    return VectorFieldDef(n=n, rhs=lambda s: rate * np.asarray(s) ** 2, name=name)
+
+
+def raising(n: int) -> VectorFieldDef:
+    def rhs(s):
+        raise EvaluationError("expression 'boom' failed")
+
+    return VectorFieldDef(n=n, rhs=rhs, name="raising")
+
+
+SWEEP_METHODS = {"rk45": IntegratorConfig(t_end=3.0),
+                 "rk4": IntegratorConfig(t_end=3.0, method="rk4", dt=0.01)}
+
+
+class TestSweepMatchesPerValueOracle:
+    """sweep_deviation and measure_deviation give, bit for bit, what
+    integrating and resampling each field's runs on their own gives, and a
+    sweep stops with the error of the first field that fails."""
+
+    @pytest.mark.parametrize("method", sorted(SWEEP_METHODS))
+    @pytest.mark.parametrize("name", ["ball-hoop", "cart-pendulum", "chain-3"])
+    def test_bit_identical(self, name, method):
+        fields, d, x0, reduced = sweep_cases()[name]
+        cfg = SWEEP_METHODS[method]
+        got = outcome(sweep_deviation(fields, d, x0, cfg, reduced, n_grid=301))
+        assert got == outcome(loop_sweep(fields, d, x0, cfg, reduced, 301))
+        assert got[1] is None and len(got[0]) == len(fields)
+        grid = np.linspace(0.0, cfg.t_end, 301)
+        for f, r, row in zip(fields, reduced, got[0]):
+            rep = measure_deviation(f, d, x0, cfg, r, n_grid=301)
+            full, red = oracle_runs(f, d, x0, cfg, r or construct_reduced(f, d), grid)
+            assert rep.full_projected.tobytes() == full.tobytes()
+            assert rep.reduced_states.tobytes() == red.tobytes()
+            assert (rep.sup_dev, rep.t_of_sup) == row
+
+    @pytest.mark.parametrize("method", sorted(SWEEP_METHODS))
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize(
+        "failure", ["full", "reduced", "raises", "full-then-raises", "late-then-early"]
+    )
+    def test_first_failure_wins(self, failure, position, method):
+        hoop = [lookup("ball-hoop", {"R": R}) for R in (5.0, 10.0, 20.0)]
+        fields = [e.field for e in hoop]
+        reduced = [None] * 3
+        if failure == "reduced":
+            fields.insert(position, hoop[0].field)
+            reduced.insert(position, blowup(1, 1e300, "blowup-reduced"))
+        else:
+            bad = {"raises": raising(2), "late-then-early": blowup(2, 4.0, "late")}
+            fields.insert(position, bad.get(failure, blowup(2, 1e300, "blowup")))
+            reduced.insert(position, None)
+            # a field that raises, or fails at once, comes later
+            later = {"full-then-raises": raising(2), "late-then-early": blowup(2, 1e300, "early")}
+            if failure in later:
+                fields.append(later[failure])
+                reduced.append(None)
+        cfg = SWEEP_METHODS[method]
+        args = (fields, hoop[0].decomp, hoop[0].default_ic, cfg, reduced)
+        got = outcome(sweep_deviation(*args, n_grid=301))
+        assert got == outcome(loop_sweep(*args, 301))
+        assert len(got[0]) == position and got[1] is not None
+        assert got[1][0] is (EvaluationError if failure == "raises" else DivergenceError)
+
+    def test_blocks_do_not_change_the_rows(self, monkeypatch):
+        fields, d, x0, reduced = sweep_cases()["cart-pendulum"]
+        cfg = SWEEP_METHODS["rk45"]
+        default = list(sweep_deviation(fields, d, x0, cfg, reduced, n_grid=301))
+        monkeypatch.setattr(reduction, "BLOCK_ROWS", 3)
+        assert list(sweep_deviation(fields, d, x0, cfg, reduced, n_grid=301)) == default
+        monkeypatch.setattr(reduction, "_STORE_BYTES", 1)
+        assert list(sweep_deviation(fields, d, x0, cfg, reduced, n_grid=301)) == default
+
+
+class TestSweepMemory:
+    def test_peak_does_not_grow_with_the_values(self, monkeypatch):
+        monkeypatch.setattr(reduction, "BLOCK_ROWS", 4)
+        n_grid = 20001
+
+        def peak(count):
+            entries = [lookup("ball-hoop", {"R": 5.0 + i}) for i in range(count)]
+            fields = [e.field for e in entries]
+            tracemalloc.start()
+            try:
+                rows = list(sweep_deviation(fields, entries[0].decomp, entries[0].default_ic,
+                                            IntegratorConfig(t_end=1.0), n_grid=n_grid))
+                assert len(rows) == count
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(8), peak(32)
+        # one block holds the full and the reduced grid values of 4 fields
+        block = 2 * 4 * n_grid * 1 * 8
+        assert abs(long - short) <= block / 8

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from approxred.core import ConstraintError, InputError, UnknownSystemError
+from approxred.core import Box, ConstraintError, InputError, UnknownSystemError
 from approxred.integrate import IntegratorConfig, integrate_field
+from approxred.reduction import construct_reduced
+from approxred.sampling import sobol_points
 from approxred.systems import (
     cart_to_internal,
     cart_to_natural_order,
@@ -138,3 +140,37 @@ class TestLookup:
     def test_unknown_parameter(self):
         with pytest.raises(InputError):
             lookup("ball-hoop", {"spring": 2.0})
+
+
+def bundled_maps():
+    """Every bundled right-hand side with its input widths: the fields,
+    their reduced forms and the certificates' control systems."""
+    maps = []
+    for name in ("ball-hoop", "cart-pendulum"):
+        e = lookup(name, {})
+        sliced = construct_reduced(e.field, e.decomp)
+        for label, f in [(name, e.field), (f"{name}-sliced", sliced),
+                         (f"{name}-reduced", e.reduced_override)]:
+            if f is not None:
+                maps.append(pytest.param(f.rhs, (f.n,), id=label))
+        for cert, factory in sorted(e.certificates.items()):
+            c = factory().control
+            if c is not None:
+                maps.append(pytest.param(c.rhs, (c.n, c.m_in), id=f"{name}-{cert}-control"))
+    return maps
+
+
+class TestLoneStateMatchesBatchRow:
+    """A bundled right-hand side gives the same bits on a lone state as on
+    that state in a batch, so a run does not depend on how it is batched."""
+
+    @pytest.mark.parametrize("rhs,widths", bundled_maps())
+    @pytest.mark.parametrize("half_width", [1.0, 50.0, 1e4])
+    def test_bit_identical(self, rhs, widths, half_width):
+        dim = sum(widths)
+        X = sobol_points(Box(np.full(dim, -half_width), np.full(dim, half_width)), 20000, 5)
+        blocks = np.split(X, np.cumsum(widths)[:-1], axis=1)
+        batch = np.asarray(rhs(*blocks), dtype=float)
+        lone = np.stack([np.asarray(rhs(*row), dtype=float) for row in zip(*blocks)])
+        assert batch.shape == lone.shape
+        assert batch.tobytes() == lone.tobytes()

@@ -121,6 +121,22 @@ class TestSystemFromConfig:
         with pytest.raises(InputError):
             system_from_dict(doc)
 
+    @pytest.mark.parametrize("name", ["sin", "cos"])
+    def test_parameter_named_like_a_function(self, name):
+        doc = demo_doc()
+        doc["params"] = {name: 2.0}
+        doc["rhs"] = ["-y + sin(z)", "-z + cos(y)"]
+        with pytest.raises(InputError, match=f"variable and a function: \\['{name}'\\]"):
+            system_from_dict(doc)
+
+    @pytest.mark.parametrize("name", ["sin", "cos"])
+    def test_state_named_like_a_function(self, name):
+        doc = demo_doc()
+        doc["state"] = ["y", name]
+        doc["rhs"] = ["-y + sin(y)", "-y + cos(y)"]
+        with pytest.raises(InputError, match=f"variable and a function: \\['{name}'\\]"):
+            system_from_dict(doc)
+
     def test_x0_length_checked(self):
         doc = demo_doc()
         doc["x0"] = [1.0]
