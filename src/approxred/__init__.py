@@ -17,6 +17,7 @@ from .core import (
     InputError,
     NumericalError,
     StepBudgetError,
+    SystemEntry,
     Trajectory,
     VectorFieldDef,
     project,
@@ -48,7 +49,7 @@ from .stability import (
     estimate_lipschitz,
     vdot,
 )
-from .systems import SystemEntry, lookup, make_ball_in_hoop, make_cart_pendulum
+from .systems import lookup, make_ball_in_hoop, make_cart_pendulum
 
 __all__ = [
     "__version__",

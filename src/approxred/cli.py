@@ -36,6 +36,7 @@ from .core import (
     Decomposition,
     InputError,
     NumericalError,
+    SystemEntry,
     UnknownSystemError,
 )
 from .integrate import IntegratorConfig, integrate_field
@@ -55,7 +56,7 @@ from .stability import (
     check_iiss,
     check_iubibss,
 )
-from .systems import SystemEntry, lookup
+from .systems import lookup
 from .user_systems import load_system_config
 
 EXIT_OK = 0
@@ -224,10 +225,11 @@ def _resolve_seed(args) -> int:
     return DEFAULT_SEED
 
 
-def _resolve_entry(args, overrides: dict | None = None) -> SystemEntry:
-    """The system the arguments name, with ``--set`` and then ``overrides``
-    merged into its parameters and ``--m`` applied to its decomposition."""
-    overrides = {**_parse_set(args.set), **(overrides or {})}
+def _resolver(args):
+    """A map from parameter overrides to the system the arguments name, with
+    ``--set`` and then the overrides merged into its parameters and ``--m``
+    applied to its decomposition. A ``--config`` file is read once, here."""
+    sets = _parse_set(args.set)
     extra = None
     if getattr(args, "config", None):
         _entry, extra = load_system_config(args.config)
@@ -235,19 +237,20 @@ def _resolve_entry(args, overrides: dict | None = None) -> SystemEntry:
             args.system = _entry.name
     if args.system is None:
         raise UsageError("--system is required (or provide --config)")
-    entry = lookup(args.system, overrides, extra_registry=extra)
-    if args.m is not None:
-        if not (1 <= args.m < entry.field.n):
-            raise UsageError(
-                f"--m must be in [1, {entry.field.n - 1}] for system {entry.name!r}"
-            )
-        if args.m != entry.decomp.m:
+
+    def resolve(overrides: dict | None = None) -> SystemEntry:
+        entry = lookup(args.system, {**sets, **(overrides or {})}, extra_registry=extra)
+        n = entry.field.n
+        if args.m is not None and not (1 <= args.m < n):
+            raise UsageError(f"--m must be in [1, {n - 1}] for system {entry.name!r}")
+        if args.m not in (None, entry.decomp.m):
+            # the bundled reduction is for the stock split
             entry = dataclasses.replace(
-                entry,
-                decomp=Decomposition.retain(entry.field.n, args.m),
-                reduced_override=None,  # the bundled reduction is for the stock split
+                entry, decomp=Decomposition.retain(n, args.m), reduced_override=None
             )
-    return entry
+        return entry
+
+    return resolve
 
 
 def _resolve_x0(args, entry: SystemEntry) -> np.ndarray:
@@ -302,11 +305,22 @@ def _default_box(entry: SystemEntry) -> Box:
     return Box(ic - 1.0, ic + 1.0)
 
 
+def _resolve_box(args, entry: SystemEntry) -> Box:
+    """``--box``, else the default box, checked against the system's dimension."""
+    box = _parse_box(args.box) if args.box else _default_box(entry)
+    if box.dim != entry.field.n:
+        raise UsageError(
+            f"--box has dimension {box.dim} but system {entry.name!r} has "
+            f"dimension {entry.field.n}"
+        )
+    return box
+
+
 # ---------------------------------------------------------------- commands
 
 
 def cmd_simulate(args) -> int:
-    entry = _resolve_entry(args)
+    entry = _resolver(args)()
     x0 = _resolve_x0(args, entry)
     cfg = _integrator_config(args)
     traj = integrate_field(entry.field, x0, cfg)
@@ -326,7 +340,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    entry = _resolve_entry(args)
+    entry = _resolver(args)()
     x0 = _resolve_x0(args, entry)
     cfg = _integrator_config(args)
     rep = measure_deviation(
@@ -371,12 +385,13 @@ def cmd_sweep(args) -> int:
     if not values:
         raise UsageError("--values must list at least one number")
     cfg = _integrator_config(args)
-    entries = [_resolve_entry(args, {args.param: values[0]})]
+    resolve = _resolver(args)
+    entries = [resolve({args.param: values[0]})]
     x0 = _resolve_x0(args, entries[0])  # the ic stays fixed across rows
     failed = None  # the first value that does not resolve, raised in turn
     for value in values[1:]:
         try:
-            entries.append(_resolve_entry(args, {args.param: value}))
+            entries.append(resolve({args.param: value}))
         except (UsageError, InputError, ConstraintError, UnknownSystemError) as err:
             failed = err
             break
@@ -417,13 +432,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check_exact(args) -> int:
-    entry = _resolve_entry(args)
-    box = _parse_box(args.box) if args.box else _default_box(entry)
-    if box.dim != entry.field.n:
-        raise UsageError(
-            f"--box has dimension {box.dim} but system {entry.name!r} has "
-            f"dimension {entry.field.n}"
-        )
+    entry = _resolver(args)()
+    box = _resolve_box(args, entry)
     seed = _resolve_seed(args)
     report = check_exact_reducible(
         entry.field, entry.decomp, box, n_samples=args.samples, tol=args.tol, seed=seed
@@ -437,7 +447,7 @@ def cmd_check_exact(args) -> int:
 
 
 def cmd_check_lyapunov(args) -> int:
-    entry = _resolve_entry(args)
+    entry = _resolver(args)()
     if args.certificate not in entry.certificates:
         have = ", ".join(sorted(entry.certificates)) or "none"
         raise UsageError(
@@ -510,15 +520,10 @@ def _negate_certificate(cert):
 
 
 def cmd_bound(args) -> int:
-    entry = _resolve_entry(args)
+    entry = _resolver(args)()
     if args.n_ic < 1:
         raise UsageError("--n-ic must be at least 1")
-    box = _parse_box(args.box) if args.box else _default_box(entry)
-    if box.dim != entry.field.n:
-        raise UsageError(
-            f"--box has dimension {box.dim} but system {entry.name!r} has "
-            f"dimension {entry.field.n}"
-        )
+    box = _resolve_box(args, entry)
     cfg = _integrator_config(args)
     seed = _resolve_seed(args)
     est = estimate_delta(

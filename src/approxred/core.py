@@ -1,5 +1,5 @@
 """Core domain types: vector fields, control systems, state decompositions,
-trajectories, comparison functions, and axis-aligned boxes.
+trajectories, comparison functions, axis-aligned boxes and system entries.
 
 All types are immutable after construction and all operations are pure, so
 instances can be shared freely between threads or processes.
@@ -317,10 +317,6 @@ class Box:
         """Euclidean diameter (length of the main diagonal)."""
         return float(np.linalg.norm(self.widths))
 
-    def contains(self, x) -> bool:
-        x = as_state(x, self.dim)
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
-
     def project(self, d: Decomposition, which: str) -> "Box":
         """The image of the box under a canonical projection."""
         if self.dim != d.n:
@@ -336,3 +332,17 @@ class Box:
             np.concatenate([self.lower, other.lower]),
             np.concatenate([self.upper, other.upper]),
         )
+
+
+@dataclass(frozen=True)
+class SystemEntry:
+    """A registered system and everything the CLI needs to drive it."""
+
+    name: str
+    params: dict
+    field: VectorFieldDef
+    decomp: Decomposition
+    default_ic: np.ndarray
+    reduced_override: VectorFieldDef | None = None
+    certificates: dict = field(default_factory=dict)
+    aux: dict = field(default_factory=dict)

@@ -537,11 +537,13 @@ def _run_on_grid(f, X0, cfg: IntegratorConfig, grid, keep: int | None, target=No
 def resample(traj: Trajectory, times) -> Trajectory:
     """Interpolate a trajectory onto a new valid trajectory grid.
 
-    Cubic Hermite interpolation is used when node derivatives are stored,
-    linear interpolation otherwise; original nodes reproduce exactly. The
+    Cubic Hermite interpolation on the node derivatives, which every
+    trajectory of the integrator stores; original nodes reproduce exactly. The
     requested grid must start at 0, be strictly increasing, and stay within
     the original span (no extrapolation).
     """
+    if traj.derivs is None:
+        raise InputError("resample needs a trajectory with node derivatives")
     new_times = np.asarray(times, dtype=float)
     if new_times.ndim != 1 or new_times.shape[0] < 2:
         raise InputError("resample grid needs at least two time points")
@@ -552,18 +554,12 @@ def resample(traj: Trajectory, times) -> Trajectory:
             f"resample grid ends at {new_times[-1]:.6g}, beyond the trajectory "
             f"horizon {traj.times[-1]:.6g}"
         )
-    if traj.derivs is not None:
-        # node k covers [t_k, t_k+1), the last one its closed interval
-        k = np.searchsorted(traj.times, new_times, side="right") - 1
-        k = np.minimum(k, traj.times.shape[0] - 2)
-        t0 = traj.times[k][:, None]
-        states, derivs = _hermite(
-            new_times[:, None] - t0, traj.times[k + 1][:, None] - t0,
-            traj.states[k], traj.states[k + 1], traj.derivs[k], traj.derivs[k + 1],
-        )
-    else:
-        states = np.column_stack(
-            [np.interp(new_times, traj.times, traj.states[:, j]) for j in range(traj.dim)]
-        )
-        derivs = None
+    # node k covers [t_k, t_k+1), the last one its closed interval
+    k = np.searchsorted(traj.times, new_times, side="right") - 1
+    k = np.minimum(k, traj.times.shape[0] - 2)
+    t0 = traj.times[k][:, None]
+    states, derivs = _hermite(
+        new_times[:, None] - t0, traj.times[k + 1][:, None] - t0,
+        traj.states[k], traj.states[k + 1], traj.derivs[k], traj.derivs[k + 1],
+    )
     return Trajectory(times=new_times, states=states, dim=traj.dim, derivs=derivs)

@@ -8,17 +8,17 @@ Two benchmark systems ship with the package:
 * ``cart-pendulum``: a pendulum hanging from a cart that is attached to a
   spring, with friction on both the cart and the pendulum joint. The natural
   coordinate order (x, theta, v, omega) is stored internally reordered as
-  (x, v, theta, omega) so the retained pair (x, v) is leading; conversion
-  helpers live in the entry's aux dict.
+  (x, v, theta, omega) so the retained pair (x, v) is leading.
 
-Each entry bundles parameter defaults, certificate factories (each with the
-control-system form its checker needs), and (for the cart) an explicit linear
-reduced model used by the comparison commands.
+Their vector fields, and the cart's linear reduced model for the comparison
+commands, are config-file documents compiled as ``--config`` systems are.
+What is not an expression stays code: parameter validation, certificate
+factories (each with the control-system form its checker needs) and boxes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -28,10 +28,9 @@ from .core import (
     ComparisonFunction,
     ConstraintError,
     ControlSystemDef,
-    Decomposition,
     InputError,
+    SystemEntry,
     UnknownSystemError,
-    VectorFieldDef,
 )
 from .sampling import DEFAULT_SEED, sobol_points
 from .stability import (
@@ -41,6 +40,7 @@ from .stability import (
     ScalarFunctionDef,
     estimate_lipschitz,
 )
+from .user_systems import system_factory
 
 GRAVITY_DEFAULT = 9.81
 LIPSCHITZ_SAFETY = 1.2
@@ -60,57 +60,49 @@ class CertificateSpec:
     control: ControlSystemDef | None = None
 
 
-@dataclass(frozen=True)
-class SystemEntry:
-    """A registered example system and everything the CLI needs to drive it."""
-
-    name: str
-    params: dict
-    field: VectorFieldDef
-    decomp: Decomposition
-    default_ic: np.ndarray
-    reduced_override: VectorFieldDef | None = None
-    certificates: dict = dc_field(default_factory=dict)
-    aux: dict = dc_field(default_factory=dict)
-    notes: dict = dc_field(default_factory=dict)
-
-
-BALL_HOOP_DEFAULTS = {
-    "m": 1.0,
-    "R": 5.0,
-    "g": GRAVITY_DEFAULT,
-    "mu": 1.0,
-    "xi_hoop": 0.1,
+BALL_HOOP = {
+    "name": "ball-hoop",
+    "state": ["omega", "theta"],
+    "m": 1,
+    "params": {"m": 1.0, "R": 5.0, "g": GRAVITY_DEFAULT, "mu": 1.0, "xi_hoop": 0.1},
+    "rhs": [
+        "-(mu/m)*omega + xi_hoop**2*sin(theta)*cos(theta) - (g/R)*sin(theta)",
+        "omega",
+    ],
+    "x0": [0.5, 0.3],
 }
 
-CART_PENDULUM_DEFAULTS = {
-    "M": 2.0,
-    "m": 1.0,
-    "R": 1.0,
-    "k": 1.0,
-    "g": GRAVITY_DEFAULT,
-    "d": 1.0,
-    "b": 1.0,
+CART_PENDULUM = {
+    "name": "cart-pendulum",
+    "state": ["x", "v", "theta", "omega"],
+    "m": 2,
+    "params": {"M": 2.0, "m": 1.0, "R": 1.0, "k": 1.0, "g": GRAVITY_DEFAULT, "d": 1.0,
+               "b": 1.0},
+    "rhs": [
+        "v",
+        "(m*R*(omega*omega)*sin(theta) + m*g*sin(theta)*cos(theta) - k*x - d*v"
+        " + (b/R)*cos(theta)) / (M + m*(sin(theta)*sin(theta)))",
+        "omega",
+        "(-m*R*(omega*omega)*sin(theta)*cos(theta) - (m + M)*g*sin(theta)"
+        " + k*x*cos(theta) + d*v*cos(theta) - (1.0 + M/m)*(b/R)*omega)"
+        " / (R*(M + m*(sin(theta)*sin(theta))))",
+    ],
+    "x0": [1.0, 0.0, 0.5, 0.0],
 }
 
+# the cart's reduced model, the linear spring-damper y @ A_red.T written out:
+# a BLAS product's rounding may depend on how many states it takes at once
+CART_PENDULUM_REDUCED = {
+    "name": "cart-pendulum_reduced",
+    "state": ["x", "v"],
+    "m": 1,
+    "params": CART_PENDULUM["params"],
+    "rhs": ["v", "(-k/M)*x + (-d/M)*v"],
+}
 
-def _columns(*cols) -> np.ndarray:
-    """``np.stack(cols, axis=-1)`` for equal-shape columns, without its overhead.
-
-    The bundled fields unpack a lone state, shape (n,), into numpy float64
-    scalars, which skip the per-call overhead of 0-d arrays, and get one
-    array of them back; a batch, shape (N, n), gives array columns. They
-    write squares as ``x * x``: numpy's scalar ``**`` calls ``pow`` where an
-    array's ``**`` multiplies, so ``x**2`` could differ in the last bit
-    between a lone state and the same state in a batch.
-    """
-    if not isinstance(cols[0], np.ndarray):
-        return np.array(cols)
-    out = np.empty(cols[0].shape + (len(cols),))
-    for j, col in enumerate(cols):
-        out[..., j] = col
-    return out
-
+_HOOP, _ = system_factory(BALL_HOOP)
+_CART, _ = system_factory(CART_PENDULUM)
+_CART_REDUCED, _ = system_factory(CART_PENDULUM_REDUCED)
 
 # default certificate boxes for the cart: retained block, then angle ranges
 CART_STATE_BOX = Box.from_pairs([(-2.0, 2.0), (-2.0, 2.0)])
@@ -130,17 +122,7 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
             "the hanging equilibrium is otherwise not a minimum"
         )
     xi2 = xi**2
-
-    def rhs(s):
-        s = np.asarray(s, dtype=float)
-        w, th = s if s.ndim == 1 else (s[..., 0], s[..., 1])
-        sin = np.sin(th)
-        dw = -(mu / m) * w + xi2 * sin * np.cos(th) - (g / R) * sin
-        return _columns(dw, w)
-
-    field = VectorFieldDef(n=2, rhs=rhs, params=p, name="ball-hoop")
-    decomp = Decomposition(n=2, m=1, k=1)
-    default_ic = np.array([0.5, 0.3])
+    entry = _HOOP(p)
 
     def lyap(s):
         s = np.asarray(s, dtype=float)
@@ -206,7 +188,7 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
         around that row, whose ends are found by bisection, one row a probe.
         """
         if c is None:
-            c = sublevel_value(default_ic)
+            c = sublevel_value(entry.default_ic)
         w_max = np.sqrt(2.0 * c / (m * R**2))
         w = np.linspace(-w_max, w_max, grid)
         th = np.linspace(-np.pi, np.pi, grid)
@@ -262,8 +244,8 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
         safety: float = LIPSCHITZ_SAFETY,
     ) -> CertificateSpec:
         full_box = sublevel_box()
-        sbox = state_box if state_box is not None else full_box.project(decomp, "m")
-        ibox = input_box if input_box is not None else full_box.project(decomp, "k")
+        sbox = state_box if state_box is not None else full_box.project(entry.decomp, "m")
+        ibox = input_box if input_box is not None else full_box.project(entry.decomp, "k")
         L = estimate_lipschitz(coupling, ibox, n_samples=2048, seed=seed) * safety
         cert = IISSCertificate(
             V=gap_fn,
@@ -276,12 +258,8 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
             kind="iiss", certificate=cert, state_box=sbox, input_box=ibox, control=control
         )
 
-    return SystemEntry(
-        name="ball-hoop",
-        params=p,
-        field=field,
-        decomp=decomp,
-        default_ic=default_ic,
+    return replace(
+        entry,
         certificates={"fiberwise": cert_fiberwise, "iiss": cert_iiss},
         aux={
             "lyapunov": lyapunov,
@@ -289,12 +267,6 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
             "input_coupling": coupling,
             "sublevel_box": sublevel_box,
             "sublevel_value": sublevel_value,
-        },
-        notes={
-            "model": "ball in a hoop spinning at constant rate, viscous friction",
-            "state": "(omega, theta); retained block omega",
-            "reduced": "slice at theta=0 gives domega/dt = -(mu/m)*omega",
-            "default_ic": "(0.5, 0.3), inside the default invariant sublevel set",
         },
     )
 
@@ -309,39 +281,7 @@ def make_cart_pendulum(params: dict) -> SystemEntry:
     for key in ("d", "b"):
         if p[key] < 0:
             raise InputError(f"cart-pendulum parameter {key} must be nonnegative")
-
-    def rhs(s):
-        s = np.asarray(s, dtype=float)
-        x, v, th, w = s if s.ndim == 1 else (s[..., 0], s[..., 1], s[..., 2], s[..., 3])
-        sin, cos = np.sin(th), np.cos(th)
-        den = M + m * (sin * sin)
-        dv = (m * R * (w * w) * sin + m * g * sin * cos - k * x - d * v + (b / R) * cos) / den
-        dw = (
-            -m * R * (w * w) * sin * cos
-            - (m + M) * g * sin
-            + k * x * cos
-            + d * v * cos
-            - (1.0 + M / m) * (b / R) * w
-        ) / (R * den)
-        return _columns(v, dv, w, dw)
-
-    field = VectorFieldDef(n=4, rhs=rhs, params=p, name="cart-pendulum")
-    decomp = Decomposition(n=4, m=2, k=2)
-    default_ic = np.array([1.0, 0.0, 0.5, 0.0])
-
-    # the bundled reduced model: linear spring-damper on the retained pair
-    A_red = np.array([[0.0, 1.0], [-k / M, -d / M]])
-
-    # y @ A_red.T written out: a BLAS product's rounding may depend on how
-    # many states are evaluated together
-    def reduced_rhs(y):
-        y = np.asarray(y, dtype=float)
-        x, v = y if y.ndim == 1 else (y[..., 0], y[..., 1])
-        return _columns(v, (-k / M) * x + (-d / M) * v)
-
-    reduced = VectorFieldDef(
-        n=2, rhs=reduced_rhs, params=p, name="cart-pendulum_reduced"
-    )
+    entry = _CART(p)
 
     def accel_coupling(u):
         """omega^2 sin(theta) - omegadot cos(theta), input u = (theta, omega, omegadot)."""
@@ -389,16 +329,6 @@ def make_cart_pendulum(params: dict) -> SystemEntry:
         arity="pair", fn=position_gap, grad=position_gap_grad, name="U"
     )
 
-    def omegadot_bound(scan_samples: int = 4096, seed: int = DEFAULT_SEED) -> float:
-        """Range of the angular acceleration over the default certificate box."""
-        full_box = CART_STATE_BOX.concat(CART_ANGLE_BOX)
-        pts = sobol_points(full_box, scan_samples, seed)
-        corners = np.array(
-            np.meshgrid(*zip(full_box.lower, full_box.upper), indexing="ij")
-        ).reshape(4, -1).T
-        acc = np.abs(rhs(np.vstack([pts, corners]))[:, 3])
-        return float(acc.max()) * 1.05
-
     def cert_iubibss(
         state_box: Box | None = None,
         input_box: Box | None = None,
@@ -412,7 +342,13 @@ def make_cart_pendulum(params: dict) -> SystemEntry:
             )
         sbox = state_box if state_box is not None else CART_STATE_BOX
         if input_box is None:
-            a_max = omegadot_bound(seed=seed)
+            # the range of the angular acceleration over the default box
+            full_box = CART_STATE_BOX.concat(CART_ANGLE_BOX)
+            corners = np.array(
+                np.meshgrid(*zip(full_box.lower, full_box.upper), indexing="ij")
+            ).reshape(4, -1).T
+            pts = np.vstack([sobol_points(full_box, 4096, seed), corners])
+            a_max = float(np.abs(entry.field.rhs(pts)[:, 3]).max()) * 1.05
             ibox = CART_ANGLE_BOX.concat(Box.from_pairs([(-a_max, a_max)]))
         else:
             ibox = input_box
@@ -437,28 +373,14 @@ def make_cart_pendulum(params: dict) -> SystemEntry:
             control=control_accel,
         )
 
-    return SystemEntry(
-        name="cart-pendulum",
-        params=p,
-        field=field,
-        decomp=decomp,
-        default_ic=default_ic,
-        reduced_override=reduced,
+    return replace(
+        entry,
+        reduced_override=_CART_REDUCED(p).field,
         certificates={"iubibss": cert_iubibss},
         aux={
             "energy": energy_fn,
-            "position_gap": gap_fn,
             "input_coupling": accel_coupling,
-            "reduced_matrix": A_red,
-            "to_internal": cart_to_internal,
-            "to_natural_order": cart_to_natural_order,
-            "omegadot_bound": omegadot_bound,
-        },
-        notes={
-            "model": "pendulum hanging from a cart on a spring, friction on both joints",
-            "state": "(x, v, theta, omega) internally; natural order is (x, theta, v, omega)",
-            "reduced": "bundled linear model (dx, dv) = (v, -(k*x + d*v)/M)",
-            "default_ic": "(1, 0, 0.5, 0) in internal order",
+            "reduced_matrix": np.array([[0.0, 1.0], [-k / M, -d / M]]),
         },
     )
 
@@ -472,15 +394,13 @@ def cart_to_internal(s):
     return s[..., _REORDER]
 
 
-def cart_to_natural_order(s):
-    """Inverse of :func:`cart_to_internal`; the permutation is an involution."""
-    s = np.asarray(s, dtype=float)
-    return s[..., _REORDER]
+# the inverse of cart_to_internal: the permutation is an involution
+cart_to_natural_order = cart_to_internal
 
 
 REGISTRY: dict[str, tuple[Callable[[dict], SystemEntry], dict]] = {
-    "ball-hoop": (make_ball_in_hoop, BALL_HOOP_DEFAULTS),
-    "cart-pendulum": (make_cart_pendulum, CART_PENDULUM_DEFAULTS),
+    "ball-hoop": (make_ball_in_hoop, BALL_HOOP["params"]),
+    "cart-pendulum": (make_cart_pendulum, CART_PENDULUM["params"]),
 }
 
 

@@ -1,4 +1,4 @@
-"""User-defined systems from JSON config files.
+"""Systems from JSON documents, and the compiler that builds every vector field.
 
 A config file is a single JSON document describing one system:
 
@@ -18,20 +18,24 @@ literals, state and parameter names, ``+ - * /``, unary minus, ``**`` powers,
 and the functions ``sin`` and ``cos``. No name may be used twice, nor be
 ``sin`` or ``cos``. Expressions are evaluated in IEEE double precision with
 Python's standard precedence and left-to-right association. ``x0``
-optionally sets the default initial condition.
+optionally sets the default initial condition. The bundled systems of
+:mod:`approxred.systems` are documents of this schema too. A system compiles
+to one function of its state columns, with a lone state's bits equal to a
+batch row's (see :func:`_pow`) and repeated subexpressions computed once.
 """
 
 from __future__ import annotations
 
 import ast
 import json
+from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .core import Decomposition, EvaluationError, InputError, VectorFieldDef
-from .systems import SystemEntry
+from .core import Decomposition, EvaluationError, InputError, SystemEntry, VectorFieldDef
 
 _ALLOWED_CALLS = {"sin": np.sin, "cos": np.cos}
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
@@ -94,44 +98,100 @@ def _error(source: str, what: str) -> EvaluationError:
     return EvaluationError(f"expression {source!r} {what}")
 
 
+def _pow(a, b):
+    """``a ** b`` with a batch's bits, for a power that mentions the state: a
+    lone state's float64 scalars would call libm ``pow`` where arrays square,
+    take roots or call numpy's vector ``pow``. A 0-d base takes the array's
+    path; a state exponent, an array in a batch, takes no shortcut."""
+    if isinstance(b, (np.ndarray, np.generic)):
+        return np.power(a, b)
+    return np.asarray(a) ** b if isinstance(a, np.generic) else a ** b
+
+
+def _lower(bodies: list[ast.expr], args: set[str], prefix: str) -> list[ast.expr]:
+    """The expression trees with each ``**`` that mentions an argument as a
+    call of ``<prefix>pow`` and each repeated subtree bound to a temporary
+    ``<prefix><i>`` at its first occurrence and read back at the others."""
+    # per node: its operands, its structure, and whether it names an argument
+    children, keys, mentions = {}, {}, {}
+
+    def scan(node):
+        kids = children[node] = node.args if isinstance(node, ast.Call) else [
+            kid for kid in ast.iter_child_nodes(node) if isinstance(kid, ast.expr)]
+        for kid in kids:
+            scan(kid)
+        if isinstance(node, ast.Name):
+            keys[node] = node.id
+        elif isinstance(node, ast.Constant):
+            keys[node] = (repr(node.value),)  # no name equals it; 1 and 1.0 differ
+        else:
+            op = node.func.id if isinstance(node, ast.Call) else type(node.op)
+            keys[node] = (op, *map(keys.get, kids))
+        mentions[node] = keys[node] in args or any(map(mentions.get, kids))
+
+    for body in bodies:
+        scan(body)
+    counts, temps = Counter(keys.values()), {}
+
+    def visit(node):
+        if keys[node] in temps:
+            return ast.Name(temps[keys[node]], ast.Load())
+        kids = [visit(kid) for kid in children[node]]
+        if not kids:  # a name or a literal
+            return node
+        if isinstance(node, ast.UnaryOp):
+            new = ast.UnaryOp(node.op, *kids)
+        elif isinstance(node, ast.Call):
+            new = ast.Call(node.func, kids, [])
+        elif isinstance(node.op, ast.Pow) and mentions[node]:
+            new = ast.Call(ast.Name(prefix + "pow", ast.Load()), kids, [])
+        else:
+            new = ast.BinOp(kids[0], node.op, kids[1])
+        if counts[keys[node]] > 1:
+            temps[keys[node]] = f"{prefix}{len(temps)}"
+            new = ast.NamedExpr(ast.Name(temps[keys[node]], ast.Store()), new)
+        return new
+
+    return [visit(body) for body in bodies]
+
+
+def _compile(sources: list[str], args: list[str], names: list[str]) -> Callable:
+    """``bind``, where ``bind(values)`` is one function of ``args`` returning
+    the tuple of the expressions' values, reading the rest of ``names`` (a
+    superset of ``args``) from ``values``."""
+    prefix = "_"
+    while any(name.startswith(prefix) for name in names):
+        prefix += "_"  # temporaries never clash with a user's name
+    bodies = _lower([_parse(src, names).body for src in sources], set(args), prefix)
+    params = ast.arguments(posonlyargs=[], args=[ast.arg(name) for name in args],
+                           kwonlyargs=[], kw_defaults=[], defaults=[])
+    tree = ast.Expression(ast.Lambda(params, ast.Tuple(bodies, ast.Load())))
+    code = compile(ast.fix_missing_locations(tree), "<rhs>", "eval")
+    builtins = {"__builtins__": {}, **_ALLOWED_CALLS, prefix + "pow": _pow}
+    return lambda values: eval(code, {**builtins, **values})
+
+
 def compile_expression(source: str, names: list[str]) -> Callable:
     """Compile one expression to a function of a name -> value environment.
-
     An arithmetic error (division by zero, float overflow) or a complex value
-    raises ``EvaluationError`` naming the expression.
-    """
-    code = compile(_parse(source, names), f"<rhs {source!r}>", "eval")
+    raises ``EvaluationError`` naming the expression."""
+    fn = _compile([source], names, names)({})
 
-    def fn(env: dict):
+    def evaluate(env: dict):
         try:
-            value = eval(code, {"__builtins__": {}, **_ALLOWED_CALLS}, env)
+            (value,) = fn(*[env[name] for name in names])
         except ArithmeticError as err:
             raise _error(source, f"failed with {type(err).__name__}") from err
         if _is_complex(value):
             raise _error(source, "has a complex value")
         return value
 
-    return fn
+    return evaluate
 
 
-def _compile_system(sources: list[str], state: list[str], params: list[str]):
-    """One code object for all of a system's expressions: a ``lambda`` of the
-    state columns returning the tuple of their values, to ``eval`` with the
-    parameters, ``sin`` and ``cos`` as its globals. Its values are bit for
-    bit those of evaluating the expressions one by one."""
-    args = ast.arguments(posonlyargs=[], args=[ast.arg(name) for name in state],
-                         kwonlyargs=[], kw_defaults=[], defaults=[])
-    body = ast.Tuple([_parse(src, state + params).body for src in sources], ast.Load())
-    tree = ast.fix_missing_locations(ast.Expression(ast.Lambda(args, body)))
-    return compile(tree, "<rhs>", "eval")
-
-
-def system_from_dict(doc: dict) -> tuple[SystemEntry, dict]:
-    """Build a SystemEntry from a parsed config document.
-
-    Returns the entry built with the document's default parameters plus a
-    registry item (factory, defaults) so the CLI can apply --set overrides.
-    """
+def system_factory(doc: dict) -> tuple[Callable[[dict], SystemEntry], dict]:
+    """Compile a document into ``(factory, defaults)``: ``factory`` builds its
+    SystemEntry for resolved parameters, ``defaults`` are the document's."""
     try:
         name = str(doc["name"])
         state = list(doc["state"])
@@ -158,34 +218,36 @@ def system_from_dict(doc: dict) -> tuple[SystemEntry, dict]:
     if clash:
         raise InputError(f"names used for both a variable and a function: {sorted(clash)}")
     names = state + list(params)
-    exprs = [compile_expression(src, names) for src in rhs_sources]
-    code = _compile_system(rhs_sources, state, list(params))
+    bind = _compile(rhs_sources, state, names)
+    batch_columns = itemgetter(*[(..., i) for i in range(n)])
+    may_be_complex = any("**" in src for src in rhs_sources)  # see _is_complex
     x0 = doc.get("x0")
-    if x0 is not None:
-        x0 = np.asarray([float(v) for v in x0], dtype=float)
-        if x0.shape != (n,):
-            raise InputError(f"x0 must have {n} entries")
-    else:
-        x0 = np.zeros(n)
+    x0 = np.zeros(n) if x0 is None else np.asarray([float(v) for v in x0], dtype=float)
+    if x0.shape != (n,):
+        raise InputError(f"x0 must have {n} entries")
 
     def factory(resolved_params: dict) -> SystemEntry:
         pvals = dict(resolved_params)
-        columns = eval(code, {"__builtins__": {}, **_ALLOWED_CALLS, **pvals})
+        columns = bind(pvals)
 
         def rhs(s):
             s = np.asarray(s, dtype=float)
+            cols = s if s.ndim == 1 else batch_columns(s)
             try:
-                values = columns(*[s[..., i] for i in range(n)])
+                values = columns(*cols)
             except ArithmeticError:
                 # evaluate one by one to name the first expression that fails
-                env = {nm: s[..., i] for i, nm in enumerate(state)}
-                env.update(pvals)
-                for f in exprs:
-                    f(env)
+                env = {**dict(zip(state, cols)), **pvals}
+                for src in rhs_sources:
+                    compile_expression(src, names)(env)
                 raise
+            if s.ndim == 1:
+                out = np.array(values)
+                if out.dtype is _REAL:  # else a column is complex or a constant
+                    return out
             out = np.empty(s.shape)
             for i, value in enumerate(values):
-                if _is_complex(value):  # never cast, which would drop it
+                if may_be_complex and _is_complex(value):  # casting would drop it
                     raise _error(rhs_sources[i], "has a complex value")
                 try:
                     out[..., i] = value  # a constant fills the batch
@@ -193,17 +255,22 @@ def system_from_dict(doc: dict) -> tuple[SystemEntry, dict]:
                     raise _error(rhs_sources[i], f"failed with {type(err).__name__}") from err
             return out
 
-        field = VectorFieldDef(n=n, rhs=rhs, params=pvals, name=name)
         return SystemEntry(
             name=name,
             params=pvals,
-            field=field,
+            field=VectorFieldDef(n=n, rhs=rhs, params=pvals, name=name),
             decomp=Decomposition.retain(n, m),
             default_ic=x0.copy(),
-            notes={"source": "user config file", "state": ", ".join(state)},
         )
 
-    return factory(params), {name: (factory, params)}
+    return factory, params
+
+
+def system_from_dict(doc: dict) -> tuple[SystemEntry, dict]:
+    """A document's SystemEntry at its default parameters, and its registry
+    item ``{name: (factory, defaults)}`` so the CLI can apply --set overrides."""
+    factory, params = system_factory(doc)
+    return factory(params), {str(doc["name"]): (factory, params)}
 
 
 def load_system_config(path: str | Path) -> tuple[SystemEntry, dict]:

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from approxred import cli
 from approxred.cli import main, parse_metadata
 from approxred.numdiff import jacobian
 from approxred.systems import lookup
+from approxred.user_systems import load_system_config
 
 
 def assert_clean_usage_error(rc, capsys, *needles):
@@ -322,6 +324,19 @@ class TestSweepMatchesPerValueCompare:
     def test_a_raising_evaluation_keeps_its_turn(self, values, tmp_path, capsys):
         swept, loop = sweep_and_loop(["--config", "SWEEPABLE"], "p", values, tmp_path, capsys)
         assert swept == loop and swept[0] == 2
+
+    def test_a_config_is_read_once(self, tmp_path, capsys, monkeypatch):
+        reads = []
+
+        def counted(path):
+            reads.append(path)
+            return load_system_config(path)
+
+        monkeypatch.setattr(cli, "load_system_config", counted)
+        values = ["0.1", "0.2", "0.3", "0.4"]
+        swept, loop = sweep_and_loop(["--config", "SWEEPABLE"], "p", values, tmp_path, capsys)
+        assert swept == loop and swept[0] == 0
+        assert len(reads) == 1 + len(values)  # the sweep's read, then each compare's
 
 
 class TestCheckExact:

@@ -173,8 +173,6 @@ class TestBox:
         assert np.array_equal(box.project(d, "k").lower, [-3.0])
         assert np.array_equal(box.project(d, "m").upper, [1.0, 2.0])
 
-    def test_diameter_and_contains(self):
+    def test_diameter(self):
         box = Box.from_pairs([(0, 3), (0, 4)])
         assert box.diameter() == 5.0
-        assert box.contains([1.0, 1.0])
-        assert not box.contains([4.0, 0.0])

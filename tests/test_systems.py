@@ -13,6 +13,7 @@ from approxred.systems import (
     lookup,
     make_ball_in_hoop,
 )
+from approxred.user_systems import system_from_dict
 
 from reference_values import CART_RHS_GENERIC, CART_RHS_ORIGIN, CART_RHS_UNIT_X
 
@@ -142,9 +143,36 @@ class TestLookup:
             lookup("ball-hoop", {"spring": 2.0})
 
 
+# compiled user documents: ** with exponents 2, 0.5, -1, 3 and -1.5, a
+# constant base, a state exponent, unary minus, a repeated sin(p) and a bare
+# constant column
+USER_DOCS = [
+    {
+        "name": "powers",
+        "state": ["y", "z", "p", "q"],
+        "m": 1,
+        "params": {"a": 0.7, "b": 1.3},
+        "rhs": [
+            "-a*y**2 + (1 + z*z)**0.5 - sin(p)*sin(p)",
+            "(2 + sin(p))**-1 - y**3 + 2**(y/64)",
+            "-(b + cos(y)*cos(y))**-1.5 + sin(p)*z - (1 + q*q)**cos(y)",
+            "2.5",
+        ],
+    },
+    {
+        "name": "param-powers",
+        "state": ["y", "z"],
+        "m": 1,
+        "params": {"a": 0.7},
+        "rhs": ["-a**2*y + z**2.0", "-(a**0.5)*z*(1 + z*z)**-1"],
+    },
+]
+
+
 def bundled_maps():
     """Every bundled right-hand side with its input widths: the fields,
-    their reduced forms and the certificates' control systems."""
+    their reduced forms and the certificates' control systems, then the
+    fields of compiled user documents and their reduced forms."""
     maps = []
     for name in ("ball-hoop", "cart-pendulum"):
         e = lookup(name, {})
@@ -157,12 +185,18 @@ def bundled_maps():
             c = factory().control
             if c is not None:
                 maps.append(pytest.param(c.rhs, (c.n, c.m_in), id=f"{name}-{cert}-control"))
+    for doc in USER_DOCS:
+        e, _ = system_from_dict(doc)
+        sliced = construct_reduced(e.field, e.decomp)
+        maps.append(pytest.param(e.field.rhs, (e.field.n,), id=doc["name"]))
+        maps.append(pytest.param(sliced.rhs, (sliced.n,), id=f"{doc['name']}-sliced"))
     return maps
 
 
 class TestLoneStateMatchesBatchRow:
-    """A bundled right-hand side gives the same bits on a lone state as on
-    that state in a batch, so a run does not depend on how it is batched."""
+    """A bundled or compiled right-hand side gives the same bits on a lone
+    state as on that state in a batch, so a run does not depend on how it is
+    batched."""
 
     @pytest.mark.parametrize("rhs,widths", bundled_maps())
     @pytest.mark.parametrize("half_width", [1.0, 50.0, 1e4])

@@ -176,19 +176,41 @@ class TestCompiledSystem:
                 "-k*p**3 + (1 + y)**-1.5 - r"],
     }
 
-    def test_bit_identical_to_one_by_one(self):
-        entry, _ = system_from_dict(self.DOC)
-        names = self.DOC["state"] + list(self.DOC["params"])
-        exprs = [compile_expression(src, names) for src in self.DOC["rhs"]]
-        X = np.random.default_rng(3).uniform(0.1, 2.0, (50, 4))
+    # repeated subexpressions, an int and a float literal of equal value
+    # (3**40 is exact, 3.0**40 is rounded), and names the compiler's
+    # temporaries must not clash with
+    SHARED = {
+        "name": "shared",
+        "state": ["y", "_0", "__0"],
+        "m": 1,
+        "params": {"_pow": 0.5},
+        "rhs": ["(3**40 - 12157665459056928800)*y + sin(_0)*sin(_0) + _pow*y**2",
+                "(3.0**40 - 12157665459056928800)*_0 + sin(_0) - __0",
+                "-sin(_0)*sin(_0) + __0*_pow**2 + y**2"],
+    }
+
+    def assert_bit_identical_to_one_by_one(self, doc):
+        entry, _ = system_from_dict(doc)
+        n = len(doc["state"])
+        names = doc["state"] + list(doc["params"])
+        exprs = [compile_expression(src, names) for src in doc["rhs"]]
+        X = np.random.default_rng(3).uniform(0.1, 2.0, (50, n))
         for s in (X, X[7]):
-            env = {nm: s[..., i] for i, nm in enumerate(self.DOC["state"])}
-            env.update(self.DOC["params"])
+            env = {nm: s[..., i] for i, nm in enumerate(doc["state"])}
+            env.update(doc["params"])
             cols = [np.broadcast_to(np.asarray(f(env), dtype=float), s[..., 0].shape)
                     for f in exprs]
             got = entry.field.rhs(s)
             assert got.shape == s.shape
             assert got.tobytes() == np.stack(cols, axis=-1).tobytes()
+
+    def test_bit_identical_to_one_by_one(self):
+        self.assert_bit_identical_to_one_by_one(self.DOC)
+
+    def test_shared_subexpressions_keep_the_bits(self):
+        self.assert_bit_identical_to_one_by_one(self.SHARED)
+        entry, _ = system_from_dict(self.SHARED)
+        assert entry.field([1.0, 0.0, 0.0])[:2].tolist() == [1.5, 0.0]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
