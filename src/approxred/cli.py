@@ -51,7 +51,6 @@ from .reduction import (
 from .sampling import DEFAULT_SEED
 from .stability import (
     COUNTEREXAMPLE,
-    ScalarFunctionDef,
     check_fiberwise,
     check_iiss,
     check_iubibss,
@@ -504,18 +503,8 @@ def _negate_certificate(cert):
     """
     V = cert.V
     neg_fn = lambda *xs: -np.asarray(V.fn(*xs), dtype=float)
-    if V.grad is not None:
-        if V.arity == "pair":
-            def neg_grad(x1, x2):
-                g1, g2 = V.grad(x1, x2)
-                return -np.asarray(g1, dtype=float), -np.asarray(g2, dtype=float)
-        else:
-            neg_grad = lambda x: -np.asarray(V.grad(x), dtype=float)
-    else:
-        neg_grad = None
-    neg_V = ScalarFunctionDef(
-        arity=V.arity, fn=neg_fn, grad=neg_grad, name=f"-{V.name}"
-    )
+    neg_grad = V.grad and (lambda *xs: -np.asarray(V.grad(*xs), dtype=float))
+    neg_V = dataclasses.replace(V, fn=neg_fn, grad=neg_grad, name=f"-{V.name}")
     return dataclasses.replace(cert, V=neg_V)
 
 

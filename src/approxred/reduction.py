@@ -132,17 +132,18 @@ def check_phi_related(
     if not (tol > 0):
         raise InputError("tol must be positive")
     X = sobol_points(box, n_samples, seed)
-    FX = batch_eval(f.rhs, X, out_dim=f.n)
-    PHIX = batch_eval(phi.fn, X, out_dim=phi.n_out)
-    GPHIX = batch_eval(g.rhs, PHIX, out_dim=g.n)
-    if phi.jacobian is not None:
-        push = np.stack(
-            [np.asarray(phi.jacobian(x), dtype=float) @ fx for x, fx in zip(X, FX)]
-        )
-    else:
-        J = jacobian_batch(phi.fn, X, phi.n_out)
-        push = np.einsum("nij,nj->ni", J, FX)
-    residuals = np.linalg.norm(push - GPHIX, axis=1)
+    with np.errstate(all="ignore"):  # a non-finite residual raises EvaluationError
+        FX = batch_eval(f.rhs, X, out_dim=f.n)
+        PHIX = batch_eval(phi.fn, X, out_dim=phi.n_out)
+        GPHIX = batch_eval(g.rhs, PHIX, out_dim=g.n)
+        if phi.jacobian is not None:
+            push = np.stack(
+                [np.asarray(phi.jacobian(x), dtype=float) @ fx for x, fx in zip(X, FX)]
+            )
+        else:
+            J = jacobian_batch(phi.fn, X, phi.n_out)
+            push = np.einsum("nij,nj->ni", J, FX)
+        residuals = np.linalg.norm(push - GPHIX, axis=1)
     if not np.all(np.isfinite(residuals)):
         bad = int(np.argmax(~np.isfinite(residuals)))
         raise EvaluationError(
@@ -191,19 +192,20 @@ def check_exact_reducible(
         return np.asarray(f.rhs(X), dtype=float)[..., :m]
 
     best = None  # (max partial, flat entry index, sample)
-    for _start, Xb in sobol_blocks(box, n_samples, seed):
-        J = jacobian_batch(retained, Xb, m, cols=fiber)  # (b, m, k)
-        flat = np.abs(J).reshape(len(Xb), -1)  # (b, m*k)
-        if not np.all(np.isfinite(flat)):
-            bad = int(np.argmax((~np.isfinite(flat)).any(axis=1)))
-            raise EvaluationError(
-                f"non-finite partial derivative at sample {Xb[bad].tolist()}"
-            )
-        row_max = flat.max(axis=1)
-        i = int(np.argmax(row_max))
-        # strict: a tie with an earlier block keeps the lower sample index
-        if best is None or row_max[i] > best[0]:
-            best = (row_max[i], int(np.argmax(flat[i])), Xb[i].copy())
+    with np.errstate(all="ignore"):  # a non-finite partial raises EvaluationError
+        for _start, Xb in sobol_blocks(box, n_samples, seed):
+            J = jacobian_batch(retained, Xb, m, cols=fiber)  # (b, m, k)
+            flat = np.abs(J).reshape(len(Xb), -1)  # (b, m*k)
+            if not np.all(np.isfinite(flat)):
+                bad = int(np.argmax((~np.isfinite(flat)).any(axis=1)))
+                raise EvaluationError(
+                    f"non-finite partial derivative at sample {Xb[bad].tolist()}"
+                )
+            row_max = flat.max(axis=1)
+            i = int(np.argmax(row_max))
+            # strict: a tie with an earlier block keeps the lower sample index
+            if best is None or row_max[i] > best[0]:
+                best = (row_max[i], int(np.argmax(flat[i])), Xb[i].copy())
     max_partial, worst_entry, worst_point = float(best[0]), best[1], best[2]
     comp, fib = divmod(worst_entry, d.k)
     if max_partial <= tol:

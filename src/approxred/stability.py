@@ -56,8 +56,8 @@ class ScalarFunctionDef:
 
     ``fn`` maps (n,) -> float for state arity and ((n,), (n,)) -> float for
     pair arity; batched variants over (N, n) blocks are used when they work.
-    ``grad`` is optional: the gradient for state arity, and a function
-    returning the pair of block gradients for pair arity.
+    ``grad`` is optional: the gradient, for pair arity the two states'
+    gradients side by side, (2n,).
     """
 
     arity: str
@@ -170,7 +170,7 @@ def _pair_grads(V: ScalarFunctionDef, X1, X2) -> tuple[np.ndarray, np.ndarray]:
     if V.grad is None:
         return pair_gradient_batch(V.fn, X1, X2)
     d = X1.shape[1]
-    G = batch_eval(lambda x1, x2: np.hstack(V.grad(x1, x2)), X1, X2, out_dim=2 * d)
+    G = batch_eval(V.grad, X1, X2, out_dim=2 * d)
     return G[:, :d], G[:, d:]
 
 
@@ -266,15 +266,16 @@ def _falsify(
     """
     worst = {}  # name -> (violation, sample index, observed, bound, sample)
     checked = {}
-    for start, P in sobol_blocks(sample_box, n_samples, seed):
-        table = conditions(*(P[:, cols] for cols in parts.values()))
-        for name, mask, viol, observed, bound in table:
-            checked[name] = checked.get(name, 0) + int(mask.sum())
-            i = _worst(viol, mask)
-            if i is not None and (name not in worst or viol[i] > worst[name][0]):
-                worst[name] = (
-                    viol[i], start + i, float(observed[i]), float(bound[i]), P[i].copy()
-                )
+    with np.errstate(all="ignore"):  # a non-finite value raises EvaluationError
+        for start, P in sobol_blocks(sample_box, n_samples, seed):
+            table = conditions(*(P[:, cols] for cols in parts.values()))
+            for name, mask, viol, observed, bound in table:
+                checked[name] = checked.get(name, 0) + int(mask.sum())
+                i = _worst(viol, mask)
+                if i is not None and (name not in worst or viol[i] > worst[name][0]):
+                    worst[name] = (
+                        viol[i], start + i, float(observed[i]), float(bound[i]), P[i].copy()
+                    )
     best = prior
     for name, *_ in table:
         if name in worst:
@@ -461,10 +462,10 @@ def estimate_lipschitz(
     by a safety factor (the bundled certificates use 1.2).
     """
     X = sobol_points(box, n_samples, seed)
-    if out_dim is None:
-        probe = np.atleast_1d(np.asarray(g(X[0]), dtype=float))
-        out_dim = probe.shape[0]
-    J = jacobian_batch(g, X, out_dim)
+    with np.errstate(all="ignore"):  # a non-finite derivative raises below
+        if out_dim is None:
+            out_dim = np.atleast_1d(np.asarray(g(X[0]), dtype=float)).shape[0]
+        J = jacobian_batch(g, X, out_dim)
     if not np.all(np.isfinite(J)):
         bad = int(np.argmax((~np.isfinite(J.reshape(n_samples, -1))).any(axis=1)))
         raise EvaluationError(f"non-finite derivative at sample {X[bad].tolist()}")

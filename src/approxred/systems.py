@@ -10,15 +10,17 @@ Two benchmark systems ship with the package:
   coordinate order (x, theta, v, omega) is stored internally reordered as
   (x, v, theta, omega) so the retained pair (x, v) is leading.
 
-Their vector fields, and the cart's linear reduced model for the comparison
-commands, are config-file documents compiled as ``--config`` systems are.
-What is not an expression stays code: parameter validation, certificate
-factories (each with the control-system form its checker needs) and boxes.
+Every function of a state, an input or a state pair (the vector fields, the
+cart's reduced model, each certificate's V or U with its derived gradient,
+input coupling and control form) is an expression, compiled on the system's
+first lookup as ``--config`` systems are. What stays code is parameter
+validation, comparison functions, boxes and the sampled Lipschitz estimates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -40,7 +42,7 @@ from .stability import (
     ScalarFunctionDef,
     estimate_lipschitz,
 )
-from .user_systems import system_factory
+from .user_systems import compile_map, system_factory
 
 GRAVITY_DEFAULT = 9.81
 LIPSCHITZ_SAFETY = 1.2
@@ -100,9 +102,56 @@ CART_PENDULUM_REDUCED = {
     "rhs": ["v", "(-k/M)*x + (-d/M)*v"],
 }
 
-_HOOP, _ = system_factory(BALL_HOOP)
-_CART, _ = system_factory(CART_PENDULUM)
-_CART_REDUCED, _ = system_factory(CART_PENDULUM_REDUCED)
+_HOOP_COUPLING = "xi_hoop**2*sin(theta)*cos(theta) - (g/R)*sin(theta)"
+_CART_COUPLING = "omega**2*sin(theta) - omegadot*cos(theta)"
+
+# functions of a state, an input or a state pair: name -> (argument blocks by
+# column name, expressions); V and U are the certificates' functions
+HOOP_FUNCTIONS = {
+    "V": ([["omega", "theta"]],
+          ["0.5*m*R**2*omega**2 + m*g*R*(1.0 - cos(theta))"
+           " - 0.5*m*R**2*xi_hoop**2*sin(theta)**2"]),
+    "U": ([["omega_1"], ["omega_2"]], ["0.5*(omega_1 - omega_2)**2"]),
+    "coupling": ([["theta"]], [_HOOP_COUPLING]),
+    # the coupling added to the drag: the field's row sums in another order
+    "control": ([["omega"], ["theta"]], [f"-(mu/m)*omega + ({_HOOP_COUPLING})"]),
+}
+
+CART_FUNCTIONS = {
+    "energy": ([["x", "v", "theta", "omega"]],
+               ["(0.5*(M + m)*v**2 + m*R*v*omega*cos(theta) + 0.5*m*R**2*omega**2)"
+                " + (0.5*k*x**2 - m*g*R*cos(theta))"]),
+    "U": ([["x_1", "v_1"], ["x_2", "v_2"]], ["(x_1 - x_2)**2/(2.0*(m + M)) + 0.5*(v_1 - v_2)**2"]),
+    "coupling": ([["theta", "omega", "omegadot"]], [_CART_COUPLING]),
+    # the momentum form of the retained dynamics
+    "control": ([["x", "v"], ["theta", "omega", "omegadot"]],
+                ["v", f"(m*R*({_CART_COUPLING}) - k*x - d*v)/(M + m)"]),
+}
+
+
+@cache
+def _compiled(name: str) -> tuple[Callable, dict]:
+    """A bundled document's field factory and its functions' ``bind``s."""
+    doc, functions = {"ball-hoop": (BALL_HOOP, HOOP_FUNCTIONS),
+                      "cart-pendulum": (CART_PENDULUM, CART_FUNCTIONS),
+                      "cart-pendulum_reduced": (CART_PENDULUM_REDUCED, {})}[name]
+    params, binds = list(doc["params"]), {}
+    for key, (blocks, sources) in functions.items():
+        binds[key] = compile_map(sources, blocks, params)
+        if key in ("V", "U"):  # and their gradients
+            binds["grad-" + key] = compile_map(sources, blocks, params, sum(blocks, []))
+    return system_factory(doc)[0], binds
+
+
+def _scalar(evaluate: Callable) -> Callable:
+    return lambda *xs: evaluate(*xs)[..., 0]
+
+
+def _certificate_function(binds: dict, name: str, p: dict, arity: str) -> ScalarFunctionDef:
+    """V or U at parameters ``p``, with its gradient."""
+    return ScalarFunctionDef(arity=arity, fn=_scalar(binds[name](p)),
+                             grad=binds["grad-" + name](p), name=name)
+
 
 # default certificate boxes for the cart: retained block, then angle ranges
 CART_STATE_BOX = Box.from_pairs([(-2.0, 2.0), (-2.0, 2.0)])
@@ -121,63 +170,14 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
             f"ball-hoop requires R*xi_hoop^2 < g (got {R * xi**2:.6g} >= {g:.6g}); "
             "the hanging equilibrium is otherwise not a minimum"
         )
-    xi2 = xi**2
-    entry = _HOOP(p)
-
-    def lyap(s):
-        s = np.asarray(s, dtype=float)
-        w, th = s[..., 0], s[..., 1]
-        return (
-            0.5 * m * R**2 * w**2
-            + m * g * R * (1.0 - np.cos(th))
-            - 0.5 * m * R**2 * xi2 * np.sin(th) ** 2
-        )
-
-    def lyap_grad(s):
-        s = np.asarray(s, dtype=float)
-        w, th = s[..., 0], s[..., 1]
-        sin = np.sin(th)
-        gw = m * R**2 * w
-        gth = m * g * R * sin - m * R**2 * xi2 * sin * np.cos(th)
-        return np.stack([gw, gth], axis=-1)
-
-    lyapunov = ScalarFunctionDef(arity="state", fn=lyap, grad=lyap_grad, name="V")
-
-    def coupling(u):
-        """Fiber-to-retained coupling term as a function of the angle input."""
-        u = np.asarray(u, dtype=float)
-        th = u[..., 0]
-        sin = np.sin(th)
-        return xi2 * sin * np.cos(th) - (g / R) * sin
-
-    def control_rhs(s, u):
-        s = np.asarray(s, dtype=float)
-        u = np.asarray(u, dtype=float)
-        w = s[..., 0]
-        dw = -(mu / m) * w + coupling(u)
-        return dw[..., None]
-
+    field, binds = _compiled("ball-hoop")
+    entry = field(p)
+    lyapunov = _certificate_function(binds, "V", p, "state")
+    gap_fn = _certificate_function(binds, "U", p, "pair")
+    coupling = _scalar(binds["coupling"](p))
     control = ControlSystemDef(
-        n=1, m_in=1, rhs=control_rhs, params=p, name="ball-hoop-control"
+        n=1, m_in=1, rhs=binds["control"](p), params=p, name="ball-hoop-control"
     )
-
-    def velocity_gap(s1, s2):
-        s1 = np.asarray(s1, dtype=float)
-        s2 = np.asarray(s2, dtype=float)
-        return 0.5 * (s1[..., 0] - s2[..., 0]) ** 2
-
-    def velocity_gap_grad(s1, s2):
-        s1 = np.asarray(s1, dtype=float)
-        s2 = np.asarray(s2, dtype=float)
-        diff = s1[..., 0] - s2[..., 0]
-        return diff[..., None], -diff[..., None]
-
-    gap_fn = ScalarFunctionDef(
-        arity="pair", fn=velocity_gap, grad=velocity_gap_grad, name="U"
-    )
-
-    def sublevel_value(state) -> float:
-        return float(lyap(np.asarray(state, dtype=float)))
 
     def sublevel_box(c: float | None = None, grid: int = 1001) -> Box:
         """Bounding box of the invariant sublevel set {V <= c} on a grid.
@@ -188,13 +188,13 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
         around that row, whose ends are found by bisection, one row a probe.
         """
         if c is None:
-            c = sublevel_value(entry.default_ic)
+            c = float(lyapunov.fn(entry.default_ic))
         w_max = np.sqrt(2.0 * c / (m * R**2))
         w = np.linspace(-w_max, w_max, grid)
         th = np.linspace(-np.pi, np.pi, grid)
 
         def inside(row: int) -> np.ndarray:
-            return lyap(np.stack([np.full(grid, w[row]), th], axis=-1)) <= c
+            return lyapunov.fn(np.stack([np.full(grid, w[row]), th], axis=-1)) <= c
 
         mid = int(np.argmin(np.abs(w)))
         cols = inside(mid)
@@ -221,13 +221,13 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
     ) -> CertificateSpec:
         box = state_box if state_box is not None else sublevel_box()
         # V >= m*R*(g - R*xi^2)*(2/pi^2)*theta^2 for |theta| <= pi
-        a_lo = 2.0 * m * R * (g - R * xi2) / np.pi**2
+        a_lo = 2.0 * m * R * (g - R * xi**2) / np.pi**2
         # V is even and increasing in |omega| and |theta| on the box, so the
         # maximum sits at a corner
         corners = np.array(
             [[wc, tc] for wc in (box.lower[0], box.upper[0]) for tc in (box.lower[1], box.upper[1])]
         )
-        v_max = float(lyap(corners).max())
+        v_max = float(lyapunov.fn(corners).max())
         a_hi = v_max / d_threshold**2
         cert = FiberwiseCertificate(
             V=lyapunov,
@@ -263,10 +263,8 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
         certificates={"fiberwise": cert_fiberwise, "iiss": cert_iiss},
         aux={
             "lyapunov": lyapunov,
-            "velocity_gap": gap_fn,
             "input_coupling": coupling,
             "sublevel_box": sublevel_box,
-            "sublevel_value": sublevel_value,
         },
     )
 
@@ -281,53 +279,14 @@ def make_cart_pendulum(params: dict) -> SystemEntry:
     for key in ("d", "b"):
         if p[key] < 0:
             raise InputError(f"cart-pendulum parameter {key} must be nonnegative")
-    entry = _CART(p)
-
-    def accel_coupling(u):
-        """omega^2 sin(theta) - omegadot cos(theta), input u = (theta, omega, omegadot)."""
-        u = np.asarray(u, dtype=float)
-        th, w, a = u[..., 0], u[..., 1], u[..., 2]
-        return w**2 * np.sin(th) - a * np.cos(th)
-
-    def control_accel_rhs(s, u):
-        """Momentum form of the retained dynamics, inputs (theta, omega, omegadot)."""
-        s = np.asarray(s, dtype=float)
-        u = np.asarray(u, dtype=float)
-        x, v = s[..., 0], s[..., 1]
-        dv = (m * R * accel_coupling(u) - k * x - d * v) / (M + m)
-        return np.stack([v, dv], axis=-1)
-
+    field, binds = _compiled("cart-pendulum")
+    entry = field(p)
+    accel_coupling = _scalar(binds["coupling"](p))
     control_accel = ControlSystemDef(
-        n=2, m_in=3, rhs=control_accel_rhs, params=p, name="cart-pendulum-control-accel"
+        n=2, m_in=3, rhs=binds["control"](p), params=p, name="cart-pendulum-control-accel"
     )
-
-    def energy(s):
-        s = np.asarray(s, dtype=float)
-        x, v, th, w = s[..., 0], s[..., 1], s[..., 2], s[..., 3]
-        kinetic = 0.5 * (M + m) * v**2 + m * R * v * w * np.cos(th) + 0.5 * m * R**2 * w**2
-        potential = 0.5 * k * x**2 - m * g * R * np.cos(th)
-        return kinetic + potential
-
-    energy_fn = ScalarFunctionDef(arity="state", fn=energy, name="energy")
-
-    def position_gap(s1, s2):
-        s1 = np.asarray(s1, dtype=float)
-        s2 = np.asarray(s2, dtype=float)
-        dx = s1[..., 0] - s2[..., 0]
-        dv = s1[..., 1] - s2[..., 1]
-        return dx**2 / (2.0 * (m + M)) + 0.5 * dv**2
-
-    def position_gap_grad(s1, s2):
-        s1 = np.asarray(s1, dtype=float)
-        s2 = np.asarray(s2, dtype=float)
-        dx = s1[..., 0] - s2[..., 0]
-        dv = s1[..., 1] - s2[..., 1]
-        g1 = np.stack([dx / (m + M), dv], axis=-1)
-        return g1, -g1
-
-    gap_fn = ScalarFunctionDef(
-        arity="pair", fn=position_gap, grad=position_gap_grad, name="U"
-    )
+    energy_fn = ScalarFunctionDef(arity="state", fn=_scalar(binds["energy"](p)), name="energy")
+    gap_fn = _certificate_function(binds, "U", p, "pair")
 
     def cert_iubibss(
         state_box: Box | None = None,
@@ -366,16 +325,12 @@ def make_cart_pendulum(params: dict) -> SystemEntry:
             mu_offset=xi,
         )
         return CertificateSpec(
-            kind="iubibss",
-            certificate=cert,
-            state_box=sbox,
-            input_box=ibox,
-            control=control_accel,
+            kind="iubibss", certificate=cert, state_box=sbox, input_box=ibox, control=control_accel
         )
 
     return replace(
         entry,
-        reduced_override=_CART_REDUCED(p).field,
+        reduced_override=_compiled(CART_PENDULUM_REDUCED["name"])[0](p).field,
         certificates={"iubibss": cert_iubibss},
         aux={
             "energy": energy_fn,
@@ -385,18 +340,9 @@ def make_cart_pendulum(params: dict) -> SystemEntry:
     )
 
 
-_REORDER = np.array([0, 2, 1, 3])
-
-
-def cart_to_internal(s):
-    """Map a natural-order state (x, theta, v, omega) to internal (x, v, theta, omega)."""
-    s = np.asarray(s, dtype=float)
-    return s[..., _REORDER]
-
-
-# the inverse of cart_to_internal: the permutation is an involution
-cart_to_natural_order = cart_to_internal
-
+# s[..., CART_ORDER] maps a cart state from the natural order (x, theta, v,
+# omega) to the internal (x, v, theta, omega), and back: the swap is its own inverse
+CART_ORDER = [0, 2, 1, 3]
 
 REGISTRY: dict[str, tuple[Callable[[dict], SystemEntry], dict]] = {
     "ball-hoop": (make_ball_in_hoop, BALL_HOOP["params"]),
@@ -414,9 +360,7 @@ def lookup(
     ``extra_registry`` lets callers (the CLI config loader) add user-defined
     systems; unknown parameter names are rejected.
     """
-    registry = dict(REGISTRY)
-    if extra_registry:
-        registry.update(extra_registry)
+    registry = {**REGISTRY, **(extra_registry or {})}
     if name not in registry:
         raise UnknownSystemError(
             f"unknown system {name!r}; available: {', '.join(sorted(registry))}"

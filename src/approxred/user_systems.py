@@ -1,4 +1,4 @@
-"""Systems from JSON documents, and the compiler that builds every vector field.
+"""Systems from JSON documents, and the compiler behind every bundled expression.
 
 A config file is a single JSON document describing one system:
 
@@ -16,12 +16,14 @@ retained dimension, ``params`` maps parameter names to default values, and
 ``rhs`` gives one expression per coordinate in a small arithmetic language:
 literals, state and parameter names, ``+ - * /``, unary minus, ``**`` powers,
 and the functions ``sin`` and ``cos``. No name may be used twice, nor be
-``sin`` or ``cos``. Expressions are evaluated in IEEE double precision with
-Python's standard precedence and left-to-right association. ``x0``
-optionally sets the default initial condition. The bundled systems of
-:mod:`approxred.systems` are documents of this schema too. A system compiles
-to one function of its state columns, with a lone state's bits equal to a
-batch row's (see :func:`_pow`) and repeated subexpressions computed once.
+``sin`` or ``cos``. Every literal, integers included, is an IEEE double, and
+expressions are evaluated in double precision with Python's standard
+precedence and left-to-right association. ``x0`` optionally sets the default
+initial condition. The bundled systems of :mod:`approxred.systems` are
+documents of this schema and expressions, with gradients derived by
+:func:`_derivative`. Expressions compile to one function of their argument
+columns (:func:`compile_map`), a lone state's bits equal to a batch row's
+(see :func:`_pow`).
 """
 
 from __future__ import annotations
@@ -38,53 +40,44 @@ import numpy as np
 from .core import Decomposition, EvaluationError, InputError, SystemEntry, VectorFieldDef
 
 _ALLOWED_CALLS = {"sin": np.sin, "cos": np.cos}
-_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-_ALLOWED_UNARY = (ast.USub, ast.UAdd)
+_ALLOWED_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub, ast.UAdd)
 _REAL = np.dtype(float)
 
 
-def _validate_expr(tree: ast.AST, names: set[str], source: str) -> None:
+def _parse(source: str, names: list[str]) -> ast.expr:
+    """The vetted tree of one expression, its literals made doubles."""
+    try:
+        tree = ast.parse(source, mode="eval")
+    except SyntaxError as err:
+        raise InputError(f"cannot parse expression {source!r}: {err}") from err
     for node in ast.walk(tree):
         if isinstance(node, (ast.Expression, ast.Load, ast.operator, ast.unaryop)):
             continue  # operator kinds are vetted on their BinOp/UnaryOp parents
         if isinstance(node, ast.Constant):
             if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
                 raise InputError(f"non-numeric literal in expression {source!r}")
+            try:
+                node.value = float(node.value)  # every literal is a double
+            except OverflowError:  # an integer beyond float range, infinite as 1e400 is
+                node.value = float("inf")
         elif isinstance(node, ast.Name):
             if node.id not in names and node.id not in _ALLOWED_CALLS:
                 raise InputError(
                     f"unknown name {node.id!r} in expression {source!r}; "
                     f"known: {', '.join(sorted(names))}"
                 )
-        elif isinstance(node, ast.BinOp):
-            if not isinstance(node.op, _ALLOWED_BINOPS):
-                raise InputError(f"operator not allowed in expression {source!r}")
-        elif isinstance(node, ast.UnaryOp):
-            if not isinstance(node.op, _ALLOWED_UNARY):
+        elif isinstance(node, (ast.BinOp, ast.UnaryOp)):
+            if not isinstance(node.op, _ALLOWED_OPS):
                 raise InputError(f"operator not allowed in expression {source!r}")
         elif isinstance(node, ast.Call):
-            if (
-                not isinstance(node.func, ast.Name)
-                or node.func.id not in _ALLOWED_CALLS
-                or node.keywords
-                or len(node.args) != 1
-            ):
-                raise InputError(
-                    f"only sin(.) and cos(.) calls are allowed, got {source!r}"
-                )
+            if (getattr(node.func, "id", None) not in _ALLOWED_CALLS or node.keywords
+                    or len(node.args) != 1):
+                raise InputError(f"only sin(.) and cos(.) calls are allowed, got {source!r}")
         else:
             raise InputError(
                 f"construct {type(node).__name__} not allowed in expression {source!r}"
             )
-
-
-def _parse(source: str, names: list[str]) -> ast.Expression:
-    try:
-        tree = ast.parse(source, mode="eval")
-    except SyntaxError as err:
-        raise InputError(f"cannot parse expression {source!r}: {err}") from err
-    _validate_expr(tree, set(names), source)
-    return tree
+    return tree.body
 
 
 def _is_complex(value) -> bool:
@@ -108,30 +101,91 @@ def _pow(a, b):
     return np.asarray(a) ** b if isinstance(a, np.generic) else a ** b
 
 
+def _neg(node: ast.expr) -> ast.expr:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return node.operand  # -(-x) is x, bit for bit
+    return ast.UnaryOp(ast.USub(), node)
+
+
+def _mul(a: ast.expr, b: ast.expr) -> ast.expr:
+    for x, y in ((a, b), (b, a)):
+        if isinstance(x, ast.Constant) and x.value == 1.0:
+            return y  # 1.0*y is y, bit for bit
+    return ast.BinOp(a, ast.Mult(), b)
+
+
+def _derivative(tree: ast.expr, var: str, source: str) -> ast.expr | None:
+    """``d tree / d var`` by the forward-mode chain rule, as a tree sharing the
+    subtrees of ``tree``. None is a structural zero: a vanishing term is
+    dropped, never written ``0*x``, which an infinite ``x`` would make NaN."""
+
+    def d(node):
+        if isinstance(node, (ast.Constant, ast.Name)):
+            return ast.Constant(1.0) if getattr(node, "id", None) == var else None
+        if isinstance(node, ast.UnaryOp):
+            du = d(node.operand)
+            return du if du is None or isinstance(node.op, ast.UAdd) else _neg(du)
+        if isinstance(node, ast.Call):  # sin' = cos, cos' = -sin
+            sin = node.func.id == "sin"
+            other = ast.Call(ast.Name("cos" if sin else "sin", ast.Load()), node.args, [])
+            du = d(node.args[0])
+            return du and _mul(other if sin else _neg(other), du)
+        a, b, op = node.left, node.right, type(node.op)
+        da, db = d(a), d(b)
+        if op is ast.Sub and da is None:
+            return db and _neg(db)
+        if op is ast.Mult:
+            op, da, db = ast.Add, da and _mul(da, b), db and _mul(a, db)
+        if op is ast.Add or op is ast.Sub:
+            return da if db is None else db if da is None else ast.BinOp(da, op(), db)
+        if op is ast.Div:  # (a/b)' = (a' - (a/b)*b')/b, reusing the quotient
+            if db is None:
+                return da and ast.BinOp(da, ast.Div(), b)
+            t = _mul(node, db)
+            return ast.BinOp(_neg(t) if da is None else ast.BinOp(da, ast.Sub(), t),
+                             ast.Div(), b)
+        if db is not None:
+            raise InputError(f"cannot differentiate expression {source!r} in {var!r}: "
+                             "a ** exponent depends on it")
+        if da is None or (isinstance(b, ast.Constant) and b.value == 0.0):
+            return None
+        if isinstance(b, ast.Constant):  # b*a**(b - 1.0), with b - 1.0 folded
+            e = b.value - 1.0
+            power = a if e == 1.0 else ast.BinOp(a, ast.Pow(), ast.Constant(e))
+        else:
+            power = ast.BinOp(a, ast.Pow(), ast.BinOp(b, ast.Sub(), ast.Constant(1.0)))
+        return _mul(_mul(b, power), da)
+
+    return d(tree)
+
+
 def _lower(bodies: list[ast.expr], args: set[str], prefix: str) -> list[ast.expr]:
     """The expression trees with each ``**`` that mentions an argument as a
     call of ``<prefix>pow`` and each repeated subtree bound to a temporary
-    ``<prefix><i>`` at its first occurrence and read back at the others."""
+    ``<prefix><i>`` at its first occurrence and read back at the others.
+    Trees may share nodes, as derivatives do; each reference is one."""
     # per node: its operands, its structure, and whether it names an argument
-    children, keys, mentions = {}, {}, {}
+    children, keys, mentions, counts = {}, {}, {}, Counter()
 
     def scan(node):
-        kids = children[node] = node.args if isinstance(node, ast.Call) else [
-            kid for kid in ast.iter_child_nodes(node) if isinstance(kid, ast.expr)]
-        for kid in kids:
-            scan(kid)
-        if isinstance(node, ast.Name):
-            keys[node] = node.id
-        elif isinstance(node, ast.Constant):
-            keys[node] = (repr(node.value),)  # no name equals it; 1 and 1.0 differ
-        else:
-            op = node.func.id if isinstance(node, ast.Call) else type(node.op)
-            keys[node] = (op, *map(keys.get, kids))
-        mentions[node] = keys[node] in args or any(map(mentions.get, kids))
+        if node not in keys:
+            kids = children[node] = node.args if isinstance(node, ast.Call) else [
+                kid for kid in ast.iter_child_nodes(node) if isinstance(kid, ast.expr)]
+            for kid in kids:
+                scan(kid)
+            if isinstance(node, ast.Name):
+                keys[node] = node.id
+            elif isinstance(node, ast.Constant):
+                keys[node] = (repr(node.value),)  # no name equals it
+            else:
+                op = node.func.id if isinstance(node, ast.Call) else type(node.op)
+                keys[node] = (op, *map(keys.get, kids))
+            mentions[node] = keys[node] in args or any(map(mentions.get, kids))
+        counts[keys[node]] += 1
 
     for body in bodies:
         scan(body)
-    counts, temps = Counter(keys.values()), {}
+    temps = {}
 
     def visit(node):
         if keys[node] in temps:
@@ -155,38 +209,67 @@ def _lower(bodies: list[ast.expr], args: set[str], prefix: str) -> list[ast.expr
     return [visit(body) for body in bodies]
 
 
-def _compile(sources: list[str], args: list[str], names: list[str]) -> Callable:
-    """``bind``, where ``bind(values)`` is one function of ``args`` returning
-    the tuple of the expressions' values, reading the rest of ``names`` (a
-    superset of ``args``) from ``values``."""
+def compile_map(sources: list[str], blocks: list[list[str]], params: list[str],
+                wrt=()) -> Callable[[dict], Callable]:
+    """``bind``, where ``bind(values)`` (the values of ``params``) is one
+    function of ``len(blocks)`` arrays, each a lone state ``(n_j,)`` or a
+    batch ``(..., n_j)`` whose columns ``blocks[j]`` names. It returns the
+    ``(..., k)`` array of the expressions' values or, given the names
+    ``wrt``, of each expression's partials along them, all computed by one
+    code object. An arithmetic error or a complex value raises
+    ``EvaluationError`` naming the first expression that fails."""
+    args = [name for block in blocks for name in block]
+    names = args + list(params)
     prefix = "_"
     while any(name.startswith(prefix) for name in names):
         prefix += "_"  # temporaries never clash with a user's name
-    bodies = _lower([_parse(src, names).body for src in sources], set(args), prefix)
-    params = ast.arguments(posonlyargs=[], args=[ast.arg(name) for name in args],
-                           kwonlyargs=[], kw_defaults=[], defaults=[])
-    tree = ast.Expression(ast.Lambda(params, ast.Tuple(bodies, ast.Load())))
+    bodies = []
+    for src in sources:
+        tree = _parse(src, names)
+        bodies += [_derivative(tree, var, src) or ast.Constant(0.0) for var in wrt] or [tree]
+    lambda_args = ast.arguments(posonlyargs=[], args=[ast.arg(name) for name in args],
+                                kwonlyargs=[], kw_defaults=[], defaults=[])
+    body = ast.Tuple(_lower(bodies, set(args), prefix), ast.Load())
+    tree = ast.Expression(ast.Lambda(lambda_args, body))
     code = compile(ast.fix_missing_locations(tree), "<rhs>", "eval")
     builtins = {"__builtins__": {}, **_ALLOWED_CALLS, prefix + "pow": _pow}
-    return lambda values: eval(code, {**builtins, **values})
+    getters = [itemgetter(*[(..., i) for i in range(len(block))]) if len(block) > 1
+               else lambda a: (a[..., 0],) for block in blocks]
+    may_be_complex = any("**" in src for src in sources)  # see _is_complex
 
+    def bind(values: dict) -> Callable:
+        columns = eval(code, {**builtins, **values})  # parameters are its globals
 
-def compile_expression(source: str, names: list[str]) -> Callable:
-    """Compile one expression to a function of a name -> value environment.
-    An arithmetic error (division by zero, float overflow) or a complex value
-    raises ``EvaluationError`` naming the expression."""
-    fn = _compile([source], names, names)({})
+        def evaluate(*arrays):
+            if len(arrays) == 1:  # one block, as a field has: its hot path, no loop
+                a = np.asarray(arrays[0], dtype=float)
+                cols = a if a.ndim == 1 else getters[0](a)
+            else:
+                cols = []
+                for a, get in zip(arrays, getters):
+                    a = np.asarray(a, dtype=float)
+                    cols.extend(a if a.ndim == 1 else get(a))
+            try:
+                results = columns(*cols)
+            except ArithmeticError as err:
+                if len(sources) > 1:  # evaluate one by one to name the failure
+                    for src in sources:
+                        compile_map([src], blocks, params, wrt)(values)(*arrays)
+                raise _error(sources[0], f"failed with {type(err).__name__}") from err
+            if a.ndim == 1:
+                out = np.array(results)
+                if out.dtype is _REAL:  # else a column is complex
+                    return out
+            out = np.empty((*a.shape[:-1], len(results)))
+            for i, value in enumerate(results):
+                if may_be_complex and _is_complex(value):  # casting would drop it
+                    raise _error(sources[i // (len(wrt) or 1)], "has a complex value")
+                out[..., i] = value  # a constant fills the batch
+            return out
 
-    def evaluate(env: dict):
-        try:
-            (value,) = fn(*[env[name] for name in names])
-        except ArithmeticError as err:
-            raise _error(source, f"failed with {type(err).__name__}") from err
-        if _is_complex(value):
-            raise _error(source, "has a complex value")
-        return value
+        return evaluate
 
-    return evaluate
+    return bind
 
 
 def system_factory(doc: dict) -> tuple[Callable[[dict], SystemEntry], dict]:
@@ -217,10 +300,7 @@ def system_factory(doc: dict) -> tuple[Callable[[dict], SystemEntry], dict]:
     clash = (set(state) | set(params)) & set(_ALLOWED_CALLS)
     if clash:
         raise InputError(f"names used for both a variable and a function: {sorted(clash)}")
-    names = state + list(params)
-    bind = _compile(rhs_sources, state, names)
-    batch_columns = itemgetter(*[(..., i) for i in range(n)])
-    may_be_complex = any("**" in src for src in rhs_sources)  # see _is_complex
+    bind = compile_map(rhs_sources, [state], list(params))
     x0 = doc.get("x0")
     x0 = np.zeros(n) if x0 is None else np.asarray([float(v) for v in x0], dtype=float)
     if x0.shape != (n,):
@@ -228,37 +308,10 @@ def system_factory(doc: dict) -> tuple[Callable[[dict], SystemEntry], dict]:
 
     def factory(resolved_params: dict) -> SystemEntry:
         pvals = dict(resolved_params)
-        columns = bind(pvals)
-
-        def rhs(s):
-            s = np.asarray(s, dtype=float)
-            cols = s if s.ndim == 1 else batch_columns(s)
-            try:
-                values = columns(*cols)
-            except ArithmeticError:
-                # evaluate one by one to name the first expression that fails
-                env = {**dict(zip(state, cols)), **pvals}
-                for src in rhs_sources:
-                    compile_expression(src, names)(env)
-                raise
-            if s.ndim == 1:
-                out = np.array(values)
-                if out.dtype is _REAL:  # else a column is complex or a constant
-                    return out
-            out = np.empty(s.shape)
-            for i, value in enumerate(values):
-                if may_be_complex and _is_complex(value):  # casting would drop it
-                    raise _error(rhs_sources[i], "has a complex value")
-                try:
-                    out[..., i] = value  # a constant fills the batch
-                except ArithmeticError as err:  # an integer beyond float range
-                    raise _error(rhs_sources[i], f"failed with {type(err).__name__}") from err
-            return out
-
         return SystemEntry(
             name=name,
             params=pvals,
-            field=VectorFieldDef(n=n, rhs=rhs, params=pvals, name=name),
+            field=VectorFieldDef(n=n, rhs=bind(pvals), params=pvals, name=name),
             decomp=Decomposition.retain(n, m),
             default_ic=x0.copy(),
         )

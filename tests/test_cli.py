@@ -1049,3 +1049,83 @@ class TestNonFiniteBoxes:
         box = ";".join([bad] + ["0,1"] * (dim - 1))
         rc = main([*argv, f"{flag}={box}", "--out", str(tmp_path / "o")])
         assert_clean_usage_error(rc, capsys, "must be finite")
+
+
+# sha256 of the --out JSON of `check-lyapunov --samples 4096` at the default
+# seed, recorded while the certificates were hand-written closures
+CERTIFICATE_OUTPUT_SHA256 = {
+    ("ball-hoop", "fiberwise", False):
+        "76bf75c8b0e5a7ba96e9f85457f167beaa3e822a6dbf20eb30425aee791da983",
+    ("ball-hoop", "iiss", False):
+        "9ea0d7af3c20cf2768266b69d6d43146d89c1a23b0ffda28cae10393de5f0d92",
+    ("cart-pendulum", "iubibss", False):
+        "538be629591d13d205e9e1b6098c6724bb7cac363f324e5b4b3d2e5ab4e8901f",
+    ("ball-hoop", "iiss", True):
+        "09877004fa02ca25f29ed68f6d6de3ac553934fe8a1a3ca2c0b4b974ca3fbf0b",
+    ("cart-pendulum", "iubibss", True):
+        "a18d07dc2804532ac52be6f561fa0a1b77f4452fefc6ee23dc34194ea5eb855d",
+}
+
+
+@pytest.mark.parametrize("system,certificate,negate", sorted(CERTIFICATE_OUTPUT_SHA256))
+def test_certificate_outputs_keep_their_bytes(tmp_path, system, certificate, negate):
+    import hashlib
+
+    out = tmp_path / "report.json"
+    argv = ["check-lyapunov", "--system", system, "--certificate", certificate,
+            "--samples", "4096", "--out", str(out)]
+    rc = main(argv + (["--negate-v"] if negate else []))
+    assert rc == (3 if negate else 0)
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == CERTIFICATE_OUTPUT_SHA256[system, certificate, negate]
+
+
+@pytest.mark.parametrize("argv", [
+    # sqrt of a negative y is NaN with a RuntimeWarning
+    ["check-exact", "--config", "{tmp}/root.json", "--box=-2,-1;0,1"],
+    # squares of velocity gaps near 1e200 overflow with a RuntimeWarning
+    ["check-lyapunov", "--system", "ball-hoop", "--certificate", "iiss",
+     "--box=-1e200,1e200", "--samples", "64"],
+])
+def test_a_sampled_check_prints_no_numpy_warning(tmp_path, argv):
+    (tmp_path / "root.json").write_text(json.dumps(
+        {"name": "root", "state": ["y", "z"], "m": 1, "rhs": ["y**0.5 + 0*z", "-z"]}))
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    proc = run_in_subprocess([*argv, "--out", str(tmp_path / "o.json")])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("approxred: numerical failure: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+# counts the expression trees compiled while a command runs in-process
+COMPILES_SCRIPT = (
+    "import builtins, json, sys\n"
+    "trees = []\n"
+    "real = builtins.compile\n"
+    "def spy(source, filename, *args, **kwargs):\n"
+    "    if filename == '<rhs>':\n"
+    "        trees.append(source)\n"
+    "    return real(source, filename, *args, **kwargs)\n"
+    "builtins.compile = spy\n"
+    "from approxred import cli\n"
+    "try:\n"
+    "    rc = cli.main(json.loads(sys.argv[1]))\n"
+    "except SystemExit as stop:  # --version exits from argparse\n"
+    "    rc = stop.code\n"
+    "print(rc, len(trees))\n"
+)
+
+
+def test_bundled_systems_compile_on_first_lookup_only(tmp_path):
+    config = write_demo_config(tmp_path)
+    out = ["--out", str(tmp_path / "o.csv")]
+    cases = [
+        (["--version"], 0),
+        (["simulate", "--config", config, "--t-end", "1", *out], 1),  # the config's rhs
+        # the hoop's field, its four functions, and V and U with their gradients
+        (["simulate", "--system", "ball-hoop", "--t-end", "1", *out], 7),
+    ]
+    for argv, trees in cases:
+        proc = run_in_subprocess([json.dumps(argv)], script=COMPILES_SCRIPT)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == f"0 {trees}", argv

@@ -95,10 +95,10 @@ class TestVdot:
         assert v == pytest.approx(0.0, abs=1e-8)
 
     def test_hoop_velocity_gap(self):
-        entry = lookup("ball-hoop", {})
+        spec = lookup("ball-hoop", {}).certificates["iiss"]()
         v = vdot(
-            entry.aux["velocity_gap"],
-            entry.certificates["iiss"]().control,
+            spec.certificate.V,
+            spec.control,
             [1.0],
             [0.0],
             [0.0],

@@ -123,7 +123,7 @@ class TestBlockSizeInvariance:
             entry = lookup("ball-hoop", {"R": R, "xi_hoop": xi})
             p = entry.params
             lyap = entry.aux["lyapunov"].fn
-            level = entry.aux["sublevel_value"](entry.default_ic) if c is None else c
+            level = float(lyap(entry.default_ic)) if c is None else c
             w_max = np.sqrt(2.0 * level / (p["m"] * p["R"] ** 2))
             W, TH = np.meshgrid(
                 np.linspace(-w_max, w_max, 1001), np.linspace(-np.pi, np.pi, 1001),

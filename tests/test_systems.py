@@ -8,8 +8,9 @@ from approxred.integrate import IntegratorConfig, integrate_field
 from approxred.reduction import construct_reduced
 from approxred.sampling import sobol_points
 from approxred.systems import (
-    cart_to_internal,
-    cart_to_natural_order,
+    CART_ANGLE_BOX,
+    CART_ORDER,
+    _compiled,
     lookup,
     make_ball_in_hoop,
 )
@@ -120,12 +121,11 @@ class TestCartPendulum:
     @settings(max_examples=50)
     def test_reordering_is_an_involution(self, vals):
         s = np.array(vals)
-        assert np.array_equal(cart_to_natural_order(cart_to_internal(s)), s)
-        assert np.array_equal(cart_to_internal(cart_to_natural_order(s)), s)
+        assert np.array_equal(s[CART_ORDER][CART_ORDER], s)
 
     def test_reordering_convention(self):
         natural = np.array([1.0, 2.0, 3.0, 4.0])  # (x, theta, v, omega)
-        assert np.array_equal(cart_to_internal(natural), [1.0, 3.0, 2.0, 4.0])
+        assert np.array_equal(natural[CART_ORDER], [1.0, 3.0, 2.0, 4.0])
 
 
 class TestLookup:
@@ -170,9 +170,10 @@ USER_DOCS = [
 
 
 def bundled_maps():
-    """Every bundled right-hand side with its input widths: the fields,
-    their reduced forms and the certificates' control systems, then the
-    fields of compiled user documents and their reduced forms."""
+    """Every bundled map with its input widths: the fields, their reduced
+    forms, the certificates' control systems, V or U with their gradients,
+    the input couplings and the cart's energy, then the fields of compiled
+    user documents and their reduced forms."""
     maps = []
     for name in ("ball-hoop", "cart-pendulum"):
         e = lookup(name, {})
@@ -182,9 +183,18 @@ def bundled_maps():
             if f is not None:
                 maps.append(pytest.param(f.rhs, (f.n,), id=label))
         for cert, factory in sorted(e.certificates.items()):
-            c = factory().control
+            spec = factory()
+            c, V = spec.control, spec.certificate.V
             if c is not None:
                 maps.append(pytest.param(c.rhs, (c.n, c.m_in), id=f"{name}-{cert}-control"))
+            widths = (c.n, c.n) if V.arity == "pair" else (e.field.n,)
+            maps.append(pytest.param(V.fn, widths, id=f"{name}-{cert}-{V.name}"))
+            maps.append(pytest.param(V.grad, widths, id=f"{name}-{cert}-grad-{V.name}"))
+            coupling = e.aux["input_coupling"]
+            if c is not None:
+                maps.append(pytest.param(coupling, (c.m_in,), id=f"{name}-{cert}-coupling"))
+        if "energy" in e.aux:
+            maps.append(pytest.param(e.aux["energy"].fn, (e.field.n,), id=f"{name}-energy"))
     for doc in USER_DOCS:
         e, _ = system_from_dict(doc)
         sliced = construct_reduced(e.field, e.decomp)
@@ -194,7 +204,7 @@ def bundled_maps():
 
 
 class TestLoneStateMatchesBatchRow:
-    """A bundled or compiled right-hand side gives the same bits on a lone
+    """A bundled or compiled map gives the same bits on a lone
     state as on that state in a batch, so a run does not depend on how it is
     batched."""
 
@@ -208,3 +218,132 @@ class TestLoneStateMatchesBatchRow:
         lone = np.stack([np.asarray(rhs(*row), dtype=float) for row in zip(*blocks)])
         assert batch.shape == lone.shape
         assert batch.tobytes() == lone.tobytes()
+
+
+def hoop_closures(p):
+    """The ball-hoop's hand-written certificate functions, before they
+    became expressions: oracles for the compiled ones."""
+    m, R, g, mu, xi2 = p["m"], p["R"], p["g"], p["mu"], p["xi_hoop"] ** 2
+
+    def lyap(s):
+        w, th = s[..., 0], s[..., 1]
+        return (0.5 * m * R**2 * w**2 + m * g * R * (1.0 - np.cos(th))
+                - 0.5 * m * R**2 * xi2 * np.sin(th) ** 2)
+
+    def lyap_grad(s):
+        w, th = s[..., 0], s[..., 1]
+        sin = np.sin(th)
+        return np.stack([m * R**2 * w, m * g * R * sin - m * R**2 * xi2 * sin * np.cos(th)],
+                        axis=-1)
+
+    def coupling(u):
+        sin = np.sin(u[..., 0])
+        return xi2 * sin * np.cos(u[..., 0]) - (g / R) * sin
+
+    def velocity_gap_grad(s1, s2):
+        diff = s1[..., 0] - s2[..., 0]
+        return np.stack([diff, -diff], axis=-1)
+
+    return {
+        "V": lyap,
+        "grad-V": lyap_grad,
+        "U": lambda s1, s2: 0.5 * (s1[..., 0] - s2[..., 0]) ** 2,
+        "grad-U": velocity_gap_grad,
+        "coupling": coupling,
+        "control": lambda s, u: (-(mu / m) * s[..., 0] + coupling(u))[..., None],
+    }
+
+
+def cart_closures(p):
+    """The cart-pendulum's hand-written certificate functions (oracles)."""
+    M, m, R, k, g, d = (p[key] for key in ("M", "m", "R", "k", "g", "d"))
+
+    def energy(s):
+        x, v, th, w = s[..., 0], s[..., 1], s[..., 2], s[..., 3]
+        kinetic = 0.5 * (M + m) * v**2 + m * R * v * w * np.cos(th) + 0.5 * m * R**2 * w**2
+        return kinetic + (0.5 * k * x**2 - m * g * R * np.cos(th))
+
+    def coupling(u):
+        return u[..., 1] ** 2 * np.sin(u[..., 0]) - u[..., 2] * np.cos(u[..., 0])
+
+    def position_gap(s1, s2):
+        dx, dv = s1[..., 0] - s2[..., 0], s1[..., 1] - s2[..., 1]
+        return dx**2 / (2.0 * (m + M)) + 0.5 * dv**2
+
+    def position_gap_grad(s1, s2):
+        dx, dv = s1[..., 0] - s2[..., 0], s1[..., 1] - s2[..., 1]
+        g1 = np.stack([dx / (m + M), dv], axis=-1)
+        return np.concatenate([g1, -g1], axis=-1)
+
+    def control(s, u):
+        x, v = s[..., 0], s[..., 1]
+        return np.stack([v, (m * R * coupling(u) - k * x - d * v) / (M + m)], axis=-1)
+
+    return {"energy": energy, "U": position_gap, "grad-U": position_gap_grad,
+            "coupling": coupling, "control": control}
+
+
+def compiled_functions(name, params):
+    """Each compiled certificate function of a bundled system, keyed as in
+    its closures, with its sample box: one box per argument."""
+    e = lookup(name, params)
+    spec = e.certificates["iiss" if name == "ball-hoop" else "iubibss"]()
+    U, c = spec.certificate.V, spec.control
+    out = {
+        "U": (U.fn, [spec.state_box] * 2),
+        "grad-U": (U.grad, [spec.state_box] * 2),
+        "coupling": (e.aux["input_coupling"], [spec.input_box]),
+        "control": (c.rhs, [spec.state_box, spec.input_box]),
+    }
+    if name == "ball-hoop":
+        box = e.certificates["fiberwise"]().state_box
+        V = e.aux["lyapunov"]
+        out.update({"V": (V.fn, [box]), "grad-V": (V.grad, [box])})
+    else:
+        out["energy"] = (e.aux["energy"].fn, [spec.state_box.concat(CART_ANGLE_BOX)])
+    return out
+
+
+CLOSURE_CASES = [
+    ("ball-hoop", {}, hoop_closures),
+    ("ball-hoop", {"R": 10.0, "xi_hoop": 0.3}, hoop_closures),
+    ("cart-pendulum", {}, cart_closures),
+    ("cart-pendulum", {"k": 1.2, "d": 0.8}, cart_closures),
+]
+
+
+def against_closures(name, params, closures):
+    """Each compiled function with its closure and 20000 samples of its
+    default boxes, split into its arguments."""
+    oracle = closures(lookup(name, params).params)
+    for key, (fn, boxes) in compiled_functions(name, params).items():
+        lower = np.concatenate([b.lower for b in boxes])
+        X = sobol_points(Box(lower, np.concatenate([b.upper for b in boxes])), 20000, 11)
+        yield key, fn, oracle[key], np.split(X, np.cumsum([b.dim for b in boxes])[:-1], axis=1)
+
+
+class TestCompiledCertificates:
+    """The certificate expressions against the closures they replaced."""
+
+    @pytest.mark.parametrize("name,params,closures", CLOSURE_CASES)
+    def test_values_keep_the_closures_bits(self, name, params, closures):
+        for key, fn, closure, args in against_closures(name, params, closures):
+            if not key.startswith("grad"):
+                assert fn(*args).tobytes() == closure(*args).tobytes(), key
+
+    @pytest.mark.parametrize("name,params,closures", CLOSURE_CASES)
+    def test_derived_gradients_are_within_4_ulps(self, name, params, closures):
+        for key, fn, closure, args in against_closures(name, params, closures):
+            if key.startswith("grad"):
+                got, want = fn(*args), closure(*args)
+                assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want))), key
+            if key == "grad-U":  # 0.5*(2.0*d) is d, (2.0*dx)/(2.0*(m + M)) is dx/(m + M)
+                assert got.tobytes() == want.tobytes()
+
+    def test_each_system_compiles_once_per_process(self):
+        for name in ("ball-hoop", "cart-pendulum"):
+            lookup(name, {})
+        misses = _compiled.cache_info().misses
+        lookup("ball-hoop", {"R": 7.0}).certificates["iiss"]()
+        lookup("cart-pendulum", {"d": 0.5}).certificates["iubibss"]()
+        assert _compiled.cache_info().misses == misses

@@ -1,15 +1,26 @@
+import ast
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from approxred.core import EvaluationError, InputError
 from approxred.user_systems import (
-    compile_expression,
+    _parse,
+    compile_map,
     load_system_config,
     system_from_dict,
 )
+
+
+def compile_expression(source, names):
+    """One expression as a function of a name -> value environment; the
+    values are floats (a lone state) or equal-length arrays (a batch)."""
+    fn = compile_map([source], [names], [])({})
+    return lambda env: fn(np.stack(np.broadcast_arrays(*[env[n] for n in names]), -1))[..., 0]
 
 
 def demo_doc():
@@ -177,8 +188,9 @@ class TestCompiledSystem:
     }
 
     # repeated subexpressions, an int and a float literal of equal value
-    # (3**40 is exact, 3.0**40 is rounded), and names the compiler's
-    # temporaries must not clash with
+    # (both doubles: 3**40 rounds as 3.0**40 does, to the double nearest
+    # 12157665459056928800), and names the compiler's temporaries must not
+    # clash with
     SHARED = {
         "name": "shared",
         "state": ["y", "_0", "__0"],
@@ -192,14 +204,11 @@ class TestCompiledSystem:
     def assert_bit_identical_to_one_by_one(self, doc):
         entry, _ = system_from_dict(doc)
         n = len(doc["state"])
-        names = doc["state"] + list(doc["params"])
-        exprs = [compile_expression(src, names) for src in doc["rhs"]]
+        exprs = [compile_map([src], [doc["state"]], list(doc["params"]))(doc["params"])
+                 for src in doc["rhs"]]
         X = np.random.default_rng(3).uniform(0.1, 2.0, (50, n))
         for s in (X, X[7]):
-            env = {nm: s[..., i] for i, nm in enumerate(doc["state"])}
-            env.update(doc["params"])
-            cols = [np.broadcast_to(np.asarray(f(env), dtype=float), s[..., 0].shape)
-                    for f in exprs]
+            cols = [f(s)[..., 0] for f in exprs]
             got = entry.field.rhs(s)
             assert got.shape == s.shape
             assert got.tobytes() == np.stack(cols, axis=-1).tobytes()
@@ -210,7 +219,7 @@ class TestCompiledSystem:
     def test_shared_subexpressions_keep_the_bits(self):
         self.assert_bit_identical_to_one_by_one(self.SHARED)
         entry, _ = system_from_dict(self.SHARED)
-        assert entry.field([1.0, 0.0, 0.0])[:2].tolist() == [1.5, 0.0]
+        assert entry.field([1.0, 0.0, 0.0])[:2].tolist() == [0.5, 0.0]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -231,3 +240,101 @@ class TestCompiledSystem:
                 continue
             with pytest.raises(EvaluationError, match=re.escape(repr(named))):
                 entry.field.rhs(s)
+
+
+class TestFloatLiterals:
+    def test_integer_literals_are_doubles(self):
+        # exact integers would give 1; doubles round 10**17 + 1 to 10**17
+        assert compile_expression("(10**17 + 1) - 10**17 + 0*y", ["y"])({"y": 1.0}) == 0.0
+
+    def test_an_integer_tower_overflows_instead_of_hanging(self):
+        tree = _parse("9**9**9 + y", ["y"])
+        constants = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)]
+        assert constants and all(type(v) is float for v in constants)
+        # only evaluated once the literals are known to be doubles
+        with pytest.raises(EvaluationError, match="OverflowError"):
+            compile_expression("9**9**9 + y", ["y"])({"y": 1.0})
+
+    def test_an_integer_literal_reads_as_a_float_literal_does(self):
+        # the nearest double, infinite beyond the float range as 1e400 is
+        for big in ("1" + "0" * 400, "0x" + "f" * 4000):
+            assert compile_expression(f"{big}*y + 0*y", ["y"])({"y": 1.0}) == float("inf")
+        assert compile_expression("(2**53 + 1) - 2**53 + 0*y", ["y"])({"y": 1.0}) == 0.0
+        assert compile_expression("12345678901234567891 - y", ["y"])({"y": 0.0}) == float(
+            "12345678901234567891")
+
+
+# the language's leaves: the differentiation variables y and z, a parameter
+# and dyadic literals, which sympy holds exactly
+LEAVES = st.sampled_from(["y", "z", "a", "0.5", "2", "1.5", "3.0"])
+# exponents free of y and z: literals (zero included) and parameter expressions
+EXPONENTS = st.sampled_from(["2", "3", "0.5", "-1", "-1.5", "0", "1", "a", "(a + 1)"])
+
+
+def _extend(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from(["+", "-", "*", "/"]), children).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from(["sin", "cos"]), children).map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(st.sampled_from(["-", "+"]), children).map(lambda t: f"({t[0]}{t[1]})"),
+        st.tuples(children, EXPONENTS).map(lambda t: f"({t[0]})**{t[1]}"),
+    )
+
+
+EXPRESSIONS = st.recursive(LEAVES, _extend, max_leaves=8)
+POINT = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+class TestDerivatives:
+    """Compiled partial derivatives against sympy's exact ones."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(EXPRESSIONS, POINT, POINT, st.floats(0.25, 2.0))
+    def test_partials_match_sympy(self, source, y, z, a):
+        import mpmath
+        import sympy
+
+        Y, Z, A = sympy.symbols("y z a")
+        exact = sympy.sympify(source, locals={"y": Y, "z": Z, "a": A})
+        if exact.has(sympy.zoo, sympy.nan):
+            return  # a division by an expression that is identically zero
+        oracle = sympy.lambdify(
+            (Y, Z, A), [exact, sympy.diff(exact, Y), sympy.diff(exact, Z)], "mpmath")
+        with mpmath.workdps(40):
+            try:
+                want = [complex(w) for w in oracle(*map(mpmath.mpf, (y, z, a)))]
+            except (ZeroDivisionError, OverflowError, ValueError):
+                return  # a pole
+        values = compile_map([source], [["y", "z"]], ["a"])({"a": a})
+        partials = compile_map([source], [["y", "z"]], ["a"], wrt=["y", "z"])({"a": a})
+        try:
+            with np.errstate(all="ignore"):
+                got = np.concatenate([values(np.array([y, z])), partials(np.array([y, z]))])
+        except EvaluationError:  # a complex or infinite value
+            assert not all(w.imag == 0 and np.isfinite(w.real) for w in want)
+            return
+        for i, value in enumerate(want):
+            if value.imag or not (np.isfinite(value.real) and np.isfinite(got[i])):
+                continue  # a negative base's root, a pole or an overflow
+            assert abs(got[i] - value.real) <= 1e-6 * (1.0 + abs(value.real)), (
+                source, i, got[i], value.real)
+
+    def test_an_exponent_in_the_variable_cannot_be_differentiated(self):
+        with pytest.raises(InputError, match="exponent depends on it"):
+            compile_map(["2**y + z"], [["y", "z"]], [], wrt=["y"])
+        # z's partial needs no exponent's derivative
+        fn = compile_map(["2**y + z"], [["y", "z"]], [], wrt=["z"])({})
+        assert fn(np.array([3.0, 1.0])).tolist() == [1.0]
+
+    def test_structural_zeros_keep_infinite_terms_out(self):
+        # d/dy of 1e308*z*z is no 0*inf: the term is dropped, not multiplied
+        fn = compile_map(["y + 1e308*z*z"], [["y", "z"]], [], wrt=["y", "z"])({})
+        with np.errstate(over="ignore"):
+            assert fn(np.array([1.0, 1e200])).tolist() == [1.0, np.inf]
+
+    def test_a_failing_derivative_names_its_expression(self):
+        # y/(a - a) is a numpy division; its partial 1.0/(a - a) divides floats
+        fn = compile_map(["y/(a - a)"], [["y"]], ["a"], wrt=["y"])({"a": 1.0})
+        with pytest.raises(EvaluationError, match=re.escape("'y/(a - a)' failed")):
+            with np.errstate(divide="ignore"):
+                fn(np.array([1.0]))
