@@ -42,7 +42,6 @@ from .stability import (
     FiberwiseCertificate,
     IISSCertificate,
     IUBIBSSCertificate,
-    ScalarFunctionDef,
     check_fiberwise,
     check_iiss,
     check_iubibss,
@@ -79,7 +78,6 @@ __all__ = [
     "FiberwiseCertificate",
     "IISSCertificate",
     "IUBIBSSCertificate",
-    "ScalarFunctionDef",
     "check_fiberwise",
     "check_iiss",
     "check_iubibss",

@@ -239,6 +239,9 @@ class ComparisonFunction:
     def __post_init__(self):
         if self.kind not in _COMPARISON_KINDS:
             raise InputError(f"unknown comparison kind {self.kind!r}")
+        if not np.all(np.isfinite([self.a, self.p, self.b])):
+            raise InputError(f"comparison function {self.kind} needs finite "
+                             f"coefficients, got a={self.a}, p={self.p}, b={self.b}")
         if not (self.a > 0):
             raise InputError("coefficient a must be positive")
         if not (self.p > 0):
@@ -314,8 +317,10 @@ class Box:
         return self.upper - self.lower
 
     def diameter(self) -> float:
-        """Euclidean diameter (length of the main diagonal)."""
-        return float(np.linalg.norm(self.widths))
+        """Euclidean diameter (length of the main diagonal); inf, without a
+        warning, where its square overflows."""
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(self.widths))
 
     def project(self, d: Decomposition, which: str) -> "Box":
         """The image of the box under a canonical projection."""

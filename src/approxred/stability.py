@@ -7,6 +7,12 @@ evaluates the certificate conditions with a small numerical slack, and either
 reports the worst violation (with a witness precise enough to re-evaluate) or
 records that no counterexample was found.
 
+A certificate's V is one map of its argument blocks, a state ``(..., n)`` or
+a state pair ``(..., n), (..., n)``, to the ``(..., 1 + sum n_j)`` array of its
+value followed by its gradient along each argument in turn, as
+``user_systems.compile_map`` computes it; each check evaluates it once per
+block of samples.
+
 A NO_COUNTEREXAMPLE verdict is evidence on the given boxes at the given sample
 count; it is never a proof.
 """
@@ -27,14 +33,10 @@ from .core import (
     InputError,
     VectorFieldDef,
 )
-from .numdiff import (
-    batch_eval,
-    batch_eval_pair,
-    gradient_batch,
-    jacobian_batch,
-    pair_gradient_batch,
-)
+from .numdiff import batch_eval, jacobian_batch
 from .sampling import DEFAULT_SEED, sobol_blocks, sobol_points
+
+GAIN_GRID = 1001  # radii of the IUBIBSS gain-threshold grid
 
 NO_COUNTEREXAMPLE = "NO_COUNTEREXAMPLE"
 COUNTEREXAMPLE = "COUNTEREXAMPLE"
@@ -51,50 +53,27 @@ def _slack(values) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ScalarFunctionDef:
-    """A scalar function of one state ("state" arity) or of a state pair.
-
-    ``fn`` maps (n,) -> float for state arity and ((n,), (n,)) -> float for
-    pair arity; batched variants over (N, n) blocks are used when they work.
-    ``grad`` is optional: the gradient, for pair arity the two states'
-    gradients side by side, (2n,).
-    """
-
-    arity: str
-    fn: Callable
-    grad: Callable | None = None
-    name: str = "V"
-
-    def __post_init__(self):
-        if self.arity not in ("state", "pair"):
-            raise InputError(f"arity must be 'state' or 'pair', got {self.arity!r}")
-
-
-@dataclass(frozen=True)
 class IISSCertificate:
-    """Candidate IISS Lyapunov data: sandwich bounds, decay rate, input gain."""
+    """Candidate IISS Lyapunov data: a pair map V(x1, x2) with its gradient,
+    sandwich bounds, decay rate and input gain."""
 
-    V: ScalarFunctionDef
+    V: Callable
     alpha_lower: ComparisonFunction
     alpha_upper: ComparisonFunction
     alpha_decay: ComparisonFunction
     mu: ComparisonFunction
 
-    def __post_init__(self):
-        if self.V.arity != "pair":
-            raise InputError("an IISS certificate needs a pair function V(x1, x2)")
-
 
 @dataclass(frozen=True)
 class IUBIBSSCertificate:
-    """Candidate IUBIBSS Lyapunov data.
+    """Candidate IUBIBSS Lyapunov data, with V a pair map V(x1, x2).
 
     The gain threshold used in the checks is mu(r) + mu_offset; the required
     inequality mu(r) + mu_offset >= r + xi forces a positive offset at r = 0,
     which the pure class-K-infinity families cannot supply on their own.
     """
 
-    V: ScalarFunctionDef
+    V: Callable
     alpha_lower: ComparisonFunction
     alpha_upper: ComparisonFunction
     mu: ComparisonFunction
@@ -102,8 +81,6 @@ class IUBIBSSCertificate:
     mu_offset: float = 0.0
 
     def __post_init__(self):
-        if self.V.arity != "pair":
-            raise InputError("an IUBIBSS certificate needs a pair function V(x1, x2)")
         if not (self.xi > 0):
             raise InputError("threshold xi must be positive")
         if self.mu_offset < 0:
@@ -115,16 +92,15 @@ class IUBIBSSCertificate:
 
 @dataclass(frozen=True)
 class FiberwiseCertificate:
-    """Candidate fiberwise practical stability data for a decomposed field."""
+    """Candidate fiberwise practical stability data for a decomposed field,
+    with V a map of one state."""
 
-    V: ScalarFunctionDef
+    V: Callable
     alpha_lower: ComparisonFunction
     alpha_upper: ComparisonFunction
     d_threshold: float = 0.0
 
     def __post_init__(self):
-        if self.V.arity != "state":
-            raise InputError("a fiberwise certificate needs a state function V(x)")
         if self.d_threshold < 0:
             raise InputError("d_threshold must be nonnegative")
 
@@ -155,35 +131,26 @@ class CertificateReport:
         return self.verdict == NO_COUNTEREXAMPLE
 
 
-def _eval_V_pair(V: ScalarFunctionDef, X1, X2) -> np.ndarray:
-    vals = batch_eval_pair(V.fn, X1, X2)
+def _value_and_grads(V: Callable, *blocks) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A certificate map's value column on paired sample rows, and its
+    gradient columns split into one block per argument. The values are a
+    copy: they outlive the block in the condition table, and a view would
+    keep the whole output, gradients too, alive with them."""
+    widths = [X.shape[1] for X in blocks]
+    out = batch_eval(V, *blocks, out_dim=1 + sum(widths))
+    return out[:, 0].copy(), np.split(out[:, 1:], np.cumsum(widths)[:-1], axis=1)
+
+
+def _pair_terms(V: Callable, F: ControlSystemDef, X1, X2, U1, U2):
+    """V at paired samples and its derivative along two copies of F; a
+    non-finite value raises ``EvaluationError`` naming the first sample."""
+    vals, (g1, g2) = _value_and_grads(V, X1, X2)
     if not np.all(np.isfinite(vals)):
         bad = int(np.argmax(~np.isfinite(vals)))
         raise EvaluationError(
             f"V produced a non-finite value at x1={X1[bad].tolist()}, "
             f"x2={X2[bad].tolist()}"
         )
-    return vals
-
-
-def _pair_grads(V: ScalarFunctionDef, X1, X2) -> tuple[np.ndarray, np.ndarray]:
-    if V.grad is None:
-        return pair_gradient_batch(V.fn, X1, X2)
-    d = X1.shape[1]
-    G = batch_eval(V.grad, X1, X2, out_dim=2 * d)
-    return G[:, :d], G[:, d:]
-
-
-def _state_grads(V: ScalarFunctionDef, X) -> np.ndarray:
-    if V.grad is None:
-        return gradient_batch(V.fn, X)
-    return batch_eval(V.grad, X, out_dim=X.shape[1])
-
-
-def _vdot_batch(
-    V: ScalarFunctionDef, F: ControlSystemDef, X1, X2, U1, U2
-) -> np.ndarray:
-    g1, g2 = _pair_grads(V, X1, X2)
     F1 = _eval_control_batch(F, X1, U1)
     F2 = _eval_control_batch(F, X2, U2)
     out = np.einsum("ni,ni->n", g1, F1) + np.einsum("ni,ni->n", g2, F2)
@@ -192,34 +159,24 @@ def _vdot_batch(
         raise EvaluationError(
             f"non-finite derivative of V along F at x1={X1[bad].tolist()}"
         )
-    return out
+    return vals, out
 
 
 def _eval_control_batch(F: ControlSystemDef, X, U) -> np.ndarray:
     return batch_eval(F.rhs, X, U, out_dim=F.n)
 
 
-def vdot(
-    V: ScalarFunctionDef,
-    F: ControlSystemDef,
-    x1,
-    x2,
-    u1,
-    u2,
-) -> float:
-    """Derivative of a pair function V along two copies of the dynamics.
+def vdot(V: Callable, F: ControlSystemDef, x1, x2, u1, u2) -> float:
+    """Derivative of a pair map V along two copies of the dynamics.
 
-    Returns grad_1 V . F(x1, u1) + grad_2 V . F(x2, u2), with analytic
-    gradients when the certificate supplies them and central finite
-    differences otherwise.
+    Returns grad_1 V . F(x1, u1) + grad_2 V . F(x2, u2), with the gradients
+    V returns next to its value.
     """
-    if V.arity != "pair":
-        raise InputError("vdot needs a pair function V(x1, x2)")
     X1 = np.asarray(x1, dtype=float).reshape(1, -1)
     X2 = np.asarray(x2, dtype=float).reshape(1, -1)
     U1 = np.asarray(u1, dtype=float).reshape(1, -1)
     U2 = np.asarray(u2, dtype=float).reshape(1, -1)
-    return float(_vdot_batch(V, F, X1, X2, U1, U2)[0])
+    return float(_pair_terms(V, F, X1, X2, U1, U2)[1][0])
 
 
 def _worst(violations: np.ndarray, mask: np.ndarray) -> int | None:
@@ -327,11 +284,10 @@ def check_iiss(
     def conditions(X1, X2, U1, U2):
         dx = np.linalg.norm(X1 - X2, axis=1)
         du = np.linalg.norm(U1 - U2, axis=1)
-        V = _eval_V_pair(cert.V, X1, X2)
+        V, vd = _pair_terms(cert.V, F, X1, X2, U1, U2)
         lo = cert.alpha_lower.value(dx)
         hi = cert.alpha_upper.value(dx)
         decay = cert.alpha_decay.value(dx)
-        vd = _vdot_batch(cert.V, F, X1, X2, U1, U2)
         return [
             *_sandwich(np.ones(len(dx), bool), V, lo, hi),
             ("decay", dx >= cert.mu.value(du), (vd + decay) - _slack(vd), vd, -decay),
@@ -354,7 +310,6 @@ def check_iubibss(
     input_box: Box,
     n_samples: int = 4096,
     seed: int = DEFAULT_SEED,
-    gain_grid: int = 1001,
 ) -> CertificateReport:
     """Falsify an IUBIBSS Lyapunov candidate.
 
@@ -364,9 +319,13 @@ def check_iubibss(
     |x1-x2| >= mu(|u1-u2|) + mu_offset.
     """
     # condition 2 is deterministic in r; check it first on the grid
-    r = np.linspace(0.0, input_box.diameter(), gain_grid)
-    gain = cert.gain(r)
-    gain_viol = (r + cert.xi - gain) - _slack(gain)
+    diameter = input_box.diameter()
+    if not np.isfinite(diameter):
+        raise EvaluationError(f"the input box's diameter {diameter} is not finite")
+    r = np.linspace(0.0, diameter, GAIN_GRID)
+    with np.errstate(over="ignore"):  # a gain beyond float range is inf, still >= r + xi
+        gain = cert.gain(r)
+        gain_viol = (r + cert.xi - gain) - _slack(gain)
     i = _worst(gain_viol, np.ones_like(r, bool))
     prior = None
     if i is not None:
@@ -382,10 +341,9 @@ def check_iubibss(
     def conditions(X1, X2, U1, U2):
         dx = np.linalg.norm(X1 - X2, axis=1)
         du = np.linalg.norm(U1 - U2, axis=1)
-        V = _eval_V_pair(cert.V, X1, X2)
+        V, vd = _pair_terms(cert.V, F, X1, X2, U1, U2)
         lo = cert.alpha_lower.value(dx)
         hi = cert.alpha_upper.value(dx)
-        vd = _vdot_batch(cert.V, F, X1, X2, U1, U2)
         return [
             *_sandwich(dx >= cert.xi, V, lo, hi),
             ("decay", dx >= cert.gain(du), vd - _slack(vd), vd, np.zeros_like(vd)),
@@ -394,7 +352,7 @@ def check_iubibss(
     def counts(checked):
         return {
             "sandwich_checked": checked["lower_bound"],
-            "gain_grid": int(gain_grid),
+            "gain_grid": GAIN_GRID,
             "decay_checked": checked["decay"],
         }
 
@@ -423,11 +381,10 @@ def check_fiberwise(
     def conditions(X):
         fiber = np.linalg.norm(X[:, d.m :], axis=1)
         active = fiber >= cert.d_threshold
-        V = batch_eval(cert.V.fn, X)
+        V, (G,) = _value_and_grads(cert.V, X)
         _require_finite(V, active, X, "V produced a non-finite value")
         lo = cert.alpha_lower.value(fiber)
         hi = cert.alpha_upper.value(fiber)
-        G = _state_grads(cert.V, X)
         vd = np.einsum("ni,ni->n", G, batch_eval(f.rhs, X, out_dim=f.n))
         _require_finite(vd, active, X, "non-finite derivative of V along f")
         return [
@@ -453,7 +410,6 @@ def estimate_lipschitz(
     box: Box,
     n_samples: int = 1024,
     seed: int = DEFAULT_SEED,
-    out_dim: int | None = None,
 ) -> float:
     """Sampled lower estimate of a Lipschitz constant on a box.
 
@@ -463,8 +419,7 @@ def estimate_lipschitz(
     """
     X = sobol_points(box, n_samples, seed)
     with np.errstate(all="ignore"):  # a non-finite derivative raises below
-        if out_dim is None:
-            out_dim = np.atleast_1d(np.asarray(g(X[0]), dtype=float)).shape[0]
+        out_dim = np.atleast_1d(np.asarray(g(X[0]), dtype=float)).shape[0]
         J = jacobian_batch(g, X, out_dim)
     if not np.all(np.isfinite(J)):
         bad = int(np.argmax((~np.isfinite(J.reshape(n_samples, -1))).any(axis=1)))

@@ -11,9 +11,10 @@ Two benchmark systems ship with the package:
   (x, v, theta, omega) so the retained pair (x, v) is leading.
 
 Every function of a state, an input or a state pair (the vector fields, the
-cart's reduced model, each certificate's V or U with its derived gradient,
-input coupling and control form) is an expression, compiled on the system's
-first lookup as ``--config`` systems are. What stays code is parameter
+cart's reduced model, each certificate's V or U, input coupling and control
+form) is an expression, compiled as ``--config`` systems are, once per process
+and only when a command first uses it. V and U each compile to one map of
+their value followed by their derived gradient. What stays code is parameter
 validation, comparison functions, boxes and the sampled Lipschitz estimates.
 """
 
@@ -39,13 +40,13 @@ from .stability import (
     FiberwiseCertificate,
     IISSCertificate,
     IUBIBSSCertificate,
-    ScalarFunctionDef,
     estimate_lipschitz,
 )
 from .user_systems import compile_map, system_factory
 
 GRAVITY_DEFAULT = 9.81
 LIPSCHITZ_SAFETY = 1.2
+FIBER_THRESHOLD = 0.05  # the hoop's fiberwise certificate checks |theta| >= this
 
 HOOP_RADIUS_SWEEP = (5.0, 10.0, 20.0, 40.0)
 CART_FRICTION_SWEEP = (0.001, 0.01, 0.1, 1.0)
@@ -130,27 +131,25 @@ CART_FUNCTIONS = {
 
 
 @cache
-def _compiled(name: str) -> tuple[Callable, dict]:
-    """A bundled document's field factory and its functions' ``bind``s."""
+def _compiled(name: str, key: str | None = None) -> Callable:
+    """A bundled document's field factory or, given ``key``, the ``bind`` of
+    one of its functions; V and U map to their value followed by their
+    gradient. Each compiles once per process, when first asked for."""
     doc, functions = {"ball-hoop": (BALL_HOOP, HOOP_FUNCTIONS),
                       "cart-pendulum": (CART_PENDULUM, CART_FUNCTIONS),
                       "cart-pendulum_reduced": (CART_PENDULUM_REDUCED, {})}[name]
-    params, binds = list(doc["params"]), {}
-    for key, (blocks, sources) in functions.items():
-        binds[key] = compile_map(sources, blocks, params)
-        if key in ("V", "U"):  # and their gradients
-            binds["grad-" + key] = compile_map(sources, blocks, params, sum(blocks, []))
-    return system_factory(doc)[0], binds
+    if key is None:
+        return system_factory(doc)[0]
+    blocks, sources = functions[key]
+    wrt = sum(blocks, []) if key in ("V", "U") else ()
+    return compile_map(sources, blocks, list(doc["params"]), wrt)
 
 
-def _scalar(evaluate: Callable) -> Callable:
-    return lambda *xs: evaluate(*xs)[..., 0]
-
-
-def _certificate_function(binds: dict, name: str, p: dict, arity: str) -> ScalarFunctionDef:
-    """V or U at parameters ``p``, with its gradient."""
-    return ScalarFunctionDef(arity=arity, fn=_scalar(binds[name](p)),
-                             grad=binds["grad-" + name](p), name=name)
+def _lazy(name: str, key: str, p: dict, cols=slice(None)) -> Callable:
+    """Function ``key`` of system ``name`` at parameters ``p``, compiled on
+    its first call; ``cols`` picks the columns of its output."""
+    evaluate = cache(lambda: _compiled(name, key)(p))
+    return lambda *xs: evaluate()(*xs)[..., cols]
 
 
 # default certificate boxes for the cart: retained block, then angle ranges
@@ -165,20 +164,21 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
     for key in ("m", "R", "g", "mu", "xi_hoop"):
         if not (p[key] > 0):
             raise InputError(f"ball-hoop parameter {key} must be positive")
-    if not (R * xi**2 < g):
+    try:
+        spin = R * xi**2
+    except OverflowError:  # xi**2 beyond float range
+        spin = np.inf
+    if not (spin < g):
         raise ConstraintError(
-            f"ball-hoop requires R*xi_hoop^2 < g (got {R * xi**2:.6g} >= {g:.6g}); "
+            f"ball-hoop requires R*xi_hoop^2 < g (got {spin:.6g} >= {g:.6g}); "
             "the hanging equilibrium is otherwise not a minimum"
         )
-    field, binds = _compiled("ball-hoop")
-    entry = field(p)
-    lyapunov = _certificate_function(binds, "V", p, "state")
-    gap_fn = _certificate_function(binds, "U", p, "pair")
-    coupling = _scalar(binds["coupling"](p))
-    control = ControlSystemDef(
-        n=1, m_in=1, rhs=binds["control"](p), params=p, name="ball-hoop-control"
-    )
+    entry = _compiled("ball-hoop")(p)
+    lyapunov = _lazy("ball-hoop", "V", p)
+    coupling = _lazy("ball-hoop", "coupling", p, cols=0)
 
+    # non-finite values from extreme parameters raise below, without warnings
+    @np.errstate(all="ignore")
     def sublevel_box(c: float | None = None, grid: int = 1001) -> Box:
         """Bounding box of the invariant sublevel set {V <= c} on a grid.
 
@@ -188,13 +188,15 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
         around that row, whose ends are found by bisection, one row a probe.
         """
         if c is None:
-            c = float(lyapunov.fn(entry.default_ic))
-        w_max = np.sqrt(2.0 * c / (m * R**2))
+            c = float(lyapunov(entry.default_ic)[0])
+        w_max = np.sqrt(np.float64(2.0 * c) / (m * R**2))
+        if not np.isfinite(w_max):
+            raise InputError(f"sublevel box of V <= {c} is not finite: omega bound {w_max}")
         w = np.linspace(-w_max, w_max, grid)
         th = np.linspace(-np.pi, np.pi, grid)
 
         def inside(row: int) -> np.ndarray:
-            return lyapunov.fn(np.stack([np.full(grid, w[row]), th], axis=-1)) <= c
+            return lyapunov(np.stack([np.full(grid, w[row]), th], axis=-1))[:, 0] <= c
 
         mid = int(np.argmin(np.abs(w)))
         cols = inside(mid)
@@ -213,11 +215,11 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
             [(w[first], w[lo]), (th[cols].min(), th[cols].max())]
         )
 
+    @np.errstate(all="ignore")
     def cert_fiberwise(
         state_box: Box | None = None,
         input_box: Box | None = None,
         seed: int = DEFAULT_SEED,
-        d_threshold: float = 0.05,
     ) -> CertificateSpec:
         box = state_box if state_box is not None else sublevel_box()
         # V >= m*R*(g - R*xi^2)*(2/pi^2)*theta^2 for |theta| <= pi
@@ -227,13 +229,13 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
         corners = np.array(
             [[wc, tc] for wc in (box.lower[0], box.upper[0]) for tc in (box.lower[1], box.upper[1])]
         )
-        v_max = float(lyapunov.fn(corners).max())
-        a_hi = v_max / d_threshold**2
+        v_max = float(lyapunov(corners)[:, 0].max())
+        a_hi = v_max / FIBER_THRESHOLD**2
         cert = FiberwiseCertificate(
             V=lyapunov,
             alpha_lower=ComparisonFunction.power(a_lo, 2.0),
             alpha_upper=ComparisonFunction.power(a_hi, 2.0),
-            d_threshold=d_threshold,
+            d_threshold=FIBER_THRESHOLD,
         )
         return CertificateSpec(kind="fiberwise", certificate=cert, state_box=box)
 
@@ -241,14 +243,15 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
         state_box: Box | None = None,
         input_box: Box | None = None,
         seed: int = DEFAULT_SEED,
-        safety: float = LIPSCHITZ_SAFETY,
     ) -> CertificateSpec:
         full_box = sublevel_box()
         sbox = state_box if state_box is not None else full_box.project(entry.decomp, "m")
         ibox = input_box if input_box is not None else full_box.project(entry.decomp, "k")
-        L = estimate_lipschitz(coupling, ibox, n_samples=2048, seed=seed) * safety
+        L = estimate_lipschitz(coupling, ibox, n_samples=2048, seed=seed) * LIPSCHITZ_SAFETY
+        control = ControlSystemDef(n=1, m_in=1, rhs=_compiled("ball-hoop", "control")(p),
+                                   params=p, name="ball-hoop-control")
         cert = IISSCertificate(
-            V=gap_fn,
+            V=_compiled("ball-hoop", "U")(p),
             alpha_lower=ComparisonFunction.power(0.5, 2.0),
             alpha_upper=ComparisonFunction.power(0.5, 2.0),
             alpha_decay=ComparisonFunction.power(mu / (2.0 * m), 2.0),
@@ -279,21 +282,14 @@ def make_cart_pendulum(params: dict) -> SystemEntry:
     for key in ("d", "b"):
         if p[key] < 0:
             raise InputError(f"cart-pendulum parameter {key} must be nonnegative")
-    field, binds = _compiled("cart-pendulum")
-    entry = field(p)
-    accel_coupling = _scalar(binds["coupling"](p))
-    control_accel = ControlSystemDef(
-        n=2, m_in=3, rhs=binds["control"](p), params=p, name="cart-pendulum-control-accel"
-    )
-    energy_fn = ScalarFunctionDef(arity="state", fn=_scalar(binds["energy"](p)), name="energy")
-    gap_fn = _certificate_function(binds, "U", p, "pair")
+    entry = _compiled("cart-pendulum")(p)
+    accel_coupling = _lazy("cart-pendulum", "coupling", p, cols=0)
 
+    @np.errstate(all="ignore")  # non-finite values raise below, without warnings
     def cert_iubibss(
         state_box: Box | None = None,
         input_box: Box | None = None,
         seed: int = DEFAULT_SEED,
-        safety: float = LIPSCHITZ_SAFETY,
-        xi: float | None = None,
     ) -> CertificateSpec:
         if d <= 0:
             raise InputError(
@@ -311,13 +307,16 @@ def make_cart_pendulum(params: dict) -> SystemEntry:
             ibox = CART_ANGLE_BOX.concat(Box.from_pairs([(-a_max, a_max)]))
         else:
             ibox = input_box
-        if xi is None:
-            # the decay argument controls only the velocity gap, so the
-            # threshold must exceed the largest position gap the box allows
-            xi = float(sbox.widths[0]) * 1.0125
-        L = estimate_lipschitz(accel_coupling, ibox, n_samples=2048, seed=seed) * safety
+        # the decay argument controls only the velocity gap, so the
+        # threshold must exceed the largest position gap the box allows
+        xi = float(sbox.widths[0]) * 1.0125
+        L = estimate_lipschitz(accel_coupling, ibox, n_samples=2048, seed=seed) * LIPSCHITZ_SAFETY
+        control_accel = ControlSystemDef(
+            n=2, m_in=3, rhs=_compiled("cart-pendulum", "control")(p), params=p,
+            name="cart-pendulum-control-accel",
+        )
         cert = IUBIBSSCertificate(
-            V=gap_fn,
+            V=_compiled("cart-pendulum", "U")(p),
             alpha_lower=ComparisonFunction.power(1.0 / (2.0 * (m + M)), 2.0),
             alpha_upper=ComparisonFunction.power(0.5, 2.0),
             mu=ComparisonFunction.linear(2.0 * m * R * L / d),
@@ -330,10 +329,10 @@ def make_cart_pendulum(params: dict) -> SystemEntry:
 
     return replace(
         entry,
-        reduced_override=_compiled(CART_PENDULUM_REDUCED["name"])[0](p).field,
+        reduced_override=_compiled(CART_PENDULUM_REDUCED["name"])(p).field,
         certificates={"iubibss": cert_iubibss},
         aux={
-            "energy": energy_fn,
+            "energy": _lazy("cart-pendulum", "energy", p, cols=0),
             "input_coupling": accel_coupling,
             "reduced_matrix": np.array([[0.0, 1.0], [-k / M, -d / M]]),
         },

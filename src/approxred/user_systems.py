@@ -22,8 +22,9 @@ precedence and left-to-right association. ``x0`` optionally sets the default
 initial condition. The bundled systems of :mod:`approxred.systems` are
 documents of this schema and expressions, with gradients derived by
 :func:`_derivative`. Expressions compile to one function of their argument
-columns (:func:`compile_map`), a lone state's bits equal to a batch row's
-(see :func:`_pow`).
+columns (:func:`compile_map`), which returns each expression's value and,
+if asked, its partials, a lone state's bits equal to a batch row's (see
+:func:`_pow`).
 """
 
 from __future__ import annotations
@@ -214,10 +215,11 @@ def compile_map(sources: list[str], blocks: list[list[str]], params: list[str],
     """``bind``, where ``bind(values)`` (the values of ``params``) is one
     function of ``len(blocks)`` arrays, each a lone state ``(n_j,)`` or a
     batch ``(..., n_j)`` whose columns ``blocks[j]`` names. It returns the
-    ``(..., k)`` array of the expressions' values or, given the names
-    ``wrt``, of each expression's partials along them, all computed by one
-    code object. An arithmetic error or a complex value raises
-    ``EvaluationError`` naming the first expression that fails."""
+    ``(..., k)`` array of each expression's value followed, given the names
+    ``wrt``, by its partials along them, so ``k = len(sources) * (1 +
+    len(wrt))``, all computed by one code object. An arithmetic error or a
+    complex value raises ``EvaluationError`` naming the first expression
+    that fails."""
     args = [name for block in blocks for name in block]
     names = args + list(params)
     prefix = "_"
@@ -226,7 +228,7 @@ def compile_map(sources: list[str], blocks: list[list[str]], params: list[str],
     bodies = []
     for src in sources:
         tree = _parse(src, names)
-        bodies += [_derivative(tree, var, src) or ast.Constant(0.0) for var in wrt] or [tree]
+        bodies += [tree, *(_derivative(tree, var, src) or ast.Constant(0.0) for var in wrt)]
     lambda_args = ast.arguments(posonlyargs=[], args=[ast.arg(name) for name in args],
                                 kwonlyargs=[], kw_defaults=[], defaults=[])
     body = ast.Tuple(_lower(bodies, set(args), prefix), ast.Load())
@@ -263,7 +265,7 @@ def compile_map(sources: list[str], blocks: list[list[str]], params: list[str],
             out = np.empty((*a.shape[:-1], len(results)))
             for i, value in enumerate(results):
                 if may_be_complex and _is_complex(value):  # casting would drop it
-                    raise _error(sources[i // (len(wrt) or 1)], "has a complex value")
+                    raise _error(sources[i // (1 + len(wrt))], "has a complex value")
                 out[..., i] = value  # a constant fills the batch
             return out
 

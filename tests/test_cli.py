@@ -442,6 +442,16 @@ class TestCheckLyapunov:
             "decay",
         )
 
+    @pytest.mark.parametrize("system,certificate",
+                             [("ball-hoop", "fiberwise"), ("cart-pendulum", "iubibss")])
+    def test_negation_flips_the_value_and_the_gradient(self, system, certificate):
+        spec = lookup(system, {}).certificates[certificate]()
+        V, neg = spec.certificate.V, cli._negate_certificate(spec.certificate).V
+        box = spec.state_box  # a pair's second state runs the other way
+        args = [np.linspace(box.lower, box.upper, 9), np.linspace(box.upper, box.lower, 9)]
+        args = args[:1] if spec.control is None else args
+        assert np.array_equal(neg(*args), -V(*args))
+
     def test_unknown_certificate_name(self, capsys):
         rc = main(
             ["check-lyapunov", "--system", "ball-hoop", "--certificate", "bogus"]
@@ -1051,6 +1061,58 @@ class TestNonFiniteBoxes:
         assert_clean_usage_error(rc, capsys, "must be finite")
 
 
+def extreme_parameter_runs():
+    """Each bundled parameter at 1e-320, 1e200 and 1e308, under check-lyapunov
+    for each certificate and, for the hoop, simulate, then two more extremes;
+    the cases whose exit code and message are fixed carry them."""
+    from approxred.systems import REGISTRY
+
+    fixed = {
+        **{("ball-hoop", "xi_hoop", "1e200", run): (1, "requires R*xi_hoop^2 < g")
+           for run in ("fiberwise", "iiss", "simulate")},
+        ("ball-hoop", "R", "1e-320", "iiss"): (1, "sublevel box of V <= "),
+        ("cart-pendulum", "d", "1e-320", "iubibss"): (1, "needs finite coefficients"),
+        **{("cart-pendulum", key, "1e200", "iubibss"): (2, "diameter inf is not finite")
+           for key in ("b", "d", "g", "k")},
+    }
+    certificates = {"ball-hoop": ("fiberwise", "iiss"), "cart-pendulum": ("iubibss",)}
+    for system, (_factory, defaults) in REGISTRY.items():
+        for key in defaults:
+            for value in ("1e-320", "1e200", "1e308"):
+                head = ["--system", system, "--set", f"{key}={value}"]
+                runs = {cert: ["check-lyapunov", *head, "--certificate", cert,
+                               "--samples", "64"] for cert in certificates[system]}
+                if system == "ball-hoop":
+                    runs["simulate"] = ["simulate", *head, "--t-end", "1"]
+                for run, argv in runs.items():
+                    yield pytest.param(argv, fixed.get((system, key, value, run)),
+                                       id=f"{system}-{run}-{key}={value}")
+    # a finite gain coefficient near 1e307 overflows on the gain-threshold grid
+    yield pytest.param(["check-lyapunov", "--system", "cart-pendulum", "--set", "d=1e-306",
+                        "--certificate", "iubibss", "--samples", "64"], (0, ""),
+                       id="cart-pendulum-iubibss-d=1e-306")
+    # V overflows at the corners of a huge box, so its upper comparison function
+    yield pytest.param(["check-lyapunov", "--system", "ball-hoop", "--certificate", "fiberwise",
+                        "--box=-1e200,1e200;-1,1", "--samples", "64"],
+                       (1, "needs finite coefficients"), id="ball-hoop-fiberwise-huge-box")
+
+
+@pytest.mark.parametrize("argv,fixed", extreme_parameter_runs())
+def test_extreme_parameters_exit_cleanly(argv, fixed, tmp_path, capsys):
+    # no traceback, no numpy warning, at most the one line that names the failure
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([*argv, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert not caught, [str(w.message) for w in caught]
+    assert rc in (0, 1, 2, 3) and err.count("\n") <= 1, err
+    if fixed is not None:
+        code, needle = fixed
+        assert rc == code and needle in err, err
+
+
 # sha256 of the --out JSON of `check-lyapunov --samples 4096` at the default
 # seed, recorded while the certificates were hand-written closures
 CERTIFICATE_OUTPUT_SHA256 = {
@@ -1122,8 +1184,10 @@ def test_bundled_systems_compile_on_first_lookup_only(tmp_path):
     cases = [
         (["--version"], 0),
         (["simulate", "--config", config, "--t-end", "1", *out], 1),  # the config's rhs
-        # the hoop's field, its four functions, and V and U with their gradients
-        (["simulate", "--system", "ball-hoop", "--t-end", "1", *out], 7),
+        (["simulate", "--system", "ball-hoop", "--t-end", "1", *out], 1),  # the field
+        # the field, V (for the sublevel box), the coupling, U and the control form
+        (["check-lyapunov", "--system", "ball-hoop", "--certificate", "iiss",
+          "--samples", "64", *out], 5),
     ]
     for argv, trees in cases:
         proc = run_in_subprocess([json.dumps(argv)], script=COMPILES_SCRIPT)

@@ -1,4 +1,5 @@
-"""The study scripts regenerate the committed results byte for byte."""
+"""The study scripts regenerate the committed results byte for byte, and the
+same-bytes check tells equal outputs from changed ones."""
 
 import importlib.util
 import pathlib
@@ -19,3 +20,35 @@ def test_results_regenerate_byte_identically(script, tmp_path, monkeypatch, caps
     assert len(written) == 5  # the sweep table and four comparison series
     for path in written:
         assert path.read_bytes() == (ROOT / "results" / path.name).read_bytes(), path.name
+
+
+def run_same_bytes(parent_src, change_src):
+    import subprocess
+    import sys
+
+    argv = [sys.executable, str(ROOT / "scripts" / "same_bytes.py"), str(parent_src),
+            str(change_src), "--workloads", "deviation", "--seeds", "0"]
+    return subprocess.run(argv, capture_output=True, text=True, timeout=300)
+
+
+def test_same_bytes_passes_a_tree_against_itself():
+    proc = run_same_bytes(ROOT / "src", ROOT / "src")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 6 and all(line.startswith("SAME ") for line in lines[:5])
+
+
+def test_same_bytes_reports_a_changed_output(tmp_path):
+    import shutil
+
+    # a copy whose JSON documents end in one more space
+    shutil.copytree(ROOT / "src" / "approxred", tmp_path / "approxred",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "approxred" / "cli.py"
+    source = cli.read_text()
+    old = 'return json.dumps(doc, indent=2) + "\\n"'
+    assert source.count(old) == 1
+    cli.write_text(source.replace(old, 'return json.dumps(doc, indent=2) + " \\n"'))
+    proc = run_same_bytes(ROOT / "src", tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "DIFF (--out file) deviation:0:0 bound" in proc.stdout

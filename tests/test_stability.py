@@ -23,10 +23,8 @@ from approxred.stability import (
     FiberwiseCertificate,
     IISSCertificate,
     IUBIBSSCertificate,
-    ScalarFunctionDef,
     _eval_control_batch,
-    _pair_grads,
-    _state_grads,
+    _value_and_grads,
     check_fiberwise,
     check_iiss,
     check_iubibss,
@@ -40,14 +38,19 @@ from reference_values import HOOP_LIPSCHITZ_COUPLING
 SYM_BOX_1 = Box.from_pairs([(-2.0, 2.0)])
 
 
-def gap_pair() -> ScalarFunctionDef:
-    """V(x1, x2) = |x1 - x2|^2 / 2, no analytic gradient."""
+def with_gradient(value, *grads):
+    """A certificate map's output: the value column, then the gradient columns."""
+    return np.concatenate([np.asarray(value, dtype=float)[..., None], *grads], axis=-1)
 
-    def fn(x1, x2):
+
+def gap_pair(scale: float = 1.0):
+    """V(x1, x2) = scale * |x1 - x2|^2 / 2 with its gradient (d, -d) * scale."""
+
+    def V(x1, x2):
         d = np.asarray(x1, dtype=float) - np.asarray(x2, dtype=float)
-        return 0.5 * np.sum(d * d, axis=-1)
+        return with_gradient(scale * 0.5 * np.sum(d * d, axis=-1), scale * d, -scale * d)
 
-    return ScalarFunctionDef(arity="pair", fn=fn)
+    return V
 
 
 def single_state(fn):
@@ -116,16 +119,9 @@ class TestVdot:
     )
     @settings(max_examples=40)
     def test_additive_in_v(self, x1, x2, u1, u2, a, b):
-        def make(scale):
-            def fn(p, q):
-                d = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
-                return scale * 0.5 * np.sum(d * d, axis=-1)
-
-            return ScalarFunctionDef(arity="pair", fn=fn)
-
         args = (DRIVEN, [x1], [x2], [u1], [u2])
-        total = vdot(make(a + b), *args)
-        parts = vdot(make(a), *args) + vdot(make(b), *args)
+        total = vdot(gap_pair(a + b), *args)
+        parts = vdot(gap_pair(a), *args) + vdot(gap_pair(b), *args)
         assert total == pytest.approx(parts, abs=1e-9 * (1 + abs(total)))
 
 
@@ -164,8 +160,7 @@ class TestCheckIISS:
     @pytest.mark.parametrize("F", [DRIVEN, EXPAND], ids=["driven", "expand"])
     def test_single_state_maps_give_the_same_report(self, F):
         twin = contraction_certificate()
-        V = dataclasses.replace(twin.V, fn=single_state(twin.V.fn))
-        cert = dataclasses.replace(twin, V=V)
+        cert = dataclasses.replace(twin, V=single_state(twin.V))
         rowwise = dataclasses.replace(F, rhs=single_state(F.rhs))
         expected = check_iiss(F, twin, SYM_BOX_1, SYM_BOX_1, 1024)
         rep = check_iiss(rowwise, cert, SYM_BOX_1, SYM_BOX_1, 1024)
@@ -193,11 +188,11 @@ class TestCheckIISS:
     def test_non_finite_v_identifies_sample(self):
         from approxred.core import EvaluationError
 
-        def fn(x1, x2):
-            d = np.asarray(x1, dtype=float)[..., 0] - np.asarray(x2, dtype=float)[..., 0]
-            return np.where(np.abs(d) > 1.0, np.nan, d * d)
+        def bad(x1, x2):
+            d = np.asarray(x1, dtype=float) - np.asarray(x2, dtype=float)
+            value = np.where(np.abs(d[..., 0]) > 1.0, np.nan, d[..., 0] * d[..., 0])
+            return with_gradient(value, 2.0 * d, -2.0 * d)
 
-        bad = ScalarFunctionDef(arity="pair", fn=fn)
         cert = dataclasses.replace(contraction_certificate(), V=bad)
         with pytest.raises(EvaluationError, match="x1="):
             check_iiss(DRIVEN, cert, SYM_BOX_1, SYM_BOX_1, 512)
@@ -252,19 +247,17 @@ def fiber_field(sign: float) -> VectorFieldDef:
     return VectorFieldDef(n=2, rhs=rhs, name="fiber")
 
 
-def fiber_gap() -> ScalarFunctionDef:
-    def fn(s):
-        s = np.asarray(s, dtype=float)
-        return 0.5 * s[..., 1] ** 2
-
-    return ScalarFunctionDef(arity="state", fn=fn)
+def fiber_gap(s):
+    """V(y, z) = z^2 / 2 with its gradient (0, z)."""
+    z = np.asarray(s, dtype=float)[..., 1:]
+    return with_gradient(0.5 * z[..., 0] ** 2, np.zeros_like(z), z)
 
 
 class TestCheckFiberwise:
     def certificate(self):
         half_sq = ComparisonFunction.power(0.5, 2.0)
         return FiberwiseCertificate(
-            V=fiber_gap(), alpha_lower=half_sq, alpha_upper=half_sq, d_threshold=0.0
+            V=fiber_gap, alpha_lower=half_sq, alpha_upper=half_sq, d_threshold=0.0
         )
 
     def test_contracting_fiber_passes(self):
@@ -287,9 +280,7 @@ class TestCheckFiberwise:
         twin = dataclasses.replace(
             self.certificate(), alpha_upper=ComparisonFunction.power(a_upper, 2.0)
         )
-        cert = dataclasses.replace(
-            twin, V=dataclasses.replace(twin.V, fn=single_state(twin.V.fn))
-        )
+        cert = dataclasses.replace(twin, V=single_state(twin.V))
         expected = check_fiberwise(fiber_field(sign), d, twin, box, 1024)
         rep = check_fiberwise(fiber_field(sign), d, cert, box, 1024)
         assert same_report(rep, expected)
@@ -303,13 +294,11 @@ class TestCheckFiberwise:
         assert rep.verdict == COUNTEREXAMPLE
         assert rep.counterexample.condition == "decay"
         x = rep.counterexample.point["x"]
-        # analytically, vdot = +z^2 at the witness (finite differences add noise)
-        assert rep.counterexample.observed == pytest.approx(x[1] ** 2, rel=1e-6)
-        # re-evaluating through the same route reproduces the record exactly
-        from approxred.numdiff import jacobian
-
-        vd = float(jacobian(self.certificate().V.fn, x, 1)[0] @ fiber_field(+1.0).rhs(x))
-        assert vd == pytest.approx(rep.counterexample.observed, rel=1e-12)
+        # vdot = 0*(-y) + z*z at the witness, exactly
+        assert rep.counterexample.observed == x[1] * x[1]
+        # re-evaluating V's gradient column by column reproduces the record
+        vd = float(self.certificate().V(x)[1:] @ fiber_field(+1.0).rhs(x))
+        assert vd == rep.counterexample.observed
 
     def test_hoop_energy_certificate(self):
         entry = lookup("ball-hoop", {})
@@ -327,7 +316,7 @@ class TestCheckFiberwise:
         p = entry.params
         rng = np.random.default_rng(3)
         X = rng.uniform([-0.6, -0.45], [0.6, 0.45], size=(200, 2))
-        grads = V.grad(X)
+        grads = V(X)[:, 1:]
         vd = np.einsum("ni,ni->n", grads, entry.field.rhs(X))
         expected = -p["mu"] * p["R"] ** 2 * X[:, 0] ** 2
         assert np.allclose(vd, expected, rtol=1e-9, atol=1e-12)
@@ -426,12 +415,7 @@ BATCH_SITES = {
     "eval_control_batch": lambda fn: _eval_control_batch(
         ControlSystemDef(n=2, m_in=2, rhs=fn), BLOCK, BLOCK
     ),
-    "pair_grads": lambda fn: _pair_grads(
-        ScalarFunctionDef("pair", fn=lambda x1, x2: 0.0, grad=fn), BLOCK, BLOCK
-    ),
-    "state_grads": lambda fn: _state_grads(
-        ScalarFunctionDef("state", fn=lambda x: 0.0, grad=fn), BLOCK
-    ),
+    "certificate_map": lambda fn: _value_and_grads(fn, BLOCK, BLOCK),
     "integrator_probe": lambda fn: _batch_rhs(VectorFieldDef(n=2, rhs=fn), BLOCK),
 }
 

@@ -28,7 +28,6 @@ from approxred.sampling import sobol_points, unit_sobol
 from approxred.stability import (
     FiberwiseCertificate,
     IISSCertificate,
-    ScalarFunctionDef,
     _falsify,
     check_fiberwise,
     check_iiss,
@@ -43,9 +42,15 @@ HALF_SQ = ComparisonFunction.power(0.5, 2.0)
 FIBER = Decomposition(n=2, m=1, k=1)
 
 
-def fiber_square() -> ScalarFunctionDef:
-    """V = z^2 / 2 on a (y, z) state, no analytic gradient."""
-    return ScalarFunctionDef("state", fn=lambda s: 0.5 * np.asarray(s)[..., 1] ** 2)
+def certificate_map(value, grads):
+    """The map of a certificate V: its value column, then its gradient columns."""
+    return lambda *xs: np.concatenate([value(*xs)[..., None], grads(*xs)], axis=-1)
+
+
+def fiber_square():
+    """V = z^2 / 2 on a (y, z) state, with its gradient (0, z)."""
+    return certificate_map(lambda s: 0.5 * s[..., 1] ** 2,
+                           lambda s: np.stack([np.zeros_like(s[..., 1]), s[..., 1]], axis=-1))
 
 
 def field(dy, dz) -> VectorFieldDef:
@@ -122,14 +127,14 @@ class TestBlockSizeInvariance:
         for R, xi in ((5.0, 0.1), (10.0, 0.3), (20.0, 0.6), (40.0, 0.3)):
             entry = lookup("ball-hoop", {"R": R, "xi_hoop": xi})
             p = entry.params
-            lyap = entry.aux["lyapunov"].fn
-            level = float(lyap(entry.default_ic)) if c is None else c
+            lyap = entry.aux["lyapunov"]  # column 0 is V's value
+            level = float(lyap(entry.default_ic)[0]) if c is None else c
             w_max = np.sqrt(2.0 * level / (p["m"] * p["R"] ** 2))
             W, TH = np.meshgrid(
                 np.linspace(-w_max, w_max, 1001), np.linspace(-np.pi, np.pi, 1001),
                 indexing="ij",
             )
-            mask = lyap(np.stack([W, TH], axis=-1)) <= level
+            mask = lyap(np.stack([W, TH], axis=-1))[..., 0] <= level
             expected = [W[mask].min(), TH[mask].min(), W[mask].max(), TH[mask].max()]
             box = entry.aux["sublevel_box"](c)
             assert [*box.lower, *box.upper] == expected, (R, xi)
@@ -207,12 +212,10 @@ class TestTies:
         # Vdot = 1 wherever z > 0: every such sample ties for the worst decay
         f = field(lambda y, z: -y, lambda y, z: (z > 0).astype(float))
 
-        def grad(s):
-            z = np.asarray(s)[..., 1]
-            return np.stack([np.zeros_like(z), np.sign(z)], axis=-1)
-
-        V = ScalarFunctionDef("state", fn=lambda s: np.abs(np.asarray(s)[..., 1]),
-                              grad=grad)
+        V = certificate_map(
+            lambda s: np.abs(s[..., 1]),
+            lambda s: np.stack([np.zeros_like(s[..., 1]), np.sign(s[..., 1])], axis=-1),
+        )
         cert = FiberwiseCertificate(V=V, alpha_lower=ComparisonFunction.linear(1e-12),
                                     alpha_upper=ComparisonFunction.linear(1e12))
         first = int(np.argmax(sobol_points(UNIT_SQUARE, 64)[:, 1] > 0))
@@ -286,13 +289,14 @@ class TestNonFiniteInALaterBlock:
     def test_iiss_v(self, monkeypatch):
         monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", 7)
 
-        def fn(x1, x2):
-            x1 = np.asarray(x1, dtype=float)[..., 0]
-            return np.where(x1 > 0.8, np.nan, (x1 - np.asarray(x2)[..., 0]) ** 2)
+        fn = certificate_map(
+            lambda x1, x2: np.where(x1[..., 0] > 0.8, np.nan, (x1[..., 0] - x2[..., 0]) ** 2),
+            lambda x1, x2: np.concatenate([2.0 * (x1 - x2), 2.0 * (x2 - x1)], axis=-1),
+        )
 
         line = Box.from_pairs([(-1.0, 1.0)])
         contract = ControlSystemDef(n=1, m_in=1, rhs=lambda x, u: -np.asarray(x))
-        cert = IISSCertificate(V=ScalarFunctionDef("pair", fn=fn), alpha_lower=HALF_SQ,
+        cert = IISSCertificate(V=fn, alpha_lower=HALF_SQ,
                                alpha_upper=HALF_SQ, alpha_decay=HALF_SQ,
                                mu=ComparisonFunction.linear(2.0))
         P = sobol_points(line.concat(line).concat(line).concat(line), 256)

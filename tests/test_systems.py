@@ -1,3 +1,5 @@
+import ast
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,13 +10,17 @@ from approxred.integrate import IntegratorConfig, integrate_field
 from approxred.reduction import construct_reduced
 from approxred.sampling import sobol_points
 from approxred.systems import (
+    BALL_HOOP,
     CART_ANGLE_BOX,
+    CART_FUNCTIONS,
     CART_ORDER,
+    CART_PENDULUM,
+    HOOP_FUNCTIONS,
     _compiled,
     lookup,
     make_ball_in_hoop,
 )
-from approxred.user_systems import system_from_dict
+from approxred.user_systems import _derivative, _parse, compile_map, system_from_dict
 
 from reference_values import CART_RHS_GENERIC, CART_RHS_ORIGIN, CART_RHS_UNIT_X
 
@@ -51,7 +57,7 @@ class TestBallInHoop:
         rng = np.random.default_rng(17)
         X = rng.uniform(box.lower, box.upper, size=(10_000, 2))
         V = entry.aux["lyapunov"]
-        vd = np.einsum("ni,ni->n", V.grad(X), entry.field.rhs(X))
+        vd = np.einsum("ni,ni->n", V(X)[:, 1:], entry.field.rhs(X))
         expected = -p["mu"] * p["R"] ** 2 * X[:, 0] ** 2
         scale = np.maximum(np.abs(expected), 1e-12)
         assert np.max(np.abs(vd - expected) / scale) < 1e-9
@@ -100,7 +106,7 @@ class TestCartPendulum:
         entry = lookup("cart-pendulum", {"d": 0.0, "b": 0.0})
         cfg = IntegratorConfig(t_end=10.0, rtol=1e-10, atol=1e-10)
         traj = integrate_field(entry.field, entry.default_ic, cfg)
-        E = entry.aux["energy"].fn(traj.states)
+        E = entry.aux["energy"](traj.states)
         assert np.max(np.abs(E - E[0])) < 1e-6
 
     def test_energy_decays_with_pure_cart_friction(self):
@@ -108,7 +114,7 @@ class TestCartPendulum:
         entry = lookup("cart-pendulum", {"b": 0.0})
         cfg = IntegratorConfig(t_end=10.0)
         traj = integrate_field(entry.field, entry.default_ic, cfg)
-        E = entry.aux["energy"].fn(traj.states)
+        E = entry.aux["energy"](traj.states)
         assert E[-1] < E[0]
 
     def test_parameter_validation(self):
@@ -171,9 +177,9 @@ USER_DOCS = [
 
 def bundled_maps():
     """Every bundled map with its input widths: the fields, their reduced
-    forms, the certificates' control systems, V or U with their gradients,
-    the input couplings and the cart's energy, then the fields of compiled
-    user documents and their reduced forms."""
+    forms, the certificates' control systems, the maps of V or U with their
+    gradients, the input couplings and the cart's energy, then the fields of
+    compiled user documents and their reduced forms."""
     maps = []
     for name in ("ball-hoop", "cart-pendulum"):
         e = lookup(name, {})
@@ -187,14 +193,14 @@ def bundled_maps():
             c, V = spec.control, spec.certificate.V
             if c is not None:
                 maps.append(pytest.param(c.rhs, (c.n, c.m_in), id=f"{name}-{cert}-control"))
-            widths = (c.n, c.n) if V.arity == "pair" else (e.field.n,)
-            maps.append(pytest.param(V.fn, widths, id=f"{name}-{cert}-{V.name}"))
-            maps.append(pytest.param(V.grad, widths, id=f"{name}-{cert}-grad-{V.name}"))
+            # the fiberwise V of a state, or the U of a state pair
+            widths, label = ((e.field.n,), "V") if c is None else ((c.n, c.n), "U")
+            maps.append(pytest.param(V, widths, id=f"{name}-{cert}-{label}"))
             coupling = e.aux["input_coupling"]
             if c is not None:
                 maps.append(pytest.param(coupling, (c.m_in,), id=f"{name}-{cert}-coupling"))
         if "energy" in e.aux:
-            maps.append(pytest.param(e.aux["energy"].fn, (e.field.n,), id=f"{name}-energy"))
+            maps.append(pytest.param(e.aux["energy"], (e.field.n,), id=f"{name}-energy"))
     for doc in USER_DOCS:
         e, _ = system_from_dict(doc)
         sliced = construct_reduced(e.field, e.decomp)
@@ -283,24 +289,33 @@ def cart_closures(p):
             "coupling": coupling, "control": control}
 
 
+def certificate_maps(name, params):
+    """The compiled map of each certificate's V or U (its value, then its
+    gradient) with its default sample boxes, one box per argument."""
+    e = lookup(name, params)
+    spec = e.certificates["iiss" if name == "ball-hoop" else "iubibss"]()
+    out = {"U": (spec.certificate.V, [spec.state_box] * 2)}
+    if name == "ball-hoop":
+        spec = e.certificates["fiberwise"]()
+        out["V"] = (spec.certificate.V, [spec.state_box])
+    return out
+
+
 def compiled_functions(name, params):
     """Each compiled certificate function of a bundled system, keyed as in
     its closures, with its sample box: one box per argument."""
     e = lookup(name, params)
     spec = e.certificates["iiss" if name == "ball-hoop" else "iubibss"]()
-    U, c = spec.certificate.V, spec.control
+    c = spec.control
     out = {
-        "U": (U.fn, [spec.state_box] * 2),
-        "grad-U": (U.grad, [spec.state_box] * 2),
         "coupling": (e.aux["input_coupling"], [spec.input_box]),
         "control": (c.rhs, [spec.state_box, spec.input_box]),
     }
-    if name == "ball-hoop":
-        box = e.certificates["fiberwise"]().state_box
-        V = e.aux["lyapunov"]
-        out.update({"V": (V.fn, [box]), "grad-V": (V.grad, [box])})
-    else:
-        out["energy"] = (e.aux["energy"].fn, [spec.state_box.concat(CART_ANGLE_BOX)])
+    for key, (fn, boxes) in certificate_maps(name, params).items():
+        out[key] = (lambda *xs, fn=fn: fn(*xs)[..., 0], boxes)
+        out["grad-" + key] = (lambda *xs, fn=fn: fn(*xs)[..., 1:], boxes)
+    if name == "cart-pendulum":
+        out["energy"] = (e.aux["energy"], [spec.state_box.concat(CART_ANGLE_BOX)])
     return out
 
 
@@ -312,14 +327,32 @@ CLOSURE_CASES = [
 ]
 
 
+def samples(boxes):
+    """20000 Sobol samples of the joint box, split into one block per box."""
+    lower = np.concatenate([b.lower for b in boxes])
+    X = sobol_points(Box(lower, np.concatenate([b.upper for b in boxes])), 20000, 11)
+    return np.split(X, np.cumsum([b.dim for b in boxes])[:-1], axis=1)
+
+
 def against_closures(name, params, closures):
-    """Each compiled function with its closure and 20000 samples of its
-    default boxes, split into its arguments."""
+    """Each compiled function with its closure and samples of its default
+    boxes, split into its arguments."""
     oracle = closures(lookup(name, params).params)
     for key, (fn, boxes) in compiled_functions(name, params).items():
-        lower = np.concatenate([b.lower for b in boxes])
-        X = sobol_points(Box(lower, np.concatenate([b.upper for b in boxes])), 20000, 11)
-        yield key, fn, oracle[key], np.split(X, np.cumsum([b.dim for b in boxes])[:-1], axis=1)
+        yield key, fn, oracle[key], samples(boxes)
+
+
+def separate_compiles(name, key, params):
+    """Value-only maps of a bundled function ``key``: its expression, then
+    each partial derived alone and compiled from its source."""
+    doc, functions = {"ball-hoop": (BALL_HOOP, HOOP_FUNCTIONS),
+                      "cart-pendulum": (CART_PENDULUM, CART_FUNCTIONS)}[name]
+    (blocks, (source,)), names = functions[key], list(doc["params"])
+    args = sum(blocks, [])
+    tree = _parse(source, args + names)
+    partials = [ast.unparse(_derivative(tree, var, source)) for var in args]
+    p = lookup(name, params).params
+    return [compile_map([src], blocks, names)(p) for src in [source, *partials]]
 
 
 class TestCompiledCertificates:
@@ -340,10 +373,23 @@ class TestCompiledCertificates:
             if key == "grad-U":  # 0.5*(2.0*d) is d, (2.0*dx)/(2.0*(m + M)) is dx/(m + M)
                 assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("name,params,closures", CLOSURE_CASES)
+    def test_one_map_gives_the_separate_compiles_bits(self, name, params, closures):
+        # each column of V's or U's one map equals its own value-only compile
+        for key, (fn, boxes) in certificate_maps(name, params).items():
+            args = samples(boxes)
+            got = fn(*args)
+            columns = [separate(*args)[:, 0] for separate in separate_compiles(name, key, params)]
+            assert got.shape == (20000, len(columns)), key
+            for i, column in enumerate(columns):
+                assert got[:, i].tobytes() == column.tobytes(), (key, i)
+
     def test_each_system_compiles_once_per_process(self):
-        for name in ("ball-hoop", "cart-pendulum"):
-            lookup(name, {})
+        for name, cert in (("ball-hoop", "iiss"), ("ball-hoop", "fiberwise"),
+                           ("cart-pendulum", "iubibss")):
+            lookup(name, {}).certificates[cert]()
         misses = _compiled.cache_info().misses
         lookup("ball-hoop", {"R": 7.0}).certificates["iiss"]()
+        lookup("ball-hoop", {"R": 7.0}).certificates["fiberwise"]()
         lookup("cart-pendulum", {"d": 0.5}).certificates["iubibss"]()
         assert _compiled.cache_info().misses == misses
