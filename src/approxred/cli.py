@@ -191,8 +191,13 @@ def _parse_set(pairs: list[str]) -> dict:
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
+    """The numbers of a comma-separated list; an empty entry is an error
+    unless every entry is empty."""
+    tokens = text.split(",")
+    if not any(tokens):
+        return []
     try:
-        return [float(tok) for tok in text.split(",") if tok != ""]
+        return [float(tok) for tok in tokens]
     except ValueError as err:
         raise UsageError(f"{flag} expects comma-separated numbers, got {text!r}") from err
 

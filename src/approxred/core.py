@@ -65,22 +65,6 @@ class EvaluationError(InputError, NumericalError):
     """
 
 
-def try_batch(evaluate: Callable[[], object]):
-    """``evaluate()``, a map applied to a whole block, or None if it cannot take one.
-
-    A map written for a single state fails on a block with a type, value or
-    index error; those send the caller to row-by-row evaluation. An
-    :class:`EvaluationError` is a genuine failure and propagates, as does
-    every other exception.
-    """
-    try:
-        return evaluate()
-    except EvaluationError:
-        raise
-    except (TypeError, ValueError, IndexError):
-        return None
-
-
 def as_state(x, n: int | None = None) -> np.ndarray:
     """Coerce ``x`` to a 1-d float64 array, optionally checking its length."""
     arr = np.asarray(x, dtype=float)
@@ -97,10 +81,11 @@ def as_state(x, n: int | None = None) -> np.ndarray:
 class VectorFieldDef:
     """An autonomous vector field on R^n.
 
-    ``rhs`` maps a state of shape ``(n,)`` to a velocity of shape ``(n,)``.
-    Implementations are encouraged (but not required) to also accept batched
-    input of shape ``(N, n)`` and return ``(N, n)``; the numeric helpers probe
-    for this and fall back to a loop.
+    ``rhs`` maps a lone state ``(n,)`` to a velocity ``(n,)`` and a block of
+    states ``(..., n)`` to the block of their velocities ``(..., n)``, with
+    the same bits for a row whether it comes alone or in a block. Batched
+    callers evaluate it once per block and reject an output of another shape
+    with :class:`InputError`.
     """
 
     n: int
@@ -126,8 +111,9 @@ class VectorFieldDef:
 class ControlSystemDef:
     """A controlled vector field on R^n with inputs in R^m_in.
 
-    ``rhs`` maps ``(state, input)`` to a velocity; same batching convention
-    as :class:`VectorFieldDef`, broadcasting over leading axes.
+    ``rhs`` maps ``(state, input)`` to a velocity under the contract of
+    :class:`VectorFieldDef`: a lone pair ``(n,), (m_in,)`` gives ``(n,)``,
+    and paired blocks ``(..., n), (..., m_in)`` give ``(..., n)``.
     """
 
     n: int

@@ -14,18 +14,19 @@ numbers are bit-identical whichever rows share its batch; nested Sobol samples
 therefore give nested estimates.
 
 A row stops with :class:`DivergenceError` when its state turns non-finite or
-its adaptive step falls below ten ulps of its time, and with
-:class:`StepBudgetError` after ``max_steps`` accepted steps; the other rows
-carry on.
+its adaptive step falls below ten ulps of ``t_end`` (a pace of over 4e14 steps
+to the horizon), and with :class:`StepBudgetError` after ``max_steps``
+accepted steps; the other rows carry on.
 
 A batch holds one field for every row, or one field per row (the values of a
 parameter sweep, say). Each evaluation of the right-hand side receives the
 indices of the rows still integrating along with their states, so that each
 row can be evaluated with its own field; the fields are autonomous, so no
-stage time is passed. One field for every row is probed once per run on the
-whole batch and evaluated row by row if it does not return shape ``(N, n)``.
-A lone row, and every row of a batch of fields, is evaluated on its 1-d
-state ``(n,)``, exactly as a run of that row alone is.
+stage time is passed. One field for N > 1 rows is evaluated on the whole
+block ``(N, n)``, which every field takes (see ``core.VectorFieldDef``); a
+first output of another shape raises :class:`InputError`. A lone row, and
+every row of a batch of fields, is evaluated on its 1-d state ``(n,)``,
+exactly as a run of that row alone is.
 
 Each accepted step is handed to a sink with its end states and derivatives.
 ``integrate_field`` keeps them as the nodes of a batch of one.
@@ -57,7 +58,6 @@ from .core import (
     Trajectory,
     VectorFieldDef,
     as_state,
-    try_batch,
 )
 
 DEFAULT_RTOL = 1e-9
@@ -233,8 +233,8 @@ def _dopri5(rhs, b: _Batch, cfg: IntegratorConfig, sink) -> None:
     b.h_abs = _initial_step(rhs, b.rows, b.y, b.f, cfg)
     b.rejected = np.zeros(b.rows.size, dtype=bool)
     b.steps = np.zeros(b.rows.size, dtype=np.int64)
+    min_step = 10 * np.spacing(cfg.t_end)
     while b.rows.size:
-        min_step = 10 * np.spacing(b.t)
         b.h_abs = np.where(b.rejected, b.h_abs, np.maximum(b.h_abs, min_step))
         over = b.steps >= cfg.max_steps
         small = ~(b.h_abs >= min_step)  # a NaN step size counts as underflow
@@ -310,19 +310,16 @@ def _batch_rhs(f, X0: np.ndarray):
     """The right-hand side of a run as a map ``rhs(rows, Y)`` from the states
     Y of the batch rows ``rows`` to their derivatives, and its value at X0.
 
-    ``f`` is one field for every row or a sequence of one field per row. One
-    field is probed with the whole batch, the run's first evaluation: when
-    ``f.rhs(X0)`` cannot take a batch (see :func:`~approxred.core.try_batch`)
-    or returns another shape than X0, the run evaluates row by row instead.
-    Row by row, as for a lone row and for a field per row, each row is passed
-    as the 1-d state that right-hand sides are written for, which is also
-    the cheapest.
+    ``f`` is one field for every row, evaluated on the whole block when it
+    holds N > 1 rows, or a sequence of one field per row. A lone row, and
+    each row of a field per row, is passed as its 1-d state.
     """
     one = isinstance(f, VectorFieldDef)
     if one and X0.shape[0] > 1:
-        F0 = try_batch(lambda: np.asarray(f.rhs(X0), dtype=float))
-        if F0 is not None and F0.shape == X0.shape:
-            return (lambda _rows, Y: np.asarray(f.rhs(Y), dtype=float)), F0
+        F0 = np.asarray(f.rhs(X0), dtype=float)
+        if F0.shape != X0.shape:
+            raise InputError(f"rhs of '{f.name}' returned shape {F0.shape}, expected {X0.shape}")
+        return (lambda _rows, Y: np.asarray(f.rhs(Y), dtype=float)), F0
     fields = [f] * X0.shape[0] if one else f
 
     def rowwise(rows, Y):

@@ -5,9 +5,10 @@ compromise between truncation and round-off for float64. ``jacobian_batch``
 is the one routine that steps and differences; the gradients and the
 single-point Jacobian wrap it.
 
-``batch_eval`` lets every caller exploit vectorized maps when available: a
-map is first called with the full sample blocks and only evaluated row by row
-if it cannot take them (see ``core.try_batch``) or returns the wrong shape.
+Every map here takes a block of states ``(N, d)`` as well as a lone state,
+with the same bits for a row either way (the contract of
+``core.VectorFieldDef``): ``batch_eval`` calls it once on the whole block and
+rejects an output of another shape with ``InputError``.
 """
 
 from __future__ import annotations
@@ -16,27 +17,27 @@ from typing import Callable
 
 import numpy as np
 
-from .core import EvaluationError, try_batch
+from .core import EvaluationError, InputError
 
 FD_SCALE = 1e-6
 
 
 def batch_eval(fn: Callable, *blocks: np.ndarray, out_dim: int | None = None) -> np.ndarray:
-    """Evaluate ``fn`` on the paired rows of one or more blocks, vectorized when possible.
+    """Evaluate ``fn`` once on the paired rows of one or more blocks.
 
     Each block has shape (N, d_j) and ``fn`` takes one argument per block.
-    The result has shape (N,) for scalar maps and (N, out_dim) otherwise.
+    The result has shape (N,) for scalar maps and (N, out_dim) otherwise; a
+    map that returns another shape raises ``InputError``.
     """
     blocks = [np.asarray(X, dtype=float) for X in blocks]
     n = blocks[0].shape[0]
-    out = try_batch(lambda: np.asarray(fn(*blocks), dtype=float))
-    if out is not None:
-        if out.shape == (n,) and out_dim in (None, 1):
-            return out if out_dim is None else out[:, None]
-        if out_dim is not None and out.shape == (n, out_dim):
-            return out
-    out = np.stack([np.atleast_1d(np.asarray(fn(*row), dtype=float)) for row in zip(*blocks)])
-    return out[:, 0] if out.shape[1] == 1 and out_dim is None else out
+    out = np.asarray(fn(*blocks), dtype=float)
+    if out.shape == (n,) and out_dim in (None, 1):
+        return out if out_dim is None else out[:, None]
+    if out_dim is not None and out.shape == (n, out_dim):
+        return out
+    expected = (n,) if out_dim is None else (n, out_dim)
+    raise InputError(f"a map on {n} rows returned shape {out.shape}, expected {expected}")
 
 
 def batch_eval_pair(fn: Callable, X1: np.ndarray, X2: np.ndarray) -> np.ndarray:

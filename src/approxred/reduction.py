@@ -92,7 +92,9 @@ class ReducibilityReport:
 
 @dataclass(frozen=True)
 class SmoothMap:
-    """A smooth map R^n -> R^m with an optional analytic Jacobian."""
+    """A smooth map R^n -> R^m with an optional analytic Jacobian. Like a
+    field's rhs, both take a lone state ``(n,)`` or a block ``(..., n)``:
+    ``fn`` gives ``(..., m)`` and ``jacobian`` gives ``(..., m, n)``."""
 
     n_in: int
     n_out: int
@@ -107,7 +109,7 @@ class SmoothMap:
             n_in=d.n,
             n_out=d.m,
             fn=lambda x: np.asarray(x, dtype=float)[..., : d.m],
-            jacobian=lambda _x: P,
+            jacobian=lambda x: np.broadcast_to(P, np.shape(x)[:-1] + P.shape),
         )
 
 
@@ -136,13 +138,13 @@ def check_phi_related(
         FX = batch_eval(f.rhs, X, out_dim=f.n)
         PHIX = batch_eval(phi.fn, X, out_dim=phi.n_out)
         GPHIX = batch_eval(g.rhs, PHIX, out_dim=g.n)
-        if phi.jacobian is not None:
-            push = np.stack(
-                [np.asarray(phi.jacobian(x), dtype=float) @ fx for x, fx in zip(X, FX)]
-            )
-        else:
+        if phi.jacobian is None:
             J = jacobian_batch(phi.fn, X, phi.n_out)
-            push = np.einsum("nij,nj->ni", J, FX)
+        else:
+            J = np.asarray(phi.jacobian(X), dtype=float)
+            if J.shape != (len(X), phi.n_out, phi.n_in):
+                raise InputError(f"phi's Jacobian on {len(X)} samples has shape {J.shape}")
+        push = np.einsum("nij,nj->ni", J, FX)
         residuals = np.linalg.norm(push - GPHIX, axis=1)
     if not np.all(np.isfinite(residuals)):
         bad = int(np.argmax(~np.isfinite(residuals)))

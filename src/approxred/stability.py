@@ -151,8 +151,8 @@ def _pair_terms(V: Callable, F: ControlSystemDef, X1, X2, U1, U2):
             f"V produced a non-finite value at x1={X1[bad].tolist()}, "
             f"x2={X2[bad].tolist()}"
         )
-    F1 = _eval_control_batch(F, X1, U1)
-    F2 = _eval_control_batch(F, X2, U2)
+    F1 = batch_eval(F.rhs, X1, U1, out_dim=F.n)
+    F2 = batch_eval(F.rhs, X2, U2, out_dim=F.n)
     out = np.einsum("ni,ni->n", g1, F1) + np.einsum("ni,ni->n", g2, F2)
     if not np.all(np.isfinite(out)):
         bad = int(np.argmax(~np.isfinite(out)))
@@ -160,10 +160,6 @@ def _pair_terms(V: Callable, F: ControlSystemDef, X1, X2, U1, U2):
             f"non-finite derivative of V along F at x1={X1[bad].tolist()}"
         )
     return vals, out
-
-
-def _eval_control_batch(F: ControlSystemDef, X, U) -> np.ndarray:
-    return batch_eval(F.rhs, X, U, out_dim=F.n)
 
 
 def vdot(V: Callable, F: ControlSystemDef, x1, x2, u1, u2) -> float:
@@ -219,7 +215,8 @@ def _falsify(
     displaces an earlier one; merging inside the block loop would break that
     tie rule. The witness records the parts by
     name; ``counts`` turns the samples each condition's mask selected into
-    the report's condition counts.
+    the report's condition counts, and the note names each condition whose
+    mask selected no sample at all.
     """
     worst = {}  # name -> (violation, sample index, observed, bound, sample)
     checked = {}
@@ -241,12 +238,14 @@ def _falsify(
                 point = {key: sample[cols] for key, cols in parts.items()}
                 best = Counterexample(name, float(mag), i, point, observed, bound)
     report = dict(samples_checked=n_samples, boxes=boxes, condition_counts=counts(checked))
+    untested = ", ".join(name for name, *_ in table if not checked[name])
+    suffix = f"; no sample was tested for {untested}" if untested else ""
     if best is None:
-        return CertificateReport(verdict=NO_COUNTEREXAMPLE, **report)
+        return CertificateReport(verdict=NO_COUNTEREXAMPLE, note=EVIDENCE_NOTE + suffix, **report)
     return CertificateReport(
         verdict=COUNTEREXAMPLE,
         counterexample=best,
-        note="counterexample found; violation exceeds the numerical slack",
+        note="counterexample found; violation exceeds the numerical slack" + suffix,
         **report,
     )
 

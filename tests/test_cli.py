@@ -237,6 +237,21 @@ class TestSweep:
         rc = main(["sweep", "--system", "ball-hoop", "--param", "R", "--values", ","])
         assert_clean_usage_error(rc, capsys, "--values must list at least one number")
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["simulate", "--system", "ball-hoop", "--x0", "0.5,,0.3"], "--x0"),
+            (["sweep", "--system", "ball-hoop", "--param", "R", "--values", "5,,10,"],
+             "--values"),
+            (["check-exact", "--system", "ball-hoop", "--box=-1,,1;-1,1"], "--box"),
+        ],
+        ids=["x0", "values", "box"],
+    )
+    def test_empty_entry_in_a_number_list(self, argv, flag, tmp_path, capsys):
+        rc = main([*argv, "--out", str(tmp_path / "o")])
+        assert_clean_usage_error(rc, capsys, f"{flag} expects comma-separated numbers")
+        assert not (tmp_path / "o").exists()
+
 
 # a user system whose full run fails at its first step for p = 3 (a growth
 # rate p**600 near 1e286; below 1e-180 for p <= 0.5), whose reduced run
@@ -465,6 +480,16 @@ class TestCheckLyapunov:
              "--samples", "-5"]
         )
         assert_clean_usage_error(rc, capsys, "2**30", "got -5")
+
+    def test_note_names_a_condition_no_sample_tested(self, tmp_path):
+        # g = 1e200 makes the decay condition's domain miss every sample
+        out = tmp_path / "c.json"
+        rc = main(["check-lyapunov", "--system", "ball-hoop", "--certificate", "iiss",
+                   "--set", "g=1e200", "--samples", "4096", "--out", str(out)])
+        report = json.loads(out.read_text())["report"]
+        assert rc == 0 and report["verdict"] == "NO_COUNTEREXAMPLE"
+        assert report["condition_counts"]["decay_checked"] == 0
+        assert report["note"].endswith("; no sample was tested for decay")
 
 
 class TestBound:
@@ -1063,8 +1088,8 @@ class TestNonFiniteBoxes:
 
 def extreme_parameter_runs():
     """Each bundled parameter at 1e-320, 1e200 and 1e308, under check-lyapunov
-    for each certificate and, for the hoop, simulate, then two more extremes;
-    the cases whose exit code and message are fixed carry them."""
+    for each certificate and under simulate, then two more extremes; the
+    cases whose exit code and message are fixed carry them."""
     from approxred.systems import REGISTRY
 
     fixed = {
@@ -1074,6 +1099,9 @@ def extreme_parameter_runs():
         ("cart-pendulum", "d", "1e-320", "iubibss"): (1, "needs finite coefficients"),
         **{("cart-pendulum", key, "1e200", "iubibss"): (2, "diameter inf is not finite")
            for key in ("b", "d", "g", "k")},
+        # steps near 1e-199 would run for hours; they fall below the step floor
+        **{("cart-pendulum", "d", value, "simulate"): (2, "adaptive step size underflow")
+           for value in ("1e200", "1e308")},
     }
     certificates = {"ball-hoop": ("fiberwise", "iiss"), "cart-pendulum": ("iubibss",)}
     for system, (_factory, defaults) in REGISTRY.items():
@@ -1082,8 +1110,7 @@ def extreme_parameter_runs():
                 head = ["--system", system, "--set", f"{key}={value}"]
                 runs = {cert: ["check-lyapunov", *head, "--certificate", cert,
                                "--samples", "64"] for cert in certificates[system]}
-                if system == "ball-hoop":
-                    runs["simulate"] = ["simulate", *head, "--t-end", "1"]
+                runs["simulate"] = ["simulate", *head, "--t-end", "1"]
                 for run, argv in runs.items():
                     yield pytest.param(argv, fixed.get((system, key, value, run)),
                                        id=f"{system}-{run}-{key}={value}")
@@ -1114,18 +1141,20 @@ def test_extreme_parameters_exit_cleanly(argv, fixed, tmp_path, capsys):
 
 
 # sha256 of the --out JSON of `check-lyapunov --samples 4096` at the default
-# seed, recorded while the certificates were hand-written closures
+# seed, recorded while the certificates were hand-written closures; the two
+# cart digests were recorded again when the note began to name the decay
+# condition that no cart sample tests, the only bytes of those reports to move
 CERTIFICATE_OUTPUT_SHA256 = {
     ("ball-hoop", "fiberwise", False):
         "76bf75c8b0e5a7ba96e9f85457f167beaa3e822a6dbf20eb30425aee791da983",
     ("ball-hoop", "iiss", False):
         "9ea0d7af3c20cf2768266b69d6d43146d89c1a23b0ffda28cae10393de5f0d92",
     ("cart-pendulum", "iubibss", False):
-        "538be629591d13d205e9e1b6098c6724bb7cac363f324e5b4b3d2e5ab4e8901f",
+        "6f4654ad7a5856d69789a03b8c82c5f2f1d2b3857663d121136b6eae33c4a012",
     ("ball-hoop", "iiss", True):
         "09877004fa02ca25f29ed68f6d6de3ac553934fe8a1a3ca2c0b4b974ca3fbf0b",
     ("cart-pendulum", "iubibss", True):
-        "a18d07dc2804532ac52be6f561fa0a1b77f4452fefc6ee23dc34194ea5eb855d",
+        "048d37198053585dada4389c45760170645c57bcd043c204bf560c02b0bb0715",
 }
 
 

@@ -361,33 +361,18 @@ class TestBatchFailures:
             integrate_field(f, [1.0, 0.0, 1.0], IntegratorConfig(t_end=2.0))
 
 
-class TestNonVectorizedRhs:
-    """A rhs written for one state runs row by row after a single batch probe."""
+class TestBlockContract:
+    """One field for many rows is evaluated on the whole block, a lone row
+    on its 1-d state."""
 
     @pytest.mark.parametrize("method", ["rk45", "rk4"])
-    def test_zero_field(self, method):
-        f, calls = _counted(VectorFieldDef(n=2, rhs=lambda x: np.zeros(2), name="still"))
-        X0 = np.array([[1.0, 2.0], [3.0, 4.0], [-1.0, 0.5]])
+    def test_one_field_evaluates_blocks_and_lone_rows(self, method):
+        f, calls = _counted(lookup("ball-hoop", {}).field)
         cfg = IntegratorConfig(t_end=1.0, method=method, dt=0.1 if method == "rk4" else None)
         grid = np.linspace(0.0, 1.0, 11)
-        values, errors = integrate_on_grid(f, X0, cfg, grid)
-        assert errors == [None] * 3
-        assert np.array_equal(values, np.broadcast_to(X0[:, None, :], values.shape))
-        assert calls.count(2) == 1  # one probe, never retried
-
-    def test_scalar_math_pendulum(self):
-        f, calls = _counted(
-            VectorFieldDef(n=2, rhs=lambda x: np.array([x[1], -math.sin(x[0])]), name="pendulum")
-        )
-        X0 = np.array([[0.3, 0.0], [1.0, -0.5], [-0.7, 0.2]])
-        cfg = IntegratorConfig(t_end=3.0)
-        grid = np.linspace(0.0, 3.0, 61)
-        values, errors = integrate_on_grid(f, X0, cfg, grid)
-        assert errors == [None] * 3
-        assert calls.count(2) == 1
-        for i, x0 in enumerate(X0):
-            solo = resample(integrate_field(f, x0, cfg), grid).states
-            assert solo.tobytes() == values[i].tobytes()
-        # the vectorized form of the same field agrees up to rounding
-        vec = VectorFieldDef(n=2, rhs=lambda x: np.stack([x[..., 1], -np.sin(x[..., 0])], axis=-1))
-        assert np.allclose(integrate_on_grid(vec, X0, cfg, grid)[0], values, atol=1e-12)
+        X0 = np.array([[0.5, 0.3], [-0.2, 0.1], [1.0, -0.4]])
+        integrate_on_grid(f, X0, cfg, grid)
+        assert calls and set(calls) == {2}
+        calls.clear()
+        integrate_on_grid(f, X0[:1], cfg, grid)
+        assert calls and set(calls) == {1}

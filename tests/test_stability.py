@@ -1,5 +1,4 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -12,18 +11,19 @@ from approxred.core import (
     ControlSystemDef,
     Decomposition,
     EvaluationError,
+    InputError,
     VectorFieldDef,
 )
-from approxred.cli import to_jsonable
 from approxred.integrate import _batch_rhs
 from approxred.numdiff import batch_eval, batch_eval_pair
+from approxred.reduction import SmoothMap, check_phi_related
 from approxred.stability import (
     COUNTEREXAMPLE,
     NO_COUNTEREXAMPLE,
     FiberwiseCertificate,
     IISSCertificate,
     IUBIBSSCertificate,
-    _eval_control_batch,
+    _pair_terms,
     _value_and_grads,
     check_fiberwise,
     check_iiss,
@@ -51,23 +51,6 @@ def gap_pair(scale: float = 1.0):
         return with_gradient(scale * 0.5 * np.sum(d * d, axis=-1), scale * d, -scale * d)
 
     return V
-
-
-def single_state(fn):
-    """``fn`` as a map written for single states only: it fails on a block,
-    which sends the checkers row by row."""
-
-    def one(*xs):
-        if any(np.ndim(x) != 1 for x in xs):
-            raise TypeError("single states only")
-        return fn(*xs)
-
-    return one
-
-
-def same_report(a, b) -> bool:
-    """Reports equal to the bit: floats print in round-trip form."""
-    return json.dumps(to_jsonable(a)) == json.dumps(to_jsonable(b))
 
 
 CONTRACT = ControlSystemDef(
@@ -143,6 +126,17 @@ class TestCheckIISS:
         assert rep.verdict == NO_COUNTEREXAMPLE
         assert rep.condition_counts["decay_checked"] > 100
 
+    @pytest.mark.parametrize("F", [DRIVEN, EXPAND], ids=["driven", "expand"])
+    def test_note_names_each_condition_no_sample_tested(self, F):
+        # |dx| <= 4 never reaches mu(|du|) = 1e12 |du| on these samples
+        untested = dataclasses.replace(contraction_certificate(),
+                                       mu=ComparisonFunction.linear(1e12))
+        rep = check_iiss(F, untested, SYM_BOX_1, SYM_BOX_1, 1024)
+        assert rep.condition_counts["decay_checked"] == 0
+        assert rep.note.endswith("; no sample was tested for decay")
+        tested = check_iiss(F, contraction_certificate(), SYM_BOX_1, SYM_BOX_1, 1024)
+        assert "no sample was tested" not in tested.note
+
     def test_expanding_flow_fails(self):
         rep = check_iiss(EXPAND, contraction_certificate(), SYM_BOX_1, SYM_BOX_1, 4096)
         assert rep.verdict == COUNTEREXAMPLE
@@ -156,15 +150,6 @@ class TestCheckIISS:
         )
         assert rep.verdict == NO_COUNTEREXAMPLE
         assert rep.condition_counts["decay_checked"] > 1000
-
-    @pytest.mark.parametrize("F", [DRIVEN, EXPAND], ids=["driven", "expand"])
-    def test_single_state_maps_give_the_same_report(self, F):
-        twin = contraction_certificate()
-        cert = dataclasses.replace(twin, V=single_state(twin.V))
-        rowwise = dataclasses.replace(F, rhs=single_state(F.rhs))
-        expected = check_iiss(F, twin, SYM_BOX_1, SYM_BOX_1, 1024)
-        rep = check_iiss(rowwise, cert, SYM_BOX_1, SYM_BOX_1, 1024)
-        assert same_report(rep, expected)
 
     def test_witness_reproduces(self):
         rep = check_iiss(EXPAND, contraction_certificate(), SYM_BOX_1, SYM_BOX_1, 2048)
@@ -266,25 +251,6 @@ class TestCheckFiberwise:
             fiber_field(-1.0), d, self.certificate(), Box.from_pairs([(-1, 1)] * 2), 2048
         )
         assert rep.verdict == NO_COUNTEREXAMPLE
-
-    # the contracting fiber passes; the expanding one fails the decay
-    # condition, and a too small upper bound the sandwich with V observed
-    @pytest.mark.parametrize(
-        "sign,a_upper",
-        [(-1.0, 0.5), (+1.0, 0.5), (-1.0, 0.25)],
-        ids=["passes", "decay", "sandwich"],
-    )
-    def test_single_state_v_gives_the_same_report(self, sign, a_upper):
-        d = Decomposition(n=2, m=1, k=1)
-        box = Box.from_pairs([(-1, 1)] * 2)
-        twin = dataclasses.replace(
-            self.certificate(), alpha_upper=ComparisonFunction.power(a_upper, 2.0)
-        )
-        cert = dataclasses.replace(twin, V=single_state(twin.V))
-        expected = check_fiberwise(fiber_field(sign), d, twin, box, 1024)
-        rep = check_fiberwise(fiber_field(sign), d, cert, box, 1024)
-        assert same_report(rep, expected)
-        assert rep.passed == (a_upper == 0.5 and sign < 0)
 
     def test_expanding_fiber_fails(self):
         d = Decomposition(n=2, m=1, k=1)
@@ -407,33 +373,33 @@ class TestIISSBridgeProperty:
 
 
 BLOCK = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+PAIR_V = gap_pair()
 
-# each batched call site, fed a map that raises on every call
+# each batched call site, fed the map under test
 BATCH_SITES = {
-    "batch_eval": lambda fn: batch_eval(fn, BLOCK),
+    "batch_eval": lambda fn: batch_eval(fn, BLOCK, out_dim=2),
     "batch_eval_pair": lambda fn: batch_eval_pair(fn, BLOCK, BLOCK),
-    "eval_control_batch": lambda fn: _eval_control_batch(
-        ControlSystemDef(n=2, m_in=2, rhs=fn), BLOCK, BLOCK
+    "control_form": lambda fn: _pair_terms(
+        PAIR_V, ControlSystemDef(n=2, m_in=2, rhs=fn), BLOCK, BLOCK, BLOCK, BLOCK
     ),
     "certificate_map": lambda fn: _value_and_grads(fn, BLOCK, BLOCK),
-    "integrator_probe": lambda fn: _batch_rhs(VectorFieldDef(n=2, rhs=fn), BLOCK),
+    "integrator": lambda fn: _batch_rhs(VectorFieldDef(n=2, rhs=fn, name="odd"), BLOCK),
+    "phi_related": lambda fn: check_phi_related(
+        VectorFieldDef(n=2, rhs=fn), VectorFieldDef(n=1, rhs=lambda y: y),
+        SmoothMap.projection(Decomposition(n=2, m=1, k=1)), Box.from_pairs([(-1, 1)] * 2), 8,
+    ),
 }
 
 
-class TestBatchFallback:
-    """Only the errors of a single-state map on a block send it row by row."""
+class TestBlockContract:
+    """Every map is called once on the whole block: nothing is retried row by
+    row, and an output of the wrong shape is an input error."""
 
     @pytest.mark.parametrize("site", sorted(BATCH_SITES))
     @pytest.mark.parametrize(
-        "exc,calls",
-        [
-            (EvaluationError, 1),  # a genuine failure: no retry
-            (RuntimeError, 1),
-            (TypeError, 2),  # the block, then the first row
-            (IndexError, 2),
-        ],
+        "exc", [EvaluationError, RuntimeError, TypeError, ValueError, IndexError]
     )
-    def test_which_errors_retry_row_by_row(self, site, exc, calls):
+    def test_every_error_propagates_after_one_call(self, site, exc):
         seen = []
 
         def fn(*args):
@@ -442,5 +408,25 @@ class TestBatchFallback:
 
         with pytest.raises(exc, match="boom"):
             BATCH_SITES[site](fn)
-        assert len(seen) == calls
-        assert np.shape(seen[0][0]) == BLOCK.shape
+        assert len(seen) == 1
+        assert np.ndim(seen[0][0]) == 2
+
+    @pytest.mark.parametrize("site", sorted(BATCH_SITES))
+    def test_lone_state_output_is_an_input_error(self, site):
+        seen = []
+
+        def fn(*args):  # written for a lone state: the block's first row only
+            seen.append(args)
+            return np.asarray(args[0])[0]
+
+        with pytest.raises(InputError, match=r"shape \(2,\)"):
+            BATCH_SITES[site](fn)
+        assert len(seen) == 1
+
+    def test_wrong_jacobian_shape_is_an_input_error(self):
+        f = VectorFieldDef(n=2, rhs=lambda x: -np.asarray(x))
+        g = VectorFieldDef(n=1, rhs=lambda y: -np.asarray(y))
+        phi = SmoothMap(n_in=2, n_out=1, fn=lambda x: np.asarray(x)[..., :1],
+                        jacobian=lambda _x: np.array([[1.0, 0.0]]))
+        with pytest.raises(InputError, match=r"Jacobian on 8 samples has shape \(1, 2\)"):
+            check_phi_related(f, g, phi, Box.from_pairs([(-1, 1)] * 2), 8)
