@@ -25,7 +25,6 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,45 +96,6 @@ def to_jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
     return obj
-
-
-@dataclass
-class RunConfig:
-    """The fully resolved settings of one CLI run, embedded in every output."""
-
-    command: str
-    system: str
-    params: dict
-    m: int
-    method: str
-    dt: float | None
-    rtol: float
-    atol: float
-    t_end: float
-    x0: list | None
-    seed: int
-    format: str
-    extra: dict = field(default_factory=dict)
-
-    def to_meta(self) -> dict:
-        meta = {
-            "tool": "approxred",
-            "version": __version__,
-            "command": self.command,
-            "system": self.system,
-            "params": to_jsonable(self.params),
-            "m": self.m,
-            "method": self.method,
-            "dt": self.dt,
-            "rtol": self.rtol,
-            "atol": self.atol,
-            "t_end": self.t_end,
-            "x0": to_jsonable(self.x0),
-            "seed": self.seed,
-            "format": self.format,
-        }
-        meta.update(to_jsonable(self.extra))
-        return meta
 
 
 def parse_metadata(text: str) -> dict:
@@ -282,22 +242,26 @@ def _integrator_config(args) -> IntegratorConfig:
         raise UsageError(str(err)) from err
 
 
-def _run_config(command: str, args, entry: SystemEntry, x0, **extra) -> RunConfig:
-    return RunConfig(
-        command=command,
-        system=entry.name,
-        params=dict(entry.params),
-        m=entry.decomp.m,
-        method=args.method,
-        dt=args.dt,
-        rtol=args.rtol,
-        atol=args.atol,
-        t_end=args.t_end,
-        x0=None if x0 is None else [float(v) for v in x0],
-        seed=_resolve_seed(args),
-        format=args.format,
-        extra=extra,
-    )
+def _config(command: str, args, entry: SystemEntry, x0, **extra) -> dict:
+    """The fully resolved settings of one run, embedded in every output;
+    ``extra`` appends keys, or replaces a value in its place."""
+    return to_jsonable({
+        "tool": "approxred",
+        "version": __version__,
+        "command": command,
+        "system": entry.name,
+        "params": entry.params,
+        "m": entry.decomp.m,
+        "method": args.method,
+        "dt": args.dt,
+        "rtol": args.rtol,
+        "atol": args.atol,
+        "t_end": args.t_end,
+        "x0": x0,
+        "seed": _resolve_seed(args),
+        "format": args.format,
+        **extra,
+    })
 
 
 def _default_box(entry: SystemEntry) -> Box:
@@ -328,18 +292,14 @@ def cmd_simulate(args) -> int:
     x0 = _resolve_x0(args, entry)
     cfg = _integrator_config(args)
     traj = integrate_field(entry.field, x0, cfg)
-    rc = _run_config("simulate", args, entry, x0)
+    meta = _config("simulate", args, entry, x0)
     if args.format == "json":
-        doc = {
-            "config": rc.to_meta(),
-            "times": to_jsonable(traj.times),
-            "states": to_jsonable(traj.states),
-        }
+        doc = to_jsonable({"config": meta, "times": traj.times, "states": traj.states})
         _emit(args.out, _json_document(doc))
     else:
         header = ["t"] + [f"x{i}" for i in range(entry.field.n)]
         rows = np.column_stack([traj.times, traj.states])
-        _emit(args.out, _csv_document(rc.to_meta(), header, rows))
+        _emit(args.out, _csv_document(meta, header, rows))
     return EXIT_OK
 
 
@@ -355,18 +315,18 @@ def cmd_compare(args) -> int:
         reduced=entry.reduced_override,
         n_grid=args.n_grid,
     )
-    rc = _run_config("compare", args, entry, x0, n_grid=args.n_grid)
+    meta = _config("compare", args, entry, x0, n_grid=args.n_grid)
     summary = {"sup_dev": rep.sup_dev, "t_of_sup": rep.t_of_sup}
     m = entry.decomp.m
     if args.format == "json":
-        doc = {
-            "config": rc.to_meta(),
+        doc = to_jsonable({
+            "config": meta,
             "summary": summary,
-            "times": to_jsonable(rep.times),
-            "full_projected": to_jsonable(rep.full_projected),
-            "reduced": to_jsonable(rep.reduced_states),
-            "deviation": to_jsonable(rep.dev_series),
-        }
+            "times": rep.times,
+            "full_projected": rep.full_projected,
+            "reduced": rep.reduced_states,
+            "deviation": rep.dev_series,
+        })
         _emit(args.out, _json_document(doc))
     else:
         header = (
@@ -378,7 +338,7 @@ def cmd_compare(args) -> int:
         rows = np.column_stack(
             [rep.times, rep.full_projected, rep.reduced_states, rep.dev_series]
         )
-        _emit(args.out, _csv_document(rc.to_meta(), header, rows))
+        _emit(args.out, _csv_document(meta, header, rows))
         if args.out is not None:
             sys.stdout.write(json.dumps(summary) + "\n")
     return EXIT_OK
@@ -411,19 +371,15 @@ def cmd_sweep(args) -> int:
     rows = [(value, *dev) for value, dev in zip(values, list(sweep))]
     if failed is not None:
         raise failed
-    rc = _run_config(
-        "sweep",
-        args,
-        entries[-1],
-        x0,
-        param=args.param,
-        values=values,
-        n_grid=args.n_grid,
+    entry = entries[-1]
+    meta = _config(
+        "sweep", args, entry, x0,
+        params={k: v for k, v in entry.params.items() if k != args.param},
+        param=args.param, values=values, n_grid=args.n_grid,
     )
-    rc.params = {k: v for k, v in rc.params.items() if k != args.param}
     if args.format == "json":
         doc = {
-            "config": rc.to_meta(),
+            "config": meta,
             "rows": [
                 {"param_value": v, "sup_dev": s, "t_of_sup": t} for v, s, t in rows
             ],
@@ -431,7 +387,7 @@ def cmd_sweep(args) -> int:
         _emit(args.out, _json_document(doc))
     else:
         header = ["param_value", "sup_dev", "t_of_sup"]
-        _emit(args.out, _csv_document(rc.to_meta(), header, rows))
+        _emit(args.out, _csv_document(meta, header, rows))
     return EXIT_OK
 
 
@@ -442,10 +398,10 @@ def cmd_check_exact(args) -> int:
     report = check_exact_reducible(
         entry.field, entry.decomp, box, n_samples=args.samples, tol=args.tol, seed=seed
     )
-    rc = _run_config(
+    meta = _config(
         "check-exact", args, entry, None, samples=args.samples, tol=args.tol, box=box
     )
-    doc = {"config": rc.to_meta(), "report": to_jsonable(report)}
+    doc = to_jsonable({"config": meta, "report": report})
     _emit(args.out, _json_document(doc))
     return EXIT_OK if report.reducible else EXIT_VERDICT
 
@@ -468,33 +424,23 @@ def cmd_check_lyapunov(args) -> int:
     if args.negate_v:
         cert = _negate_certificate(cert)
     if spec.kind == "fiberwise":
+        if args.input_box is not None:
+            raise UsageError(f"certificate {args.certificate!r} takes no --input-box")
         report = check_fiberwise(
             entry.field, entry.decomp, cert, spec.state_box, n_samples=args.samples,
             seed=seed,
         )
-    elif spec.kind == "iiss":
-        report = check_iiss(
-            spec.control, cert, spec.state_box, spec.input_box,
-            n_samples=args.samples, seed=seed,
-        )
-    elif spec.kind == "iubibss":
-        report = check_iubibss(
-            spec.control, cert, spec.state_box, spec.input_box,
-            n_samples=args.samples, seed=seed,
-        )
     else:
-        raise InputError(f"unknown certificate kind {spec.kind!r}")
-    rc = _run_config(
-        "check-lyapunov",
-        args,
-        entry,
-        None,
-        certificate=args.certificate,
-        kind=spec.kind,
-        samples=args.samples,
-        negate_v=bool(args.negate_v),
+        check = {"iiss": check_iiss, "iubibss": check_iubibss}[spec.kind]
+        report = check(
+            spec.control, cert, spec.state_box, spec.input_box,
+            n_samples=args.samples, seed=seed,
+        )
+    meta = _config(
+        "check-lyapunov", args, entry, None, certificate=args.certificate,
+        kind=spec.kind, samples=args.samples, negate_v=bool(args.negate_v),
     )
-    doc = {"config": rc.to_meta(), "report": to_jsonable(report)}
+    doc = to_jsonable({"config": meta, "report": report})
     _emit(args.out, _json_document(doc))
     return EXIT_VERDICT if report.verdict == COUNTEREXAMPLE else EXIT_OK
 
@@ -528,20 +474,11 @@ def cmd_bound(args) -> int:
         seed=seed,
         n_grid=args.n_grid,
     )
-    rc = _run_config(
+    meta = _config(
         "bound", args, entry, None, mode=args.mode, n_ic=args.n_ic, box=box,
         n_grid=args.n_grid,
     )
-    doc = {
-        "config": rc.to_meta(),
-        "delta_hat": est.delta_hat,
-        "mode": est.mode,
-        "n_ic": est.n_ic,
-        "failures": est.failures,
-        "seed": est.seed,
-        "note": est.note,
-    }
-    _emit(args.out, _json_document(doc))
+    _emit(args.out, _json_document({"config": meta, **to_jsonable(est)}))
     return EXIT_OK
 
 

@@ -304,9 +304,14 @@ class Box:
 
     def diameter(self) -> float:
         """Euclidean diameter (length of the main diagonal); inf, without a
-        warning, where its square overflows."""
+        warning, only where the diameter itself is beyond float range."""
+        w = self.widths
         with np.errstate(over="ignore"):
-            return float(np.linalg.norm(self.widths))
+            d = np.linalg.norm(w)
+            if np.isinf(d):  # the squares overflowed: scale by the largest width
+                s = w.max()
+                d = s * np.linalg.norm(w / s)
+        return float(d)
 
     def project(self, d: Decomposition, which: str) -> "Box":
         """The image of the box under a canonical projection."""

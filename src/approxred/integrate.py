@@ -423,12 +423,8 @@ class _GridSink:
             v *= s
             v += Y[:, at].repeat(n, axis=1)
             row = R[at].repeat(n)
-            # a row's points are contiguous here, and so are its grid times
-            cut = np.flatnonzero(row[1:] != row[:-1]) + 1
-            first = np.append(0, cut)
             if self.target is None:
-                for a, b in zip(first.tolist(), np.append(cut, p1 - p0).tolist()):
-                    self.out[row[a], g[a] : g[a] + b - a] = v[:, a:b].T
+                self.out[row, g] = v.T
                 continue
             # squared distances summed as np.linalg.norm sums them, along
             # the contiguous last axis
@@ -436,6 +432,8 @@ class _GridSink:
             d -= v.T
             d *= d
             sq = np.add.reduce(d, axis=-1)
+            # a row's points are contiguous here
+            first = np.append(0, np.flatnonzero(row[1:] != row[:-1]) + 1)
             rows = row[first]
             self.out[rows] = np.maximum(self.out[rows], np.maximum.reduceat(sq, first))
         n_rows = int(last.sum())

@@ -238,8 +238,6 @@ class DeviationReport:
     dev_series: np.ndarray
     full_projected: np.ndarray
     reduced_states: np.ndarray
-    x0: np.ndarray
-    horizon: float
 
 
 def _grid(t_end: float, n_grid: int) -> np.ndarray:
@@ -297,8 +295,6 @@ def measure_deviation(
         dev_series=dev,
         full_projected=full_proj,
         reduced_states=red_rs.states,
-        x0=x0.copy(),
-        horizon=cfg.t_end,
     )
 
 
@@ -377,7 +373,8 @@ class DeltaEstimate:
     """Sampled lower estimate of the uniform deviation bound over a box.
 
     ``delta_hat`` is a max over finitely many sampled initial conditions, so
-    it can only underestimate the true uniform bound.
+    it can only underestimate the true uniform bound. The fields, in order,
+    are the keys that ``bound`` writes after its config.
     """
 
     delta_hat: float
@@ -385,7 +382,6 @@ class DeltaEstimate:
     n_ic: int
     failures: int
     seed: int
-    box: Box
     note: str = "sample-based lower estimate of the uniform deviation bound"
 
 
@@ -450,5 +446,4 @@ def estimate_delta(
         n_ic=n_ic,
         failures=failures,
         seed=seed,
-        box=S,
     )

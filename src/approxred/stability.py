@@ -68,9 +68,9 @@ class IISSCertificate:
 class IUBIBSSCertificate:
     """Candidate IUBIBSS Lyapunov data, with V a pair map V(x1, x2).
 
-    The gain threshold used in the checks is mu(r) + mu_offset; the required
-    inequality mu(r) + mu_offset >= r + xi forces a positive offset at r = 0,
-    which the pure class-K-infinity families cannot supply on their own.
+    The gain threshold used in the checks is mu(r) + xi: the required
+    inequality gain(r) >= r + xi needs a positive offset at r = 0, which the
+    pure class-K-infinity families cannot supply on their own.
     """
 
     V: Callable
@@ -78,16 +78,13 @@ class IUBIBSSCertificate:
     alpha_upper: ComparisonFunction
     mu: ComparisonFunction
     xi: float
-    mu_offset: float = 0.0
 
     def __post_init__(self):
         if not (self.xi > 0):
             raise InputError("threshold xi must be positive")
-        if self.mu_offset < 0:
-            raise InputError("mu_offset must be nonnegative")
 
     def gain(self, r):
-        return self.mu.value(r) + self.mu_offset
+        return self.mu.value(r) + self.xi
 
 
 @dataclass(frozen=True)
@@ -313,9 +310,9 @@ def check_iubibss(
     """Falsify an IUBIBSS Lyapunov candidate.
 
     Three conditions: the sandwich bounds on samples with |x1-x2| >= xi, the
-    gain inequality mu(r) + mu_offset >= r + xi on a 1-d grid over
+    gain inequality mu(r) + xi >= r + xi on a 1-d grid over
     [0, diameter(input_box)], and Vdot <= 0 on samples with
-    |x1-x2| >= mu(|u1-u2|) + mu_offset.
+    |x1-x2| >= mu(|u1-u2|) + xi.
     """
     # condition 2 is deterministic in r; check it first on the grid
     diameter = input_box.diameter()

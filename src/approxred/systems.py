@@ -321,7 +321,6 @@ def make_cart_pendulum(params: dict) -> SystemEntry:
             alpha_upper=ComparisonFunction.power(0.5, 2.0),
             mu=ComparisonFunction.linear(2.0 * m * R * L / d),
             xi=xi,
-            mu_offset=xi,
         )
         return CertificateSpec(
             kind="iubibss", certificate=cert, state_box=sbox, input_box=ibox, control=control_accel

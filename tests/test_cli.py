@@ -491,6 +491,13 @@ class TestCheckLyapunov:
         assert report["condition_counts"]["decay_checked"] == 0
         assert report["note"].endswith("; no sample was tested for decay")
 
+    def test_fiberwise_takes_no_input_box(self, tmp_path, capsys):
+        rc = main(["check-lyapunov", "--system", "ball-hoop", "--certificate", "fiberwise",
+                   "--input-box=-1,1", "--samples", "64", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1 and not (tmp_path / "o").exists()
+        assert err == "approxred: error: certificate 'fiberwise' takes no --input-box\n"
+
 
 class TestBound:
     def test_json_fields(self, tmp_path):
@@ -1097,7 +1104,8 @@ def extreme_parameter_runs():
            for run in ("fiberwise", "iiss", "simulate")},
         ("ball-hoop", "R", "1e-320", "iiss"): (1, "sublevel box of V <= "),
         ("cart-pendulum", "d", "1e-320", "iubibss"): (1, "needs finite coefficients"),
-        **{("cart-pendulum", key, "1e200", "iubibss"): (2, "diameter inf is not finite")
+        # the input box is wider than 1.3e154, yet its diameter is finite
+        **{("cart-pendulum", key, "1e200", "iubibss"): (0, "")
            for key in ("b", "d", "g", "k")},
         # steps near 1e-199 would run for hours; they fall below the step floor
         **{("cart-pendulum", "d", value, "simulate"): (2, "adaptive step size underflow")
@@ -1169,6 +1177,40 @@ def test_certificate_outputs_keep_their_bytes(tmp_path, system, certificate, neg
     assert rc == (3 if negate else 0)
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == CERTIFICATE_OUTPUT_SHA256[system, certificate, negate]
+
+
+# sha256 of the --out file of one short run per document kind at the default
+# seed, recorded while the run configuration was a dataclass: they pin the
+# config's keys and their order, each document's keys and every float's digits
+OUTPUT_SHA256 = {
+    "simulate --system ball-hoop --t-end 2":
+        "1476d0ac4a3cd3ce836a006713a0529da3c3acf64fb4aa8c4b19452b497e0dd0",
+    "simulate --system cart-pendulum --t-end 1 --format json":
+        "9817cfef9a2b5b72198449e39c4e218ca58630ecfa2ab9d3f295bdf84ed8df51",
+    "compare --system ball-hoop --set R=5 --t-end 2 --n-grid 51 --format json":
+        "c508265a7b7dd15e96353a61da7435a934aaf049e0fb159864b9aee347cbc5f9",
+    "sweep --system ball-hoop --param R --values 5,10 --t-end 2 --n-grid 51 --format json":
+        "5290a1281d253699ce7ce907f8294aeee6931373b384b9465bf5f36de7f2105d",
+    "check-exact --system ball-hoop --samples 64":
+        "5e2b023702b721477d4c6baef5bf865668a25e7dad145a2258223d9da911f96e",
+    "bound --system ball-hoop --n-ic 4 --t-end 2 --n-grid 51":
+        "c978f73e6a7d67310b199135179b72d407c9735afc61a848aca7470da0c744ac",
+    "bound --system cart-pendulum --mode cross --n-ic 4 --t-end 1 --n-grid 51":
+        "b07ce1cd371a17a1dd423d633a4d87331eedb003185b14f852b04fb24bb0ce2e",
+    "bound --config {demo} --n-ic 4 --t-end 1 --n-grid 51":
+        "4d907a19478fc168133a75517390589b71cec65d0c8d7b9f9e66ad081af14d46",
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_SHA256))
+def test_outputs_keep_their_bytes(tmp_path, command):
+    import hashlib
+
+    out = tmp_path / "out"
+    argv = command.replace("{demo}", write_demo_config(tmp_path)).split()
+    rc = main([*argv, "--out", str(out)])
+    assert rc == (3 if command.startswith("check-exact") else 0)  # the hoop is not exact
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == OUTPUT_SHA256[command]
 
 
 @pytest.mark.parametrize("argv", [

@@ -176,3 +176,11 @@ class TestBox:
     def test_diameter(self):
         box = Box.from_pairs([(0, 3), (0, 4)])
         assert box.diameter() == 5.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_diameter_whose_squares_overflow(self):
+        widths = (1.4, 3.0, 2.1e200)
+        box = Box.from_pairs([(0.0, w) for w in widths])
+        exact = np.hypot.reduce(widths)
+        assert np.isfinite(box.diameter())
+        assert abs(box.diameter() - exact) <= np.spacing(exact)

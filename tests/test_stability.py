@@ -195,23 +195,24 @@ class TestCheckIUBIBSS:
                 alpha_upper=base.alpha_upper,
                 mu=base.mu,
                 xi=xi,
-                mu_offset=xi,
             )
             rep = check_iubibss(DRIVEN, derived, SYM_BOX_1, SYM_BOX_1, 2048)
             assert rep.verdict == NO_COUNTEREXAMPLE
 
-    def test_gain_threshold_violation_at_zero(self):
+    def test_gain_threshold_violation_below_the_identity(self):
+        # mu(r) + xi >= r + xi fails where mu(r) = r**2 < r, worst at r = 1/2
         cert = IUBIBSSCertificate(
             V=gap_pair(),
             alpha_lower=ComparisonFunction.power(0.5, 2.0),
             alpha_upper=ComparisonFunction.power(0.5, 2.0),
-            mu=ComparisonFunction.linear(1.0),
+            mu=ComparisonFunction.power(1.0, 2.0),
             xi=1.0,
         )
         rep = check_iubibss(DRIVEN, cert, SYM_BOX_1, SYM_BOX_1, 512)
         assert rep.verdict == COUNTEREXAMPLE
         assert rep.counterexample.condition == "gain_threshold"
-        assert rep.counterexample.point["r"][0] == 0.0
+        assert rep.counterexample.point["r"][0] == pytest.approx(0.5)
+        assert rep.counterexample.magnitude == pytest.approx(0.25)
 
     def test_cart_pendulum_certificate(self):
         entry = lookup("cart-pendulum", {})
@@ -366,7 +367,6 @@ class TestIISSBridgeProperty:
             alpha_upper=base.alpha_upper,
             mu=base.mu,
             xi=xi,
-            mu_offset=xi,
         )
         rep2 = check_iubibss(DRIVEN, derived, SYM_BOX_1, SYM_BOX_1, 1024)
         assert rep2.verdict == NO_COUNTEREXAMPLE
