@@ -275,7 +275,7 @@ def _default_box(entry: SystemEntry) -> Box:
 
 def _resolve_box(args, entry: SystemEntry) -> Box:
     """``--box``, else the default box, checked against the system's dimension."""
-    box = _parse_box(args.box) if args.box else _default_box(entry)
+    box = _default_box(entry) if args.box is None else _parse_box(args.box)
     if box.dim != entry.field.n:
         raise UsageError(
             f"--box has dimension {box.dim} but system {entry.name!r} has "
@@ -415,8 +415,8 @@ def cmd_check_lyapunov(args) -> int:
             f"available: {have}"
         )
     seed = _resolve_seed(args)
-    state_box = _parse_box(args.box) if args.box else None
-    input_box = _parse_box(args.input_box) if args.input_box else None
+    state_box = None if args.box is None else _parse_box(args.box)
+    input_box = None if args.input_box is None else _parse_box(args.input_box)
     spec = entry.certificates[args.certificate](
         state_box=state_box, input_box=input_box, seed=seed
     )

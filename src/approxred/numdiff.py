@@ -50,20 +50,23 @@ def jacobian_batch(fn: Callable, X: np.ndarray, out_dim: int, cols=None) -> np.n
 
     ``cols`` lists the coordinates to differentiate along (default: all d),
     so a caller that needs a few columns pays two evaluations per column only.
+    Both evaluations of a column step one working copy of ``X``, so the first
+    output is copied into the result before the second step: a map may return
+    a view of its input.
     """
     X = np.asarray(X, dtype=float)
     n, d = X.shape
     cols = range(d) if cols is None else cols
     H = FD_SCALE * (1.0 + np.abs(X))
     J = np.empty((n, out_dim, len(cols)))
+    W = X.copy()
     for j, i in enumerate(cols):
-        Xp = X.copy()
-        Xm = X.copy()
-        Xp[:, i] += H[:, i]
-        Xm[:, i] -= H[:, i]
-        up = batch_eval(fn, Xp, out_dim=out_dim).reshape(n, out_dim)
-        dn = batch_eval(fn, Xm, out_dim=out_dim).reshape(n, out_dim)
-        J[:, :, j] = (up - dn) / (2.0 * H[:, i][:, None])
+        W[:, i] = X[:, i] + H[:, i]
+        J[:, :, j] = batch_eval(fn, W, out_dim=out_dim).reshape(n, out_dim)
+        W[:, i] = X[:, i] - H[:, i]
+        J[:, :, j] -= batch_eval(fn, W, out_dim=out_dim).reshape(n, out_dim)
+        J[:, :, j] /= 2.0 * H[:, i][:, None]
+        W[:, i] = X[:, i]
     return J
 
 

@@ -7,9 +7,10 @@ Two properties matter and are relied on by the test suite:
 * nesting: drawing n' > n points with the same seed reproduces the first n
   points exactly, so enlarging a sample never loses a found witness.
 
-``sobol_blocks`` streams the points in row blocks, in memory independent of
-the sample count; ``sobol_points`` is the same stream as one array, for the
-small draws.
+``sobol_blocks`` streams the points in row blocks, each made from a table of
+block size, so its memory grows with ``SAMPLE_BLOCK_ROWS`` times the dimension
+and not with the sample count; ``sobol_points`` is the same stream as one
+array, for the small draws.
 
 The generator is scipy's scrambled Sobol sequence written out in numpy: the
 points equal ``scipy.stats.qmc.Sobol(dim, scramble=True, seed=seed).random(n)``
@@ -34,17 +35,11 @@ BITS = 30
 MAX_POINTS = 2**BITS
 MAX_DIM = 64
 # sampled points a checker evaluates together: few enough that a block's
-# temporaries stay in cache, enough to amortise numpy's per-call overhead
-SAMPLE_BLOCK_ROWS = 8192
-# points generated, converted and scaled together from one Gray-code table:
-# a power of two, and a multiple of SAMPLE_BLOCK_ROWS so that blocks stay
-# full. Freeing each chunk
-# whole lifts glibc's dynamic mmap and trim thresholds above a block's
-# temporaries, so the heap is not handed back to the OS between blocks.
-# Freeing 1 MB uint32 chunks and converting block by block instead cost a
-# repeated 2^20-sample cart check-exact 32k minor page faults per run, not
-# 2.4k, and 8-15% more time.
-SOBOL_CHUNK_ROWS = 2**16
+# temporaries stay in cache, enough to amortise numpy's per-call overhead.
+# Generating a block takes one Gray-code table of this many rows (rounded up
+# to a power of two) and one block of points, so sampling memory grows with
+# SAMPLE_BLOCK_ROWS times the dimension and not with the sample count.
+SAMPLE_BLOCK_ROWS = 4096
 
 # Joe and Kuo's new-joe-kuo-6.21201, first MAX_DIM rows, each a primitive
 # polynomial and its initial direction numbers; the first dimension is
@@ -202,11 +197,12 @@ def sobol_blocks(
 
 def _stream(box: Box, n: int, shift: np.ndarray, v: np.ndarray):
     # Point i is shift xor the direction numbers of the set bits of
-    # gray(i) = i ^ (i >> 1) (Antonov and Saleev). For a chunk start s that is
-    # a multiple of the power of two C, gray(s + k) = gray(s) ^ gray(k) for
-    # every k < C, so one table of the unshifted points k < C serves every
-    # chunk, xored with base(s) = shift ^ the direction numbers of gray(s).
-    rows = min(SOBOL_CHUNK_ROWS, n)
+    # gray(i) = i ^ (i >> 1) (Antonov and Saleev). For a table start s that is
+    # a multiple of the power of two T, gray(s + k) = gray(s) ^ gray(k) for
+    # every k < T, so one table of the unshifted points k < T serves every
+    # start, xored with base(s) = shift ^ the direction numbers of gray(s).
+    # T is the block size rounded up to a power of two.
+    rows = min(1 << (SAMPLE_BLOCK_ROWS - 1).bit_length(), n)
     # Gray-code order: point 2^b + k is point 2^b - 1 - k xor direction number b
     table = np.empty((rows, box.dim), dtype=np.uint32)
     table[0] = 0
@@ -217,24 +213,21 @@ def _stream(box: Box, n: int, shift: np.ndarray, v: np.ndarray):
             table[half - width : half][::-1], v[:, b], out=table[half : half + width]
         )
         half, b = 2 * half, b + 1
-    for chunk in range(0, n, rows):
-        gray = chunk ^ (chunk >> 1)
+    for start in range(0, n, rows):
+        gray = start ^ (start >> 1)
         base = shift.copy()
         for b in range(gray.bit_length()):
             if gray >> b & 1:
                 base ^= v[:, b]
-        P = (table[: n - chunk] ^ base) * 2.0**-BITS
-        if chunk + rows >= n:
-            del table  # the last chunk: free it before the blocks are evaluated
+        P = (table[: n - start] ^ base) * 2.0**-BITS
         P *= box.widths
         P += box.lower
         if len(P) <= SAMPLE_BLOCK_ROWS:
-            yield chunk, P
+            yield start, P
             continue
+        # a block size that is not a power of two: cut the table's points
         for k in range(0, len(P), SAMPLE_BLOCK_ROWS):
-            # a copy, so that a block the caller keeps does not pin the chunk
-            yield chunk + k, P[k : k + SAMPLE_BLOCK_ROWS].copy()
-        del P  # before the next chunk is made
+            yield start + k, P[k : k + SAMPLE_BLOCK_ROWS].copy()
 
 
 def sobol_points(box: Box, n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
@@ -244,9 +237,3 @@ def sobol_points(box: Box, n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     for start, pts in blocks:
         out[start : start + len(pts)] = pts
     return out
-
-
-def unit_sobol(dim: int, n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
-    """First ``n`` scrambled Sobol points in the unit cube of ``dim`` dimensions."""
-    return sobol_points(Box(np.zeros(dim), np.ones(dim)), n, seed)
-

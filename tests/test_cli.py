@@ -1066,31 +1066,43 @@ class TestGridMemory:
         assert json.loads(out.read_text())["delta_hat"] == 1.7920085863618584
 
 
+# every command and flag that reads a box, with the box's dimension
+BOX_FLAGS = pytest.mark.parametrize(
+    "argv,flag,dim",
+    [
+        (["check-exact", "--system", "ball-hoop", "--samples", "64"], "--box", 2),
+        (["check-lyapunov", "--system", "ball-hoop", "--certificate", "fiberwise",
+          "--samples", "64"], "--box", 2),
+        (["check-lyapunov", "--system", "ball-hoop", "--certificate", "iiss",
+          "--samples", "64"], "--input-box", 1),
+        (["check-lyapunov", "--system", "cart-pendulum", "--certificate", "iubibss",
+          "--samples", "64"], "--box", 2),
+        (["check-lyapunov", "--system", "cart-pendulum", "--certificate", "iubibss",
+          "--samples", "64"], "--input-box", 2),
+        (["bound", "--system", "ball-hoop", "--n-ic", "4", "--t-end", "1"], "--box", 2),
+    ],
+    ids=["check-exact", "fiberwise", "iiss-input", "iubibss", "iubibss-input", "bound"],
+)
+
+
 @pytest.mark.filterwarnings("error")
 class TestNonFiniteBoxes:
     """A box with an infinite or NaN bound, or an overflowing width, exits 1."""
 
     @pytest.mark.parametrize("bad", ["-inf,1", "0,inf", "nan,1", "-1e308,1e308"])
-    @pytest.mark.parametrize(
-        "argv,flag,dim",
-        [
-            (["check-exact", "--system", "ball-hoop", "--samples", "64"], "--box", 2),
-            (["check-lyapunov", "--system", "ball-hoop", "--certificate", "fiberwise",
-              "--samples", "64"], "--box", 2),
-            (["check-lyapunov", "--system", "ball-hoop", "--certificate", "iiss",
-              "--samples", "64"], "--input-box", 1),
-            (["check-lyapunov", "--system", "cart-pendulum", "--certificate", "iubibss",
-              "--samples", "64"], "--box", 2),
-            (["check-lyapunov", "--system", "cart-pendulum", "--certificate", "iubibss",
-              "--samples", "64"], "--input-box", 2),
-            (["bound", "--system", "ball-hoop", "--n-ic", "4", "--t-end", "1"], "--box", 2),
-        ],
-        ids=["check-exact", "fiberwise", "iiss-input", "iubibss", "iubibss-input", "bound"],
-    )
+    @BOX_FLAGS
     def test_exit_1(self, argv, flag, dim, bad, tmp_path, capsys):
         box = ";".join([bad] + ["0,1"] * (dim - 1))
         rc = main([*argv, f"{flag}={box}", "--out", str(tmp_path / "o")])
         assert_clean_usage_error(rc, capsys, "must be finite")
+
+
+@BOX_FLAGS
+def test_empty_box_exits_1(argv, flag, dim, tmp_path, capsys):
+    # an empty flag is a malformed box, not a request for the default box
+    rc = main([*argv, f"{flag}=", "--out", str(tmp_path / "o")])
+    assert_clean_usage_error(rc, capsys, "got segment ''")
+    assert not (tmp_path / "o").exists()
 
 
 def extreme_parameter_runs():

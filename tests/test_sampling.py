@@ -13,13 +13,18 @@ from approxred.sampling import (
     DEFAULT_SEED,
     MAX_DIM,
     MAX_POINTS,
+    SAMPLE_BLOCK_ROWS,
     joe_kuo,
     sobol_blocks,
     sobol_points,
-    unit_sobol,
 )
 
 qmc = pytest.importorskip("scipy.stats.qmc")
+
+
+def unit_sobol(dim, n, seed=DEFAULT_SEED):
+    """First ``n`` scrambled Sobol points in the unit cube of ``dim`` dimensions."""
+    return sobol_points(Box(np.zeros(dim), np.ones(dim)), n, seed)
 
 
 def scipy_sobol(dim, n, seed):
@@ -62,31 +67,35 @@ class TestScipyOracle:
         assert np.array_equal(table, vinit)
 
 
-# counts around the 8192-row blocks and the 2^16-point Gray-code chunks
-CHUNK_EDGES = (8191, 8192, 8193, 65535, 65536, 65537, 3 * 2**16 + 5)
+# counts around one and two default blocks, and past several
+BLOCK_EDGES = (
+    *(k * SAMPLE_BLOCK_ROWS + r for k in (1, 2) for r in (-1, 0, 1)),
+    6 * SAMPLE_BLOCK_ROWS + 5,
+)
 
 
 class TestStream:
-    """``sobol_blocks`` chunks one Gray-code table; the points stay scipy's."""
+    """``sobol_blocks`` converts one block-sized Gray-code table per block; the
+    points stay scipy's."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 10, 64])
-    def test_chunk_and_block_edges(self, dim):
-        for n in CHUNK_EDGES:
+    def test_block_edges(self, dim):
+        for n in BLOCK_EDGES:
             assert_same_bytes(unit_sobol(dim, n, 9), scipy_sobol(dim, n, 9))
 
-    @pytest.mark.parametrize("block_rows", [1, 7])
-    def test_tiny_chunks_and_blocks(self, block_rows, monkeypatch):
-        monkeypatch.setattr(sampling, "SOBOL_CHUNK_ROWS", 8)
+    @pytest.mark.parametrize("block_rows", [1, 7, 8])
+    def test_tiny_blocks(self, block_rows, monkeypatch):
+        # 7 is not a power of two: its blocks are cut from a table of 8
         monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", block_rows)
         for dim in (1, 3, 10):
             for n in (1, 7, 8, 9, 16, 17, 100, 1000):
                 assert_same_bytes(unit_sobol(dim, n, 4), scipy_sobol(dim, n, 4))
 
-    @pytest.mark.parametrize("chunk_rows", [8, 2**16])
-    def test_nested_across_chunks(self, chunk_rows, monkeypatch):
-        monkeypatch.setattr(sampling, "SOBOL_CHUNK_ROWS", chunk_rows)
-        big = unit_sobol(5, 3 * chunk_rows + 5, 11)
-        for n in (1, chunk_rows - 1, chunk_rows, chunk_rows + 1, 2 * chunk_rows + 3):
+    @pytest.mark.parametrize("block_rows", [7, 8, SAMPLE_BLOCK_ROWS])
+    def test_nested_across_blocks(self, block_rows, monkeypatch):
+        monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", block_rows)
+        big = unit_sobol(5, 3 * block_rows + 5, 11)
+        for n in (1, block_rows - 1, block_rows, block_rows + 1, 2 * block_rows + 3):
             assert np.array_equal(unit_sobol(5, n, 11), big[:n])
 
     @pytest.mark.parametrize("block_rows", [7, 8192])

@@ -24,7 +24,7 @@ from approxred.core import (
 )
 from approxred.numdiff import jacobian_batch
 from approxred.reduction import check_exact_reducible
-from approxred.sampling import sobol_points, unit_sobol
+from approxred.sampling import sobol_blocks, sobol_points
 from approxred.stability import (
     FiberwiseCertificate,
     IISSCertificate,
@@ -192,15 +192,14 @@ class TestWholeArrayOracle:
 
     @pytest.mark.parametrize("name,kind,negate", CHECKS,
                              ids=lambda v: v if isinstance(v, str) else f"negate={v}")
-    def test_default_chunks(self, name, kind, negate, whole_array):
+    def test_default_blocks(self, name, kind, negate, whole_array):
         streamed = run_check(name, kind, 2**16 + 8192 + 5, 13, negate)
         whole_array()
         assert run_check(name, kind, 2**16 + 8192 + 5, 13, negate) == streamed
 
     @pytest.mark.parametrize("name,kind,negate", CHECKS,
                              ids=lambda v: v if isinstance(v, str) else f"negate={v}")
-    def test_tiny_chunks(self, name, kind, negate, whole_array, monkeypatch):
-        monkeypatch.setattr(sampling, "SOBOL_CHUNK_ROWS", 8)
+    def test_tiny_blocks(self, name, kind, negate, whole_array, monkeypatch):
         monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", 7)
         streamed = [run_check(name, kind, n, s, negate) for n, s in ((300, 42), (17, 5))]
         whole_array()
@@ -400,8 +399,8 @@ class TestFiberColumns:
 
 
 def test_check_exact_keeps_the_retained_rows_only():
-    # a 16-state chain with m = 2: the whole (8192, 16, 14) FD Jacobian of a
-    # block alone takes 14 MiB, the retained (8192, 2, 14) rows 1.8 MiB
+    # a 16-state chain with m = 2: the whole (4096, 16, 14) FD Jacobian of a
+    # block alone takes 7 MiB, the retained (4096, 2, 14) rows 0.9 MiB
     n, m = 16, 2
     doc = {
         "name": "chain16",
@@ -418,7 +417,7 @@ def test_check_exact_keeps_the_retained_rows_only():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20  # 22 MiB with the whole Jacobian
+    assert peak < 12 * 2**20  # 18 MiB with the whole Jacobian
     # the oracle: the whole Jacobian, then its retained rows
     X = sobol_points(box, 8192)
     J = np.abs(jacobian_batch(entry.field.rhs, X, n, cols=range(m, n))[:, :m])
@@ -429,7 +428,8 @@ def test_check_exact_keeps_the_retained_rows_only():
 
 
 class TestConstantMemory:
-    """The streamed checks peak at the same memory for 2^16 and 2^20 samples."""
+    """The streamed checks peak at the same memory for 2^16 and 2^20 samples,
+    and sampling a 10-dimensional box stays within a few blocks."""
 
     @staticmethod
     def peak(check, n) -> int:
@@ -458,8 +458,29 @@ class TestConstantMemory:
             spec.control, spec.certificate, spec.state_box, spec.input_box, n
         ))
 
+    # 2^18 points in 10 dimensions fill 20 MiB as one array; a table of 2^16
+    # points and its converted points would take 10 MiB
+    def test_sobol_stream_peak(self):
+        box = Box(np.zeros(10), np.ones(10))
+
+        def consume(n):
+            for _block in sobol_blocks(box, n):
+                pass
+
+        assert self.peak(consume, 2**18) < 4 * 2**20
+
+    def test_check_iubibss_peak(self):
+        spec = lookup("cart-pendulum", {}).certificates["iubibss"](
+            state_box=None, input_box=None, seed=42
+        )
+        # two states of 4 and two inputs of 1: a 10-dimensional sample
+        assert self.peak(lambda n: check_iubibss(
+            spec.control, spec.certificate, spec.state_box, spec.input_box, n
+        ), 2**18) < 4 * 2**20
+
 
 def test_sobol_points_scale_in_place_to_the_same_bits():
     box = Box.from_pairs([(-0.7, 0.3), (2.0, 2.5), (-1e3, 1e-3)])
-    expected = box.lower + unit_sobol(3, 1000, 11) * (box.upper - box.lower)
+    unit = sobol_points(Box(np.zeros(3), np.ones(3)), 1000, 11)
+    expected = box.lower + unit * (box.upper - box.lower)
     assert np.array_equal(sobol_points(box, 1000, 11), expected)
