@@ -30,9 +30,7 @@ from .integrate import (
 from .reduction import (
     DeviationReport,
     ReducibilityReport,
-    SmoothMap,
     check_exact_reducible,
-    check_phi_related,
     construct_reduced,
     estimate_delta,
     measure_deviation,
@@ -46,7 +44,6 @@ from .stability import (
     check_iiss,
     check_iubibss,
     estimate_lipschitz,
-    vdot,
 )
 from .systems import lookup, make_ball_in_hoop, make_cart_pendulum
 
@@ -68,9 +65,7 @@ __all__ = [
     "resample",
     "DeviationReport",
     "ReducibilityReport",
-    "SmoothMap",
     "check_exact_reducible",
-    "check_phi_related",
     "construct_reduced",
     "estimate_delta",
     "measure_deviation",
@@ -82,7 +77,6 @@ __all__ = [
     "check_iiss",
     "check_iubibss",
     "estimate_lipschitz",
-    "vdot",
     "SystemEntry",
     "lookup",
     "make_ball_in_hoop",

@@ -162,19 +162,19 @@ def _parse_floats(text: str, flag: str) -> list[float]:
         raise UsageError(f"{flag} expects comma-separated numbers, got {text!r}") from err
 
 
-def _parse_box(text: str) -> Box:
+def _parse_box(text: str, flag: str) -> Box:
     pairs = []
     for part in text.split(";"):
-        vals = _parse_floats(part, "--box")
+        vals = _parse_floats(part, flag)
         if len(vals) != 2:
             raise UsageError(
-                f"--box expects 'lo1,hi1;lo2,hi2;...', got segment {part!r}"
+                f"{flag} expects 'lo1,hi1;lo2,hi2;...', got segment {part!r}"
             )
         pairs.append((vals[0], vals[1]))
     try:
         return Box.from_pairs(pairs)
     except InputError as err:
-        raise UsageError(str(err)) from err
+        raise UsageError(f"{flag}: {err}") from err
 
 
 def _resolve_seed(args) -> int:
@@ -275,7 +275,7 @@ def _default_box(entry: SystemEntry) -> Box:
 
 def _resolve_box(args, entry: SystemEntry) -> Box:
     """``--box``, else the default box, checked against the system's dimension."""
-    box = _default_box(entry) if args.box is None else _parse_box(args.box)
+    box = _default_box(entry) if args.box is None else _parse_box(args.box, "--box")
     if box.dim != entry.field.n:
         raise UsageError(
             f"--box has dimension {box.dim} but system {entry.name!r} has "
@@ -415,8 +415,8 @@ def cmd_check_lyapunov(args) -> int:
             f"available: {have}"
         )
     seed = _resolve_seed(args)
-    state_box = None if args.box is None else _parse_box(args.box)
-    input_box = None if args.input_box is None else _parse_box(args.input_box)
+    state_box = None if args.box is None else _parse_box(args.box, "--box")
+    input_box = None if args.input_box is None else _parse_box(args.input_box, "--input-box")
     spec = entry.certificates[args.certificate](
         state_box=state_box, input_box=input_box, seed=seed
     )
@@ -424,8 +424,6 @@ def cmd_check_lyapunov(args) -> int:
     if args.negate_v:
         cert = _negate_certificate(cert)
     if spec.kind == "fiberwise":
-        if args.input_box is not None:
-            raise UsageError(f"certificate {args.certificate!r} takes no --input-box")
         report = check_fiberwise(
             entry.field, entry.decomp, cert, spec.state_box, n_samples=args.samples,
             seed=seed,

@@ -196,68 +196,46 @@ class Trajectory:
                 raise InputError("derivs must have the same shape as states")
 
     @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
-
-    @property
     def endpoint(self) -> np.ndarray:
         return self.states[-1].copy()
 
 
-_COMPARISON_KINDS = ("linear", "power", "affine_power")
-
-
 @dataclass(frozen=True)
 class ComparisonFunction:
-    """A parametric class-K-infinity function.
+    """The class-K-infinity function r -> a*r**p.
 
-    Three families are supported: ``linear`` a*r, ``power`` a*r**p and
-    ``affine_power`` a*r**p + b*r. Positive leading coefficients make all of
-    them strictly increasing, zero at zero and unbounded, so class membership
-    holds by construction.
+    A positive coefficient a and exponent p make it strictly increasing,
+    zero at zero and unbounded, so class membership holds by construction.
+    ``linear(a)`` is the power 1: r**1.0 is exactly r, so its values keep
+    the bits of a*r.
     """
 
-    kind: str
     a: float
     p: float = 1.0
-    b: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _COMPARISON_KINDS:
-            raise InputError(f"unknown comparison kind {self.kind!r}")
-        if not np.all(np.isfinite([self.a, self.p, self.b])):
-            raise InputError(f"comparison function {self.kind} needs finite "
-                             f"coefficients, got a={self.a}, p={self.p}, b={self.b}")
+        if not np.all(np.isfinite([self.a, self.p])):
+            raise InputError(f"comparison function a*r**p needs finite coefficients, "
+                             f"got a={self.a}, p={self.p}")
         if not (self.a > 0):
             raise InputError("coefficient a must be positive")
         if not (self.p > 0):
             raise InputError("exponent p must be positive")
-        if self.b < 0:
-            raise InputError("coefficient b must be nonnegative")
 
     @classmethod
     def linear(cls, a: float) -> "ComparisonFunction":
-        return cls(kind="linear", a=a)
+        return cls.power(a, 1.0)
 
     @classmethod
     def power(cls, a: float, p: float) -> "ComparisonFunction":
-        return cls(kind="power", a=a, p=p)
-
-    @classmethod
-    def affine_power(cls, a: float, p: float, b: float) -> "ComparisonFunction":
-        return cls(kind="affine_power", a=a, p=p, b=b)
+        return cls(a=a, p=p)
 
     def value(self, r):
         """Evaluate at a nonnegative scalar or array of radii."""
         r = np.asarray(r, dtype=float)
         if np.any(r < 0):
             raise InputError("comparison functions are defined for r >= 0 only")
-        if self.kind == "linear":
-            out = self.a * r
-        elif self.kind == "power":
-            out = self.a * r**self.p
-        else:
-            out = self.a * r**self.p + self.b * r
+        out = self.a * r**self.p
         return float(out) if out.ndim == 0 else out
 
 

@@ -1,9 +1,11 @@
-"""Central finite differences for Jacobians and gradients.
+"""Central finite differences, and the one-call block evaluation of a map.
 
 Step size follows h_i = FD_SCALE * (1 + |x_i|) per coordinate, the usual
 compromise between truncation and round-off for float64. ``jacobian_batch``
-is the one routine that steps and differences; the gradients and the
-single-point Jacobian wrap it.
+is the one routine that steps and differences, and ``check-exact`` is the
+only command that runs it; every other derivative comes from the expression
+compiler. ``gradient_batch``, ``pair_gradient_batch`` and ``batch_eval_pair``
+have no caller but stay, because ``bench/trace_shim.py`` wraps each by name.
 
 Every map here takes a block of states ``(N, d)`` as well as a lone state,
 with the same bits for a row either way (the contract of
@@ -17,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import EvaluationError, InputError
+from .core import InputError
 
 FD_SCALE = 1e-6
 
@@ -67,15 +69,6 @@ def jacobian_batch(fn: Callable, X: np.ndarray, out_dim: int, cols=None) -> np.n
         J[:, :, j] -= batch_eval(fn, W, out_dim=out_dim).reshape(n, out_dim)
         J[:, :, j] /= 2.0 * H[:, i][:, None]
         W[:, i] = X[:, i]
-    return J
-
-
-def jacobian(fn: Callable, x: np.ndarray, out_dim: int) -> np.ndarray:
-    """Central-difference Jacobian of ``fn`` at a single point, shape (out_dim, d)."""
-    x = np.asarray(x, dtype=float)
-    J = jacobian_batch(fn, x[None, :], out_dim)[0]
-    if not np.all(np.isfinite(J)):
-        raise EvaluationError(f"non-finite derivative at x={x.tolist()}")
     return J
 
 

@@ -1,8 +1,8 @@
 """Exact and approximate reduction machinery.
 
 ``construct_reduced`` builds the reduced field by freezing the fiber block at
-zero and projecting the velocity onto the retained block. ``check_phi_related``
-and ``check_exact_reducible`` decide (by sampling) whether a reduction is
+zero and projecting the velocity onto the retained block.
+``check_exact_reducible`` decides (by sampling) whether that reduction is
 exact; ``measure_deviation``, ``sweep_deviation`` and ``estimate_delta``
 quantify how far an inexact reduction drifts from the projected full dynamics.
 
@@ -14,7 +14,6 @@ re-evaluatable witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .integrate import (
     resample,
     sup_distance_on_grid,
 )
-from .numdiff import batch_eval, jacobian_batch
+from .numdiff import jacobian_batch
 from .sampling import DEFAULT_SEED, sobol_blocks, sobol_points
 
 DEFAULT_TOL = 1e-6
@@ -88,82 +87,6 @@ class ReducibilityReport:
     @property
     def reducible(self) -> bool:
         return self.verdict == REDUCIBLE
-
-
-@dataclass(frozen=True)
-class SmoothMap:
-    """A smooth map R^n -> R^m with an optional analytic Jacobian. Like a
-    field's rhs, both take a lone state ``(n,)`` or a block ``(..., n)``:
-    ``fn`` gives ``(..., m)`` and ``jacobian`` gives ``(..., m, n)``."""
-
-    n_in: int
-    n_out: int
-    fn: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
-
-    @classmethod
-    def projection(cls, d: Decomposition) -> "SmoothMap":
-        P = np.zeros((d.m, d.n))
-        P[: d.m, : d.m] = np.eye(d.m)
-        return cls(
-            n_in=d.n,
-            n_out=d.m,
-            fn=lambda x: np.asarray(x, dtype=float)[..., : d.m],
-            jacobian=lambda x: np.broadcast_to(P, np.shape(x)[:-1] + P.shape),
-        )
-
-
-def check_phi_related(
-    f: VectorFieldDef,
-    g: VectorFieldDef,
-    phi: SmoothMap,
-    box: Box,
-    n_samples: int = 512,
-    tol: float = DEFAULT_TOL,
-    seed: int = DEFAULT_SEED,
-) -> ReducibilityReport:
-    """Sample the relatedness residual |Dphi(x) f(x) - g(phi(x))| over a box.
-
-    The Jacobian of ``phi`` comes from ``phi.jacobian`` when given, central
-    finite differences otherwise.
-    """
-    if phi.n_in != f.n or phi.n_out != g.n:
-        raise InputError("phi dimensions are inconsistent with the two fields")
-    if box.dim != f.n:
-        raise InputError("sampling box dimension does not match the full field")
-    if not (tol > 0):
-        raise InputError("tol must be positive")
-    X = sobol_points(box, n_samples, seed)
-    with np.errstate(all="ignore"):  # a non-finite residual raises EvaluationError
-        FX = batch_eval(f.rhs, X, out_dim=f.n)
-        PHIX = batch_eval(phi.fn, X, out_dim=phi.n_out)
-        GPHIX = batch_eval(g.rhs, PHIX, out_dim=g.n)
-        if phi.jacobian is None:
-            J = jacobian_batch(phi.fn, X, phi.n_out)
-        else:
-            J = np.asarray(phi.jacobian(X), dtype=float)
-            if J.shape != (len(X), phi.n_out, phi.n_in):
-                raise InputError(f"phi's Jacobian on {len(X)} samples has shape {J.shape}")
-        push = np.einsum("nij,nj->ni", J, FX)
-        residuals = np.linalg.norm(push - GPHIX, axis=1)
-    if not np.all(np.isfinite(residuals)):
-        bad = int(np.argmax(~np.isfinite(residuals)))
-        raise EvaluationError(
-            f"non-finite relatedness residual at sample {X[bad].tolist()}"
-        )
-    worst = int(np.argmax(residuals))
-    max_res = float(residuals[worst])
-    if max_res <= tol:
-        return ReducibilityReport(
-            verdict=REDUCIBLE, samples=n_samples, tol=tol, max_residual=max_res
-        )
-    return ReducibilityReport(
-        verdict=NOT_REDUCIBLE,
-        samples=n_samples,
-        tol=tol,
-        max_residual=max_res,
-        witness=ReducibilityWitness(point=X[worst].copy(), magnitude=max_res),
-    )
 
 
 def check_exact_reducible(

@@ -11,7 +11,9 @@ A certificate's V is one map of its argument blocks, a state ``(..., n)`` or
 a state pair ``(..., n), (..., n)``, to the ``(..., 1 + sum n_j)`` array of its
 value followed by its gradient along each argument in turn, as
 ``user_systems.compile_map`` computes it; each check evaluates it once per
-block of samples.
+block of samples. ``estimate_lipschitz`` takes an input coupling in the same
+form, each output's value followed by its gradient, and reads the exact
+Jacobian from it: nothing here differences numerically.
 
 A NO_COUNTEREXAMPLE verdict is evidence on the given boxes at the given sample
 count; it is never a proof.
@@ -33,7 +35,7 @@ from .core import (
     InputError,
     VectorFieldDef,
 )
-from .numdiff import batch_eval, jacobian_batch
+from .numdiff import batch_eval
 from .sampling import DEFAULT_SEED, sobol_blocks, sobol_points
 
 GAIN_GRID = 1001  # radii of the IUBIBSS gain-threshold grid
@@ -157,19 +159,6 @@ def _pair_terms(V: Callable, F: ControlSystemDef, X1, X2, U1, U2):
             f"non-finite derivative of V along F at x1={X1[bad].tolist()}"
         )
     return vals, out
-
-
-def vdot(V: Callable, F: ControlSystemDef, x1, x2, u1, u2) -> float:
-    """Derivative of a pair map V along two copies of the dynamics.
-
-    Returns grad_1 V . F(x1, u1) + grad_2 V . F(x2, u2), with the gradients
-    V returns next to its value.
-    """
-    X1 = np.asarray(x1, dtype=float).reshape(1, -1)
-    X2 = np.asarray(x2, dtype=float).reshape(1, -1)
-    U1 = np.asarray(u1, dtype=float).reshape(1, -1)
-    U2 = np.asarray(u2, dtype=float).reshape(1, -1)
-    return float(_pair_terms(V, F, X1, X2, U1, U2)[1][0])
 
 
 def _worst(violations: np.ndarray, mask: np.ndarray) -> int | None:
@@ -409,16 +398,24 @@ def estimate_lipschitz(
 ) -> float:
     """Sampled lower estimate of a Lipschitz constant on a box.
 
-    Takes the maximum operator 2-norm of central-difference Jacobians at
-    Sobol samples. Callers that need an upper bound should inflate the result
-    by a safety factor (the bundled certificates use 1.2).
+    ``g`` maps a block ``(N, d)`` to ``(N, k * (1 + d))``: each of its k
+    outputs' value followed by its gradient, as ``user_systems.compile_map``
+    computes it with ``wrt`` set to the d columns. The estimate is the
+    largest operator 2-norm of that Jacobian at Sobol samples of the box.
+    Callers that need an upper bound should inflate the result by a safety
+    factor (the bundled certificates use 1.2).
     """
     X = sobol_points(box, n_samples, seed)
     with np.errstate(all="ignore"):  # a non-finite derivative raises below
-        out_dim = np.atleast_1d(np.asarray(g(X[0]), dtype=float)).shape[0]
-        J = jacobian_batch(g, X, out_dim)
+        out = np.asarray(g(X), dtype=float)
+    width = 1 + box.dim
+    if out.ndim != 2 or len(out) != n_samples or out.shape[1] % width or not out.shape[1]:
+        raise InputError(
+            f"a map on {n_samples} rows returned shape {out.shape}, expected "
+            f"({n_samples}, k*{width}): each output's value and its {box.dim} partials"
+        )
+    J = out.reshape(n_samples, -1, width)[:, :, 1:]
     if not np.all(np.isfinite(J)):
         bad = int(np.argmax((~np.isfinite(J.reshape(n_samples, -1))).any(axis=1)))
         raise EvaluationError(f"non-finite derivative at sample {X[bad].tolist()}")
-    sv = np.linalg.svd(J, compute_uv=False)
-    return float(sv[:, 0].max())
+    return float(np.linalg.svd(J, compute_uv=False)[:, 0].max())

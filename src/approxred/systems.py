@@ -13,9 +13,10 @@ Two benchmark systems ship with the package:
 Every function of a state, an input or a state pair (the vector fields, the
 cart's reduced model, each certificate's V or U, input coupling and control
 form) is an expression, compiled as ``--config`` systems are, once per process
-and only when a command first uses it. V and U each compile to one map of
-their value followed by their derived gradient. What stays code is parameter
-validation, comparison functions, boxes and the sampled Lipschitz estimates.
+and only when a command first uses it. V, U and the input coupling each
+compile to one map of their value followed by their derived gradient, so the
+sampled Lipschitz estimate reads the coupling's exact Jacobian. What stays
+code is parameter validation, comparison functions and boxes.
 """
 
 from __future__ import annotations
@@ -133,15 +134,15 @@ CART_FUNCTIONS = {
 @cache
 def _compiled(name: str, key: str | None = None) -> Callable:
     """A bundled document's field factory or, given ``key``, the ``bind`` of
-    one of its functions; V and U map to their value followed by their
-    gradient. Each compiles once per process, when first asked for."""
+    one of its functions; V, U and the coupling map to their value followed
+    by their gradient. Each compiles once per process, when first asked for."""
     doc, functions = {"ball-hoop": (BALL_HOOP, HOOP_FUNCTIONS),
                       "cart-pendulum": (CART_PENDULUM, CART_FUNCTIONS),
                       "cart-pendulum_reduced": (CART_PENDULUM_REDUCED, {})}[name]
     if key is None:
         return system_factory(doc)[0]
     blocks, sources = functions[key]
-    wrt = sum(blocks, []) if key in ("V", "U") else ()
+    wrt = sum(blocks, []) if key in ("V", "U", "coupling") else ()
     return compile_map(sources, blocks, list(doc["params"]), wrt)
 
 
@@ -150,6 +151,18 @@ def _lazy(name: str, key: str, p: dict, cols=slice(None)) -> Callable:
     its first call; ``cols`` picks the columns of its output."""
     evaluate = cache(lambda: _compiled(name, key)(p))
     return lambda *xs: evaluate()(*xs)[..., cols]
+
+
+def _check_boxes(kind: str, state_box, input_box, n_state: int, n_input: int | None) -> None:
+    """Reject a given box that the certificate does not take (``n_input`` None:
+    no input box) or whose dimension is not the certificate's, before anything
+    is evaluated on it, naming the command-line flag that sets it."""
+    if input_box is not None and n_input is None:
+        raise InputError(f"certificate {kind!r} takes no --input-box")
+    for flag, box, n in (("--box", state_box, n_state), ("--input-box", input_box, n_input)):
+        if box is not None and box.dim != n:
+            raise InputError(f"{flag} has dimension {box.dim} but certificate "
+                             f"{kind!r} expects dimension {n}")
 
 
 # default certificate boxes for the cart: retained block, then angle ranges
@@ -175,7 +188,7 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
         )
     entry = _compiled("ball-hoop")(p)
     lyapunov = _lazy("ball-hoop", "V", p)
-    coupling = _lazy("ball-hoop", "coupling", p, cols=0)
+    coupling = _lazy("ball-hoop", "coupling", p)
 
     # non-finite values from extreme parameters raise below, without warnings
     @np.errstate(all="ignore")
@@ -221,6 +234,7 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
         input_box: Box | None = None,
         seed: int = DEFAULT_SEED,
     ) -> CertificateSpec:
+        _check_boxes("fiberwise", state_box, input_box, 2, None)
         box = state_box if state_box is not None else sublevel_box()
         # V >= m*R*(g - R*xi^2)*(2/pi^2)*theta^2 for |theta| <= pi
         a_lo = 2.0 * m * R * (g - R * xi**2) / np.pi**2
@@ -244,6 +258,7 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
         input_box: Box | None = None,
         seed: int = DEFAULT_SEED,
     ) -> CertificateSpec:
+        _check_boxes("iiss", state_box, input_box, 1, 1)
         full_box = sublevel_box()
         sbox = state_box if state_box is not None else full_box.project(entry.decomp, "m")
         ibox = input_box if input_box is not None else full_box.project(entry.decomp, "k")
@@ -283,7 +298,7 @@ def make_cart_pendulum(params: dict) -> SystemEntry:
         if p[key] < 0:
             raise InputError(f"cart-pendulum parameter {key} must be nonnegative")
     entry = _compiled("cart-pendulum")(p)
-    accel_coupling = _lazy("cart-pendulum", "coupling", p, cols=0)
+    accel_coupling = _lazy("cart-pendulum", "coupling", p)
 
     @np.errstate(all="ignore")  # non-finite values raise below, without warnings
     def cert_iubibss(
@@ -291,6 +306,7 @@ def make_cart_pendulum(params: dict) -> SystemEntry:
         input_box: Box | None = None,
         seed: int = DEFAULT_SEED,
     ) -> CertificateSpec:
+        _check_boxes("iubibss", state_box, input_box, 2, 3)
         if d <= 0:
             raise InputError(
                 "the bundled cart-pendulum certificate needs positive cart friction d"

@@ -5,7 +5,6 @@ import pytest
 
 from approxred import cli
 from approxred.cli import main, parse_metadata
-from approxred.numdiff import jacobian
 from approxred.systems import lookup
 from approxred.user_systems import load_system_config
 
@@ -15,6 +14,7 @@ def assert_clean_usage_error(rc, capsys, *needles):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("approxred: error:") and "Traceback" not in err
+    assert err.count("\n") == 1
     for needle in needles:
         assert needle in err
 
@@ -362,12 +362,13 @@ class TestCheckExact:
         doc = json.loads(out.read_text())
         report = doc["report"]
         assert report["verdict"] == "NOT_REDUCIBLE"
-        entry = lookup("ball-hoop", {})
-        point = np.array(report["witness"]["point"])
-        J = jacobian(entry.field.rhs, point, 2)
-        comp = report["witness"]["component"]
-        fib = report["witness"]["fiber_index"]
-        assert abs(J[comp, 1 + fib]) > doc["config"]["tol"]
+        assert (report["witness"]["component"], report["witness"]["fiber_index"]) == (0, 0)
+        # the closed-form partial of the omega row along theta; the witness is
+        # a central difference, whose round-off eps*|f|/h is about 1e-9
+        p, theta = lookup("ball-hoop", {}).params, report["witness"]["point"][1]
+        exact = abs(p["xi_hoop"] ** 2 * np.cos(2.0 * theta) - (p["g"] / p["R"]) * np.cos(theta))
+        assert exact > doc["config"]["tol"]
+        assert report["witness"]["magnitude"] == pytest.approx(exact, rel=1e-8)
 
     def test_decoupled_config_positive_verdict(self, tmp_path):
         path = write_demo_config(tmp_path)
@@ -1078,7 +1079,7 @@ BOX_FLAGS = pytest.mark.parametrize(
         (["check-lyapunov", "--system", "cart-pendulum", "--certificate", "iubibss",
           "--samples", "64"], "--box", 2),
         (["check-lyapunov", "--system", "cart-pendulum", "--certificate", "iubibss",
-          "--samples", "64"], "--input-box", 2),
+          "--samples", "64"], "--input-box", 3),
         (["bound", "--system", "ball-hoop", "--n-ic", "4", "--t-end", "1"], "--box", 2),
     ],
     ids=["check-exact", "fiberwise", "iiss-input", "iubibss", "iubibss-input", "bound"],
@@ -1094,14 +1095,44 @@ class TestNonFiniteBoxes:
     def test_exit_1(self, argv, flag, dim, bad, tmp_path, capsys):
         box = ";".join([bad] + ["0,1"] * (dim - 1))
         rc = main([*argv, f"{flag}={box}", "--out", str(tmp_path / "o")])
-        assert_clean_usage_error(rc, capsys, "must be finite")
+        assert_clean_usage_error(rc, capsys, f"error: {flag}: box", "must be finite")
 
 
 @BOX_FLAGS
 def test_empty_box_exits_1(argv, flag, dim, tmp_path, capsys):
     # an empty flag is a malformed box, not a request for the default box
     rc = main([*argv, f"{flag}=", "--out", str(tmp_path / "o")])
-    assert_clean_usage_error(rc, capsys, "got segment ''")
+    assert_clean_usage_error(rc, capsys, f"error: {flag} expects", "got segment ''")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--system", "cart-pendulum", "--certificate", "iubibss", "--input-box=0,1"],
+         "--input-box has dimension 1 but certificate 'iubibss' expects dimension 3"),
+        (["--system", "cart-pendulum", "--certificate", "iubibss",
+          "--input-box=0,1;0,1;0,1;0,1"],
+         "--input-box has dimension 4 but certificate 'iubibss' expects dimension 3"),
+        (["--system", "ball-hoop", "--certificate", "iiss", "--input-box=0,1;0,1"],
+         "--input-box has dimension 2 but certificate 'iiss' expects dimension 1"),
+        (["--system", "ball-hoop", "--certificate", "fiberwise", "--box=0,1"],
+         "--box has dimension 1 but certificate 'fiberwise' expects dimension 2"),
+    ],
+    ids=["iubibss-input-1", "iubibss-input-4", "iiss-input-2", "fiberwise-1"],
+)
+def test_certificate_box_of_the_wrong_dimension_exits_1(argv, message, tmp_path, capsys,
+                                                        monkeypatch):
+    # checked before anything is evaluated on the boxes
+    from approxred import systems
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("evaluated before the box check")
+
+    monkeypatch.setattr(systems, "estimate_lipschitz", unreachable)
+    monkeypatch.setattr(systems, "sobol_points", unreachable)
+    rc = main(["check-lyapunov", *argv, "--samples", "64", "--out", str(tmp_path / "o")])
+    assert_clean_usage_error(rc, capsys, f"approxred: error: {message}\n")
     assert not (tmp_path / "o").exists()
 
 

@@ -75,12 +75,6 @@ comparison_functions = st.one_of(
         st.floats(min_value=1e-3, max_value=1e3),
         st.floats(min_value=0.2, max_value=4.0),
     ),
-    st.builds(
-        ComparisonFunction.affine_power,
-        st.floats(min_value=1e-3, max_value=1e3),
-        st.floats(min_value=0.2, max_value=4.0),
-        st.floats(min_value=0.0, max_value=1e3),
-    ),
 )
 
 
@@ -91,9 +85,13 @@ class TestComparisonFunction:
     def test_power_zero_at_zero(self):
         assert ComparisonFunction.power(1.0, 2.0).value(0.0) == 0.0
 
-    def test_affine_power_value(self):
-        f = ComparisonFunction.affine_power(1.0, 2.0, 0.5)
-        assert f.value(2.0) == pytest.approx(5.0, abs=0)
+    @given(st.floats(min_value=1e-3, max_value=1e3))
+    @settings(max_examples=30)
+    def test_linear_is_the_power_one_with_the_bits_of_a_times_r(self, a):
+        f = ComparisonFunction.linear(a)
+        assert (f.a, f.p) == (a, 1.0)
+        r = np.concatenate([[0.0], np.logspace(-300, 250, 551), [np.inf]])
+        assert f.value(r).tobytes() == (a * r).tobytes()
 
     def test_negative_radius_rejected(self):
         with pytest.raises(InputError):

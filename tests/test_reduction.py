@@ -14,13 +14,11 @@ from approxred.core import (
     VectorFieldDef,
 )
 from approxred.integrate import IntegratorConfig, integrate_field, resample
-from approxred.numdiff import jacobian
+from approxred.numdiff import jacobian_batch
 from approxred.reduction import (
     NOT_REDUCIBLE,
     REDUCIBLE,
-    SmoothMap,
     check_exact_reducible,
-    check_phi_related,
     construct_reduced,
     estimate_delta,
     measure_deviation,
@@ -89,52 +87,6 @@ class TestConstructReduced:
             assert np.array_equal(red(y), full[:2])
 
 
-class TestCheckPhiRelated:
-    def test_exactly_related_pair(self):
-        f = VectorFieldDef(n=2, rhs=lambda s: -np.asarray(s, dtype=float), name="f")
-        g = VectorFieldDef(n=1, rhs=lambda y: -np.asarray(y, dtype=float), name="g")
-        phi = SmoothMap(n_in=2, n_out=1, fn=lambda s: np.asarray(s)[..., :1])
-        rep = check_phi_related(f, g, phi, Box.from_pairs([(-1, 1)] * 2), 256)
-        assert rep.verdict == REDUCIBLE
-        assert rep.max_residual < 1e-9
-
-    def test_hoop_not_related_to_its_reduction(self):
-        entry = lookup("ball-hoop", {})
-        red = construct_reduced(entry.field, entry.decomp)
-        phi = SmoothMap.projection(entry.decomp)
-        box = entry.aux["sublevel_box"]()
-        rep = check_phi_related(entry.field, red, phi, box, 512)
-        assert rep.verdict == NOT_REDUCIBLE
-        # the residual at the witness is the fiber coupling term itself
-        theta = rep.witness.point[1]
-        expected = abs(entry.aux["input_coupling"](np.array([theta])))
-        assert rep.witness.magnitude == pytest.approx(expected, abs=1e-6)
-
-    def test_quadratic_coupling_witness(self):
-        def rhs(s):
-            s = np.asarray(s, dtype=float)
-            return np.stack([s[..., 0] + s[..., 1] ** 2, -s[..., 1]], axis=-1)
-
-        f = VectorFieldDef(n=2, rhs=rhs, name="coupled")
-        g = VectorFieldDef(n=1, rhs=lambda y: np.asarray(y, dtype=float), name="lin")
-        phi = SmoothMap(n_in=2, n_out=1, fn=lambda s: np.asarray(s)[..., :1])
-        rep = check_phi_related(f, g, phi, Box.from_pairs([(-1, 1)] * 2), 2048)
-        assert rep.verdict == NOT_REDUCIBLE
-        z = rep.witness.point[1]
-        assert rep.witness.magnitude == pytest.approx(z**2, abs=1e-6)
-        assert rep.witness.magnitude > 0.9  # the sampled max approaches z^2 = 1
-
-    def test_analytic_jacobian_agrees_with_finite_differences(self):
-        entry = lookup("ball-hoop", {})
-        red = construct_reduced(entry.field, entry.decomp)
-        box = entry.aux["sublevel_box"]()
-        proj_fd = SmoothMap(n_in=2, n_out=1, fn=lambda s: np.asarray(s)[..., :1])
-        proj_an = SmoothMap.projection(entry.decomp)
-        fd = check_phi_related(entry.field, red, proj_fd, box, 128)
-        an = check_phi_related(entry.field, red, proj_an, box, 128)
-        assert fd.max_residual == pytest.approx(an.max_residual, rel=1e-6)
-
-
 class TestCheckExactReducible:
     def test_decoupled_linear(self):
         rep = check_exact_reducible(decoupled_field(), DEC_3, UNIT_BOX_3, 256)
@@ -147,10 +99,12 @@ class TestCheckExactReducible:
         )
         assert rep.verdict == NOT_REDUCIBLE
         assert rep.witness.component == 0 and rep.witness.fiber_index == 0
-        # re-evaluate the witness partial by finite differences
-        J = jacobian(entry.field.rhs, rep.witness.point, 2)
-        assert abs(J[0, 1]) == pytest.approx(rep.witness.magnitude, rel=1e-9)
-        assert abs(J[0, 1]) > rep.tol
+        # the closed-form partial of the omega row along theta; the witness is
+        # a central difference, whose round-off eps*|f|/h is about 1e-9
+        p, theta = entry.params, rep.witness.point[1]
+        exact = abs(p["xi_hoop"] ** 2 * np.cos(2.0 * theta) - (p["g"] / p["R"]) * np.cos(theta))
+        assert rep.witness.magnitude == pytest.approx(exact, rel=1e-8)
+        assert exact > rep.tol
 
     def test_multiplicative_coupling_witness(self):
         def rhs(s):
@@ -320,16 +274,13 @@ class TestJacobians:
         entry = lookup("ball-hoop", {})
         p = entry.params
         xi2, gR = p["xi_hoop"] ** 2, p["g"] / p["R"]
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            x = rng.uniform(-2, 2, 2)
-            J_fd = jacobian(entry.field.rhs, x, 2)
-            th = x[1]
-            J_an = [
-                [-p["mu"] / p["m"], xi2 * np.cos(2.0 * th) - gR * np.cos(th)],
-                [1.0, 0.0],
-            ]
-            assert np.allclose(J_fd, J_an, rtol=1e-5, atol=1e-7)
+        X = np.random.default_rng(11).uniform(-2, 2, (100, 2))
+        J_fd = jacobian_batch(entry.field.rhs, X, 2)
+        J_an = np.zeros((100, 2, 2))
+        J_an[:, 0, 0] = -p["mu"] / p["m"]
+        J_an[:, 0, 1] = xi2 * np.cos(2.0 * X[:, 1]) - gR * np.cos(X[:, 1])
+        J_an[:, 1, 0] = 1.0
+        assert np.allclose(J_fd, J_an, rtol=1e-5, atol=1e-7)
 
 
 class TestBatchedEstimate:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from approxred.core import (
 )
 from approxred.integrate import _batch_rhs
 from approxred.numdiff import batch_eval, batch_eval_pair
-from approxred.reduction import SmoothMap, check_phi_related
+from approxred.sampling import sobol_points
 from approxred.stability import (
     COUNTEREXAMPLE,
     NO_COUNTEREXAMPLE,
@@ -29,9 +30,9 @@ from approxred.stability import (
     check_iiss,
     check_iubibss,
     estimate_lipschitz,
-    vdot,
 )
 from approxred.systems import lookup
+from approxred.user_systems import compile_map
 
 from reference_values import HOOP_LIPSCHITZ_COUPLING
 
@@ -67,30 +68,46 @@ DRIVEN = ControlSystemDef(
 )
 
 
-class TestVdot:
+def pair_derivative(V, F, *rows) -> np.ndarray:
+    """V's derivative along two copies of F, by ``_pair_terms``, on paired
+    blocks whose rows ``rows`` gives as (x1, x2, u1, u2) lists of rows."""
+    return _pair_terms(V, F, *(np.array(r, dtype=float) for r in rows))[1]
+
+
+class TestPairTerms:
+    """``_pair_terms``, which every IISS and IUBIBSS check calls on each block."""
+
     def test_linear_contraction(self):
-        assert vdot(gap_pair(), CONTRACT, [1.0], [0.0], [0.0], [0.0]) == pytest.approx(
-            -1.0, abs=1e-8
-        )
+        # d(x1 - x2)^2/2 along x' = -x is -(x1 - x2)^2, row by row
+        x1, x2 = [[1.0], [2.0], [-0.5]], [[0.0], [0.5], [0.5]]
+        v = pair_derivative(gap_pair(), CONTRACT, x1, x2, [[0.0]] * 3, [[0.0]] * 3)
+        assert v.tolist() == [-1.0, -2.25, -1.0]
+
+    def test_values_come_with_the_derivative(self):
+        blocks = (np.array([[x]]) for x in (1.0, 0.0, 0.0, 0.0))
+        vals, vd = _pair_terms(gap_pair(), CONTRACT, *blocks)
+        assert (vals.tolist(), vd.tolist()) == ([0.5], [-1.0])
 
     def test_common_input_is_static(self):
         carried = ControlSystemDef(
             n=1, m_in=1, rhs=lambda x, u: np.asarray(u, dtype=float), name="carried"
         )
-        v = vdot(gap_pair(), carried, [0.7], [-0.2], [0.4], [0.4])
-        assert v == pytest.approx(0.0, abs=1e-8)
+        u = [[0.4], [-1.0]]
+        v = pair_derivative(gap_pair(), carried, [[0.7], [1.5]], [[-0.2], [0.1]], u, u)
+        assert v.tolist() == [0.0, 0.0]
 
     def test_hoop_velocity_gap(self):
         spec = lookup("ball-hoop", {}).certificates["iiss"]()
-        v = vdot(
-            spec.certificate.V,
-            spec.control,
-            [1.0],
-            [0.0],
-            [0.0],
-            [0.0],
-        )
-        assert v == pytest.approx(-1.0, abs=1e-12)
+        v = pair_derivative(spec.certificate.V, spec.control, [[1.0]], [[0.0]], [[0.0]], [[0.0]])
+        assert v[0] == pytest.approx(-1.0, abs=1e-12)
+
+    def test_non_finite_derivative_names_the_sample(self):
+        v = gap_pair()
+        F = ControlSystemDef(n=1, m_in=1, rhs=lambda x, u: 1.0 / np.asarray(u, dtype=float))
+        with np.errstate(divide="ignore"):
+            with pytest.raises(EvaluationError, match=r"along F at x1=\[0.5\]"):
+                pair_derivative(v, F, [[0.0], [0.5]], [[0.0], [0.0]], [[1.0], [0.0]],
+                                [[1.0], [1.0]])
 
     @given(
         st.floats(min_value=-2, max_value=2),
@@ -102,9 +119,9 @@ class TestVdot:
     )
     @settings(max_examples=40)
     def test_additive_in_v(self, x1, x2, u1, u2, a, b):
-        args = (DRIVEN, [x1], [x2], [u1], [u2])
-        total = vdot(gap_pair(a + b), *args)
-        parts = vdot(gap_pair(a), *args) + vdot(gap_pair(b), *args)
+        args = (DRIVEN, [[x1]], [[x2]], [[u1]], [[u2]])
+        total = pair_derivative(gap_pair(a + b), *args)[0]
+        parts = sum(pair_derivative(gap_pair(c), *args)[0] for c in (a, b))
         assert total == pytest.approx(parts, abs=1e-9 * (1 + abs(total)))
 
 
@@ -121,7 +138,7 @@ def contraction_certificate() -> IISSCertificate:
 
 class TestCheckIISS:
     def test_driven_contraction_passes(self):
-        # |dx| >= 2|du| forces vdot = -dx^2 + dx du <= -dx^2/2
+        # |dx| >= 2|du| forces dV/dt = -dx^2 + dx du <= -dx^2/2
         rep = check_iiss(DRIVEN, contraction_certificate(), SYM_BOX_1, SYM_BOX_1, 4096)
         assert rep.verdict == NO_COUNTEREXAMPLE
         assert rep.condition_counts["decay_checked"] > 100
@@ -154,15 +171,9 @@ class TestCheckIISS:
     def test_witness_reproduces(self):
         rep = check_iiss(EXPAND, contraction_certificate(), SYM_BOX_1, SYM_BOX_1, 2048)
         ce = rep.counterexample
-        v = vdot(
-            contraction_certificate().V,
-            EXPAND,
-            ce.point["x1"],
-            ce.point["x2"],
-            ce.point["u1"],
-            ce.point["u2"],
-        )
-        assert v == pytest.approx(ce.observed, rel=1e-12)
+        rows = ([ce.point[key]] for key in ("x1", "x2", "u1", "u2"))
+        v = pair_derivative(contraction_certificate().V, EXPAND, *rows)
+        assert v[0] == pytest.approx(ce.observed, rel=1e-12)
 
     def test_monotone_falsification(self):
         small = check_iiss(EXPAND, contraction_certificate(), SYM_BOX_1, SYM_BOX_1, 512)
@@ -261,7 +272,7 @@ class TestCheckFiberwise:
         assert rep.verdict == COUNTEREXAMPLE
         assert rep.counterexample.condition == "decay"
         x = rep.counterexample.point["x"]
-        # vdot = 0*(-y) + z*z at the witness, exactly
+        # dV/dt = 0*(-y) + z*z at the witness, exactly
         assert rep.counterexample.observed == x[1] * x[1]
         # re-evaluating V's gradient column by column reproduces the record
         vd = float(self.certificate().V(x)[1:] @ fiber_field(+1.0).rhs(x))
@@ -277,7 +288,7 @@ class TestCheckFiberwise:
         assert rep.condition_counts["active_samples"] > 10000
 
     def test_hoop_decay_is_the_closed_form(self):
-        # vdot along the bundled energy function is -mu R^2 omega^2
+        # dV/dt along the bundled energy function is -mu R^2 omega^2
         entry = lookup("ball-hoop", {})
         V = entry.aux["lyapunov"]
         p = entry.params
@@ -305,11 +316,11 @@ class TestHoopGainImplication:
         dth = np.abs(TH[:, 0] - TH[:, 1])
         active = dw > cert.mu.value(dth)
         gap = W[:, 0] - W[:, 1]
-        coupling = entry.aux["input_coupling"]
+        coupling = entry.aux["input_coupling"]  # its value, then its derivative
         vd = gap * (
             -(p["mu"] / p["m"]) * gap
-            + coupling(TH[:, :1])
-            - coupling(TH[:, 1:])
+            + coupling(TH[:, :1])[:, 0]
+            - coupling(TH[:, 1:])[:, 0]
         )
         bound = -(p["mu"] / (2 * p["m"])) * dw**2
         slack = 1e-9 * (1 + np.abs(vd))
@@ -317,34 +328,59 @@ class TestHoopGainImplication:
         assert active.sum() > 100
 
 
+def coupling_map(sources, names):
+    """A compiled map of ``names``, each expression's value followed by its
+    derived gradient: the form ``estimate_lipschitz`` takes."""
+    return compile_map(sources, [names], [], wrt=names)({})
+
+
 class TestEstimateLipschitz:
     def test_sine_slope(self):
         box = Box.from_pairs([(-np.pi, np.pi)])
-        L = estimate_lipschitz(lambda u: np.sin(np.asarray(u)[..., 0]), box, 1024)
-        assert L == pytest.approx(1.0, abs=1e-3)
+        L = estimate_lipschitz(coupling_map(["sin(u)"], ["u"]), box, 1024)
+        # the largest |cos u| at the samples
+        assert L == pytest.approx(np.abs(np.cos(sobol_points(box, 1024))).max(), rel=1e-15)
+        assert L == pytest.approx(1.0, abs=1e-5)
 
-    def test_hoop_coupling_matches_reference(self):
+    def test_hoop_coupling_is_the_closed_form_at_the_samples(self):
         entry = lookup("ball-hoop", {})
+        p = entry.params
         box = Box.from_pairs([(-0.3, 0.3)])
         L = estimate_lipschitz(entry.aux["input_coupling"], box, 2048)
-        assert L == pytest.approx(HOOP_LIPSCHITZ_COUPLING, abs=1e-3)
+        th = sobol_points(box, 2048)[:, 0]
+        exact = np.abs(p["xi_hoop"] ** 2 * np.cos(2.0 * th) - (p["g"] / p["R"]) * np.cos(th))
+        assert L == pytest.approx(exact.max(), rel=1e-12)
+        # a sampled lower estimate of the dense grid's maximum
+        assert HOOP_LIPSCHITZ_COUPLING - 1e-3 < L <= HOOP_LIPSCHITZ_COUPLING
 
     def test_constant_map(self):
         box = Box.from_pairs([(-1.0, 1.0)])
-        L = estimate_lipschitz(lambda u: 3.0 + 0.0 * np.asarray(u)[..., 0], box, 256)
-        assert L == pytest.approx(0.0, abs=1e-9)
+        L = estimate_lipschitz(coupling_map(["3.0"], ["u"]), box, 256)
+        assert L == 0.0
 
     def test_vector_map_operator_norm(self):
         # linear map: the estimate recovers the spectral norm
         A = np.array([[3.0, 0.0], [4.0, 1.0]])
         box = Box.from_pairs([(-1, 1), (-1, 1)])
-        L = estimate_lipschitz(lambda u: np.asarray(u, dtype=float) @ A.T, box, 64)
-        assert L == pytest.approx(np.linalg.norm(A, 2), rel=1e-6)
+        L = estimate_lipschitz(coupling_map(["3.0*u1", "4.0*u1 + u2"], ["u1", "u2"]), box, 64)
+        assert L == pytest.approx(np.linalg.norm(A, 2), rel=1e-12)
+
+    def test_a_value_only_map_is_an_input_error(self):
+        value_only = compile_map(["sin(u)"], [["u"]], [])({})
+        with pytest.raises(InputError, match=r"shape \(8, 1\), expected \(8, k\*2\)"):
+            estimate_lipschitz(value_only, SYM_BOX_1, 8)
+
+    def test_non_finite_derivative_names_the_sample(self):
+        # the derivative of the square root is NaN below 0: the first such sample
+        u = sobol_points(SYM_BOX_1, 8)[:, 0]
+        first = float(u[np.argmax(u < 0)])
+        with pytest.raises(EvaluationError, match=re.escape(f"derivative at sample [{first!r}]")):
+            estimate_lipschitz(coupling_map(["u**0.5"], ["u"]), SYM_BOX_1, 8)
 
 
 class TestIISSBridgeProperty:
     # slope >= 1.5 keeps the base decay condition true with margin:
-    # vdot <= -(1 - 1/slope) dx^2 <= -dx^2/4; slope >= 1 keeps mu(r) >= r,
+    # dV/dt <= -(1 - 1/slope) dx^2 <= -dx^2/4; slope >= 1 keeps mu(r) >= r,
     # which the lifted gain inequality needs
     @given(
         st.floats(min_value=1.5, max_value=8.0),
@@ -384,10 +420,7 @@ BATCH_SITES = {
     ),
     "certificate_map": lambda fn: _value_and_grads(fn, BLOCK, BLOCK),
     "integrator": lambda fn: _batch_rhs(VectorFieldDef(n=2, rhs=fn, name="odd"), BLOCK),
-    "phi_related": lambda fn: check_phi_related(
-        VectorFieldDef(n=2, rhs=fn), VectorFieldDef(n=1, rhs=lambda y: y),
-        SmoothMap.projection(Decomposition(n=2, m=1, k=1)), Box.from_pairs([(-1, 1)] * 2), 8,
-    ),
+    "lipschitz": lambda fn: estimate_lipschitz(fn, Box.from_pairs([(-1, 1)] * 2), 8),
 }
 
 
@@ -422,11 +455,3 @@ class TestBlockContract:
         with pytest.raises(InputError, match=r"shape \(2,\)"):
             BATCH_SITES[site](fn)
         assert len(seen) == 1
-
-    def test_wrong_jacobian_shape_is_an_input_error(self):
-        f = VectorFieldDef(n=2, rhs=lambda x: -np.asarray(x))
-        g = VectorFieldDef(n=1, rhs=lambda y: -np.asarray(y))
-        phi = SmoothMap(n_in=2, n_out=1, fn=lambda x: np.asarray(x)[..., :1],
-                        jacobian=lambda _x: np.array([[1.0, 0.0]]))
-        with pytest.raises(InputError, match=r"Jacobian on 8 samples has shape \(1, 2\)"):
-            check_phi_related(f, g, phi, Box.from_pairs([(-1, 1)] * 2), 8)

@@ -304,7 +304,7 @@ class TestNonFiniteInALaterBlock:
             check_iiss(contract, cert, line, line, 256)
         assert f"x1=[{expected!r}]" in str(err.value)
 
-    def test_fiberwise_vdot_nan_on_a_quarter_of_the_box(self):
+    def test_fiberwise_derivative_nan_on_a_quarter_of_the_box(self):
         # used to return NO_COUNTEREXAMPLE: Vdot was never checked for finiteness
         f = field(lambda y, z: -y, lambda y, z: np.where(z > 0.5, np.nan, -z))
         cert = FiberwiseCertificate(V=fiber_square(), alpha_lower=HALF_SQ,
@@ -315,7 +315,7 @@ class TestNonFiniteInALaterBlock:
             check_fiberwise(f, FIBER, cert, UNIT_SQUARE, 1024)
         assert str(expected) in str(err.value)
 
-    def test_fiberwise_vdot(self, monkeypatch):
+    def test_fiberwise_derivative(self, monkeypatch):
         monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", 7)
         f = field(lambda y, z: -y, lambda y, z: np.where(z > 0.9, np.nan, -z))
         cert = FiberwiseCertificate(V=fiber_square(), alpha_lower=HALF_SQ,
@@ -326,7 +326,7 @@ class TestNonFiniteInALaterBlock:
             check_fiberwise(f, FIBER, cert, UNIT_SQUARE, 1024)
         assert str(expected) in str(err.value)
 
-    def test_fiberwise_vdot_ignores_inactive_samples(self):
+    def test_fiberwise_derivative_ignores_inactive_samples(self):
         # only samples with fiber norm >= d_threshold are checked
         f = field(lambda y, z: -y, lambda y, z: np.where(np.abs(z) < 0.1, np.nan, -z))
         cert = FiberwiseCertificate(V=fiber_square(), alpha_lower=HALF_SQ,
@@ -335,7 +335,7 @@ class TestNonFiniteInALaterBlock:
         report = check_fiberwise(f, FIBER, cert, UNIT_SQUARE, 1024)
         assert report.passed
 
-    def test_fiberwise_vdot_exits_2(self, tmp_path, monkeypatch, capsys):
+    def test_fiberwise_derivative_exits_2(self, tmp_path, monkeypatch, capsys):
         f = field(lambda y, z: -y, lambda y, z: np.where(z > 0.5, np.nan, -z))
         cert = FiberwiseCertificate(V=fiber_square(), alpha_lower=HALF_SQ,
                                     alpha_upper=HALF_SQ)

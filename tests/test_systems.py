@@ -177,9 +177,9 @@ USER_DOCS = [
 
 def bundled_maps():
     """Every bundled map with its input widths: the fields, their reduced
-    forms, the certificates' control systems, the maps of V or U with their
-    gradients, the input couplings and the cart's energy, then the fields of
-    compiled user documents and their reduced forms."""
+    forms, the certificates' control systems, the maps of V or U and of the
+    input couplings with their gradients, and the cart's energy, then the
+    fields of compiled user documents and their reduced forms."""
     maps = []
     for name in ("ball-hoop", "cart-pendulum"):
         e = lookup(name, {})
@@ -246,6 +246,10 @@ def hoop_closures(p):
         sin = np.sin(u[..., 0])
         return xi2 * sin * np.cos(u[..., 0]) - (g / R) * sin
 
+    def coupling_grad(u):  # the product rule: xi^2 cos(2 theta) - (g/R) cos(theta)
+        sin, cos = np.sin(u[..., 0]), np.cos(u[..., 0])
+        return (xi2 * cos * cos - xi2 * sin * sin - (g / R) * cos)[..., None]
+
     def velocity_gap_grad(s1, s2):
         diff = s1[..., 0] - s2[..., 0]
         return np.stack([diff, -diff], axis=-1)
@@ -256,6 +260,7 @@ def hoop_closures(p):
         "U": lambda s1, s2: 0.5 * (s1[..., 0] - s2[..., 0]) ** 2,
         "grad-U": velocity_gap_grad,
         "coupling": coupling,
+        "grad-coupling": coupling_grad,
         "control": lambda s, u: (-(mu / m) * s[..., 0] + coupling(u))[..., None],
     }
 
@@ -272,6 +277,11 @@ def cart_closures(p):
     def coupling(u):
         return u[..., 1] ** 2 * np.sin(u[..., 0]) - u[..., 2] * np.cos(u[..., 0])
 
+    def coupling_grad(u):  # along theta, omega and omegadot
+        th, w, wdot = u[..., 0], u[..., 1], u[..., 2]
+        return np.stack([w**2 * np.cos(th) + wdot * np.sin(th), 2.0 * w * np.sin(th),
+                         -np.cos(th)], axis=-1)
+
     def position_gap(s1, s2):
         dx, dv = s1[..., 0] - s2[..., 0], s1[..., 1] - s2[..., 1]
         return dx**2 / (2.0 * (m + M)) + 0.5 * dv**2
@@ -286,15 +296,17 @@ def cart_closures(p):
         return np.stack([v, (m * R * coupling(u) - k * x - d * v) / (M + m)], axis=-1)
 
     return {"energy": energy, "U": position_gap, "grad-U": position_gap_grad,
-            "coupling": coupling, "control": control}
+            "coupling": coupling, "grad-coupling": coupling_grad, "control": control}
 
 
 def certificate_maps(name, params):
-    """The compiled map of each certificate's V or U (its value, then its
-    gradient) with its default sample boxes, one box per argument."""
+    """The compiled map of each certificate's V or U and of the input
+    coupling (its value, then its gradient) with its default sample boxes,
+    one box per argument."""
     e = lookup(name, params)
     spec = e.certificates["iiss" if name == "ball-hoop" else "iubibss"]()
-    out = {"U": (spec.certificate.V, [spec.state_box] * 2)}
+    out = {"U": (spec.certificate.V, [spec.state_box] * 2),
+           "coupling": (e.aux["input_coupling"], [spec.input_box])}
     if name == "ball-hoop":
         spec = e.certificates["fiberwise"]()
         out["V"] = (spec.certificate.V, [spec.state_box])
@@ -307,10 +319,7 @@ def compiled_functions(name, params):
     e = lookup(name, params)
     spec = e.certificates["iiss" if name == "ball-hoop" else "iubibss"]()
     c = spec.control
-    out = {
-        "coupling": (e.aux["input_coupling"], [spec.input_box]),
-        "control": (c.rhs, [spec.state_box, spec.input_box]),
-    }
+    out = {"control": (c.rhs, [spec.state_box, spec.input_box])}
     for key, (fn, boxes) in certificate_maps(name, params).items():
         out[key] = (lambda *xs, fn=fn: fn(*xs)[..., 0], boxes)
         out["grad-" + key] = (lambda *xs, fn=fn: fn(*xs)[..., 1:], boxes)
