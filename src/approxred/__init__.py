@@ -38,8 +38,7 @@ from .reduction import (
 from .stability import (
     CertificateReport,
     FiberwiseCertificate,
-    IISSCertificate,
-    IUBIBSSCertificate,
+    IncrementalCertificate,
     check_fiberwise,
     check_iiss,
     check_iubibss,
@@ -71,8 +70,7 @@ __all__ = [
     "measure_deviation",
     "CertificateReport",
     "FiberwiseCertificate",
-    "IISSCertificate",
-    "IUBIBSSCertificate",
+    "IncrementalCertificate",
     "check_fiberwise",
     "check_iiss",
     "check_iubibss",

@@ -98,17 +98,6 @@ def to_jsonable(obj):
     return obj
 
 
-def parse_metadata(text: str) -> dict:
-    """Recover the embedded run configuration from a CSV's comment header."""
-    meta = {}
-    for line in text.splitlines():
-        if not line.startswith("# "):
-            continue
-        key, _, value = line[2:].partition("=")
-        meta[key] = json.loads(value)
-    return meta
-
-
 def _meta_lines(meta: dict) -> list[str]:
     return [f"# {k}={json.dumps(v, sort_keys=True)}" for k, v in meta.items()]
 
@@ -226,6 +215,8 @@ def _resolve_x0(args, entry: SystemEntry) -> np.ndarray:
             f"--x0 has {len(vals)} entries but system {entry.name!r} has "
             f"dimension {entry.field.n}"
         )
+    if not np.all(np.isfinite(vals)):
+        raise UsageError(f"--x0 must be finite, got {args.x0!r}")
     return np.array(vals)
 
 
@@ -266,9 +257,8 @@ def _config(command: str, args, entry: SystemEntry, x0, **extra) -> dict:
 
 def _default_box(entry: SystemEntry) -> Box:
     """Fallback check box: the bundled invariant box, else ic +- 1 per axis."""
-    sub = entry.aux.get("sublevel_box")
-    if sub is not None:
-        return sub()
+    if entry.default_box is not None:
+        return entry.default_box()
     ic = entry.default_ic
     return Box(ic - 1.0, ic + 1.0)
 

@@ -90,7 +90,6 @@ class VectorFieldDef:
 
     n: int
     rhs: Callable[[np.ndarray], np.ndarray]
-    params: dict = field(default_factory=dict)
     name: str = "field"
 
     def __post_init__(self):
@@ -119,7 +118,6 @@ class ControlSystemDef:
     n: int
     m_in: int
     rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    params: dict = field(default_factory=dict)
     name: str = "control_system"
 
     def __post_init__(self):
@@ -310,7 +308,8 @@ class Box:
 
 @dataclass(frozen=True)
 class SystemEntry:
-    """A registered system and everything the CLI needs to drive it."""
+    """A registered system and everything the CLI needs to drive it.
+    ``default_box`` maps an optional level to its bundled check box, if any."""
 
     name: str
     params: dict
@@ -319,4 +318,4 @@ class SystemEntry:
     default_ic: np.ndarray
     reduced_override: VectorFieldDef | None = None
     certificates: dict = field(default_factory=dict)
-    aux: dict = field(default_factory=dict)
+    default_box: Callable[..., Box] | None = None

@@ -63,7 +63,7 @@ def construct_reduced(f: VectorFieldDef, d: Decomposition) -> VectorFieldDef:
         full = np.concatenate([y, np.zeros(y.shape[:-1] + (k,))], axis=-1)
         return np.asarray(f.rhs(full), dtype=float)[..., :m]
 
-    return VectorFieldDef(n=m, rhs=rhs, params=dict(f.params), name=f"{f.name}_reduced")
+    return VectorFieldDef(n=m, rhs=rhs, name=f"{f.name}_reduced")
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,8 @@ def check_exact_reducible(
         raise InputError(f"decomposition is on R^{d.n} but field lives on R^{f.n}")
     if box.dim != f.n:
         raise InputError("sampling box dimension does not match the field")
-    if not (tol > 0):
-        raise InputError("tol must be positive")
+    if not (0 < tol < np.inf):  # an infinite tolerance would pass any field
+        raise InputError(f"tol must be finite and positive, got {tol}")
     m, fiber = d.m, range(d.m, d.n)
 
     def retained(X):  # each FD difference keeps the m retained rows only

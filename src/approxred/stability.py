@@ -2,10 +2,14 @@
 
 Three certificate notions are checked: incremental input-to-state stability
 (IISS), incremental uniform bounded-input bounded-state stability (IUBIBSS),
-and fiberwise practical stability. Each checker Sobol-samples its boxes,
-evaluates the certificate conditions with a small numerical slack, and either
-reports the worst violation (with a witness precise enough to re-evaluate) or
-records that no counterexample was found.
+and fiberwise practical stability. IISS and IUBIBSS share one certificate
+type, ``IncrementalCertificate``, and one condition table; they differ only in
+the threshold offset xi and in the decay bound, -alpha(|x1-x2|) for IISS and
+0 for IUBIBSS (Angeli 2002). ``dataclasses.replace(cert, alpha_decay=None,
+xi=xi)`` lifts an IISS certificate to an IUBIBSS one. Each checker
+Sobol-samples its boxes, evaluates the certificate conditions with a small
+numerical slack, and either reports the worst violation (with a witness
+precise enough to re-evaluate) or records that no counterexample was found.
 
 A certificate's V is one map of its argument blocks, a state ``(..., n)`` or
 a state pair ``(..., n), (..., n)``, to the ``(..., 1 + sum n_j)`` array of its
@@ -55,38 +59,25 @@ def _slack(values) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class IISSCertificate:
-    """Candidate IISS Lyapunov data: a pair map V(x1, x2) with its gradient,
-    sandwich bounds, decay rate and input gain."""
+class IncrementalCertificate:
+    """Candidate incremental Lyapunov data for a control system: a pair map
+    V(x1, x2) with its gradient, sandwich bounds, an input gain ``mu``, a
+    decay rate ``alpha_decay`` (None: no rate) and a threshold offset ``xi``.
 
-    V: Callable
-    alpha_lower: ComparisonFunction
-    alpha_upper: ComparisonFunction
-    alpha_decay: ComparisonFunction
-    mu: ComparisonFunction
-
-
-@dataclass(frozen=True)
-class IUBIBSSCertificate:
-    """Candidate IUBIBSS Lyapunov data, with V a pair map V(x1, x2).
-
-    The gain threshold used in the checks is mu(r) + xi: the required
-    inequality gain(r) >= r + xi needs a positive offset at r = 0, which the
-    pure class-K-infinity families cannot supply on their own.
+    Its conditions: alpha_lower(|x1-x2|) <= V <= alpha_upper(|x1-x2|) where
+    |x1-x2| >= xi, and Vdot <= -alpha_decay(|x1-x2|), or Vdot <= 0 without a
+    rate, where |x1-x2| >= mu(|u1-u2|) + xi. IISS takes a rate and xi = 0.
+    IUBIBSS takes a positive xi: its gain inequality mu(r) + xi >= r + xi
+    needs an offset at r = 0 that the pure class-K-infinity families cannot
+    supply on their own.
     """
 
     V: Callable
     alpha_lower: ComparisonFunction
     alpha_upper: ComparisonFunction
     mu: ComparisonFunction
-    xi: float
-
-    def __post_init__(self):
-        if not (self.xi > 0):
-            raise InputError("threshold xi must be positive")
-
-    def gain(self, r):
-        return self.mu.value(r) + self.xi
+    alpha_decay: ComparisonFunction | None = None
+    xi: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -236,35 +227,21 @@ def _falsify(
     )
 
 
-def _pair_samples(F: ControlSystemDef, state_box: Box, input_box: Box):
-    """The joint box of (x1, x2, u1, u2), its column slices and the report boxes."""
-    if state_box.dim != F.n or input_box.dim != F.m_in:
-        raise InputError("box dimensions do not match the control system")
-    n, m = F.n, F.m_in
-    joint = state_box.concat(state_box).concat(input_box).concat(input_box)
-    parts = {
-        "x1": slice(0, n),
-        "x2": slice(n, 2 * n),
-        "u1": slice(2 * n, 2 * n + m),
-        "u2": slice(2 * n + m, None),
-    }
-    return joint, parts, {"state_box": state_box, "input_box": input_box}
-
-
-def check_iiss(
+def _check_pairs(
     F: ControlSystemDef,
-    cert: IISSCertificate,
+    cert: IncrementalCertificate,
     state_box: Box,
     input_box: Box,
-    n_samples: int = 4096,
-    seed: int = DEFAULT_SEED,
+    n_samples: int,
+    seed: int,
+    prior: Counterexample | None = None,
+    grid: dict | None = None,
 ) -> CertificateReport:
-    """Falsify an IISS Lyapunov candidate on sampled state and input pairs.
-
-    The sandwich condition alpha_lower(|x1-x2|) <= V <= alpha_upper(|x1-x2|)
-    is checked at every sample; the decay condition Vdot <= -alpha(|x1-x2|)
-    on the samples where |x1-x2| >= mu(|u1-u2|).
-    """
+    """Falsify ``cert``'s sandwich and decay conditions on Sobol samples of
+    (x1, x2, u1, u2); ``grid`` adds the counts of a check made off the
+    samples, whose worst violation is ``prior``."""
+    if state_box.dim != F.n or input_box.dim != F.m_in:
+        raise InputError("box dimensions do not match the control system")
 
     def conditions(X1, X2, U1, U2):
         dx = np.linalg.norm(X1 - X2, axis=1)
@@ -272,44 +249,61 @@ def check_iiss(
         V, vd = _pair_terms(cert.V, F, X1, X2, U1, U2)
         lo = cert.alpha_lower.value(dx)
         hi = cert.alpha_upper.value(dx)
-        decay = cert.alpha_decay.value(dx)
+        rate = cert.alpha_decay
+        bound = np.zeros_like(vd) if rate is None else -rate.value(dx)
         return [
-            *_sandwich(np.ones(len(dx), bool), V, lo, hi),
-            ("decay", dx >= cert.mu.value(du), (vd + decay) - _slack(vd), vd, -decay),
+            *_sandwich(dx >= cert.xi, V, lo, hi),
+            ("decay", dx >= cert.mu.value(du) + cert.xi, (vd - bound) - _slack(vd), vd, bound),
         ]
 
     def counts(checked):
-        return {
-            "sandwich_checked": checked["lower_bound"],
-            "decay_checked": checked["decay"],
-        }
+        return {"sandwich_checked": checked["lower_bound"], **(grid or {}),
+                "decay_checked": checked["decay"]}
 
-    joint, parts, boxes = _pair_samples(F, state_box, input_box)
-    return _falsify(joint, parts, n_samples, seed, conditions, boxes, counts)
+    n, m = F.n, F.m_in
+    joint = state_box.concat(state_box).concat(input_box).concat(input_box)
+    parts = {"x1": slice(0, n), "x2": slice(n, 2 * n),
+             "u1": slice(2 * n, 2 * n + m), "u2": slice(2 * n + m, None)}
+    boxes = {"state_box": state_box, "input_box": input_box}
+    return _falsify(joint, parts, n_samples, seed, conditions, boxes, counts, prior)
 
 
-def check_iubibss(
+def check_iiss(
     F: ControlSystemDef,
-    cert: IUBIBSSCertificate,
+    cert: IncrementalCertificate,
     state_box: Box,
     input_box: Box,
     n_samples: int = 4096,
     seed: int = DEFAULT_SEED,
 ) -> CertificateReport:
-    """Falsify an IUBIBSS Lyapunov candidate.
+    """Falsify an IISS Lyapunov candidate, which has a decay rate and xi = 0,
+    on sampled state and input pairs: the sandwich bounds at every sample, and
+    Vdot <= -alpha_decay(|x1-x2|) where |x1-x2| >= mu(|u1-u2|)."""
+    if cert.alpha_decay is None or cert.xi != 0:
+        raise InputError("an IISS certificate needs a decay rate alpha_decay and xi = 0")
+    return _check_pairs(F, cert, state_box, input_box, n_samples, seed)
 
-    Three conditions: the sandwich bounds on samples with |x1-x2| >= xi, the
-    gain inequality mu(r) + xi >= r + xi on a 1-d grid over
-    [0, diameter(input_box)], and Vdot <= 0 on samples with
-    |x1-x2| >= mu(|u1-u2|) + xi.
-    """
-    # condition 2 is deterministic in r; check it first on the grid
+
+def check_iubibss(
+    F: ControlSystemDef,
+    cert: IncrementalCertificate,
+    state_box: Box,
+    input_box: Box,
+    n_samples: int = 4096,
+    seed: int = DEFAULT_SEED,
+) -> CertificateReport:
+    """Falsify an IUBIBSS Lyapunov candidate, which has a positive xi: the
+    certificate's sampled conditions, after the gain inequality
+    mu(r) + xi >= r + xi on a 1-d grid over [0, diameter(input_box)]."""
+    if not (cert.xi > 0):
+        raise InputError("threshold xi must be positive")
+    # the gain inequality is deterministic in r; check it first on the grid
     diameter = input_box.diameter()
     if not np.isfinite(diameter):
         raise EvaluationError(f"the input box's diameter {diameter} is not finite")
     r = np.linspace(0.0, diameter, GAIN_GRID)
     with np.errstate(over="ignore"):  # a gain beyond float range is inf, still >= r + xi
-        gain = cert.gain(r)
+        gain = cert.mu.value(r) + cert.xi
         gain_viol = (r + cert.xi - gain) - _slack(gain)
     i = _worst(gain_viol, np.ones_like(r, bool))
     prior = None
@@ -322,27 +316,8 @@ def check_iubibss(
             observed=float(gain[i]),
             bound=float(r[i] + cert.xi),
         )
-
-    def conditions(X1, X2, U1, U2):
-        dx = np.linalg.norm(X1 - X2, axis=1)
-        du = np.linalg.norm(U1 - U2, axis=1)
-        V, vd = _pair_terms(cert.V, F, X1, X2, U1, U2)
-        lo = cert.alpha_lower.value(dx)
-        hi = cert.alpha_upper.value(dx)
-        return [
-            *_sandwich(dx >= cert.xi, V, lo, hi),
-            ("decay", dx >= cert.gain(du), vd - _slack(vd), vd, np.zeros_like(vd)),
-        ]
-
-    def counts(checked):
-        return {
-            "sandwich_checked": checked["lower_bound"],
-            "gain_grid": GAIN_GRID,
-            "decay_checked": checked["decay"],
-        }
-
-    joint, parts, boxes = _pair_samples(F, state_box, input_box)
-    return _falsify(joint, parts, n_samples, seed, conditions, boxes, counts, prior)
+    return _check_pairs(F, cert, state_box, input_box, n_samples, seed, prior,
+                        {"gain_grid": GAIN_GRID})
 
 
 def check_fiberwise(

@@ -16,7 +16,9 @@ form) is an expression, compiled as ``--config`` systems are, once per process
 and only when a command first uses it. V, U and the input coupling each
 compile to one map of their value followed by their derived gradient, so the
 sampled Lipschitz estimate reads the coupling's exact Jacobian. What stays
-code is parameter validation, comparison functions and boxes.
+code is parameter validation, comparison functions and boxes: the hoop's
+invariant sublevel box is its entry's ``default_box``. The certificate
+factories bind the functions they use when they run.
 """
 
 from __future__ import annotations
@@ -37,12 +39,7 @@ from .core import (
     UnknownSystemError,
 )
 from .sampling import DEFAULT_SEED, sobol_points
-from .stability import (
-    FiberwiseCertificate,
-    IISSCertificate,
-    IUBIBSSCertificate,
-    estimate_lipschitz,
-)
+from .stability import FiberwiseCertificate, IncrementalCertificate, estimate_lipschitz
 from .user_systems import compile_map, system_factory
 
 GRAVITY_DEFAULT = 9.81
@@ -146,13 +143,6 @@ def _compiled(name: str, key: str | None = None) -> Callable:
     return compile_map(sources, blocks, list(doc["params"]), wrt)
 
 
-def _lazy(name: str, key: str, p: dict, cols=slice(None)) -> Callable:
-    """Function ``key`` of system ``name`` at parameters ``p``, compiled on
-    its first call; ``cols`` picks the columns of its output."""
-    evaluate = cache(lambda: _compiled(name, key)(p))
-    return lambda *xs: evaluate()(*xs)[..., cols]
-
-
 def _check_boxes(kind: str, state_box, input_box, n_state: int, n_input: int | None) -> None:
     """Reject a given box that the certificate does not take (``n_input`` None:
     no input box) or whose dimension is not the certificate's, before anything
@@ -187,8 +177,6 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
             "the hanging equilibrium is otherwise not a minimum"
         )
     entry = _compiled("ball-hoop")(p)
-    lyapunov = _lazy("ball-hoop", "V", p)
-    coupling = _lazy("ball-hoop", "coupling", p)
 
     # non-finite values from extreme parameters raise below, without warnings
     @np.errstate(all="ignore")
@@ -200,6 +188,7 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
         the omega row nearest 0, and the rows that meet it form an interval
         around that row, whose ends are found by bisection, one row a probe.
         """
+        lyapunov = _compiled("ball-hoop", "V")(p)
         if c is None:
             c = float(lyapunov(entry.default_ic)[0])
         w_max = np.sqrt(np.float64(2.0 * c) / (m * R**2))
@@ -236,6 +225,7 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
     ) -> CertificateSpec:
         _check_boxes("fiberwise", state_box, input_box, 2, None)
         box = state_box if state_box is not None else sublevel_box()
+        lyapunov = _compiled("ball-hoop", "V")(p)
         # V >= m*R*(g - R*xi^2)*(2/pi^2)*theta^2 for |theta| <= pi
         a_lo = 2.0 * m * R * (g - R * xi**2) / np.pi**2
         # V is even and increasing in |omega| and |theta| on the box, so the
@@ -259,13 +249,15 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
         seed: int = DEFAULT_SEED,
     ) -> CertificateSpec:
         _check_boxes("iiss", state_box, input_box, 1, 1)
-        full_box = sublevel_box()
-        sbox = state_box if state_box is not None else full_box.project(entry.decomp, "m")
-        ibox = input_box if input_box is not None else full_box.project(entry.decomp, "k")
-        L = estimate_lipschitz(coupling, ibox, n_samples=2048, seed=seed) * LIPSCHITZ_SAFETY
+        if state_box is None or input_box is None:  # only a missing box needs the scan
+            full_box = sublevel_box()
+            state_box = state_box or full_box.project(entry.decomp, "m")
+            input_box = input_box or full_box.project(entry.decomp, "k")
+        coupling = _compiled("ball-hoop", "coupling")(p)
+        L = estimate_lipschitz(coupling, input_box, n_samples=2048, seed=seed) * LIPSCHITZ_SAFETY
         control = ControlSystemDef(n=1, m_in=1, rhs=_compiled("ball-hoop", "control")(p),
-                                   params=p, name="ball-hoop-control")
-        cert = IISSCertificate(
+                                   name="ball-hoop-control")
+        cert = IncrementalCertificate(
             V=_compiled("ball-hoop", "U")(p),
             alpha_lower=ComparisonFunction.power(0.5, 2.0),
             alpha_upper=ComparisonFunction.power(0.5, 2.0),
@@ -273,24 +265,21 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
             mu=ComparisonFunction.linear(2.0 * m * L / mu),
         )
         return CertificateSpec(
-            kind="iiss", certificate=cert, state_box=sbox, input_box=ibox, control=control
+            kind="iiss", certificate=cert, state_box=state_box, input_box=input_box,
+            control=control,
         )
 
     return replace(
         entry,
         certificates={"fiberwise": cert_fiberwise, "iiss": cert_iiss},
-        aux={
-            "lyapunov": lyapunov,
-            "input_coupling": coupling,
-            "sublevel_box": sublevel_box,
-        },
+        default_box=sublevel_box,
     )
 
 
 def make_cart_pendulum(params: dict) -> SystemEntry:
     """Pendulum on a spring-mounted cart; internal state (x, v, theta, omega)."""
     p = dict(params)
-    M, m, R, k, g, d, b = (p[key] for key in ("M", "m", "R", "k", "g", "d", "b"))
+    M, m, R, d = (p[key] for key in ("M", "m", "R", "d"))
     for key in ("M", "m", "R", "k", "g"):
         if not (p[key] > 0):
             raise InputError(f"cart-pendulum parameter {key} must be positive")
@@ -298,7 +287,6 @@ def make_cart_pendulum(params: dict) -> SystemEntry:
         if p[key] < 0:
             raise InputError(f"cart-pendulum parameter {key} must be nonnegative")
     entry = _compiled("cart-pendulum")(p)
-    accel_coupling = _lazy("cart-pendulum", "coupling", p)
 
     @np.errstate(all="ignore")  # non-finite values raise below, without warnings
     def cert_iubibss(
@@ -326,12 +314,13 @@ def make_cart_pendulum(params: dict) -> SystemEntry:
         # the decay argument controls only the velocity gap, so the
         # threshold must exceed the largest position gap the box allows
         xi = float(sbox.widths[0]) * 1.0125
-        L = estimate_lipschitz(accel_coupling, ibox, n_samples=2048, seed=seed) * LIPSCHITZ_SAFETY
+        coupling = _compiled("cart-pendulum", "coupling")(p)
+        L = estimate_lipschitz(coupling, ibox, n_samples=2048, seed=seed) * LIPSCHITZ_SAFETY
         control_accel = ControlSystemDef(
-            n=2, m_in=3, rhs=_compiled("cart-pendulum", "control")(p), params=p,
+            n=2, m_in=3, rhs=_compiled("cart-pendulum", "control")(p),
             name="cart-pendulum-control-accel",
         )
-        cert = IUBIBSSCertificate(
+        cert = IncrementalCertificate(
             V=_compiled("cart-pendulum", "U")(p),
             alpha_lower=ComparisonFunction.power(1.0 / (2.0 * (m + M)), 2.0),
             alpha_upper=ComparisonFunction.power(0.5, 2.0),
@@ -346,11 +335,6 @@ def make_cart_pendulum(params: dict) -> SystemEntry:
         entry,
         reduced_override=_compiled(CART_PENDULUM_REDUCED["name"])(p).field,
         certificates={"iubibss": cert_iubibss},
-        aux={
-            "energy": _lazy("cart-pendulum", "energy", p, cols=0),
-            "input_coupling": accel_coupling,
-            "reduced_matrix": np.array([[0.0, 1.0], [-k / M, -d / M]]),
-        },
     )
 
 

@@ -282,8 +282,13 @@ def system_factory(doc: dict) -> tuple[Callable[[dict], SystemEntry], dict]:
         state = list(doc["state"])
         m = int(doc["m"])
         rhs_sources = list(doc["rhs"])
+        params = {str(k): float(v) for k, v in dict(doc.get("params", {})).items()}
+        x0 = doc.get("x0")
+        x0 = np.zeros(len(state)) if x0 is None else np.array([float(v) for v in x0])
     except KeyError as err:
         raise InputError(f"config file is missing required key {err}") from err
+    except (TypeError, ValueError) as err:
+        raise InputError(f"config file holds a value of the wrong type: {err}") from err
     n = len(state)
     if n < 2:
         raise InputError("config systems need at least two state variables")
@@ -295,7 +300,6 @@ def system_factory(doc: dict) -> tuple[Callable[[dict], SystemEntry], dict]:
         )
     if len(set(state)) != n:
         raise InputError("state variable names must be distinct")
-    params = {str(k): float(v) for k, v in dict(doc.get("params", {})).items()}
     clash = set(state) & set(params)
     if clash:
         raise InputError(f"names used for both state and parameter: {sorted(clash)}")
@@ -303,17 +307,17 @@ def system_factory(doc: dict) -> tuple[Callable[[dict], SystemEntry], dict]:
     if clash:
         raise InputError(f"names used for both a variable and a function: {sorted(clash)}")
     bind = compile_map(rhs_sources, [state], list(params))
-    x0 = doc.get("x0")
-    x0 = np.zeros(n) if x0 is None else np.asarray([float(v) for v in x0], dtype=float)
     if x0.shape != (n,):
         raise InputError(f"x0 must have {n} entries")
+    if not np.all(np.isfinite(x0)):
+        raise InputError(f"config key 'x0' must be finite, got {x0.tolist()}")
 
     def factory(resolved_params: dict) -> SystemEntry:
         pvals = dict(resolved_params)
         return SystemEntry(
             name=name,
             params=pvals,
-            field=VectorFieldDef(n=n, rhs=bind(pvals), params=pvals, name=name),
+            field=VectorFieldDef(n=n, rhs=bind(pvals), name=name),
             decomp=Decomposition.retain(n, m),
             default_ic=x0.copy(),
         )

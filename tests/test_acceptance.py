@@ -21,7 +21,7 @@ from approxred.core import Box, ControlSystemDef, VectorFieldDef
 from approxred.integrate import IntegratorConfig, integrate_field
 from approxred.reduction import measure_deviation
 from approxred.stability import check_fiberwise, check_iiss, estimate_lipschitz
-from approxred.systems import lookup
+from approxred.systems import _compiled, lookup
 
 from reference_values import (
     HOOP_ENDPOINT_T10,
@@ -182,10 +182,10 @@ def test_criterion_5_lyapunov_closed_form():
     """grad V . f == -mu R^2 omega^2, and the fiberwise check is fast."""
     entry = lookup("ball-hoop", {})
     p = entry.params
-    box = entry.aux["sublevel_box"]()
+    box = entry.default_box()
     rng = np.random.default_rng(29)
     X = rng.uniform(box.lower, box.upper, size=(10_000, 2))
-    V = entry.aux["lyapunov"]
+    V = _compiled("ball-hoop", "V")(p)
     vd = np.einsum("ni,ni->n", V(X)[:, 1:], entry.field.rhs(X))
     expected = -p["mu"] * p["R"] ** 2 * X[:, 0] ** 2
     scale = np.maximum(np.abs(expected), 1e-12)
@@ -214,7 +214,7 @@ def test_criterion_6_iiss_certificate():
     assert rep.condition_counts["decay_checked"] > 1000
 
     p = entry.params
-    coupling = entry.aux["input_coupling"]  # its value, then its derivative
+    coupling = _compiled("ball-hoop", "coupling")(p)  # its value, then its derivative
 
     def flipped_rhs(s, u):
         s = np.asarray(s, dtype=float)
@@ -282,7 +282,8 @@ def test_criterion_9_oracle_pinned_numerics():
 
     # sampled Lipschitz estimate vs dense analytic-derivative grid
     L = estimate_lipschitz(
-        entry.aux["input_coupling"], Box.from_pairs([(-0.3, 0.3)]), n_samples=2048
+        _compiled("ball-hoop", "coupling")(entry.params), Box.from_pairs([(-0.3, 0.3)]),
+        n_samples=2048,
     )
     assert L == pytest.approx(HOOP_LIPSCHITZ_COUPLING, abs=1e-3)
     report("9 (oracle-pinned numerics)")

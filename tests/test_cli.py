@@ -4,9 +4,20 @@ import numpy as np
 import pytest
 
 from approxred import cli
-from approxred.cli import main, parse_metadata
+from approxred.cli import main
 from approxred.systems import lookup
 from approxred.user_systems import load_system_config
+
+
+def parse_metadata(text: str) -> dict:
+    """Recover the embedded run configuration from a CSV's comment header."""
+    meta = {}
+    for line in text.splitlines():
+        if not line.startswith("# "):
+            continue
+        key, _, value = line[2:].partition("=")
+        meta[key] = json.loads(value)
+    return meta
 
 
 def assert_clean_usage_error(rc, capsys, *needles):
@@ -378,6 +389,14 @@ class TestCheckExact:
     def test_huge_tolerance_flips_verdict(self):
         rc = main(["check-exact", "--system", "ball-hoop", "--tol", "1e9"])
         assert rc == 0
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_tolerance_must_be_finite_and_positive(self, tol, tmp_path, capsys):
+        # an infinite tolerance would report any field reducible
+        rc = main(["check-exact", "--system", "ball-hoop", "--tol", tol,
+                   "--out", str(tmp_path / "o")])
+        assert_clean_usage_error(rc, capsys, "tol must be finite and positive")
+        assert not (tmp_path / "o").exists()
 
     def test_zero_samples_is_usage_error(self, capsys):
         rc = main(["check-exact", "--system", "ball-hoop", "--samples", "0"])
@@ -1133,6 +1152,51 @@ def test_certificate_box_of_the_wrong_dimension_exits_1(argv, message, tmp_path,
     monkeypatch.setattr(systems, "sobol_points", unreachable)
     rc = main(["check-lyapunov", *argv, "--samples", "64", "--out", str(tmp_path / "o")])
     assert_clean_usage_error(rc, capsys, f"approxred: error: {message}\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_both_certificate_boxes_skip_the_sublevel_scan(tmp_path, monkeypatch):
+    # the scan of V's sublevel set only fills in a box that is not given
+    from approxred import systems
+
+    compiled, keys = systems._compiled, []
+
+    def recording(name, key=None):
+        keys.append(key)
+        return compiled(name, key)
+
+    monkeypatch.setattr(systems, "_compiled", recording)
+    argv = ["check-lyapunov", "--system", "ball-hoop", "--certificate", "iiss",
+            "--samples", "64", "--out", str(tmp_path / "o"), "--box=-0.5,0.5"]
+    assert main([*argv, "--input-box=-0.3,0.3"]) == 0
+    assert "V" not in keys and {"coupling", "control", "U"} <= set(keys)
+    keys.clear()
+    assert main(argv) == 0
+    assert "V" in keys
+
+
+NAN_X0 = {"name": "nan-x0", "state": ["y", "z"], "m": 1, "rhs": ["-y", "-z"],
+          "x0": [float("nan"), 0.0]}
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["simulate", "--system", "ball-hoop", "--x0", "nan,0"], "--x0 must be finite"),
+        (["compare", "--system", "ball-hoop", "--x0", "inf,0"], "--x0 must be finite"),
+        (["sweep", "--system", "ball-hoop", "--param", "R", "--values", "5", "--x0", "0,-inf"],
+         "--x0 must be finite"),
+        (["simulate", "--config", "NAN_X0"], "config key 'x0' must be finite"),
+        (["bound", "--config", "NAN_X0", "--n-ic", "2"], "config key 'x0' must be finite"),
+    ],
+    ids=["simulate", "compare", "sweep", "config-simulate", "config-bound"],
+)
+def test_non_finite_initial_condition_exits_1(argv, message, tmp_path, capsys):
+    # bad input, not a numerical failure of the run
+    (tmp_path / "nan.json").write_text(json.dumps(NAN_X0))
+    argv = [str(tmp_path / "nan.json") if a == "NAN_X0" else a for a in argv]
+    rc = main([*argv, "--t-end", "1", "--out", str(tmp_path / "o")])
+    assert_clean_usage_error(rc, capsys, message)
     assert not (tmp_path / "o").exists()
 
 

@@ -70,7 +70,8 @@ class TestConstructReduced:
         # linear model; with b>0 the slice keeps a constant term b/(R*M)
         entry = lookup("cart-pendulum", {"b": 0.0})
         red = construct_reduced(entry.field, entry.decomp)
-        A = entry.aux["reduced_matrix"]
+        p = entry.params
+        A = np.array([[0.0, 1.0], [-p["k"] / p["M"], -p["d"] / p["M"]]])
         for y in ([1.0, 0.0], [0.0, 1.0], [0.4, -0.2]):
             y = np.array(y)
             assert np.allclose(red(y), A @ y, atol=1e-15)
@@ -95,7 +96,7 @@ class TestCheckExactReducible:
     def test_hoop_is_not_exactly_reducible(self):
         entry = lookup("ball-hoop", {})
         rep = check_exact_reducible(
-            entry.field, entry.decomp, entry.aux["sublevel_box"](), 512
+            entry.field, entry.decomp, entry.default_box(), 512
         )
         assert rep.verdict == NOT_REDUCIBLE
         assert rep.witness.component == 0 and rep.witness.fiber_index == 0
@@ -122,7 +123,7 @@ class TestCheckExactReducible:
     def test_degenerate_tolerance(self):
         entry = lookup("ball-hoop", {})
         rep = check_exact_reducible(
-            entry.field, entry.decomp, entry.aux["sublevel_box"](), 128, tol=1e9
+            entry.field, entry.decomp, entry.default_box(), 128, tol=1e9
         )
         assert rep.verdict == REDUCIBLE
 

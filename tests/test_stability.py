@@ -22,8 +22,7 @@ from approxred.stability import (
     COUNTEREXAMPLE,
     NO_COUNTEREXAMPLE,
     FiberwiseCertificate,
-    IISSCertificate,
-    IUBIBSSCertificate,
+    IncrementalCertificate,
     _pair_terms,
     _value_and_grads,
     check_fiberwise,
@@ -31,7 +30,7 @@ from approxred.stability import (
     check_iubibss,
     estimate_lipschitz,
 )
-from approxred.systems import lookup
+from approxred.systems import _compiled, lookup
 from approxred.user_systems import compile_map
 
 from reference_values import HOOP_LIPSCHITZ_COUPLING
@@ -125,14 +124,14 @@ class TestPairTerms:
         assert total == pytest.approx(parts, abs=1e-9 * (1 + abs(total)))
 
 
-def contraction_certificate() -> IISSCertificate:
+def contraction_certificate() -> IncrementalCertificate:
     half_sq = ComparisonFunction.power(0.5, 2.0)
-    return IISSCertificate(
+    return IncrementalCertificate(
         V=gap_pair(),
         alpha_lower=half_sq,
         alpha_upper=half_sq,
-        alpha_decay=half_sq,
         mu=ComparisonFunction.linear(2.0),
+        alpha_decay=half_sq,
     )
 
 
@@ -193,6 +192,13 @@ class TestCheckIISS:
         with pytest.raises(EvaluationError, match="x1="):
             check_iiss(DRIVEN, cert, SYM_BOX_1, SYM_BOX_1, 512)
 
+    @pytest.mark.parametrize("change", [dict(alpha_decay=None), dict(xi=0.5)],
+                             ids=["no-decay-rate", "threshold"])
+    def test_needs_a_decay_rate_and_no_threshold(self, change):
+        cert = dataclasses.replace(contraction_certificate(), **change)
+        with pytest.raises(InputError, match="needs a decay rate alpha_decay and xi = 0"):
+            check_iiss(DRIVEN, cert, SYM_BOX_1, SYM_BOX_1, 64)
+
 
 class TestCheckIUBIBSS:
     def test_derived_from_iiss_passes(self):
@@ -200,19 +206,13 @@ class TestCheckIUBIBSS:
         # IUBIBSS certificate by adding the threshold to the gain
         base = contraction_certificate()
         for xi in (0.05, 0.5, 2.0):
-            derived = IUBIBSSCertificate(
-                V=base.V,
-                alpha_lower=base.alpha_lower,
-                alpha_upper=base.alpha_upper,
-                mu=base.mu,
-                xi=xi,
-            )
+            derived = dataclasses.replace(base, alpha_decay=None, xi=xi)
             rep = check_iubibss(DRIVEN, derived, SYM_BOX_1, SYM_BOX_1, 2048)
             assert rep.verdict == NO_COUNTEREXAMPLE
 
     def test_gain_threshold_violation_below_the_identity(self):
         # mu(r) + xi >= r + xi fails where mu(r) = r**2 < r, worst at r = 1/2
-        cert = IUBIBSSCertificate(
+        cert = IncrementalCertificate(
             V=gap_pair(),
             alpha_lower=ComparisonFunction.power(0.5, 2.0),
             alpha_upper=ComparisonFunction.power(0.5, 2.0),
@@ -234,6 +234,56 @@ class TestCheckIUBIBSS:
         assert rep.verdict == NO_COUNTEREXAMPLE
         # the gain inequality must hold on the full input-diameter grid
         assert rep.condition_counts["gain_grid"] == 1001
+        assert list(rep.condition_counts) == ["sandwich_checked", "gain_grid", "decay_checked"]
+
+    @pytest.mark.parametrize("xi", [0.0, -1.0, float("nan")])
+    def test_threshold_must_be_positive(self, xi):
+        cert = dataclasses.replace(contraction_certificate(), alpha_decay=None, xi=xi)
+        with pytest.raises(InputError, match="threshold xi must be positive"):
+            check_iubibss(DRIVEN, cert, SYM_BOX_1, SYM_BOX_1, 64)
+
+
+# x' = -x + 2u: with V = |x1-x2|^2/2, dV/dt = -d^2 + 2 d du for d = x1 - x2
+# and du = u1 - u2, which is positive only where |d| < 2|du|
+BOOSTED = ControlSystemDef(
+    n=1, m_in=1, rhs=lambda x, u: -np.asarray(x, dtype=float) + 2.0 * np.asarray(u, dtype=float),
+    name="boosted",
+)
+NARROW_INPUT = Box.from_pairs([(-0.2, 0.2)])  # |du| <= 0.4
+
+
+class TestThresholdBand:
+    """IISS and IUBIBSS differ on the band mu(|du|) <= |dx| < mu(|du|) + xi:
+    IISS checks the decay there and IUBIBSS does not."""
+
+    def certificate(self) -> IncrementalCertificate:
+        # with mu(r) = r and xi = 0.5, a checked sample has |d| >= |du| + 0.5
+        # >= 2|du| + 0.1 for IUBIBSS, so dV/dt <= -0.1 |d| <= -0.01 d^2 there
+        half_sq = ComparisonFunction.power(0.5, 2.0)
+        return IncrementalCertificate(
+            V=gap_pair(), alpha_lower=half_sq, alpha_upper=half_sq,
+            mu=ComparisonFunction.linear(1.0), xi=0.5,
+        )
+
+    def test_iubibss_passes_and_iiss_refutes_in_the_band(self):
+        cert = self.certificate()
+        rep = check_iubibss(BOOSTED, cert, SYM_BOX_1, NARROW_INPUT, 4096)
+        assert rep.verdict == NO_COUNTEREXAMPLE
+        assert rep.condition_counts["decay_checked"] > 1000
+        # the same data as an IISS certificate, with a decay rate that holds
+        # beyond the band, checks the band too and refutes there
+        iiss = dataclasses.replace(cert, alpha_decay=ComparisonFunction.power(0.01, 2.0), xi=0.0)
+        rep = check_iiss(BOOSTED, iiss, SYM_BOX_1, NARROW_INPUT, 4096)
+        assert rep.verdict == COUNTEREXAMPLE
+        ce = rep.counterexample
+        assert ce.condition == "decay" and ce.observed > 0
+        dx = abs(ce.point["x1"][0] - ce.point["x2"][0])
+        du = abs(ce.point["u1"][0] - ce.point["u2"][0])
+        assert cert.mu.value(du) <= dx < cert.mu.value(du) + cert.xi
+        # |d| >= 2.25|du| takes in every sample beyond the band (|du| <= 0.4),
+        # and the IISS decay holds on all of them
+        beyond = dataclasses.replace(iiss, mu=ComparisonFunction.linear(1.0 + 0.5 / 0.4))
+        assert check_iiss(BOOSTED, beyond, SYM_BOX_1, NARROW_INPUT, 4096).passed
 
 
 def fiber_field(sign: float) -> VectorFieldDef:
@@ -290,8 +340,8 @@ class TestCheckFiberwise:
     def test_hoop_decay_is_the_closed_form(self):
         # dV/dt along the bundled energy function is -mu R^2 omega^2
         entry = lookup("ball-hoop", {})
-        V = entry.aux["lyapunov"]
         p = entry.params
+        V = _compiled("ball-hoop", "V")(p)
         rng = np.random.default_rng(3)
         X = rng.uniform([-0.6, -0.45], [0.6, 0.45], size=(200, 2))
         grads = V(X)[:, 1:]
@@ -316,7 +366,7 @@ class TestHoopGainImplication:
         dth = np.abs(TH[:, 0] - TH[:, 1])
         active = dw > cert.mu.value(dth)
         gap = W[:, 0] - W[:, 1]
-        coupling = entry.aux["input_coupling"]  # its value, then its derivative
+        coupling = _compiled("ball-hoop", "coupling")(p)  # its value, then its derivative
         vd = gap * (
             -(p["mu"] / p["m"]) * gap
             + coupling(TH[:, :1])[:, 0]
@@ -346,7 +396,7 @@ class TestEstimateLipschitz:
         entry = lookup("ball-hoop", {})
         p = entry.params
         box = Box.from_pairs([(-0.3, 0.3)])
-        L = estimate_lipschitz(entry.aux["input_coupling"], box, 2048)
+        L = estimate_lipschitz(_compiled("ball-hoop", "coupling")(p), box, 2048)
         th = sobol_points(box, 2048)[:, 0]
         exact = np.abs(p["xi_hoop"] ** 2 * np.cos(2.0 * th) - (p["g"] / p["R"]) * np.cos(th))
         assert L == pytest.approx(exact.max(), rel=1e-12)
@@ -388,22 +438,16 @@ class TestIISSBridgeProperty:
     )
     @settings(max_examples=20, deadline=None)
     def test_passing_iiss_lifts_to_iubibss(self, gain_slope, xi):
-        base = IISSCertificate(
+        base = IncrementalCertificate(
             V=gap_pair(),
             alpha_lower=ComparisonFunction.power(0.5, 2.0),
             alpha_upper=ComparisonFunction.power(0.5, 2.0),
-            alpha_decay=ComparisonFunction.power(0.25, 2.0),
             mu=ComparisonFunction.linear(gain_slope),
+            alpha_decay=ComparisonFunction.power(0.25, 2.0),
         )
         rep = check_iiss(DRIVEN, base, SYM_BOX_1, SYM_BOX_1, 1024)
         assert rep.verdict == NO_COUNTEREXAMPLE
-        derived = IUBIBSSCertificate(
-            V=base.V,
-            alpha_lower=base.alpha_lower,
-            alpha_upper=base.alpha_upper,
-            mu=base.mu,
-            xi=xi,
-        )
+        derived = dataclasses.replace(base, alpha_decay=None, xi=xi)
         rep2 = check_iubibss(DRIVEN, derived, SYM_BOX_1, SYM_BOX_1, 1024)
         assert rep2.verdict == NO_COUNTEREXAMPLE
 

@@ -27,13 +27,13 @@ from approxred.reduction import check_exact_reducible
 from approxred.sampling import sobol_blocks, sobol_points
 from approxred.stability import (
     FiberwiseCertificate,
-    IISSCertificate,
+    IncrementalCertificate,
     _falsify,
     check_fiberwise,
     check_iiss,
     check_iubibss,
 )
-from approxred.systems import CertificateSpec, SystemEntry, lookup
+from approxred.systems import CertificateSpec, SystemEntry, _compiled, lookup
 from approxred.user_systems import system_from_dict
 
 SMALL_BLOCKS = (7, 1)
@@ -127,7 +127,7 @@ class TestBlockSizeInvariance:
         for R, xi in ((5.0, 0.1), (10.0, 0.3), (20.0, 0.6), (40.0, 0.3)):
             entry = lookup("ball-hoop", {"R": R, "xi_hoop": xi})
             p = entry.params
-            lyap = entry.aux["lyapunov"]  # column 0 is V's value
+            lyap = _compiled("ball-hoop", "V")(p)  # column 0 is V's value
             level = float(lyap(entry.default_ic)[0]) if c is None else c
             w_max = np.sqrt(2.0 * level / (p["m"] * p["R"] ** 2))
             W, TH = np.meshgrid(
@@ -136,7 +136,7 @@ class TestBlockSizeInvariance:
             )
             mask = lyap(np.stack([W, TH], axis=-1))[..., 0] <= level
             expected = [W[mask].min(), TH[mask].min(), W[mask].max(), TH[mask].max()]
-            box = entry.aux["sublevel_box"](c)
+            box = entry.default_box(c)
             assert [*box.lower, *box.upper] == expected, (R, xi)
 
 
@@ -295,9 +295,8 @@ class TestNonFiniteInALaterBlock:
 
         line = Box.from_pairs([(-1.0, 1.0)])
         contract = ControlSystemDef(n=1, m_in=1, rhs=lambda x, u: -np.asarray(x))
-        cert = IISSCertificate(V=fn, alpha_lower=HALF_SQ,
-                               alpha_upper=HALF_SQ, alpha_decay=HALF_SQ,
-                               mu=ComparisonFunction.linear(2.0))
+        cert = IncrementalCertificate(V=fn, alpha_lower=HALF_SQ, alpha_upper=HALF_SQ,
+                                      mu=ComparisonFunction.linear(2.0), alpha_decay=HALF_SQ)
         P = sobol_points(line.concat(line).concat(line).concat(line), 256)
         expected = self.first_bad(P, P[:, 0] > 0.8)[0]
         with pytest.raises(EvaluationError) as err:

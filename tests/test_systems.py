@@ -53,10 +53,10 @@ class TestBallInHoop:
         # grad V . f == -mu R^2 omega^2 on the default invariant box
         entry = lookup("ball-hoop", {})
         p = entry.params
-        box = entry.aux["sublevel_box"]()
+        box = entry.default_box()
         rng = np.random.default_rng(17)
         X = rng.uniform(box.lower, box.upper, size=(10_000, 2))
-        V = entry.aux["lyapunov"]
+        V = _compiled("ball-hoop", "V")(p)
         vd = np.einsum("ni,ni->n", V(X)[:, 1:], entry.field.rhs(X))
         expected = -p["mu"] * p["R"] ** 2 * X[:, 0] ** 2
         scale = np.maximum(np.abs(expected), 1e-12)
@@ -97,8 +97,8 @@ class TestCartPendulum:
 
     def test_reduced_matrix_spirals(self):
         for d in (0.001, 0.01, 0.1, 1.0):
-            entry = lookup("cart-pendulum", {"d": d})
-            eig = np.linalg.eigvals(entry.aux["reduced_matrix"])
+            p = lookup("cart-pendulum", {"d": d}).params
+            eig = np.linalg.eigvals([[0.0, 1.0], [-p["k"] / p["M"], -d / p["M"]]])
             assert np.all(eig.real < 0)
             assert np.all(np.abs(eig.imag) > 0)
 
@@ -106,7 +106,7 @@ class TestCartPendulum:
         entry = lookup("cart-pendulum", {"d": 0.0, "b": 0.0})
         cfg = IntegratorConfig(t_end=10.0, rtol=1e-10, atol=1e-10)
         traj = integrate_field(entry.field, entry.default_ic, cfg)
-        E = entry.aux["energy"](traj.states)
+        E = _compiled("cart-pendulum", "energy")(entry.params)(traj.states)[:, 0]
         assert np.max(np.abs(E - E[0])) < 1e-6
 
     def test_energy_decays_with_pure_cart_friction(self):
@@ -114,7 +114,7 @@ class TestCartPendulum:
         entry = lookup("cart-pendulum", {"b": 0.0})
         cfg = IntegratorConfig(t_end=10.0)
         traj = integrate_field(entry.field, entry.default_ic, cfg)
-        E = entry.aux["energy"](traj.states)
+        E = _compiled("cart-pendulum", "energy")(entry.params)(traj.states)[:, 0]
         assert E[-1] < E[0]
 
     def test_parameter_validation(self):
@@ -196,11 +196,12 @@ def bundled_maps():
             # the fiberwise V of a state, or the U of a state pair
             widths, label = ((e.field.n,), "V") if c is None else ((c.n, c.n), "U")
             maps.append(pytest.param(V, widths, id=f"{name}-{cert}-{label}"))
-            coupling = e.aux["input_coupling"]
             if c is not None:
+                coupling = _compiled(name, "coupling")(e.params)
                 maps.append(pytest.param(coupling, (c.m_in,), id=f"{name}-{cert}-coupling"))
-        if "energy" in e.aux:
-            maps.append(pytest.param(e.aux["energy"], (e.field.n,), id=f"{name}-energy"))
+        if name == "cart-pendulum":
+            energy = _compiled(name, "energy")(e.params)
+            maps.append(pytest.param(energy, (e.field.n,), id=f"{name}-energy"))
     for doc in USER_DOCS:
         e, _ = system_from_dict(doc)
         sliced = construct_reduced(e.field, e.decomp)
@@ -306,7 +307,7 @@ def certificate_maps(name, params):
     e = lookup(name, params)
     spec = e.certificates["iiss" if name == "ball-hoop" else "iubibss"]()
     out = {"U": (spec.certificate.V, [spec.state_box] * 2),
-           "coupling": (e.aux["input_coupling"], [spec.input_box])}
+           "coupling": (_compiled(name, "coupling")(e.params), [spec.input_box])}
     if name == "ball-hoop":
         spec = e.certificates["fiberwise"]()
         out["V"] = (spec.certificate.V, [spec.state_box])
@@ -324,7 +325,8 @@ def compiled_functions(name, params):
         out[key] = (lambda *xs, fn=fn: fn(*xs)[..., 0], boxes)
         out["grad-" + key] = (lambda *xs, fn=fn: fn(*xs)[..., 1:], boxes)
     if name == "cart-pendulum":
-        out["energy"] = (e.aux["energy"], [spec.state_box.concat(CART_ANGLE_BOX)])
+        energy = _compiled(name, "energy")(e.params)
+        out["energy"] = (lambda s: energy(s)[..., 0], [spec.state_box.concat(CART_ANGLE_BOX)])
     return out
 
 

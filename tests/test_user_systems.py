@@ -154,6 +154,14 @@ class TestSystemFromConfig:
         with pytest.raises(InputError):
             system_from_dict(doc)
 
+    @pytest.mark.parametrize("key,value", [("x0", ["abc", 0.0]), ("x0", 1.0),
+                                           ("params", {"a": "x"}), ("params", [1.0]),
+                                           ("m", "one")])
+    def test_a_value_of_the_wrong_type_is_an_input_error(self, key, value):
+        doc = {**demo_doc(), key: value}
+        with pytest.raises(InputError, match="config file holds a value of the wrong type"):
+            system_from_dict(doc)
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "demo.json"
         path.write_text(json.dumps(demo_doc()))
