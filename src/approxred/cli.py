@@ -221,16 +221,9 @@ def _resolve_x0(args, entry: SystemEntry) -> np.ndarray:
 
 
 def _integrator_config(args) -> IntegratorConfig:
-    try:
-        return IntegratorConfig(
-            t_end=args.t_end,
-            method=args.method,
-            dt=args.dt,
-            rtol=args.rtol,
-            atol=args.atol,
-        )
-    except InputError as err:
-        raise UsageError(str(err)) from err
+    return IntegratorConfig(
+        t_end=args.t_end, method=args.method, dt=args.dt, rtol=args.rtol, atol=args.atol
+    )
 
 
 def _config(command: str, args, entry: SystemEntry, x0, **extra) -> dict:

@@ -204,8 +204,7 @@ class ComparisonFunction:
 
     A positive coefficient a and exponent p make it strictly increasing,
     zero at zero and unbounded, so class membership holds by construction.
-    ``linear(a)`` is the power 1: r**1.0 is exactly r, so its values keep
-    the bits of a*r.
+    The default power 1 keeps the bits of a*r: r**1.0 is exactly r.
     """
 
     a: float
@@ -219,14 +218,6 @@ class ComparisonFunction:
             raise InputError("coefficient a must be positive")
         if not (self.p > 0):
             raise InputError("exponent p must be positive")
-
-    @classmethod
-    def linear(cls, a: float) -> "ComparisonFunction":
-        return cls.power(a, 1.0)
-
-    @classmethod
-    def power(cls, a: float, p: float) -> "ComparisonFunction":
-        return cls(a=a, p=p)
 
     def value(self, r):
         """Evaluate at a nonnegative scalar or array of radii."""

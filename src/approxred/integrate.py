@@ -34,7 +34,9 @@ Each accepted step is handed to a sink with its end states and derivatives.
 end node to a buffer of at most ``_BUFFER_ROW_STEPS`` (row, step) entries.
 When it fills, and at the end of the run, the buffered steps of every row are
 evaluated at once on the stretch of a shared time grid they cover, at most
-``_GRID_CHUNK`` points at a time, and dropped, each row keeping its last node.
+``_GRID_CHUNK`` points at a time, and dropped, each row keeping its last node;
+``sup_distance_on_grid`` keeps of their values only each row's largest
+distance to a target and the first grid time that reaches it.
 The values are those of the cubic Hermite interpolant ``resample`` builds
 from stored nodes, bit for bit: same step assignment, same coefficients. So
 neither full trajectories nor more than a fixed number of steps are ever
@@ -361,8 +363,9 @@ class _GridSink:
     entries, and once more at the end of the run, :meth:`flush` evaluates
     each row's buffered nodes onto the stretch of the grid they cover and
     drops them, keeping each row's last node. Without a ``target`` the values
-    fill ``out``, shape (N, len(grid), keep); with a ``target`` of that shape
-    ``out`` keeps each row's largest squared Euclidean distance to it.
+    fill ``out``, shape (N, len(grid), keep). With a ``target`` of that shape
+    ``out`` keeps each row's largest Euclidean distance to it, counting NaN
+    as inf, and ``at`` the grid index of the first point that reaches it.
     """
 
     def __init__(self, grid, X0, F0, keep: int, t_end: float, target=None):
@@ -373,6 +376,7 @@ class _GridSink:
         else:  # one row of target values per (row, grid time)
             self.target = np.ascontiguousarray(target).reshape(-1, keep)
             self.out = np.zeros(n_rows)
+            self.at = np.zeros(n_rows, dtype=np.intp)
         capacity = max(_BUFFER_ROW_STEPS, 2 * n_rows)
         self.rows = np.empty(capacity, dtype=np.intp)
         self.t = np.empty(capacity)
@@ -426,28 +430,35 @@ class _GridSink:
             if self.target is None:
                 self.out[row, g] = v.T
                 continue
-            # squared distances summed as np.linalg.norm sums them, along
-            # the contiguous last axis
+            # distances as np.linalg.norm takes them, summing the squares
+            # along the contiguous last axis
             d = self.target[row * self.grid.size + g]
             d -= v.T
             d *= d
-            sq = np.add.reduce(d, axis=-1)
-            # a row's points are contiguous here
+            dist = np.sqrt(np.add.reduce(d, axis=-1))
+            dist[np.isnan(dist)] = np.inf
+            # a row's points are contiguous here, in time order; a tie keeps
+            # the earlier time, and the first infinite distance stays
             first = np.append(0, np.flatnonzero(row[1:] != row[:-1]) + 1)
-            rows = row[first]
-            self.out[rows] = np.maximum(self.out[rows], np.maximum.reduceat(sq, first))
+            top = np.maximum.reduceat(dist, first)
+            hits = np.flatnonzero(dist == top.repeat(np.diff(np.append(first, dist.size))))
+            up = top > self.out[row[first]]
+            self.out[row[first][up]] = top[up]
+            self.at[row[first][up]] = g[hits[hits.searchsorted(first)]][up]
         n_rows = int(last.sum())
         self.rows[:n_rows], self.t[:n_rows] = R[last], T[last]
         self.y[:, :n_rows], self.f[:, :n_rows] = Y[:, last], F[:, last]
         self.size = n_rows
 
-    def result(self, errors) -> np.ndarray:
-        """The grid values, or each row's largest distance; NaN for each row
-        that failed."""
+    def result(self, errors):
+        """The grid values, or each row's largest distance and the grid time
+        of its index ``at``; NaN for each row that failed."""
         self.flush()
-        out = self.out if self.target is None else np.sqrt(self.out)
-        out[[e is not None for e in errors]] = np.nan
-        return out
+        failed = [e is not None for e in errors]
+        self.out[failed] = np.nan
+        if self.target is None:
+            return self.out
+        return self.out, np.where(failed, np.nan, self.grid[self.at])
 
 
 def _cubic(h, y0, y1, f0, f1):
@@ -502,17 +513,20 @@ def integrate_on_grid(
 
 def sup_distance_on_grid(
     f, X0, cfg: IntegratorConfig, grid, target
-) -> tuple[np.ndarray, list]:
+) -> tuple[np.ndarray, np.ndarray, list]:
     """Largest Euclidean distance over ``grid`` from each row's run to its
-    row of ``target``, shape (N, len(grid), k) for the leading k coordinates.
+    row of ``target``, shape (N, len(grid), k) for the leading k coordinates,
+    and the first grid time that reaches it.
 
-    Equals the maximum over the grid axis of ``|values - target|`` for the
-    ``values`` of :func:`integrate_on_grid`, without holding them. Returns
-    ``(sups, errors)``; ``sups[i]`` is NaN if row i failed or its target
-    holds NaN.
+    For the ``values`` of :func:`integrate_on_grid` and ``dev = |values -
+    target|``, these are ``dev.max(axis=1)`` and ``grid[dev.argmax(axis=1)]``,
+    without holding the values. Returns ``(sups, times, errors)``: NaN for a
+    failed row, and inf with its first time if a distance is not finite (the
+    target holds NaN, or the interpolation overflowed).
     """
     target = np.asarray(target, dtype=float)
-    return _run_on_grid(f, X0, cfg, grid, target.shape[-1], target)
+    (sups, times), errors = _run_on_grid(f, X0, cfg, grid, target.shape[-1], target)
+    return sups, times, errors
 
 
 def _run_on_grid(f, X0, cfg: IntegratorConfig, grid, keep: int | None, target=None):

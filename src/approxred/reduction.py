@@ -5,6 +5,8 @@ zero and projecting the velocity onto the retained block.
 ``check_exact_reducible`` decides (by sampling) whether that reduction is
 exact; ``measure_deviation``, ``sweep_deviation`` and ``estimate_delta``
 quantify how far an inexact reduction drifts from the projected full dynamics.
+The last two share one block loop, ``_deviations``, which holds the full runs
+on the grid and streams the reduced runs into each row's sup and its time.
 
 All verdicts here are sampling based: a REDUCIBLE_UP_TO_TOL verdict is
 evidence on the sampled box, not a proof, and every negative verdict carries a
@@ -41,9 +43,8 @@ from .sampling import DEFAULT_SEED, sobol_blocks, sobol_points
 DEFAULT_TOL = 1e-6
 DEFAULT_GRID_POINTS = 2001
 MAX_GRID_POINTS = 100_000
-# initial conditions (or swept fields) integrated together, fewer where the
-# grid values a block holds, (rows, n_grid, m) float64 for the full runs and
-# for a sweep's reduced runs as well, would pass _STORE_BYTES
+# rows (initial conditions or swept fields) integrated together, fewer where
+# a block's full-run grid values, (rows, n_grid, m) float64, would pass _STORE_BYTES
 BLOCK_ROWS = 128
 _STORE_BYTES = 8 << 20
 
@@ -209,7 +210,7 @@ def measure_deviation(
         full_proj = full_rs.states[:, : d.m]
         dev = np.linalg.norm(full_proj - red_rs.states, axis=1)
     if not np.all(np.isfinite(dev)):
-        raise _overflow(dev, grid, cfg.t_end)
+        raise _overflow(grid[np.argmax(~np.isfinite(dev))], cfg.t_end)
     i_sup = int(np.argmax(dev))
     return DeviationReport(
         sup_dev=float(dev[i_sup]),
@@ -233,62 +234,70 @@ def sweep_deviation(
     those of :func:`measure_deviation` from the same ``x0``, bit for bit.
 
     ``reduced`` lists each field's reduced field, or None for the slice
-    construction. The full runs of a block of fields are integrated as one
-    batch, and so are their reduced runs, each field on its lone state, and
-    evaluated on the grid with the values ``resample`` gives; the grid
-    values a block holds stay within ``_STORE_BYTES``. When a run, an
+    construction; each field is evaluated on its lone state. When a run, an
     evaluation or the interpolation fails, the first field that fails raises
     the error :func:`measure_deviation` would raise for it, once the fields
     before it are yielded.
     """
     grid = _grid(cfg.t_end, n_grid)
-    reduced = [
-        construct_reduced(f, d) if r is None else r
-        for f, r in zip(fields, reduced or [None] * len(fields))
-    ]
-    x0 = np.asarray(x0, dtype=float)
-    y0 = project(x0, d, "m")
-    rows = max(1, min(BLOCK_ROWS, _STORE_BYTES // (16 * grid.size * d.m)))
-    for start in range(0, len(fields), rows):
-        block = slice(start, start + rows)
-        count = len(fields[block])
+    reduced = reduced or [None] * len(fields)
+    reduced = [r or construct_reduced(f, d) for f, r in zip(fields, reduced)]
+    X0 = np.tile(np.asarray(x0, dtype=float), (len(fields), 1))
+    Y0 = np.tile(project(x0, d, "m"), (len(fields), 1))
+    for sup, t, err in _deviations(fields, X0, reduced, Y0, cfg, grid, d.m):
+        if err is not None:
+            raise err
+        yield sup, t
+
+
+def _deviations(full, X0, reduced, Y0, cfg: IntegratorConfig, grid, m: int):
+    """Yield ``(sup, t_of_sup, error)`` for each row in turn: the largest
+    distance over ``grid`` from the leading m coordinates of the run of
+    ``full`` from X0 to the run of ``reduced`` from Y0, the first grid time
+    that reaches it, and None or the error that stops the row, labelled as
+    :func:`measure_deviation` labels it.
+
+    ``full`` and ``reduced`` are one field or one per row, as
+    :func:`integrate_on_grid` takes them. A block of rows holds only its full
+    runs' grid values, within ``_STORE_BYTES``; its reduced runs stream into
+    their sups. A block in which an evaluation raises runs again row by row,
+    so the first row that fails decides.
+    """
+
+    def run(block: slice) -> list:
+        one = isinstance(full, VectorFieldDef)  # for every row, as in estimate_delta
+        f, r = (full, reduced) if one else (full[block], reduced[block])
+        target, full_errors = integrate_on_grid(f, X0[block], cfg, grid, keep=m)
+        sups, times, red_errors = sup_distance_on_grid(r, Y0[block], cfg, grid, target)
+        return [
+            (sup, t, _labeled("full", a) or _labeled("reduced", b)
+             or (_overflow(t, cfg.t_end) if sup == np.inf else None))
+            for sup, t, a, b in zip(sups.tolist(), times.tolist(), full_errors, red_errors)
+        ]
+
+    rows = max(1, min(BLOCK_ROWS, _STORE_BYTES // (8 * grid.size * m)))
+    for start in range(0, len(X0), rows):
+        stop = min(start + rows, len(X0))
         try:
-            full, full_errors = integrate_on_grid(
-                fields[block], np.tile(x0, (count, 1)), cfg, grid, keep=d.m
-            )
-            red, red_errors = integrate_on_grid(reduced[block], np.tile(y0, (count, 1)), cfg, grid)
+            out = run(slice(start, stop))
         except Exception:
-            # an evaluation raised, perhaps for a later field than the first
-            # one that fails: the block field by field raises as a loop would
-            for f, r in zip(fields[block], reduced[block]):
-                rep = measure_deviation(f, d, x0, cfg, r, n_grid)
-                yield rep.sup_dev, rep.t_of_sup
-            raise
-        for j in range(count):
-            for which, err in (("full", full_errors[j]), ("reduced", red_errors[j])):
-                if err is not None:
-                    raise _labeled(which, err) from err
-            with np.errstate(over="ignore", invalid="ignore"):
-                dev = np.linalg.norm(full[j] - red[j], axis=1)
-            if not np.all(np.isfinite(dev)):
-                raise _overflow(dev, grid, cfg.t_end)
-            i_sup = int(np.argmax(dev))
-            yield float(dev[i_sup]), float(grid[i_sup])
+            if stop - start == 1:
+                raise
+            # perhaps for a later row than the first one that fails
+            out = (item for i in range(start, stop) for item in run(slice(i, i + 1)))
+        yield from out
 
 
-def _labeled(which: str, err: NumericalError) -> NumericalError:
-    """An integration failure of the ``which`` ("full" or "reduced") run."""
-    return type(err)(f"{which} system: {err}", err.t_last)
+def _labeled(which: str, err: NumericalError | None) -> NumericalError | None:
+    """The failure of the ``which`` ("full" or "reduced") run, labelled; None stays None."""
+    return err and type(err)(f"{which} system: {err}", err.t_last)
 
 
-def _overflow(dev: np.ndarray, grid: np.ndarray, t_end: float) -> NumericalError:
-    """The error for a deviation series on ``grid`` that is not finite
-    everywhere, though both runs are finite at their nodes."""
-    bad = int(np.argmax(~np.isfinite(dev)))
-    return NumericalError(
-        f"non-finite deviation at t={grid[bad]:.6g}: interpolating the "
-        f"steps of the runs over [0, {t_end:.6g}] overflowed"
-    )
+def _overflow(t: float, t_end: float) -> NumericalError:
+    """The error for a deviation that is not finite from grid time ``t`` on,
+    though both runs are finite at their nodes."""
+    return NumericalError(f"non-finite deviation at t={t:.6g}: interpolating the steps "
+                          f"of the runs over [0, {t_end:.6g}] overflowed")
 
 
 @dataclass(frozen=True)
@@ -341,32 +350,14 @@ def estimate_delta(
     else:
         P = sobol_points(S.concat(S.project(d, "m")), n_ic, seed)
         X0, Y0 = P[:, : f.n], P[:, f.n :]
-    rows = max(1, min(BLOCK_ROWS, _STORE_BYTES // (8 * grid.size * d.m)))
-    sups = []
-    for start in range(0, n_ic, rows):
-        block = slice(start, start + rows)
-        full, full_errors = integrate_on_grid(f, X0[block], cfg, grid, keep=d.m)
-        # NaN where either run failed, as a failed full run leaves NaN values
-        block_sups, errors = sup_distance_on_grid(reduced, Y0[block], cfg, grid, full)
-        for j in np.flatnonzero(~np.isfinite(block_sups)):
-            if full_errors[j] is None and errors[j] is None:
-                # both runs reached the horizon: their interpolation overflowed
-                red = integrate_on_grid(reduced, Y0[start + j][None], cfg, grid)[0][0]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    raise _overflow(np.linalg.norm(full[j] - red, axis=1), grid, cfg.t_end)
-        sups.append(block_sups)
-    sups = np.concatenate(sups)
-    ok = ~np.isnan(sups)
-    failures = n_ic - int(ok.sum())
-    if failures == n_ic:
-        raise NumericalError(
-            f"all {n_ic} sampled initial conditions failed to integrate"
-        )
-    best = sups[ok].max()
-    return DeltaEstimate(
-        delta_hat=float(best),
-        mode=pair_mode,
-        n_ic=n_ic,
-        failures=failures,
-        seed=seed,
-    )
+    sups, failures = [], 0
+    for sup, _t, err in _deviations(f, X0, reduced, Y0, cfg, grid, d.m):
+        if err is None:
+            sups.append(sup)
+        elif isinstance(err, (DivergenceError, StepBudgetError)):
+            failures += 1
+        else:  # both runs reached the horizon: their interpolation overflowed
+            raise err
+    if not sups:
+        raise NumericalError(f"all {n_ic} sampled initial conditions failed to integrate")
+    return DeltaEstimate(max(sups), pair_mode, n_ic, failures, seed)

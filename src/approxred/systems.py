@@ -237,8 +237,8 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
         a_hi = v_max / FIBER_THRESHOLD**2
         cert = FiberwiseCertificate(
             V=lyapunov,
-            alpha_lower=ComparisonFunction.power(a_lo, 2.0),
-            alpha_upper=ComparisonFunction.power(a_hi, 2.0),
+            alpha_lower=ComparisonFunction(a_lo, 2.0),
+            alpha_upper=ComparisonFunction(a_hi, 2.0),
             d_threshold=FIBER_THRESHOLD,
         )
         return CertificateSpec(kind="fiberwise", certificate=cert, state_box=box)
@@ -259,10 +259,10 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
                                    name="ball-hoop-control")
         cert = IncrementalCertificate(
             V=_compiled("ball-hoop", "U")(p),
-            alpha_lower=ComparisonFunction.power(0.5, 2.0),
-            alpha_upper=ComparisonFunction.power(0.5, 2.0),
-            alpha_decay=ComparisonFunction.power(mu / (2.0 * m), 2.0),
-            mu=ComparisonFunction.linear(2.0 * m * L / mu),
+            alpha_lower=ComparisonFunction(0.5, 2.0),
+            alpha_upper=ComparisonFunction(0.5, 2.0),
+            alpha_decay=ComparisonFunction(mu / (2.0 * m), 2.0),
+            mu=ComparisonFunction(2.0 * m * L / mu),
         )
         return CertificateSpec(
             kind="iiss", certificate=cert, state_box=state_box, input_box=input_box,
@@ -322,9 +322,9 @@ def make_cart_pendulum(params: dict) -> SystemEntry:
         )
         cert = IncrementalCertificate(
             V=_compiled("cart-pendulum", "U")(p),
-            alpha_lower=ComparisonFunction.power(1.0 / (2.0 * (m + M)), 2.0),
-            alpha_upper=ComparisonFunction.power(0.5, 2.0),
-            mu=ComparisonFunction.linear(2.0 * m * R * L / d),
+            alpha_lower=ComparisonFunction(1.0 / (2.0 * (m + M)), 2.0),
+            alpha_upper=ComparisonFunction(0.5, 2.0),
+            mu=ComparisonFunction(2.0 * m * R * L / d),
             xi=xi,
         )
         return CertificateSpec(

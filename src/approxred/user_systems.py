@@ -274,21 +274,32 @@ def compile_map(sources: list[str], blocks: list[list[str]], params: list[str],
     return bind
 
 
+# each key's type, in words and as a test; JSON's true and false are no numbers
+_KEY_TYPES = {
+    "name": ("a string", lambda v: type(v) is str),
+    "state": ("a list of strings", lambda v: type(v) is list and {*map(type, v)} <= {str}),
+    "m": ("an integer", lambda v: type(v) is int),
+    "rhs": ("a list of strings", lambda v: type(v) is list and {*map(type, v)} <= {str}),
+    "params": ("an object of numbers",
+               lambda v: type(v) is dict and {*map(type, v.values())} <= {int, float}),
+    "x0": ("a list of numbers",
+           lambda v: v is None or type(v) is list and {*map(type, v)} <= {int, float}),
+}
+
+
 def system_factory(doc: dict) -> tuple[Callable[[dict], SystemEntry], dict]:
     """Compile a document into ``(factory, defaults)``: ``factory`` builds its
     SystemEntry for resolved parameters, ``defaults`` are the document's."""
-    try:
-        name = str(doc["name"])
-        state = list(doc["state"])
-        m = int(doc["m"])
-        rhs_sources = list(doc["rhs"])
-        params = {str(k): float(v) for k, v in dict(doc.get("params", {})).items()}
-        x0 = doc.get("x0")
-        x0 = np.zeros(len(state)) if x0 is None else np.array([float(v) for v in x0])
-    except KeyError as err:
-        raise InputError(f"config file is missing required key {err}") from err
-    except (TypeError, ValueError) as err:
-        raise InputError(f"config file holds a value of the wrong type: {err}") from err
+    for key in ("name", "state", "m", "rhs"):
+        if key not in doc:
+            raise InputError(f"config file is missing required key {key!r}")
+    for key, (kind, ok) in _KEY_TYPES.items():
+        if key in doc and not ok(doc[key]):
+            raise InputError(f"config file holds a value of the wrong type: "
+                             f"{key!r} must be {kind}, got {doc[key]!r}")
+    name, state, m, rhs_sources = doc["name"], doc["state"], doc["m"], doc["rhs"]
+    params = {k: float(v) for k, v in doc.get("params", {}).items()}
+    x0 = np.zeros(len(state)) if doc.get("x0") is None else np.array(doc["x0"], dtype=float)
     n = len(state)
     if n < 2:
         raise InputError("config systems need at least two state variables")
@@ -329,7 +340,7 @@ def system_from_dict(doc: dict) -> tuple[SystemEntry, dict]:
     """A document's SystemEntry at its default parameters, and its registry
     item ``{name: (factory, defaults)}`` so the CLI can apply --set overrides."""
     factory, params = system_factory(doc)
-    return factory(params), {str(doc["name"]): (factory, params)}
+    return factory(params), {doc["name"]: (factory, params)}
 
 
 def load_system_config(path: str | Path) -> tuple[SystemEntry, dict]:

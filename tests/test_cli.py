@@ -1001,6 +1001,22 @@ class TestNonFiniteSettings:
         assert lines[0].startswith("approxred: error:") and "must be finite" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "flags,stderr",
+    [
+        (["--t-end", "-1"], "approxred: error: t_end must be positive\n"),
+        (["--t-end", "inf"], "approxred: error: t_end must be finite, got inf\n"),
+        (["--method", "rk4"], "approxred: error: rk4 requires a positive fixed step dt\n"),
+    ],
+    ids=" ".join,
+)
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_bad_integrator_settings_print_one_line(command, flags, stderr, capsys):
+    values = ["--param", "R", "--values", "5,10"] if command == "sweep" else []
+    rc = main([command, "--system", "ball-hoop", *values, *flags])
+    assert (rc, capsys.readouterr().err) == (1, stderr)
+
+
 GRID_COMMANDS = [
     ["bound", "--n-ic", "2"], ["compare"], ["sweep", "--param", "R", "--values", "5"]
 ]
@@ -1197,6 +1213,32 @@ def test_non_finite_initial_condition_exits_1(argv, message, tmp_path, capsys):
     argv = [str(tmp_path / "nan.json") if a == "NAN_X0" else a for a in argv]
     rc = main([*argv, "--t-end", "1", "--out", str(tmp_path / "o")])
     assert_clean_usage_error(rc, capsys, message)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "key,value,kind",
+    [
+        ("m", 1.7, "an integer"),
+        ("m", True, "an integer"),
+        ("state", "yz", "a list of strings"),
+        ("rhs", "yz", "a list of strings"),
+        ("params", {"a": True}, "an object of numbers"),
+        ("name", ["x"], "a string"),
+        ("x0", "12", "a list of numbers"),
+    ],
+    ids=["m-fraction", "m-bool", "state-string", "rhs-string", "params-bool", "name-list",
+         "x0-string"],
+)
+def test_a_config_value_is_never_coerced(key, value, kind, tmp_path, capsys):
+    # each once ran as something else: m = 1, the names ["y", "z"], a = 1.0,
+    # the name "['x']" and x0 = [1.0, 2.0]
+    write_demo_config(tmp_path)
+    doc = json.loads((tmp_path / "demo.json").read_text())
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**doc, key: value}))
+    rc = main(["check-exact", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert_clean_usage_error(rc, capsys, f"{key!r} must be {kind}, got {value!r}")
     assert not (tmp_path / "o").exists()
 
 

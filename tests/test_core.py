@@ -67,11 +67,11 @@ class TestDecomposition:
 
 comparison_functions = st.one_of(
     st.builds(
-        ComparisonFunction.linear,
+        ComparisonFunction,
         st.floats(min_value=1e-3, max_value=1e3),
     ),
     st.builds(
-        ComparisonFunction.power,
+        ComparisonFunction,
         st.floats(min_value=1e-3, max_value=1e3),
         st.floats(min_value=0.2, max_value=4.0),
     ),
@@ -80,28 +80,28 @@ comparison_functions = st.one_of(
 
 class TestComparisonFunction:
     def test_linear_value(self):
-        assert ComparisonFunction.linear(2.0).value(3.0) == 6.0
+        assert ComparisonFunction(2.0).value(3.0) == 6.0
 
     def test_power_zero_at_zero(self):
-        assert ComparisonFunction.power(1.0, 2.0).value(0.0) == 0.0
+        assert ComparisonFunction(1.0, 2.0).value(0.0) == 0.0
 
     @given(st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=30)
     def test_linear_is_the_power_one_with_the_bits_of_a_times_r(self, a):
-        f = ComparisonFunction.linear(a)
+        f = ComparisonFunction(a)
         assert (f.a, f.p) == (a, 1.0)
         r = np.concatenate([[0.0], np.logspace(-300, 250, 551), [np.inf]])
         assert f.value(r).tobytes() == (a * r).tobytes()
 
     def test_negative_radius_rejected(self):
         with pytest.raises(InputError):
-            ComparisonFunction.linear(1.0).value(-0.1)
+            ComparisonFunction(1.0).value(-0.1)
 
     def test_nonpositive_coefficient_rejected(self):
         with pytest.raises(InputError):
-            ComparisonFunction.linear(0.0)
+            ComparisonFunction(0.0)
         with pytest.raises(InputError):
-            ComparisonFunction.power(1.0, -2.0)
+            ComparisonFunction(1.0, -2.0)
 
     @given(comparison_functions)
     @settings(max_examples=60)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from approxred import integrate
 from approxred.core import (
     Box,
     DivergenceError,
@@ -215,7 +216,7 @@ class TestRowIndependence:
         cfg = IntegratorConfig(t_end=8.0)
         full = integrate_on_grid(entry.field, X0, cfg, grid, keep=2)[0]
         red = integrate_on_grid(reduced, X0[:, :2], cfg, grid)[0]
-        sups, errors = sup_distance_on_grid(reduced, X0[:, :2], cfg, grid, full)
+        sups, _times, errors = sup_distance_on_grid(reduced, X0[:, :2], cfg, grid, full)
         assert errors == [None] * 6
         assert np.array_equal(sups, np.linalg.norm(full - red, axis=-1).max(axis=1))
 
@@ -228,6 +229,68 @@ class TestRowIndependence:
         direct = integrate_on_grid(entry.field, entry.default_ic[None], cfg, grid)[0][0]
         nodes = integrate_field(entry.field, entry.default_ic, cfg)
         assert resample(nodes, grid).states.tobytes() == direct.tobytes()
+
+
+# a grid sink's budgets at their defaults, and small enough that each run
+# spans many chunks and flushes
+SINK_BUDGETS = pytest.mark.parametrize(
+    "budgets",
+    [{}, {"_GRID_CHUNK": 7}, {"_BUFFER_ROW_STEPS": 1}, {"_GRID_CHUNK": 7, "_BUFFER_ROW_STEPS": 1}],
+    ids=["default", "chunk-7", "buffer-1", "both"],
+)
+
+
+class TestSupTimes:
+    """sup_distance_on_grid's times are the grid times that np.argmax picks
+    over np.linalg.norm's distances: a tie keeps the earlier time, across
+    chunks and flushes."""
+
+    @SINK_BUDGETS
+    def test_times_are_the_first_argmax(self, budgets, monkeypatch):
+        entry = lookup("cart-pendulum", {})
+        reduced = entry.reduced_override
+        X0 = entry.default_ic + np.linspace(-0.4, 0.4, 6)[:, None]
+        grid = np.linspace(0.0, 8.0, 401)
+        cfg = IntegratorConfig(t_end=8.0)
+        full = integrate_on_grid(entry.field, X0, cfg, grid, keep=2)[0]
+        red = integrate_on_grid(reduced, X0[:, :2], cfg, grid)[0]
+        for name, value in budgets.items():
+            monkeypatch.setattr(integrate, name, value)
+        sups, times, errors = sup_distance_on_grid(reduced, X0[:, :2], cfg, grid, full)
+        dev = np.linalg.norm(full - red, axis=-1)
+        assert errors == [None] * 6
+        assert np.array_equal(sups, dev.max(axis=1))
+        assert np.array_equal(times, grid[np.argmax(dev, axis=1)])
+
+    @SINK_BUDGETS
+    def test_ties_keep_the_earlier_time(self, budgets, monkeypatch):
+        # the zero field stays at 0, so each distance is the norm of its target
+        zero = VectorFieldDef(n=2, rhs=lambda s: 0.0 * np.asarray(s), name="zero")
+        grid = np.linspace(0.0, 1.0, 301)
+        # p's squared norm is below q's, but their norms round alike
+        p, q = next(
+            (p, q)
+            for b in 1.0 + 2.0**-52 * np.arange(64)
+            for p, q in [(np.array([1.0, b]), np.array([1.0, np.nextafter(b, 2.0)]))]
+            if (p * p).sum() < (q * q).sum() and np.linalg.norm(p) == np.linalg.norm(q)
+        )
+        target = np.full((5, grid.size, 2), 0.25)
+        target[0, [3, 150, 299]] = p  # one top, reached in three chunks
+        target[1, [3, 290]] = [p, q]  # a larger square, but no larger distance
+        target[2, [40, 41]] = [q, p]
+        target[3] = 0.0  # an identically zero deviation peaks at the first time
+        target[4, 200] = np.nan  # the first distance that is not finite
+        target[4, 250] = 1e300  # its square overflows
+        for name, value in budgets.items():
+            monkeypatch.setattr(integrate, name, value)
+        cfg = IntegratorConfig(t_end=1.0, method="rk4", dt=0.01)
+        sups, times, errors = sup_distance_on_grid(zero, np.zeros((5, 2)), cfg, grid, target)
+        with np.errstate(over="ignore"):
+            dev = np.linalg.norm(target, axis=-1)
+        assert errors == [None] * 5
+        assert np.array_equal(sups, [*dev[:4].max(axis=1), np.inf])
+        assert np.array_equal(times, grid[[3, 3, 40, 0, 200]])
+        assert np.array_equal(times[:4], grid[np.argmax(dev[:4], axis=1)])
 
 
 class TestFieldPerRow:

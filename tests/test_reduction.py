@@ -605,6 +605,23 @@ class TestSweepMatchesPerValueOracle:
         assert list(sweep_deviation(fields, d, x0, cfg, reduced, n_grid=301)) == default
 
 
+    @pytest.mark.parametrize("constant,value", [(None, None), ("BLOCK_ROWS", 3),
+                                                ("_STORE_BYTES", 1)])
+    def test_identically_zero_deviation_peaks_at_t_0(self, constant, value, monkeypatch):
+        # fixed steps, and a retained block blind to the fiber: the runs agree
+        doc = {"name": "blind", "state": ["y", "z"], "m": 1, "params": {"a": 1.0},
+               "rhs": ["-a*y", "-z + 0.5*y"]}
+        factory, _ = system_from_dict(doc)[1]["blind"]
+        fields = [factory({"a": a}).field for a in (0.2, 0.7, 1.5, 3.0)]
+        if constant is not None:
+            monkeypatch.setattr(reduction, constant, value)
+        d, x0 = Decomposition(n=2, m=1, k=1), np.array([0.8, -0.4])
+        cfg = SWEEP_METHODS["rk4"]
+        rows = list(sweep_deviation(fields, d, x0, cfg, n_grid=301))
+        assert rows == [(0.0, 0.0)] * 4
+        assert rows == list(loop_sweep(fields, d, x0, cfg, [None] * 4, 301))
+
+
 class TestSweepMemory:
     def test_peak_does_not_grow_with_the_values(self, monkeypatch):
         monkeypatch.setattr(reduction, "BLOCK_ROWS", 4)
@@ -626,3 +643,20 @@ class TestSweepMemory:
         # one block holds the full and the reduced grid values of 4 fields
         block = 2 * 4 * n_grid * 1 * 8
         assert abs(long - short) <= block / 8
+
+    def test_a_block_holds_the_full_runs_grid_values_only(self):
+        # the reduced runs stream into their sups, so the peak stays below
+        # both sides' grid values
+        n_grid, count = 20001, 8
+        entries = [lookup("ball-hoop", {"R": 5.0 + i}) for i in range(count)]
+        args = ([e.field for e in entries], entries[0].decomp, entries[0].default_ic,
+                IntegratorConfig(t_end=1.0))
+        list(sweep_deviation(*args, n_grid=201))  # compile outside the trace
+        tracemalloc.start()
+        try:
+            assert len(list(sweep_deviation(*args, n_grid=n_grid))) == count
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one_side = count * n_grid * 1 * 8
+        assert peak < 2 * one_side

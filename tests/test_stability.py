@@ -125,12 +125,12 @@ class TestPairTerms:
 
 
 def contraction_certificate() -> IncrementalCertificate:
-    half_sq = ComparisonFunction.power(0.5, 2.0)
+    half_sq = ComparisonFunction(0.5, 2.0)
     return IncrementalCertificate(
         V=gap_pair(),
         alpha_lower=half_sq,
         alpha_upper=half_sq,
-        mu=ComparisonFunction.linear(2.0),
+        mu=ComparisonFunction(2.0),
         alpha_decay=half_sq,
     )
 
@@ -146,7 +146,7 @@ class TestCheckIISS:
     def test_note_names_each_condition_no_sample_tested(self, F):
         # |dx| <= 4 never reaches mu(|du|) = 1e12 |du| on these samples
         untested = dataclasses.replace(contraction_certificate(),
-                                       mu=ComparisonFunction.linear(1e12))
+                                       mu=ComparisonFunction(1e12))
         rep = check_iiss(F, untested, SYM_BOX_1, SYM_BOX_1, 1024)
         assert rep.condition_counts["decay_checked"] == 0
         assert rep.note.endswith("; no sample was tested for decay")
@@ -214,9 +214,9 @@ class TestCheckIUBIBSS:
         # mu(r) + xi >= r + xi fails where mu(r) = r**2 < r, worst at r = 1/2
         cert = IncrementalCertificate(
             V=gap_pair(),
-            alpha_lower=ComparisonFunction.power(0.5, 2.0),
-            alpha_upper=ComparisonFunction.power(0.5, 2.0),
-            mu=ComparisonFunction.power(1.0, 2.0),
+            alpha_lower=ComparisonFunction(0.5, 2.0),
+            alpha_upper=ComparisonFunction(0.5, 2.0),
+            mu=ComparisonFunction(1.0, 2.0),
             xi=1.0,
         )
         rep = check_iubibss(DRIVEN, cert, SYM_BOX_1, SYM_BOX_1, 512)
@@ -259,10 +259,10 @@ class TestThresholdBand:
     def certificate(self) -> IncrementalCertificate:
         # with mu(r) = r and xi = 0.5, a checked sample has |d| >= |du| + 0.5
         # >= 2|du| + 0.1 for IUBIBSS, so dV/dt <= -0.1 |d| <= -0.01 d^2 there
-        half_sq = ComparisonFunction.power(0.5, 2.0)
+        half_sq = ComparisonFunction(0.5, 2.0)
         return IncrementalCertificate(
             V=gap_pair(), alpha_lower=half_sq, alpha_upper=half_sq,
-            mu=ComparisonFunction.linear(1.0), xi=0.5,
+            mu=ComparisonFunction(1.0), xi=0.5,
         )
 
     def test_iubibss_passes_and_iiss_refutes_in_the_band(self):
@@ -272,7 +272,7 @@ class TestThresholdBand:
         assert rep.condition_counts["decay_checked"] > 1000
         # the same data as an IISS certificate, with a decay rate that holds
         # beyond the band, checks the band too and refutes there
-        iiss = dataclasses.replace(cert, alpha_decay=ComparisonFunction.power(0.01, 2.0), xi=0.0)
+        iiss = dataclasses.replace(cert, alpha_decay=ComparisonFunction(0.01, 2.0), xi=0.0)
         rep = check_iiss(BOOSTED, iiss, SYM_BOX_1, NARROW_INPUT, 4096)
         assert rep.verdict == COUNTEREXAMPLE
         ce = rep.counterexample
@@ -282,7 +282,7 @@ class TestThresholdBand:
         assert cert.mu.value(du) <= dx < cert.mu.value(du) + cert.xi
         # |d| >= 2.25|du| takes in every sample beyond the band (|du| <= 0.4),
         # and the IISS decay holds on all of them
-        beyond = dataclasses.replace(iiss, mu=ComparisonFunction.linear(1.0 + 0.5 / 0.4))
+        beyond = dataclasses.replace(iiss, mu=ComparisonFunction(1.0 + 0.5 / 0.4))
         assert check_iiss(BOOSTED, beyond, SYM_BOX_1, NARROW_INPUT, 4096).passed
 
 
@@ -302,7 +302,7 @@ def fiber_gap(s):
 
 class TestCheckFiberwise:
     def certificate(self):
-        half_sq = ComparisonFunction.power(0.5, 2.0)
+        half_sq = ComparisonFunction(0.5, 2.0)
         return FiberwiseCertificate(
             V=fiber_gap, alpha_lower=half_sq, alpha_upper=half_sq, d_threshold=0.0
         )
@@ -440,10 +440,10 @@ class TestIISSBridgeProperty:
     def test_passing_iiss_lifts_to_iubibss(self, gain_slope, xi):
         base = IncrementalCertificate(
             V=gap_pair(),
-            alpha_lower=ComparisonFunction.power(0.5, 2.0),
-            alpha_upper=ComparisonFunction.power(0.5, 2.0),
-            mu=ComparisonFunction.linear(gain_slope),
-            alpha_decay=ComparisonFunction.power(0.25, 2.0),
+            alpha_lower=ComparisonFunction(0.5, 2.0),
+            alpha_upper=ComparisonFunction(0.5, 2.0),
+            mu=ComparisonFunction(gain_slope),
+            alpha_decay=ComparisonFunction(0.25, 2.0),
         )
         rep = check_iiss(DRIVEN, base, SYM_BOX_1, SYM_BOX_1, 1024)
         assert rep.verdict == NO_COUNTEREXAMPLE

@@ -38,7 +38,7 @@ from approxred.user_systems import system_from_dict
 
 SMALL_BLOCKS = (7, 1)
 UNIT_SQUARE = Box.from_pairs([(-1.0, 1.0)] * 2)
-HALF_SQ = ComparisonFunction.power(0.5, 2.0)
+HALF_SQ = ComparisonFunction(0.5, 2.0)
 FIBER = Decomposition(n=2, m=1, k=1)
 
 
@@ -215,8 +215,8 @@ class TestTies:
             lambda s: np.abs(s[..., 1]),
             lambda s: np.stack([np.zeros_like(s[..., 1]), np.sign(s[..., 1])], axis=-1),
         )
-        cert = FiberwiseCertificate(V=V, alpha_lower=ComparisonFunction.linear(1e-12),
-                                    alpha_upper=ComparisonFunction.linear(1e12))
+        cert = FiberwiseCertificate(V=V, alpha_lower=ComparisonFunction(1e-12),
+                                    alpha_upper=ComparisonFunction(1e12))
         first = int(np.argmax(sobol_points(UNIT_SQUARE, 64)[:, 1] > 0))
         for rows in (None, 7, 1):
             if rows is not None:
@@ -296,7 +296,7 @@ class TestNonFiniteInALaterBlock:
         line = Box.from_pairs([(-1.0, 1.0)])
         contract = ControlSystemDef(n=1, m_in=1, rhs=lambda x, u: -np.asarray(x))
         cert = IncrementalCertificate(V=fn, alpha_lower=HALF_SQ, alpha_upper=HALF_SQ,
-                                      mu=ComparisonFunction.linear(2.0), alpha_decay=HALF_SQ)
+                                      mu=ComparisonFunction(2.0), alpha_decay=HALF_SQ)
         P = sobol_points(line.concat(line).concat(line).concat(line), 256)
         expected = self.first_bad(P, P[:, 0] > 0.8)[0]
         with pytest.raises(EvaluationError) as err:
@@ -329,7 +329,7 @@ class TestNonFiniteInALaterBlock:
         # only samples with fiber norm >= d_threshold are checked
         f = field(lambda y, z: -y, lambda y, z: np.where(np.abs(z) < 0.1, np.nan, -z))
         cert = FiberwiseCertificate(V=fiber_square(), alpha_lower=HALF_SQ,
-                                    alpha_upper=ComparisonFunction.power(1.0, 2.0),
+                                    alpha_upper=ComparisonFunction(1.0, 2.0),
                                     d_threshold=0.2)
         report = check_fiberwise(f, FIBER, cert, UNIT_SQUARE, 1024)
         assert report.passed
