@@ -12,7 +12,7 @@ Subcommands:
 Exit codes: 0 success or positive verdict, 1 usage error, 2 numerical
 failure, 3 negative verdict (not reducible / counterexample found).
 
-Every output file embeds the fully resolved run configuration (as ``#``
+Every output file embeds the resolved settings its command used (as ``#``
 key=value lines in CSV, as a ``config`` object in JSON), and identical
 configurations give byte-identical outputs. Floats are printed in the
 shortest representation that round-trips.
@@ -38,7 +38,7 @@ from .core import (
     SystemEntry,
     UnknownSystemError,
 )
-from .integrate import IntegratorConfig, integrate_field
+from .integrate import DEFAULT_ATOL, DEFAULT_RTOL, IntegratorConfig, integrate_field
 from .reduction import (
     DEFAULT_GRID_POINTS,
     DEFAULT_TOL,
@@ -70,7 +70,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems via exceptions, not sys.exit(2)."""
+    """argparse that takes whole flag names only, so that a flag one command
+    lacks is never read as a prefix of another (``--m`` of ``--method``), and
+    reports usage problems via exceptions, not sys.exit(2)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(message)
@@ -80,6 +85,8 @@ def to_jsonable(obj):
     """Recursively convert reports, arrays and boxes to JSON-safe values."""
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, bool):  # a JSON boolean, not the int it subclasses
+        return obj
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
@@ -183,6 +190,7 @@ def _resolver(args):
     ``--set`` and then the overrides merged into its parameters and ``--m``
     applied to its decomposition. A ``--config`` file is read once, here."""
     sets = _parse_set(args.set)
+    m = getattr(args, "m", None)  # commands that use no decomposition take no --m
     extra = None
     if getattr(args, "config", None):
         _entry, extra = load_system_config(args.config)
@@ -194,12 +202,12 @@ def _resolver(args):
     def resolve(overrides: dict | None = None) -> SystemEntry:
         entry = lookup(args.system, {**sets, **(overrides or {})}, extra_registry=extra)
         n = entry.field.n
-        if args.m is not None and not (1 <= args.m < n):
+        if m is not None and not (1 <= m < n):
             raise UsageError(f"--m must be in [1, {n - 1}] for system {entry.name!r}")
-        if args.m not in (None, entry.decomp.m):
+        if m not in (None, entry.decomp.m):
             # the bundled reduction is for the stock split
             entry = dataclasses.replace(
-                entry, decomp=Decomposition.retain(n, args.m), reduced_override=None
+                entry, decomp=Decomposition.retain(n, m), reduced_override=None
             )
         return entry
 
@@ -226,26 +234,21 @@ def _integrator_config(args) -> IntegratorConfig:
     )
 
 
-def _config(command: str, args, entry: SystemEntry, x0, **extra) -> dict:
-    """The fully resolved settings of one run, embedded in every output;
-    ``extra`` appends keys, or replaces a value in its place."""
-    return to_jsonable({
-        "tool": "approxred",
-        "version": __version__,
-        "command": command,
-        "system": entry.name,
-        "params": entry.params,
-        "m": entry.decomp.m,
-        "method": args.method,
-        "dt": args.dt,
-        "rtol": args.rtol,
-        "atol": args.atol,
-        "t_end": args.t_end,
-        "x0": x0,
-        "seed": _resolve_seed(args),
-        "format": args.format,
-        **extra,
-    })
+# the shared settings a config records, in order, for the commands that take them
+_SHARED = ("method", "dt", "rtol", "atol", "t_end", "x0", "seed", "format")
+
+
+def _config(command: str, args, entry: SystemEntry, **settings) -> dict:
+    """The settings one run used, embedded in every output: the system's, the
+    shared ones among the command's flags, then ``settings`` in order. A
+    resolved value in ``settings`` (``x0``, ``seed``, ``params``) keeps its
+    key's place."""
+    config = {"tool": "approxred", "version": __version__, "command": command,
+              "system": entry.name, "params": entry.params, "m": entry.decomp.m}
+    given = {**vars(args), **settings}
+    config.update((key, given[key]) for key in _SHARED if key in given)
+    config.update(settings)
+    return to_jsonable(config)
 
 
 def _default_box(entry: SystemEntry) -> Box:
@@ -275,7 +278,7 @@ def cmd_simulate(args) -> int:
     x0 = _resolve_x0(args, entry)
     cfg = _integrator_config(args)
     traj = integrate_field(entry.field, x0, cfg)
-    meta = _config("simulate", args, entry, x0)
+    meta = _config("simulate", args, entry, x0=x0)
     if args.format == "json":
         doc = to_jsonable({"config": meta, "times": traj.times, "states": traj.states})
         _emit(args.out, _json_document(doc))
@@ -298,7 +301,7 @@ def cmd_compare(args) -> int:
         reduced=entry.reduced_override,
         n_grid=args.n_grid,
     )
-    meta = _config("compare", args, entry, x0, n_grid=args.n_grid)
+    meta = _config("compare", args, entry, x0=x0, n_grid=args.n_grid)
     summary = {"sup_dev": rep.sup_dev, "t_of_sup": rep.t_of_sup}
     m = entry.decomp.m
     if args.format == "json":
@@ -356,7 +359,7 @@ def cmd_sweep(args) -> int:
         raise failed
     entry = entries[-1]
     meta = _config(
-        "sweep", args, entry, x0,
+        "sweep", args, entry, x0=x0,
         params={k: v for k, v in entry.params.items() if k != args.param},
         param=args.param, values=values, n_grid=args.n_grid,
     )
@@ -382,7 +385,7 @@ def cmd_check_exact(args) -> int:
         entry.field, entry.decomp, box, n_samples=args.samples, tol=args.tol, seed=seed
     )
     meta = _config(
-        "check-exact", args, entry, None, samples=args.samples, tol=args.tol, box=box
+        "check-exact", args, entry, seed=seed, samples=args.samples, tol=args.tol, box=box
     )
     doc = to_jsonable({"config": meta, "report": report})
     _emit(args.out, _json_document(doc))
@@ -418,8 +421,8 @@ def cmd_check_lyapunov(args) -> int:
             n_samples=args.samples, seed=seed,
         )
     meta = _config(
-        "check-lyapunov", args, entry, None, certificate=args.certificate,
-        kind=spec.kind, samples=args.samples, negate_v=bool(args.negate_v),
+        "check-lyapunov", args, entry, seed=seed, certificate=args.certificate,
+        kind=spec.kind, samples=args.samples, negate_v=args.negate_v,
     )
     doc = to_jsonable({"config": meta, "report": report})
     _emit(args.out, _json_document(doc))
@@ -445,18 +448,11 @@ def cmd_bound(args) -> int:
     cfg = _integrator_config(args)
     seed = _resolve_seed(args)
     est = estimate_delta(
-        entry.field,
-        entry.decomp,
-        box,
-        args.n_ic,
-        cfg,
-        pair_mode=args.mode,
-        reduced=entry.reduced_override,
-        seed=seed,
-        n_grid=args.n_grid,
+        entry.field, entry.decomp, box, args.n_ic, cfg, pair_mode=args.mode,
+        reduced=entry.reduced_override, seed=seed, n_grid=args.n_grid,
     )
     meta = _config(
-        "bound", args, entry, None, mode=args.mode, n_ic=args.n_ic, box=box,
+        "bound", args, entry, seed=seed, mode=args.mode, n_ic=args.n_ic, box=box,
         n_grid=args.n_grid,
     )
     _emit(args.out, _json_document({"config": meta, **to_jsonable(est)}))
@@ -466,25 +462,29 @@ def cmd_bound(args) -> int:
 # ------------------------------------------------------------------ wiring
 
 
-def _add_common(p: _Parser, needs_integrator: bool = True) -> None:
+def _add_common(p: _Parser, *uses: str) -> None:
+    """The system flags and ``--out``, then the shared flags of what the
+    command ``uses``: "m" (a decomposition), "seed" (sampling), "format"
+    (CSV output) and "integrator"."""
     p.add_argument("--system", help="registered system name")
     p.add_argument("--config", help="JSON config file defining a user system")
     p.add_argument(
         "--set", action="append", metavar="KEY=VALUE", help="override a parameter"
     )
-    p.add_argument("--m", type=int, help="override the retained dimension")
-    p.add_argument("--seed", type=int, help=f"sampling seed (default {DEFAULT_SEED}; "
-                   f"env {SEED_ENV_VAR})")
+    if "m" in uses:
+        p.add_argument("--m", type=int, help="override the retained dimension")
+    if "seed" in uses:
+        p.add_argument("--seed", type=int, help=f"sampling seed (default {DEFAULT_SEED}; "
+                       f"env {SEED_ENV_VAR})")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    if needs_integrator:
+    if "format" in uses:
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    if "integrator" in uses:
         p.add_argument("--t-end", type=float, default=10.0, dest="t_end")
         p.add_argument("--dt", type=float, help="fixed step (rk4 only)")
-        p.add_argument("--rtol", type=float, default=1e-9)
-        p.add_argument("--atol", type=float, default=1e-9)
+        p.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
+        p.add_argument("--atol", type=float, default=DEFAULT_ATOL)
         p.add_argument("--method", choices=("rk4", "rk45"), default="rk45")
-    else:
-        p.set_defaults(t_end=10.0, dt=None, rtol=1e-9, atol=1e-9, method="rk45")
 
 
 def build_parser() -> _Parser:
@@ -493,18 +493,18 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("simulate", help="integrate a system and emit the trajectory")
-    _add_common(p)
+    _add_common(p, "format", "integrator")
     p.add_argument("--x0", help="comma-separated initial condition")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="full vs reduced run with deviation series")
-    _add_common(p)
+    _add_common(p, "m", "format", "integrator")
     p.add_argument("--x0", help="comma-separated initial condition")
     p.add_argument("--n-grid", type=int, default=DEFAULT_GRID_POINTS, dest="n_grid")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep", help="compare over a list of parameter values")
-    _add_common(p)
+    _add_common(p, "m", "format", "integrator")
     p.add_argument("--x0", help="comma-separated initial condition (fixed across rows)")
     p.add_argument("--param", required=True, help="parameter to sweep")
     p.add_argument("--values", required=True, help="comma-separated parameter values")
@@ -512,14 +512,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("check-exact", help="sampled exact-reducibility test")
-    _add_common(p, needs_integrator=False)
+    _add_common(p, "m", "seed")
     p.add_argument("--box", help="sampling box 'lo1,hi1;lo2,hi2;...'")
     p.add_argument("--samples", type=int, default=512)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_check_exact)
 
     p = sub.add_parser("check-lyapunov", help="falsify a bundled certificate")
-    _add_common(p, needs_integrator=False)
+    _add_common(p, "seed")
     p.add_argument("--certificate", required=True, help="bundled certificate name")
     p.add_argument("--box", help="state box 'lo1,hi1;...' (default: bundled box)")
     p.add_argument("--input-box", dest="input_box", help="input box for iiss/iubibss")
@@ -533,7 +533,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_check_lyapunov)
 
     p = sub.add_parser("bound", help="sampled uniform deviation bound estimate")
-    _add_common(p)
+    _add_common(p, "m", "seed", "integrator")
     p.add_argument("--box", help="initial condition box 'lo1,hi1;...'")
     p.add_argument("--n-ic", type=int, default=100, dest="n_ic")
     p.add_argument("--mode", choices=("projected", "cross"), default="projected")

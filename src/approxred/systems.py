@@ -284,7 +284,7 @@ def make_cart_pendulum(params: dict) -> SystemEntry:
         if not (p[key] > 0):
             raise InputError(f"cart-pendulum parameter {key} must be positive")
     for key in ("d", "b"):
-        if p[key] < 0:
+        if not (p[key] >= 0):  # NaN fails too
             raise InputError(f"cart-pendulum parameter {key} must be nonnegative")
     entry = _compiled("cart-pendulum")(p)
 

@@ -45,6 +45,14 @@ _ALLOWED_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub, ast.UAdd
 _REAL = np.dtype(float)
 
 
+def _double(value) -> float:
+    """A number as a double; an integer beyond float range is infinite, as 1e400 is."""
+    try:
+        return float(value)
+    except OverflowError:
+        return float("inf") if value > 0 else float("-inf")
+
+
 def _parse(source: str, names: list[str]) -> ast.expr:
     """The vetted tree of one expression, its literals made doubles."""
     try:
@@ -57,10 +65,7 @@ def _parse(source: str, names: list[str]) -> ast.expr:
         if isinstance(node, ast.Constant):
             if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
                 raise InputError(f"non-numeric literal in expression {source!r}")
-            try:
-                node.value = float(node.value)  # every literal is a double
-            except OverflowError:  # an integer beyond float range, infinite as 1e400 is
-                node.value = float("inf")
+            node.value = _double(node.value)  # every literal is a double
         elif isinstance(node, ast.Name):
             if node.id not in names and node.id not in _ALLOWED_CALLS:
                 raise InputError(
@@ -298,8 +303,9 @@ def system_factory(doc: dict) -> tuple[Callable[[dict], SystemEntry], dict]:
             raise InputError(f"config file holds a value of the wrong type: "
                              f"{key!r} must be {kind}, got {doc[key]!r}")
     name, state, m, rhs_sources = doc["name"], doc["state"], doc["m"], doc["rhs"]
-    params = {k: float(v) for k, v in doc.get("params", {}).items()}
-    x0 = np.zeros(len(state)) if doc.get("x0") is None else np.array(doc["x0"], dtype=float)
+    params = {k: _double(v) for k, v in doc.get("params", {}).items()}
+    x0 = doc.get("x0")
+    x0 = np.zeros(len(state)) if x0 is None else np.array([_double(v) for v in x0])
     n = len(state)
     if n < 2:
         raise InputError("config systems need at least two state variables")
@@ -350,7 +356,7 @@ def load_system_config(path: str | Path) -> tuple[SystemEntry, dict]:
         doc = json.loads(path.read_text())
     except FileNotFoundError as err:
         raise InputError(f"config file not found: {path}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # malformed, not UTF-8, or an integer of too many digits
         raise InputError(f"config file {path} is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise InputError(f"config file {path} must hold a JSON object")

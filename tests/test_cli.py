@@ -73,7 +73,7 @@ class TestSimulate:
         assert meta["system"] == "ball-hoop"
         assert meta["params"]["R"] == 5.0
         assert meta["x0"] == [0.5, 0.3]
-        assert meta["seed"] == 42
+        assert "seed" not in meta  # simulate samples nothing
 
     def test_unknown_system_is_usage_error(self, capsys):
         rc = main(["simulate", "--system", "unknown"])
@@ -714,8 +714,6 @@ class TestReproducibility:
             "5,10",
             "--t-end",
             "5",
-            "--seed",
-            "7",
         ]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(args + ["--out", str(a)]) == 0
@@ -752,8 +750,6 @@ class TestReproducibility:
                     "0.4,0.2",
                     "--t-end",
                     "8",
-                    "--seed",
-                    "5",
                     "--out",
                     str(out1),
                 ]
@@ -775,8 +771,6 @@ class TestReproducibility:
             repr(meta["atol"]),
             "--method",
             meta["method"],
-            "--seed",
-            str(meta["seed"]),
             "--m",
             str(meta["m"]),
             "--n-grid",
@@ -827,6 +821,69 @@ class TestNegativeSeed:
     def test_seed_environment_variable(self, argv, monkeypatch, capsys):
         monkeypatch.setenv("APPROXRED_SEED", "-3")
         assert_clean_usage_error(main(argv), capsys, "non-negative", "got -3")
+
+
+INTEGRATOR_KEYS = ["method", "dt", "rtol", "atol", "t_end"]
+# one short run per command, and its config keys after the system's
+SHORT_RUNS = {
+    "simulate": (["--t-end", "0.1", "--format", "json"], [*INTEGRATOR_KEYS, "x0", "format"]),
+    "compare": (["--t-end", "0.1", "--n-grid", "3", "--format", "json"],
+                [*INTEGRATOR_KEYS, "x0", "format", "n_grid"]),
+    "sweep": (["--param", "R", "--values", "5", "--t-end", "0.1", "--n-grid", "3",
+               "--format", "json"],
+              [*INTEGRATOR_KEYS, "x0", "format", "param", "values", "n_grid"]),
+    "check-exact": (["--samples", "16"], ["seed", "samples", "tol", "box"]),
+    "check-lyapunov": (["--certificate", "iiss", "--samples", "16"],
+                       ["seed", "certificate", "kind", "samples", "negate_v"]),
+    "bound": (["--n-ic", "2", "--t-end", "0.1", "--n-grid", "3"],
+              [*INTEGRATOR_KEYS, "seed", "mode", "n_ic", "box", "n_grid"]),
+}
+
+
+class TestEachCommandTakesItsSettings:
+    """A command takes only the flags it reads, and its config records only
+    the settings it used."""
+
+    @pytest.mark.parametrize("command", sorted(SHORT_RUNS))
+    def test_config_keys(self, command, tmp_path):
+        flags, keys = SHORT_RUNS[command]
+        out = tmp_path / "out.json"
+        main([command, "--system", "ball-hoop", *flags, "--out", str(out)])
+        assert list(json.loads(out.read_text())["config"]) == [
+            "tool", "version", "command", "system", "params", "m", *keys]
+
+    @pytest.mark.parametrize("command,flag", [
+        *((command, ["--seed", "1"]) for command in ("simulate", "compare", "sweep")),
+        *((command, ["--format", "csv"]) for command in ("check-exact", "check-lyapunov",
+                                                          "bound")),
+        *((command, ["--m", "1"]) for command in ("simulate", "check-lyapunov")),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_a_flag_the_command_does_not_read_is_an_error(self, command, flag, tmp_path,
+                                                           capsys):
+        flags, _ = SHORT_RUNS[command]
+        out = tmp_path / "out.json"
+        rc = main([command, "--system", "ball-hoop", *flags, *flag, "--out", str(out)])
+        assert_clean_usage_error(rc, capsys, f"unrecognized arguments: {' '.join(flag)}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(SHORT_RUNS))
+    def test_the_seed_variable_applies_only_where_a_command_samples(self, command,
+                                                                     tmp_path, monkeypatch,
+                                                                     capsys):
+        flags, keys = SHORT_RUNS[command]
+        monkeypatch.setenv("APPROXRED_SEED", "abc")
+        rc = main([command, "--system", "ball-hoop", *flags, "--out", str(tmp_path / "o")])
+        if "seed" in keys:
+            assert_clean_usage_error(rc, capsys, "APPROXRED_SEED='abc' is not an integer")
+        else:
+            assert rc == 0
+
+    def test_negate_v_is_recorded_as_a_boolean(self, tmp_path):
+        out = tmp_path / "out.json"
+        rc = main(["check-lyapunov", "--system", "ball-hoop", "--certificate", "iiss",
+                   "--samples", "16", "--negate-v", "--out", str(out)])
+        assert rc == 3
+        assert '    "negate_v": true\n' in out.read_text()
 
 
 class TestFunctionNamesInConfigs:
@@ -1242,6 +1299,40 @@ def test_a_config_value_is_never_coerced(key, value, kind, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key,text", [("params", '{"a": %s}'), ("x0", "[%s, 0.5]")],
+                         ids=["params", "x0"])
+@pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+def test_an_integer_beyond_float_range_reads_as_infinite(key, text, sign, tmp_path, capsys):
+    # a 401-digit JSON integer once raised OverflowError from float()
+    write_demo_config(tmp_path)
+    doc = json.loads((tmp_path / "demo.json").read_text())
+    path = tmp_path / "huge.json"
+    outcomes = []
+    for number in ("1" + "0" * 400, "1e400"):
+        path.write_text(json.dumps({**doc, key: "N"}).replace('"N"', text % (sign + number)))
+        rc = main(["check-exact", "--config", str(path), "--samples", "16",
+                   "--out", str(tmp_path / "o")])
+        outcomes.append((rc, capsys.readouterr().err))
+    assert outcomes[0] == outcomes[1]
+    rc, err = outcomes[0]
+    assert "Traceback" not in err and err.count("\n") == 1
+    if key == "x0":
+        assert rc == 1 and f"config key 'x0' must be finite, got [{sign}inf, 0.5]" in err
+    else:
+        assert rc == 2 and err.startswith("approxred: numerical failure:")
+
+
+@pytest.mark.parametrize("content,needle", [
+    (b'{"m": 1%s}' % (b"0" * 5000), "digits"),  # beyond int()'s limit on digits
+    (b'\xff{"m": 1}', "can't decode"),
+], ids=["too-many-digits", "not-utf-8"])
+def test_an_unreadable_config_exits_1(content, needle, tmp_path, capsys):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    rc = main(["check-exact", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert_clean_usage_error(rc, capsys, "is not valid JSON", needle)
+
+
 def extreme_parameter_runs():
     """Each bundled parameter at 1e-320, 1e200 and 1e308, under check-lyapunov
     for each certificate and under simulate, then two more extremes; the
@@ -1300,18 +1391,19 @@ def test_extreme_parameters_exit_cleanly(argv, fixed, tmp_path, capsys):
 # sha256 of the --out JSON of `check-lyapunov --samples 4096` at the default
 # seed, recorded while the certificates were hand-written closures; the two
 # cart digests were recorded again when the note began to name the decay
-# condition that no cart sample tests, the only bytes of those reports to move
+# condition that no cart sample tests, and all five again when the config
+# began to record only the settings the command uses, the only bytes to move
 CERTIFICATE_OUTPUT_SHA256 = {
     ("ball-hoop", "fiberwise", False):
-        "76bf75c8b0e5a7ba96e9f85457f167beaa3e822a6dbf20eb30425aee791da983",
+        "398d5c4c454770f60c0f9ee290503ea89244a40408c10a49fb6c91519a086d66",
     ("ball-hoop", "iiss", False):
-        "9ea0d7af3c20cf2768266b69d6d43146d89c1a23b0ffda28cae10393de5f0d92",
+        "3d2c008f791f640f279a5a726f059078b17ee0dda232eb6451e70fb2b09ef8b9",
     ("cart-pendulum", "iubibss", False):
-        "6f4654ad7a5856d69789a03b8c82c5f2f1d2b3857663d121136b6eae33c4a012",
+        "41eda73582893b4713e8d239b87b5f830e290b3b7d357675c23db241be697367",
     ("ball-hoop", "iiss", True):
-        "09877004fa02ca25f29ed68f6d6de3ac553934fe8a1a3ca2c0b4b974ca3fbf0b",
+        "9ea6bc8ec06d0bfa58fd04e79d00c338584013bb2ae5d706f6496397c6aa3366",
     ("cart-pendulum", "iubibss", True):
-        "048d37198053585dada4389c45760170645c57bcd043c204bf560c02b0bb0715",
+        "533abad1ed3ca4e6a0e3cf466eeaa0793f5100e90477b6ef0fd67060e87dce93",
 }
 
 
@@ -1329,25 +1421,26 @@ def test_certificate_outputs_keep_their_bytes(tmp_path, system, certificate, neg
 
 
 # sha256 of the --out file of one short run per document kind at the default
-# seed, recorded while the run configuration was a dataclass: they pin the
+# seed, recorded while the run configuration was a dataclass and again when
+# each config began to record only the settings its command uses: they pin the
 # config's keys and their order, each document's keys and every float's digits
 OUTPUT_SHA256 = {
     "simulate --system ball-hoop --t-end 2":
-        "1476d0ac4a3cd3ce836a006713a0529da3c3acf64fb4aa8c4b19452b497e0dd0",
+        "e8002d6c6cbe9009a22e86f169cc77aceb1da21bd2edb20f7233ddc8bee84fc7",
     "simulate --system cart-pendulum --t-end 1 --format json":
-        "9817cfef9a2b5b72198449e39c4e218ca58630ecfa2ab9d3f295bdf84ed8df51",
+        "e4f5261e57ec19764629eb7e162268884b98273af65fb3d1c8b3ae0da9a1e2f1",
     "compare --system ball-hoop --set R=5 --t-end 2 --n-grid 51 --format json":
-        "c508265a7b7dd15e96353a61da7435a934aaf049e0fb159864b9aee347cbc5f9",
+        "edc1c53714cc1b6bc4477d9d577eb65e9d6016fb5c58f6bc117b6c6da64858ca",
     "sweep --system ball-hoop --param R --values 5,10 --t-end 2 --n-grid 51 --format json":
-        "5290a1281d253699ce7ce907f8294aeee6931373b384b9465bf5f36de7f2105d",
+        "5416a2e3aa34f911d75390afeffdbcd5ad483ce766628d5a5cc86b2df6acc7a3",
     "check-exact --system ball-hoop --samples 64":
-        "5e2b023702b721477d4c6baef5bf865668a25e7dad145a2258223d9da911f96e",
+        "9c2e239231678482257b827006c183c6b7e901282c017f2056f4dc3956e78979",
     "bound --system ball-hoop --n-ic 4 --t-end 2 --n-grid 51":
-        "c978f73e6a7d67310b199135179b72d407c9735afc61a848aca7470da0c744ac",
+        "7fbd7e749b4fa4e4a52d87ca5cdd8f104de50883f8dd054a30b0e4b0c2f8be21",
     "bound --system cart-pendulum --mode cross --n-ic 4 --t-end 1 --n-grid 51":
-        "b07ce1cd371a17a1dd423d633a4d87331eedb003185b14f852b04fb24bb0ce2e",
+        "f8a4485a96d713aad934cac20b6e930b4a35d63f7edad2dfa1887b6765148715",
     "bound --config {demo} --n-ic 4 --t-end 1 --n-grid 51":
-        "4d907a19478fc168133a75517390589b71cec65d0c8d7b9f9e66ad081af14d46",
+        "4b0b9a253cd5e53eded56fd5cf1ae9c20fee5a4b09a5be7648cfb24fe5857b42",
 }
 
 

@@ -52,3 +52,20 @@ def test_same_bytes_reports_a_changed_output(tmp_path):
     proc = run_same_bytes(ROOT / "src", tmp_path)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "DIFF (--out file) deviation:0:0 bound" in proc.stdout
+
+
+def test_same_bytes_reports_a_config_only_difference(tmp_path):
+    import shutil
+
+    # a copy whose configs record one more key
+    shutil.copytree(ROOT / "src" / "approxred", tmp_path / "approxred",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "approxred" / "cli.py"
+    source = cli.read_text()
+    old = "    return to_jsonable(config)\n"
+    assert source.count(old) == 1
+    cli.write_text(source.replace(old, '    return to_jsonable({**config, "extra": 1})\n'))
+    proc = run_same_bytes(ROOT / "src", tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 6 and all(line.startswith("CONFIG ") for line in lines[:5])

@@ -122,6 +122,9 @@ class TestCartPendulum:
             lookup("cart-pendulum", {"M": 0.0})
         with pytest.raises(InputError):
             lookup("cart-pendulum", {"d": -0.1})
+        for key in ("d", "b"):  # NaN is not nonnegative either
+            with pytest.raises(InputError, match=f"parameter {key} must be nonnegative"):
+                lookup("cart-pendulum", {key: float("nan")})
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4))
     @settings(max_examples=50)
