@@ -37,7 +37,6 @@ from .reduction import (
 )
 from .stability import (
     CertificateReport,
-    FiberwiseCertificate,
     IncrementalCertificate,
     check_fiberwise,
     check_iiss,
@@ -69,7 +68,6 @@ __all__ = [
     "estimate_delta",
     "measure_deviation",
     "CertificateReport",
-    "FiberwiseCertificate",
     "IncrementalCertificate",
     "check_fiberwise",
     "check_iiss",

@@ -3,10 +3,11 @@
 ``construct_reduced`` builds the reduced field by freezing the fiber block at
 zero and projecting the velocity onto the retained block.
 ``check_exact_reducible`` decides (by sampling) whether that reduction is
-exact; ``measure_deviation``, ``sweep_deviation`` and ``estimate_delta``
-quantify how far an inexact reduction drifts from the projected full dynamics.
-The last two share one block loop, ``_deviations``, which holds the full runs
-on the grid and streams the reduced runs into each row's sup and its time.
+exact, as one condition of ``stability._falsify``; ``measure_deviation``,
+``sweep_deviation`` and ``estimate_delta`` quantify how far an inexact
+reduction drifts from the projected full dynamics. The last two share one
+block loop, ``_deviations``, which holds the full runs on the grid and
+streams the reduced runs into each row's sup and its time.
 
 All verdicts here are sampling based: a REDUCIBLE_UP_TO_TOL verdict is
 evidence on the sampled box, not a proof, and every negative verdict carries a
@@ -23,7 +24,6 @@ from .core import (
     Box,
     Decomposition,
     DivergenceError,
-    EvaluationError,
     InputError,
     NumericalError,
     StepBudgetError,
@@ -38,7 +38,8 @@ from .integrate import (
     sup_distance_on_grid,
 )
 from .numdiff import jacobian_batch
-from .sampling import DEFAULT_SEED, sobol_blocks, sobol_points
+from .sampling import DEFAULT_SEED, sobol_points
+from .stability import _falsify, _require_finite
 
 DEFAULT_TOL = 1e-6
 DEFAULT_GRID_POINTS = 2001
@@ -102,9 +103,10 @@ def check_exact_reducible(
 
     For the canonical projection the bracket-invariance condition for an exact
     reduction collapses to d f_j / d z_i = 0 for every retained component j
-    and fiber coordinate i; these partials are estimated at Sobol samples by
-    central differences along the fiber coordinates only, one streamed block
-    of samples at a time.
+    and fiber coordinate i. These partials are estimated at Sobol samples by
+    central differences along the fiber coordinates only. One condition of
+    ``stability._falsify`` finds the largest |d f_j / d z_i|, ties going to
+    the lowest sample, then the lowest (j, i); it is 0.0 if none is positive.
     """
     if d.n != f.n:
         raise InputError(f"decomposition is on R^{d.n} but field lives on R^{f.n}")
@@ -112,44 +114,25 @@ def check_exact_reducible(
         raise InputError("sampling box dimension does not match the field")
     if not (0 < tol < np.inf):  # an infinite tolerance would pass any field
         raise InputError(f"tol must be finite and positive, got {tol}")
-    m, fiber = d.m, range(d.m, d.n)
+    m = d.m
 
     def retained(X):  # each FD difference keeps the m retained rows only
         return np.asarray(f.rhs(X), dtype=float)[..., :m]
 
-    best = None  # (max partial, flat entry index, sample)
-    with np.errstate(all="ignore"):  # a non-finite partial raises EvaluationError
-        for _start, Xb in sobol_blocks(box, n_samples, seed):
-            J = jacobian_batch(retained, Xb, m, cols=fiber)  # (b, m, k)
-            flat = np.abs(J).reshape(len(Xb), -1)  # (b, m*k)
-            if not np.all(np.isfinite(flat)):
-                bad = int(np.argmax((~np.isfinite(flat)).any(axis=1)))
-                raise EvaluationError(
-                    f"non-finite partial derivative at sample {Xb[bad].tolist()}"
-                )
-            row_max = flat.max(axis=1)
-            i = int(np.argmax(row_max))
-            # strict: a tie with an earlier block keeps the lower sample index
-            if best is None or row_max[i] > best[0]:
-                best = (row_max[i], int(np.argmax(flat[i])), Xb[i].copy())
-    max_partial, worst_entry, worst_point = float(best[0]), best[1], best[2]
-    comp, fib = divmod(worst_entry, d.k)
+    def conditions(X):
+        flat = np.abs(jacobian_batch(retained, X, m, cols=range(m, d.n))).reshape(len(X), -1)
+        top = flat.max(axis=1)  # NaN if any entry is
+        _require_finite(top, "non-finite partial derivative at sample {x}", x=X)
+        # the bound column carries each sample's largest entry, flat: j * k + i
+        return [("partial", np.ones(len(X), bool), top, top, flat.argmax(axis=1))]
+
+    ce = _falsify(box, {"x": slice(None)}, n_samples, seed, conditions, {}, dict).counterexample
+    max_partial = 0.0 if ce is None else ce.magnitude
     if max_partial <= tol:
-        return ReducibilityReport(
-            verdict=REDUCIBLE, samples=n_samples, tol=tol, max_residual=max_partial
-        )
-    return ReducibilityReport(
-        verdict=NOT_REDUCIBLE,
-        samples=n_samples,
-        tol=tol,
-        max_residual=max_partial,
-        witness=ReducibilityWitness(
-            point=worst_point,
-            magnitude=max_partial,
-            component=comp,
-            fiber_index=fib,
-        ),
-    )
+        return ReducibilityReport(REDUCIBLE, n_samples, tol, max_partial)
+    comp, fib = divmod(int(ce.bound), d.k)
+    witness = ReducibilityWitness(ce.point["x"], max_partial, comp, fib)
+    return ReducibilityReport(NOT_REDUCIBLE, n_samples, tol, max_partial, witness)
 
 
 @dataclass(frozen=True)

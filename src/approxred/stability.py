@@ -2,14 +2,13 @@
 
 Three certificate notions are checked: incremental input-to-state stability
 (IISS), incremental uniform bounded-input bounded-state stability (IUBIBSS),
-and fiberwise practical stability. IISS and IUBIBSS share one certificate
-type, ``IncrementalCertificate``, and one condition table; they differ only in
-the threshold offset xi and in the decay bound, -alpha(|x1-x2|) for IISS and
-0 for IUBIBSS (Angeli 2002). ``dataclasses.replace(cert, alpha_decay=None,
-xi=xi)`` lifts an IISS certificate to an IUBIBSS one. Each checker
-Sobol-samples its boxes, evaluates the certificate conditions with a small
-numerical slack, and either reports the worst violation (with a witness
-precise enough to re-evaluate) or records that no counterexample was found.
+and fiberwise practical stability. All three share one certificate type,
+``IncrementalCertificate``, and one condition table (Angeli 2002); see its
+docstring. Each checker, and ``reduction.check_exact_reducible``, streams
+Sobol samples of its boxes through ``_falsify``, the one sampled-check core,
+evaluates its conditions with a small numerical slack, and either reports the
+worst violation (with a witness precise enough to re-evaluate) or records
+that no counterexample was found.
 
 A certificate's V is one map of its argument blocks, a state ``(..., n)`` or
 a state pair ``(..., n), (..., n)``, to the ``(..., 1 + sum n_j)`` array of its
@@ -60,39 +59,28 @@ def _slack(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IncrementalCertificate:
-    """Candidate incremental Lyapunov data for a control system: a pair map
-    V(x1, x2) with its gradient, sandwich bounds, an input gain ``mu``, a
-    decay rate ``alpha_decay`` (None: no rate) and a threshold offset ``xi``.
+    """Candidate incremental Lyapunov data: a map V with its gradient,
+    sandwich bounds, an input gain ``mu`` and a decay rate ``alpha_decay``
+    (each None when absent), and a threshold offset ``xi``.
 
-    Its conditions: alpha_lower(|x1-x2|) <= V <= alpha_upper(|x1-x2|) where
-    |x1-x2| >= xi, and Vdot <= -alpha_decay(|x1-x2|), or Vdot <= 0 without a
-    rate, where |x1-x2| >= mu(|u1-u2|) + xi. IISS takes a rate and xi = 0.
-    IUBIBSS takes a positive xi: its gain inequality mu(r) + xi >= r + xi
-    needs an offset at r = 0 that the pure class-K-infinity families cannot
-    supply on their own.
+    Its conditions on a radius r: alpha_lower(r) <= V <= alpha_upper(r) where
+    r >= xi, and Vdot <= -alpha_decay(r), or Vdot <= 0 without a rate, where
+    r >= gain + xi. IISS and IUBIBSS take a pair map V(x1, x2), r = |x1-x2|
+    and the gain mu(|u1-u2|). IISS takes a rate and xi = 0. IUBIBSS takes a
+    positive xi: its gain inequality mu(r) + xi >= r + xi needs an offset at
+    r = 0 that the pure class-K-infinity families cannot supply on their own.
+    ``dataclasses.replace(cert, alpha_decay=None, xi=xi)`` lifts an IISS
+    certificate to an IUBIBSS one. A fiberwise certificate is a V of one
+    state with xi its threshold, no gain and no rate, checked at r = the fiber
+    norm with gain 0.
     """
 
     V: Callable
     alpha_lower: ComparisonFunction
     alpha_upper: ComparisonFunction
-    mu: ComparisonFunction
+    mu: ComparisonFunction | None = None
     alpha_decay: ComparisonFunction | None = None
     xi: float = 0.0
-
-
-@dataclass(frozen=True)
-class FiberwiseCertificate:
-    """Candidate fiberwise practical stability data for a decomposed field,
-    with V a map of one state."""
-
-    V: Callable
-    alpha_lower: ComparisonFunction
-    alpha_upper: ComparisonFunction
-    d_threshold: float = 0.0
-
-    def __post_init__(self):
-        if self.d_threshold < 0:
-            raise InputError("d_threshold must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -135,21 +123,21 @@ def _pair_terms(V: Callable, F: ControlSystemDef, X1, X2, U1, U2):
     """V at paired samples and its derivative along two copies of F; a
     non-finite value raises ``EvaluationError`` naming the first sample."""
     vals, (g1, g2) = _value_and_grads(V, X1, X2)
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.argmax(~np.isfinite(vals)))
-        raise EvaluationError(
-            f"V produced a non-finite value at x1={X1[bad].tolist()}, "
-            f"x2={X2[bad].tolist()}"
-        )
+    _require_finite(vals, "V produced a non-finite value at x1={x1}, x2={x2}", x1=X1, x2=X2)
     F1 = batch_eval(F.rhs, X1, U1, out_dim=F.n)
     F2 = batch_eval(F.rhs, X2, U2, out_dim=F.n)
     out = np.einsum("ni,ni->n", g1, F1) + np.einsum("ni,ni->n", g2, F2)
-    if not np.all(np.isfinite(out)):
-        bad = int(np.argmax(~np.isfinite(out)))
-        raise EvaluationError(
-            f"non-finite derivative of V along F at x1={X1[bad].tolist()}"
-        )
+    _require_finite(out, "non-finite derivative of V along F at x1={x1}", x1=X1)
     return vals, out
+
+
+def _require_finite(values, message: str, active=True, **rows) -> None:
+    """Raise ``EvaluationError`` at the first ``active`` sample whose value is
+    not finite, ``message`` formatted with that sample's row of each block."""
+    bad = active & ~np.isfinite(values)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise EvaluationError(message.format(**{key: X[i].tolist() for key, X in rows.items()}))
 
 
 def _worst(violations: np.ndarray, mask: np.ndarray) -> int | None:
@@ -161,11 +149,16 @@ def _worst(violations: np.ndarray, mask: np.ndarray) -> int | None:
     return int(idx[order])
 
 
-def _sandwich(mask, V, lo, hi) -> list:
-    """The condition rows of lo <= V <= hi on the samples ``mask`` selects."""
+def _table(cert: IncrementalCertificate, r, V, vd, gain) -> list:
+    """``cert``'s condition rows at radii r: the sandwich bounds on V where
+    r >= xi, and the decay bound on V's derivative vd where r >= gain + xi."""
+    lo, hi = cert.alpha_lower.value(r), cert.alpha_upper.value(r)
+    rate = cert.alpha_decay
+    bound = np.zeros_like(vd) if rate is None else -rate.value(r)
     return [
-        ("lower_bound", mask, (lo - V) - _slack(V), lo, V),
-        ("upper_bound", mask, (V - hi) - _slack(V), V, hi),
+        ("lower_bound", r >= cert.xi, (lo - V) - _slack(V), lo, V),
+        ("upper_bound", r >= cert.xi, (V - hi) - _slack(V), V, hi),
+        ("decay", r >= gain + cert.xi, (vd - bound) - _slack(vd), vd, bound),
     ]
 
 
@@ -244,17 +237,9 @@ def _check_pairs(
         raise InputError("box dimensions do not match the control system")
 
     def conditions(X1, X2, U1, U2):
-        dx = np.linalg.norm(X1 - X2, axis=1)
-        du = np.linalg.norm(U1 - U2, axis=1)
         V, vd = _pair_terms(cert.V, F, X1, X2, U1, U2)
-        lo = cert.alpha_lower.value(dx)
-        hi = cert.alpha_upper.value(dx)
-        rate = cert.alpha_decay
-        bound = np.zeros_like(vd) if rate is None else -rate.value(dx)
-        return [
-            *_sandwich(dx >= cert.xi, V, lo, hi),
-            ("decay", dx >= cert.mu.value(du) + cert.xi, (vd - bound) - _slack(vd), vd, bound),
-        ]
+        gain = cert.mu.value(np.linalg.norm(U1 - U2, axis=1))
+        return _table(cert, np.linalg.norm(X1 - X2, axis=1), V, vd, gain)
 
     def counts(checked):
         return {"sandwich_checked": checked["lower_bound"], **(grid or {}),
@@ -281,6 +266,8 @@ def check_iiss(
     Vdot <= -alpha_decay(|x1-x2|) where |x1-x2| >= mu(|u1-u2|)."""
     if cert.alpha_decay is None or cert.xi != 0:
         raise InputError("an IISS certificate needs a decay rate alpha_decay and xi = 0")
+    if cert.mu is None:
+        raise InputError("an IISS certificate needs an input gain mu")
     return _check_pairs(F, cert, state_box, input_box, n_samples, seed)
 
 
@@ -297,6 +284,8 @@ def check_iubibss(
     mu(r) + xi >= r + xi on a 1-d grid over [0, diameter(input_box)]."""
     if not (cert.xi > 0):
         raise InputError("threshold xi must be positive")
+    if not (cert.xi < np.inf and cert.mu is not None):  # either passes any field
+        raise InputError("an IUBIBSS certificate needs a finite xi and an input gain mu")
     # the gain inequality is deterministic in r; check it first on the grid
     diameter = input_box.diameter()
     if not np.isfinite(diameter):
@@ -323,46 +312,38 @@ def check_iubibss(
 def check_fiberwise(
     f: VectorFieldDef,
     d: Decomposition,
-    cert: FiberwiseCertificate,
+    cert: IncrementalCertificate,
     box: Box,
     n_samples: int = 4096,
     seed: int = DEFAULT_SEED,
 ) -> CertificateReport:
     """Falsify a fiberwise practical stability candidate on a box.
 
-    Both conditions are restricted to samples whose fiber norm is at least
-    ``cert.d_threshold``: the sandwich bounds in the fiber norm, and
-    Vdot = grad V . f <= 0. A non-finite V or Vdot on such a sample is an
-    evaluation error.
+    ``cert`` holds a V of one state and its threshold as ``xi``, finite and
+    nonnegative; its gain is not read. Its conditions are checked at r = the
+    fiber norm with gain 0, so both hold on samples whose fiber norm is at
+    least xi: the sandwich bounds in the fiber norm, and Vdot = grad V . f <= 0
+    (<= -alpha_decay(r) with a rate). A non-finite V or Vdot on such a sample
+    is an evaluation error.
     """
     if box.dim != f.n or d.n != f.n:
         raise InputError("box and decomposition must match the field dimension")
+    if not (0 <= cert.xi < np.inf):  # a NaN or infinite threshold selects no sample
+        raise InputError(f"threshold xi must be finite and nonnegative, got {cert.xi}")
 
     def conditions(X):
         fiber = np.linalg.norm(X[:, d.m :], axis=1)
-        active = fiber >= cert.d_threshold
+        active = fiber >= cert.xi
         V, (G,) = _value_and_grads(cert.V, X)
-        _require_finite(V, active, X, "V produced a non-finite value")
-        lo = cert.alpha_lower.value(fiber)
-        hi = cert.alpha_upper.value(fiber)
+        _require_finite(V, "V produced a non-finite value at {x}", active, x=X)
         vd = np.einsum("ni,ni->n", G, batch_eval(f.rhs, X, out_dim=f.n))
-        _require_finite(vd, active, X, "non-finite derivative of V along f")
-        return [
-            *_sandwich(active, V, lo, hi),
-            ("decay", active, vd - _slack(vd), vd, np.zeros_like(vd)),
-        ]
+        _require_finite(vd, "non-finite derivative of V along f at {x}", active, x=X)
+        return _table(cert, fiber, V, vd, 0)
 
     def counts(checked):
         return {"active_samples": checked["lower_bound"]}
 
     return _falsify(box, {"x": slice(None)}, n_samples, seed, conditions, {"box": box}, counts)
-
-
-def _require_finite(values, active, X, what: str) -> None:
-    """Raise ``EvaluationError`` at the first active sample with a non-finite value."""
-    if not np.all(np.isfinite(values[active])):
-        bad = int(np.argmax(active & ~np.isfinite(values)))
-        raise EvaluationError(f"{what} at {X[bad].tolist()}")
 
 
 def estimate_lipschitz(

@@ -23,6 +23,7 @@ factories bind the functions they use when they run.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cache
 from typing import Callable
@@ -39,7 +40,7 @@ from .core import (
     UnknownSystemError,
 )
 from .sampling import DEFAULT_SEED, sobol_points
-from .stability import FiberwiseCertificate, IncrementalCertificate, estimate_lipschitz
+from .stability import IncrementalCertificate, estimate_lipschitz
 from .user_systems import compile_map, system_factory
 
 GRAVITY_DEFAULT = 9.81
@@ -155,6 +156,17 @@ def _check_boxes(kind: str, state_box, input_box, n_state: int, n_input: int | N
                              f"{kind!r} expects dimension {n}")
 
 
+@contextmanager
+def _from_box(kind: str, state_box):
+    """Name ``--box`` in the ``InputError`` of a constant computed from the box it gave."""
+    try:
+        yield
+    except InputError as err:
+        if state_box is None:
+            raise
+        raise InputError(f"--box gives certificate {kind!r} a degenerate constant: {err}") from None
+
+
 # default certificate boxes for the cart: retained block, then angle ranges
 CART_STATE_BOX = Box.from_pairs([(-2.0, 2.0), (-2.0, 2.0)])
 CART_ANGLE_BOX = Box.from_pairs([(-0.7, 0.7), (-1.5, 1.5)])
@@ -234,13 +246,10 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
             [[wc, tc] for wc in (box.lower[0], box.upper[0]) for tc in (box.lower[1], box.upper[1])]
         )
         v_max = float(lyapunov(corners)[:, 0].max())
-        a_hi = v_max / FIBER_THRESHOLD**2
-        cert = FiberwiseCertificate(
-            V=lyapunov,
-            alpha_lower=ComparisonFunction(a_lo, 2.0),
-            alpha_upper=ComparisonFunction(a_hi, 2.0),
-            d_threshold=FIBER_THRESHOLD,
-        )
+        with _from_box("fiberwise", state_box):
+            alpha_upper = ComparisonFunction(v_max / FIBER_THRESHOLD**2, 2.0)
+        cert = IncrementalCertificate(lyapunov, ComparisonFunction(a_lo, 2.0), alpha_upper,
+                                      xi=FIBER_THRESHOLD)
         return CertificateSpec(kind="fiberwise", certificate=cert, state_box=box)
 
     def cert_iiss(
@@ -314,6 +323,9 @@ def make_cart_pendulum(params: dict) -> SystemEntry:
         # the decay argument controls only the velocity gap, so the
         # threshold must exceed the largest position gap the box allows
         xi = float(sbox.widths[0]) * 1.0125
+        with _from_box("iubibss", state_box):
+            if not (0 < xi < np.inf):
+                raise InputError(f"threshold xi must be positive and finite, got {xi}")
         coupling = _compiled("cart-pendulum", "coupling")(p)
         L = estimate_lipschitz(coupling, ibox, n_samples=2048, seed=seed) * LIPSCHITZ_SAFETY
         control_accel = ControlSystemDef(

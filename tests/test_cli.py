@@ -1228,6 +1228,24 @@ def test_certificate_box_of_the_wrong_dimension_exits_1(argv, message, tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--system", "ball-hoop", "--certificate", "fiberwise", "--box=0,0;0,0"],
+         "coefficient a must be positive"),
+        (["--system", "ball-hoop", "--certificate", "fiberwise", "--box=-1e200,1e200;-1,1"],
+         "needs finite coefficients, got a=inf"),
+        (["--system", "cart-pendulum", "--certificate", "iubibss", "--box=0,0;-1,1"],
+         "threshold xi must be positive"),
+    ],
+    ids=["fiberwise-point", "fiberwise-huge", "iubibss-flat"],
+)
+def test_a_degenerate_certificate_box_exits_1_naming_the_flag(argv, message, tmp_path, capsys):
+    rc = main(["check-lyapunov", *argv, "--samples", "64", "--out", str(tmp_path / "o")])
+    assert_clean_usage_error(rc, capsys, "error: --box gives certificate", message)
+    assert not (tmp_path / "o").exists()
+
+
 def test_both_certificate_boxes_skip_the_sublevel_scan(tmp_path, monkeypatch):
     # the scan of V's sublevel set only fills in a box that is not given
     from approxred import systems

@@ -21,7 +21,6 @@ from approxred.sampling import sobol_points
 from approxred.stability import (
     COUNTEREXAMPLE,
     NO_COUNTEREXAMPLE,
-    FiberwiseCertificate,
     IncrementalCertificate,
     _pair_terms,
     _value_and_grads,
@@ -242,6 +241,25 @@ class TestCheckIUBIBSS:
         with pytest.raises(InputError, match="threshold xi must be positive"):
             check_iubibss(DRIVEN, cert, SYM_BOX_1, SYM_BOX_1, 64)
 
+    def test_an_infinite_threshold_is_rejected_without_a_warning(self):
+        # it used to pass any field, with a RuntimeWarning from inf - inf
+        import warnings
+
+        cert = dataclasses.replace(contraction_certificate(), alpha_decay=None, xi=np.inf)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InputError, match="needs a finite xi"):
+                check_iubibss(EXPAND, cert, SYM_BOX_1, SYM_BOX_1, 64)
+        assert not caught, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("check,change", [
+        (check_iiss, {}), (check_iubibss, {"alpha_decay": None, "xi": 0.5}),
+    ], ids=["iiss", "iubibss"])
+    def test_an_input_gain_is_required(self, check, change):
+        cert = dataclasses.replace(contraction_certificate(), mu=None, **change)
+        with pytest.raises(InputError, match="gain mu"):
+            check(DRIVEN, cert, SYM_BOX_1, SYM_BOX_1, 64)
+
 
 # x' = -x + 2u: with V = |x1-x2|^2/2, dV/dt = -d^2 + 2 d du for d = x1 - x2
 # and du = u1 - u2, which is positive only where |d| < 2|du|
@@ -303,8 +321,8 @@ def fiber_gap(s):
 class TestCheckFiberwise:
     def certificate(self):
         half_sq = ComparisonFunction(0.5, 2.0)
-        return FiberwiseCertificate(
-            V=fiber_gap, alpha_lower=half_sq, alpha_upper=half_sq, d_threshold=0.0
+        return IncrementalCertificate(
+            V=fiber_gap, alpha_lower=half_sq, alpha_upper=half_sq, xi=0.0
         )
 
     def test_contracting_fiber_passes(self):
@@ -327,6 +345,17 @@ class TestCheckFiberwise:
         # re-evaluating V's gradient column by column reproduces the record
         vd = float(self.certificate().V(x)[1:] @ fiber_field(+1.0).rhs(x))
         assert vd == rep.counterexample.observed
+
+    @pytest.mark.parametrize("xi", [float("nan"), np.inf, -0.5])
+    def test_a_threshold_that_selects_nothing_is_rejected(self, xi):
+        # the expanding fiber fails at threshold 0.05; a NaN threshold used to
+        # report NO_COUNTEREXAMPLE with no active sample
+        d = Decomposition(n=2, m=1, k=1)
+        box = Box.from_pairs([(-1, 1)] * 2)
+        cert = dataclasses.replace(self.certificate(), xi=0.05)
+        assert check_fiberwise(fiber_field(+1.0), d, cert, box, 1024).verdict == COUNTEREXAMPLE
+        with pytest.raises(InputError, match="threshold xi must be finite and nonnegative"):
+            check_fiberwise(fiber_field(+1.0), d, dataclasses.replace(cert, xi=xi), box, 1024)
 
     def test_hoop_energy_certificate(self):
         entry = lookup("ball-hoop", {})

@@ -26,7 +26,6 @@ from approxred.numdiff import jacobian_batch
 from approxred.reduction import check_exact_reducible
 from approxred.sampling import sobol_blocks, sobol_points
 from approxred.stability import (
-    FiberwiseCertificate,
     IncrementalCertificate,
     _falsify,
     check_fiberwise,
@@ -185,8 +184,7 @@ class TestWholeArrayOracle:
             yield 0, pts
 
         def use():
-            monkeypatch.setattr(stability, "sobol_blocks", one_block)
-            monkeypatch.setattr(reduction, "sobol_blocks", one_block)
+            monkeypatch.setattr(stability, "sobol_blocks", one_block)  # the one consumer
 
         return use
 
@@ -215,8 +213,8 @@ class TestTies:
             lambda s: np.abs(s[..., 1]),
             lambda s: np.stack([np.zeros_like(s[..., 1]), np.sign(s[..., 1])], axis=-1),
         )
-        cert = FiberwiseCertificate(V=V, alpha_lower=ComparisonFunction(1e-12),
-                                    alpha_upper=ComparisonFunction(1e12))
+        cert = IncrementalCertificate(V=V, alpha_lower=ComparisonFunction(1e-12),
+                                      alpha_upper=ComparisonFunction(1e12))
         first = int(np.argmax(sobol_points(UNIT_SQUARE, 64)[:, 1] > 0))
         for rows in (None, 7, 1):
             if rows is not None:
@@ -239,6 +237,30 @@ class TestTies:
                 monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", rows)
             witness = check_exact_reducible(f, FIBER, UNIT_SQUARE, 64).witness
             assert witness.point.tolist() == X[first].tolist()
+
+    def test_check_exact_tie_between_entries_keeps_the_lowest(self, monkeypatch):
+        # m = 1, k = 2 and f_y = y (z1 + z2): at z = 0 both partials step by the
+        # same h, so they are equal bit for bit and the entry (0, 0) must win
+        def rhs(s):
+            s = np.asarray(s, dtype=float)
+            y, z1, z2 = s[..., 0], s[..., 1], s[..., 2]
+            return np.stack([y * (z1 + z2), -z1, -z2], axis=-1)
+
+        f = VectorFieldDef(n=3, rhs=rhs)
+        d = Decomposition(n=3, m=1, k=2)
+        box = Box.from_pairs([(-1.0, 1.0), (0.0, 0.0), (0.0, 0.0)])
+        X = sobol_points(box, 64)
+        J = np.abs(jacobian_batch(lambda s: rhs(s)[..., :1], X, 1, cols=[1, 2]))[:, 0]
+        first = int(np.argmax(J[:, 0]))
+        assert J[first, 0] == J[first, 1] > 0
+        for rows in (None, 7, 1):
+            if rows is not None:
+                monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", rows)
+            report = check_exact_reducible(f, d, box, 64)
+            witness = report.witness
+            assert report.max_residual == witness.magnitude == J.max()
+            assert witness.point.tolist() == X[first].tolist()
+            assert (witness.component, witness.fiber_index) == (0, 0)
 
     def test_conditions_tie_in_table_order(self, monkeypatch):
         # equal violations: the earlier condition in the table wins, even when
@@ -306,8 +328,8 @@ class TestNonFiniteInALaterBlock:
     def test_fiberwise_derivative_nan_on_a_quarter_of_the_box(self):
         # used to return NO_COUNTEREXAMPLE: Vdot was never checked for finiteness
         f = field(lambda y, z: -y, lambda y, z: np.where(z > 0.5, np.nan, -z))
-        cert = FiberwiseCertificate(V=fiber_square(), alpha_lower=HALF_SQ,
-                                    alpha_upper=HALF_SQ)
+        cert = IncrementalCertificate(V=fiber_square(), alpha_lower=HALF_SQ,
+                                      alpha_upper=HALF_SQ)
         X = sobol_points(UNIT_SQUARE, 1024)
         expected = X[np.argmax(X[:, 1] > 0.5)].tolist()
         with pytest.raises(EvaluationError, match="along f") as err:
@@ -317,8 +339,8 @@ class TestNonFiniteInALaterBlock:
     def test_fiberwise_derivative(self, monkeypatch):
         monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", 7)
         f = field(lambda y, z: -y, lambda y, z: np.where(z > 0.9, np.nan, -z))
-        cert = FiberwiseCertificate(V=fiber_square(), alpha_lower=HALF_SQ,
-                                    alpha_upper=HALF_SQ)
+        cert = IncrementalCertificate(V=fiber_square(), alpha_lower=HALF_SQ,
+                                      alpha_upper=HALF_SQ)
         X = sobol_points(UNIT_SQUARE, 1024)
         expected = self.first_bad(X, X[:, 1] > 0.9)
         with pytest.raises(EvaluationError, match="along f") as err:
@@ -326,18 +348,17 @@ class TestNonFiniteInALaterBlock:
         assert str(expected) in str(err.value)
 
     def test_fiberwise_derivative_ignores_inactive_samples(self):
-        # only samples with fiber norm >= d_threshold are checked
+        # only samples with fiber norm >= xi, the threshold, are checked
         f = field(lambda y, z: -y, lambda y, z: np.where(np.abs(z) < 0.1, np.nan, -z))
-        cert = FiberwiseCertificate(V=fiber_square(), alpha_lower=HALF_SQ,
-                                    alpha_upper=ComparisonFunction(1.0, 2.0),
-                                    d_threshold=0.2)
+        cert = IncrementalCertificate(V=fiber_square(), alpha_lower=HALF_SQ,
+                                      alpha_upper=ComparisonFunction(1.0, 2.0), xi=0.2)
         report = check_fiberwise(f, FIBER, cert, UNIT_SQUARE, 1024)
         assert report.passed
 
     def test_fiberwise_derivative_exits_2(self, tmp_path, monkeypatch, capsys):
         f = field(lambda y, z: -y, lambda y, z: np.where(z > 0.5, np.nan, -z))
-        cert = FiberwiseCertificate(V=fiber_square(), alpha_lower=HALF_SQ,
-                                    alpha_upper=HALF_SQ)
+        cert = IncrementalCertificate(V=fiber_square(), alpha_lower=HALF_SQ,
+                                      alpha_upper=HALF_SQ)
 
         def factory(params):
             spec = CertificateSpec("fiberwise", cert, UNIT_SQUARE)
