@@ -194,8 +194,10 @@ def _resolver(args):
     extra = None
     if getattr(args, "config", None):
         _entry, extra = load_system_config(args.config)
-        if args.system is None:
-            args.system = _entry.name
+        if args.system not in (None, _entry.name):
+            raise UsageError(f"--system {args.system!r} differs from the system "
+                             f"{_entry.name!r} that --config {args.config} defines")
+        args.system = _entry.name
     if args.system is None:
         raise UsageError("--system is required (or provide --config)")
 

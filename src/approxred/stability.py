@@ -186,7 +186,8 @@ def _falsify(
     tie rule. The witness records the parts by
     name; ``counts`` turns the samples each condition's mask selected into
     the report's condition counts, and the note names each condition whose
-    mask selected no sample at all.
+    mask selected no sample at all. A check whose masks select no sample for
+    any condition tests nothing, and raises ``InputError``.
     """
     worst = {}  # name -> (violation, sample index, observed, bound, sample)
     checked = {}
@@ -207,9 +208,12 @@ def _falsify(
             if best is None or mag > best.magnitude:
                 point = {key: sample[cols] for key, cols in parts.items()}
                 best = Counterexample(name, float(mag), i, point, observed, bound)
+    untested = [name for name, *_ in table if not checked[name]]
+    if len(untested) == len(table):
+        raise InputError(f"none of the {n_samples} samples lies in the domain of any condition"
+                         f" ({', '.join(untested)}): the check would test nothing")
     report = dict(samples_checked=n_samples, boxes=boxes, condition_counts=counts(checked))
-    untested = ", ".join(name for name, *_ in table if not checked[name])
-    suffix = f"; no sample was tested for {untested}" if untested else ""
+    suffix = f"; no sample was tested for {', '.join(untested)}" if untested else ""
     if best is None:
         return CertificateReport(verdict=NO_COUNTEREXAMPLE, note=EVIDENCE_NOTE + suffix, **report)
     return CertificateReport(

@@ -17,8 +17,9 @@ and only when a command first uses it. V, U and the input coupling each
 compile to one map of their value followed by their derived gradient, so the
 sampled Lipschitz estimate reads the coupling's exact Jacobian. What stays
 code is parameter validation, comparison functions and boxes: the hoop's
-invariant sublevel box is its entry's ``default_box``. The certificate
-factories bind the functions they use when they run.
+``default_box`` is the exact bounding box of its invariant sublevel set, in
+closed form. The certificate factories bind the functions they use when they
+run.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .core import (
     InputError,
     SystemEntry,
     UnknownSystemError,
+    VectorFieldDef,
 )
 from .sampling import DEFAULT_SEED, sobol_points
 from .stability import IncrementalCertificate, estimate_lipschitz
@@ -92,16 +94,6 @@ CART_PENDULUM = {
     "x0": [1.0, 0.0, 0.5, 0.0],
 }
 
-# the cart's reduced model, the linear spring-damper y @ A_red.T written out:
-# a BLAS product's rounding may depend on how many states it takes at once
-CART_PENDULUM_REDUCED = {
-    "name": "cart-pendulum_reduced",
-    "state": ["x", "v"],
-    "m": 1,
-    "params": CART_PENDULUM["params"],
-    "rhs": ["v", "(-k/M)*x + (-d/M)*v"],
-}
-
 _HOOP_COUPLING = "xi_hoop**2*sin(theta)*cos(theta) - (g/R)*sin(theta)"
 _CART_COUPLING = "omega**2*sin(theta) - omegadot*cos(theta)"
 
@@ -126,6 +118,9 @@ CART_FUNCTIONS = {
     # the momentum form of the retained dynamics
     "control": ([["x", "v"], ["theta", "omega", "omegadot"]],
                 ["v", f"(m*R*({_CART_COUPLING}) - k*x - d*v)/(M + m)"]),
+    # the reduced model, the linear spring-damper y @ A_red.T written out: a
+    # BLAS product's rounding may depend on how many states it takes at once
+    "reduced": ([["x", "v"]], ["v", "(-k/M)*x + (-d/M)*v"]),
 }
 
 
@@ -135,8 +130,7 @@ def _compiled(name: str, key: str | None = None) -> Callable:
     one of its functions; V, U and the coupling map to their value followed
     by their gradient. Each compiles once per process, when first asked for."""
     doc, functions = {"ball-hoop": (BALL_HOOP, HOOP_FUNCTIONS),
-                      "cart-pendulum": (CART_PENDULUM, CART_FUNCTIONS),
-                      "cart-pendulum_reduced": (CART_PENDULUM_REDUCED, {})}[name]
+                      "cart-pendulum": (CART_PENDULUM, CART_FUNCTIONS)}[name]
     if key is None:
         return system_factory(doc)[0]
     blocks, sources = functions[key]
@@ -190,44 +184,27 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
         )
     entry = _compiled("ball-hoop")(p)
 
-    # non-finite values from extreme parameters raise below, without warnings
-    @np.errstate(all="ignore")
-    def sublevel_box(c: float | None = None, grid: int = 1001) -> Box:
-        """Bounding box of the invariant sublevel set {V <= c} on a grid.
+    @np.errstate(all="ignore")  # a non-finite bound raises below, without warnings
+    def sublevel_box(c: float | None = None) -> Box:
+        """The bounding box of the invariant sublevel set {V <= c}, exactly.
 
-        V = (K*omega^2 + B1(theta)) - B2(theta) is non-decreasing in omega^2
-        under rounding. So the theta columns that meet the set are those of
-        the omega row nearest 0, and the rows that meet it form an interval
-        around that row, whose ends are found by bisection, one row a probe.
+        V/(m*R) = R*omega^2/2 + B(u), where u = 1 - cos(theta) and B = s*u +
+        spin*u^2/2 with spin = R*xi^2 < g and s = g - spin. B rises from 0 on
+        [0, pi], so the box is |omega| <= sqrt(2c'/R) by |theta| <= B^-1(c'),
+        for c' = c/(m*R), or pi where B(pi) <= c' or the root is not a number.
+        The root u = 2r/(1 + sqrt(1 + 2*(spin/s)*r)), r = c'/s, never forms
+        s^2 or m*R*g, which overflow for huge g.
         """
-        lyapunov = _compiled("ball-hoop", "V")(p)
         if c is None:
-            c = float(lyapunov(entry.default_ic)[0])
-        w_max = np.sqrt(np.float64(2.0 * c) / (m * R**2))
+            c = float(_compiled("ball-hoop", "V")(p)(entry.default_ic)[0])
+        level = np.float64(c) / (m * R)
+        w_max = np.sqrt(2.0 * level / R)
         if not np.isfinite(w_max):
             raise InputError(f"sublevel box of V <= {c} is not finite: omega bound {w_max}")
-        w = np.linspace(-w_max, w_max, grid)
-        th = np.linspace(-np.pi, np.pi, grid)
-
-        def inside(row: int) -> np.ndarray:
-            return lyapunov(np.stack([np.full(grid, w[row]), th], axis=-1))[:, 0] <= c
-
-        mid = int(np.argmin(np.abs(w)))
-        cols = inside(mid)
-        if not cols.any():
-            raise InputError(f"sublevel value {c} produced an empty set")
-        lo, hi = 0, mid  # the first row that meets the set lies in [lo, hi]
-        while lo < hi:
-            row = (lo + hi) // 2
-            lo, hi = (lo, row) if inside(row).any() else (row + 1, hi)
-        first = lo
-        lo, hi = mid, grid - 1  # the last one lies in [lo, hi]
-        while lo < hi:
-            row = (lo + hi + 1) // 2
-            lo, hi = (row, hi) if inside(row).any() else (lo, row - 1)
-        return Box.from_pairs(
-            [(w[first], w[lo]), (th[cols].min(), th[cols].max())]
-        )
+        r = level / (g - spin)
+        u = 2.0 * r / (1.0 + np.sqrt(1.0 + 2.0 * (spin / (g - spin)) * r))
+        th_max = 2.0 * np.arcsin(np.sqrt(u / 2.0)) if u < 2.0 else np.pi
+        return Box.from_pairs([(-w_max, w_max), (-th_max, th_max)])
 
     @np.errstate(all="ignore")
     def cert_fiberwise(
@@ -258,7 +235,7 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
         seed: int = DEFAULT_SEED,
     ) -> CertificateSpec:
         _check_boxes("iiss", state_box, input_box, 1, 1)
-        if state_box is None or input_box is None:  # only a missing box needs the scan
+        if state_box is None or input_box is None:  # only a missing box needs V
             full_box = sublevel_box()
             state_box = state_box or full_box.project(entry.decomp, "m")
             input_box = input_box or full_box.project(entry.decomp, "k")
@@ -345,7 +322,8 @@ def make_cart_pendulum(params: dict) -> SystemEntry:
 
     return replace(
         entry,
-        reduced_override=_compiled(CART_PENDULUM_REDUCED["name"])(p).field,
+        reduced_override=VectorFieldDef(n=2, rhs=_compiled("cart-pendulum", "reduced")(p),
+                                        name="cart-pendulum_reduced"),
         certificates={"iubibss": cert_iubibss},
     )
 

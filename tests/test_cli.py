@@ -511,6 +511,15 @@ class TestCheckLyapunov:
         assert report["condition_counts"]["decay_checked"] == 0
         assert report["note"].endswith("; no sample was tested for decay")
 
+    @pytest.mark.parametrize("negate", [[], ["--negate-v"]])
+    def test_a_box_that_tests_no_sample_exits_1(self, negate, tmp_path, capsys):
+        # every fiber norm lies below the threshold 0.05: even a negated V used to pass
+        out = tmp_path / "o.json"
+        rc = main(["check-lyapunov", "--system", "ball-hoop", "--certificate", "fiberwise",
+                   "--box=-1,1;-0.01,0.01", *negate, "--samples", "4096", "--out", str(out)])
+        assert_clean_usage_error(rc, capsys, "none of the 4096 samples lies in the domain")
+        assert not out.exists()
+
     def test_fiberwise_takes_no_input_box(self, tmp_path, capsys):
         rc = main(["check-lyapunov", "--system", "ball-hoop", "--certificate", "fiberwise",
                    "--input-box=-1,1", "--samples", "64", "--out", str(tmp_path / "o")])
@@ -1351,6 +1360,24 @@ def test_an_unreadable_config_exits_1(content, needle, tmp_path, capsys):
     assert_clean_usage_error(rc, capsys, "is not valid JSON", needle)
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--t-end", "1"],
+    ["check-exact", "--samples", "64"],
+    ["bound", "--n-ic", "4", "--t-end", "1", "--n-grid", "51"],
+], ids=lambda argv: argv[0])
+def test_a_system_the_config_does_not_define_exits_1(command, tmp_path, capsys):
+    # the hoop used to run in place of the document, without a word
+    config = write_demo_config(tmp_path)
+    outs = [tmp_path / f"{i}.out" for i in range(3)]
+    rc = main([*command, "--system", "ball-hoop", "--config", config, "--out", str(outs[0])])
+    assert_clean_usage_error(rc, capsys, "--system 'ball-hoop'", "'demo'", config)
+    assert not outs[0].exists()
+    # the document's own name is the system it defines
+    assert main([*command, "--system", "demo", "--config", config, "--out", str(outs[1])]) == 0
+    assert main([*command, "--config", config, "--out", str(outs[2])]) == 0
+    assert outs[1].read_bytes() == outs[2].read_bytes()
+
+
 def extreme_parameter_runs():
     """Each bundled parameter at 1e-320, 1e200 and 1e308, under check-lyapunov
     for each certificate and under simulate, then two more extremes; the
@@ -1410,16 +1437,19 @@ def test_extreme_parameters_exit_cleanly(argv, fixed, tmp_path, capsys):
 # seed, recorded while the certificates were hand-written closures; the two
 # cart digests were recorded again when the note began to name the decay
 # condition that no cart sample tests, and all five again when the config
-# began to record only the settings the command uses, the only bytes to move
+# began to record only the settings the command uses, the only bytes to move.
+# The three hoop digests were recorded again when the default box became the
+# exact bounding box of {V <= c}: theta's range widened from a grid scan's
+# +-0.46496 to +-0.47054, so the samples and the counts they give moved
 CERTIFICATE_OUTPUT_SHA256 = {
     ("ball-hoop", "fiberwise", False):
-        "398d5c4c454770f60c0f9ee290503ea89244a40408c10a49fb6c91519a086d66",
+        "e4f67b9e39978adc7196dabd1d65cb4749315e8a9f5e90bf4a41205af441f950",
     ("ball-hoop", "iiss", False):
-        "3d2c008f791f640f279a5a726f059078b17ee0dda232eb6451e70fb2b09ef8b9",
+        "7ad1755190d68f39ed8f836ae9e91ffcc50d8b4d39438aac2716f4eb50f3e7c0",
     ("cart-pendulum", "iubibss", False):
         "41eda73582893b4713e8d239b87b5f830e290b3b7d357675c23db241be697367",
     ("ball-hoop", "iiss", True):
-        "9ea6bc8ec06d0bfa58fd04e79d00c338584013bb2ae5d706f6496397c6aa3366",
+        "e77320d0573706776bec808485f8e2ffd5eea5ead7dc166d8e3e8b6bc082a966",
     ("cart-pendulum", "iubibss", True):
         "533abad1ed3ca4e6a0e3cf466eeaa0793f5100e90477b6ef0fd67060e87dce93",
 }
@@ -1441,7 +1471,9 @@ def test_certificate_outputs_keep_their_bytes(tmp_path, system, certificate, neg
 # sha256 of the --out file of one short run per document kind at the default
 # seed, recorded while the run configuration was a dataclass and again when
 # each config began to record only the settings its command uses: they pin the
-# config's keys and their order, each document's keys and every float's digits
+# config's keys and their order, each document's keys and every float's digits.
+# The two hoop runs that sample the default box were recorded again when that
+# box became the exact bounding box of {V <= c}, whose theta range is wider
 OUTPUT_SHA256 = {
     "simulate --system ball-hoop --t-end 2":
         "e8002d6c6cbe9009a22e86f169cc77aceb1da21bd2edb20f7233ddc8bee84fc7",
@@ -1452,9 +1484,9 @@ OUTPUT_SHA256 = {
     "sweep --system ball-hoop --param R --values 5,10 --t-end 2 --n-grid 51 --format json":
         "5416a2e3aa34f911d75390afeffdbcd5ad483ce766628d5a5cc86b2df6acc7a3",
     "check-exact --system ball-hoop --samples 64":
-        "9c2e239231678482257b827006c183c6b7e901282c017f2056f4dc3956e78979",
+        "63f39b60182284f6b298e59c229de1ad26aef80b6f68d48e06d31c58fddcac87",
     "bound --system ball-hoop --n-ic 4 --t-end 2 --n-grid 51":
-        "7fbd7e749b4fa4e4a52d87ca5cdd8f104de50883f8dd054a30b0e4b0c2f8be21",
+        "f5737376d90d7ce21c3449697b0f0b97ca21ba03584e4822513bf865a0fe8d31",
     "bound --system cart-pendulum --mode cross --n-ic 4 --t-end 1 --n-grid 51":
         "f8a4485a96d713aad934cac20b6e930b4a35d63f7edad2dfa1887b6765148715",
     "bound --config {demo} --n-ic 4 --t-end 1 --n-grid 51":

@@ -357,6 +357,19 @@ class TestCheckFiberwise:
         with pytest.raises(InputError, match="threshold xi must be finite and nonnegative"):
             check_fiberwise(fiber_field(+1.0), d, dataclasses.replace(cert, xi=xi), box, 1024)
 
+    def test_a_box_inside_the_threshold_band_is_rejected(self):
+        # every fiber norm is below the threshold, so no condition tests a
+        # sample: even the expanding fiber used to pass with no active sample
+        d = Decomposition(n=2, m=1, k=1)
+        cert = dataclasses.replace(self.certificate(), xi=0.05)
+        with pytest.raises(InputError, match=r"of any condition \(lower_bound, upper_bound, "
+                                             r"decay\): the check would test nothing"):
+            check_fiberwise(fiber_field(+1.0), d, cert, Box.from_pairs([(-1, 1), (-0.01, 0.01)]),
+                            1024)
+        # a box that reaches past the threshold is checked
+        box = Box.from_pairs([(-1, 1), (-0.01, 0.06)])
+        assert check_fiberwise(fiber_field(+1.0), d, cert, box, 1024).verdict == COUNTEREXAMPLE
+
     def test_hoop_energy_certificate(self):
         entry = lookup("ball-hoop", {})
         spec = entry.certificates["fiberwise"]()

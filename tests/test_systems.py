@@ -62,6 +62,30 @@ class TestBallInHoop:
         scale = np.maximum(np.abs(expected), 1e-12)
         assert np.max(np.abs(vd - expected) / scale) < 1e-9
 
+    @pytest.mark.parametrize("params", [
+        {}, {"R": 10.0, "xi_hoop": 0.3}, {"R": 20.0, "xi_hoop": 0.6}, {"R": 40.0, "xi_hoop": 0.3},
+        {"g": 1e200},  # m*R*g is finite here, but its square is not
+    ], ids=["R=5", "R=10", "R=20", "R=40", "g=1e200"])
+    def test_sublevel_box_is_the_exact_bounding_box(self, params):
+        # theta's bound is V's root along omega = 0, omega's is sqrt(2c / (m R^2))
+        from scipy.optimize import brentq
+
+        entry = lookup("ball-hoop", params)
+        p = entry.params
+        V = _compiled("ball-hoop", "V")(p)
+        top = 2.0 * p["m"] * p["g"] * p["R"]  # V at (0, pi), V's largest value at omega = 0
+        for c in (None, 0.01 * top, 0.1 * top, 0.5 * top, 0.9 * top):
+            box = entry.default_box(c)
+            level = float(V(entry.default_ic)[0]) if c is None else c
+            theta = brentq(lambda t: V(np.array([0.0, t]))[0] - level, 0.0, np.pi,
+                           xtol=1e-15, rtol=4 * np.finfo(float).eps)
+            w_max = np.sqrt(2.0 * level / (p["m"] * p["R"] ** 2))
+            assert box.upper == pytest.approx([w_max, theta], rel=1e-12, abs=0), c
+            assert np.array_equal(box.lower, -box.upper)
+        for c in (1.0001 * top, 1.5 * top, 1e6 * top):  # above V(0, pi): every angle
+            box = entry.default_box(c)
+            assert box.lower[1] == -np.pi and box.upper[1] == np.pi
+
 
 class TestCartPendulum:
     def test_rhs_at_pinned_states(self):
