@@ -12,7 +12,6 @@ from .core import (
     Box,
     ComparisonFunction,
     ControlSystemDef,
-    Decomposition,
     DivergenceError,
     InputError,
     NumericalError,
@@ -20,7 +19,6 @@ from .core import (
     SystemEntry,
     Trajectory,
     VectorFieldDef,
-    project,
 )
 from .integrate import (
     IntegratorConfig,
@@ -50,14 +48,12 @@ __all__ = [
     "Box",
     "ComparisonFunction",
     "ControlSystemDef",
-    "Decomposition",
     "DivergenceError",
     "InputError",
     "NumericalError",
     "StepBudgetError",
     "Trajectory",
     "VectorFieldDef",
-    "project",
     "IntegratorConfig",
     "integrate_field",
     "resample",

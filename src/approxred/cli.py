@@ -32,7 +32,6 @@ from . import __version__
 from .core import (
     Box,
     ConstraintError,
-    Decomposition,
     InputError,
     NumericalError,
     SystemEntry,
@@ -188,9 +187,9 @@ def _resolve_seed(args) -> int:
 def _resolver(args):
     """A map from parameter overrides to the system the arguments name, with
     ``--set`` and then the overrides merged into its parameters and ``--m``
-    applied to its decomposition. A ``--config`` file is read once, here."""
+    as its retained dimension. A ``--config`` file is read once, here."""
     sets = _parse_set(args.set)
-    m = getattr(args, "m", None)  # commands that use no decomposition take no --m
+    m = getattr(args, "m", None)  # commands that reduce nothing take no --m
     extra = None
     if getattr(args, "config", None):
         _entry, extra = load_system_config(args.config)
@@ -206,11 +205,9 @@ def _resolver(args):
         n = entry.field.n
         if m is not None and not (1 <= m < n):
             raise UsageError(f"--m must be in [1, {n - 1}] for system {entry.name!r}")
-        if m not in (None, entry.decomp.m):
+        if m not in (None, entry.m):
             # the bundled reduction is for the stock split
-            entry = dataclasses.replace(
-                entry, decomp=Decomposition.retain(n, m), reduced_override=None
-            )
+            entry = dataclasses.replace(entry, m=m, reduced_override=None)
         return entry
 
     return resolve
@@ -246,7 +243,7 @@ def _config(command: str, args, entry: SystemEntry, **settings) -> dict:
     resolved value in ``settings`` (``x0``, ``seed``, ``params``) keeps its
     key's place."""
     config = {"tool": "approxred", "version": __version__, "command": command,
-              "system": entry.name, "params": entry.params, "m": entry.decomp.m}
+              "system": entry.name, "params": entry.params, "m": entry.m}
     given = {**vars(args), **settings}
     config.update((key, given[key]) for key in _SHARED if key in given)
     config.update(settings)
@@ -297,7 +294,7 @@ def cmd_compare(args) -> int:
     cfg = _integrator_config(args)
     rep = measure_deviation(
         entry.field,
-        entry.decomp,
+        entry.m,
         x0,
         cfg,
         reduced=entry.reduced_override,
@@ -305,7 +302,7 @@ def cmd_compare(args) -> int:
     )
     meta = _config("compare", args, entry, x0=x0, n_grid=args.n_grid)
     summary = {"sup_dev": rep.sup_dev, "t_of_sup": rep.t_of_sup}
-    m = entry.decomp.m
+    m = entry.m
     if args.format == "json":
         doc = to_jsonable({
             "config": meta,
@@ -349,7 +346,7 @@ def cmd_sweep(args) -> int:
             break
     sweep = sweep_deviation(
         [e.field for e in entries],
-        entries[0].decomp,
+        entries[0].m,
         x0,
         cfg,
         reduced=[e.reduced_override for e in entries],
@@ -384,7 +381,7 @@ def cmd_check_exact(args) -> int:
     box = _resolve_box(args, entry)
     seed = _resolve_seed(args)
     report = check_exact_reducible(
-        entry.field, entry.decomp, box, n_samples=args.samples, tol=args.tol, seed=seed
+        entry.field, entry.m, box, n_samples=args.samples, tol=args.tol, seed=seed
     )
     meta = _config(
         "check-exact", args, entry, seed=seed, samples=args.samples, tol=args.tol, box=box
@@ -413,7 +410,7 @@ def cmd_check_lyapunov(args) -> int:
         cert = _negate_certificate(cert)
     if spec.kind == "fiberwise":
         report = check_fiberwise(
-            entry.field, entry.decomp, cert, spec.state_box, n_samples=args.samples,
+            entry.field, entry.m, cert, spec.state_box, n_samples=args.samples,
             seed=seed,
         )
     else:
@@ -450,7 +447,7 @@ def cmd_bound(args) -> int:
     cfg = _integrator_config(args)
     seed = _resolve_seed(args)
     est = estimate_delta(
-        entry.field, entry.decomp, box, args.n_ic, cfg, pair_mode=args.mode,
+        entry.field, entry.m, box, args.n_ic, cfg, pair_mode=args.mode,
         reduced=entry.reduced_override, seed=seed, n_grid=args.n_grid,
     )
     meta = _config(
@@ -466,7 +463,7 @@ def cmd_bound(args) -> int:
 
 def _add_common(p: _Parser, *uses: str) -> None:
     """The system flags and ``--out``, then the shared flags of what the
-    command ``uses``: "m" (a decomposition), "seed" (sampling), "format"
+    command ``uses``: "m" (a retained dimension), "seed" (sampling), "format"
     (CSV output) and "integrator"."""
     p.add_argument("--system", help="registered system name")
     p.add_argument("--config", help="JSON config file defining a user system")

@@ -1,5 +1,5 @@
-"""Core domain types: vector fields, control systems, state decompositions,
-trajectories, comparison functions, axis-aligned boxes and system entries.
+"""Core domain types: vector fields, control systems, trajectories,
+comparison functions, axis-aligned boxes and system entries.
 
 All types are immutable after construction and all operations are pure, so
 instances can be shared freely between threads or processes.
@@ -8,9 +8,10 @@ Conventions fixed here and relied on everywhere else:
 
 * States are 1-d float arrays; batched evaluation uses arrays of shape
   ``(N, n)`` with the state on the last axis.
-* A decomposition splits the state as ``x = (y, z)`` with the *retained*
-  coordinates ``y`` first (``m`` of them) and the *fiber* coordinates ``z``
-  last (``k`` of them).
+* A reduction splits the state as ``x = (y, z)``: the *retained*
+  coordinates ``y`` are the first ``m``, the *fiber* coordinates ``z`` the
+  other ``n - m``. The retained dimension ``m`` is the whole split, and
+  :func:`check_retained` is its one validity check.
 * All distances are Euclidean.
 """
 
@@ -125,36 +126,11 @@ class ControlSystemDef:
             raise InputError("state and input dimensions must be >= 1")
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """A split R^n = R^m x R^k with the retained block leading."""
-
-    n: int
-    m: int
-    k: int
-
-    def __post_init__(self):
-        if self.m < 1 or self.k < 1:
-            raise InputError("both blocks of a decomposition must be nonempty")
-        if self.m + self.k != self.n:
-            raise InputError(f"decomposition {self.m}+{self.k} != {self.n}")
-
-    @classmethod
-    def retain(cls, n: int, m: int) -> "Decomposition":
-        return cls(n=n, m=m, k=n - m)
-
-
-def project(x, d: Decomposition, which: str) -> np.ndarray:
-    """Canonical projection of a state onto the retained or fiber block.
-
-    ``which`` is ``"m"`` (first ``d.m`` coordinates) or ``"k"`` (last ``d.k``).
-    """
-    x = as_state(x, d.n)
-    if which == "m":
-        return x[: d.m].copy()
-    if which == "k":
-        return x[d.m :].copy()
-    raise InputError(f"which must be 'm' or 'k', got {which!r}")
+def check_retained(m, n: int) -> None:
+    """Reject a retained dimension that leaves the retained block or the fiber
+    of R^n empty: ``m`` must be an integer, not a bool, with 1 <= m < n."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 1 <= m < n:
+        raise InputError(f"retained dimension m={m!r} must be an integer with 1 <= m < {n}")
 
 
 @dataclass(frozen=True)
@@ -280,16 +256,6 @@ class Box:
                 d = s * np.linalg.norm(w / s)
         return float(d)
 
-    def project(self, d: Decomposition, which: str) -> "Box":
-        """The image of the box under a canonical projection."""
-        if self.dim != d.n:
-            raise InputError("box dimension does not match the decomposition")
-        if which == "m":
-            return Box(self.lower[: d.m].copy(), self.upper[: d.m].copy())
-        if which == "k":
-            return Box(self.lower[d.m :].copy(), self.upper[d.m :].copy())
-        raise InputError(f"which must be 'm' or 'k', got {which!r}")
-
     def concat(self, other: "Box") -> "Box":
         return Box(
             np.concatenate([self.lower, other.lower]),
@@ -299,13 +265,14 @@ class Box:
 
 @dataclass(frozen=True)
 class SystemEntry:
-    """A registered system and everything the CLI needs to drive it.
-    ``default_box`` maps an optional level to its bundled check box, if any."""
+    """A registered system and everything the CLI needs to drive it: ``m`` is
+    its retained dimension, and ``default_box`` maps an optional level to its
+    bundled check box, if any."""
 
     name: str
     params: dict
     field: VectorFieldDef
-    decomp: Decomposition
+    m: int
     default_ic: np.ndarray
     reduced_override: VectorFieldDef | None = None
     certificates: dict = field(default_factory=dict)

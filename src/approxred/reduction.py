@@ -22,13 +22,13 @@ import numpy as np
 
 from .core import (
     Box,
-    Decomposition,
     DivergenceError,
     InputError,
     NumericalError,
     StepBudgetError,
     VectorFieldDef,
-    project,
+    as_state,
+    check_retained,
 )
 from .integrate import (
     IntegratorConfig,
@@ -53,12 +53,11 @@ REDUCIBLE = "REDUCIBLE_UP_TO_TOL"
 NOT_REDUCIBLE = "NOT_REDUCIBLE"
 
 
-def construct_reduced(f: VectorFieldDef, d: Decomposition) -> VectorFieldDef:
-    """The reduced field y -> pi_m(f(y, 0)): slice the field at fiber = 0 and
-    keep the retained velocity components."""
-    if d.n != f.n:
-        raise InputError(f"decomposition is on R^{d.n} but field lives on R^{f.n}")
-    m, k = d.m, d.k
+def construct_reduced(f: VectorFieldDef, m: int) -> VectorFieldDef:
+    """The reduced field y -> pi_m(f(y, 0)) of retained dimension ``m``: slice
+    the field at fiber = 0 and keep the first m velocity components."""
+    check_retained(m, f.n)
+    k = f.n - m
 
     def rhs(y):
         y = np.asarray(y, dtype=float)
@@ -93,13 +92,14 @@ class ReducibilityReport:
 
 def check_exact_reducible(
     f: VectorFieldDef,
-    d: Decomposition,
+    m: int,
     box: Box,
     n_samples: int = 512,
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
 ) -> ReducibilityReport:
-    """Test whether the retained velocity block is independent of the fiber.
+    """Test whether the first ``m`` velocity components are independent of
+    the fiber, the other n - m coordinates.
 
     For the canonical projection the bracket-invariance condition for an exact
     reduction collapses to d f_j / d z_i = 0 for every retained component j
@@ -108,19 +108,17 @@ def check_exact_reducible(
     ``stability._falsify`` finds the largest |d f_j / d z_i|, ties going to
     the lowest sample, then the lowest (j, i); it is 0.0 if none is positive.
     """
-    if d.n != f.n:
-        raise InputError(f"decomposition is on R^{d.n} but field lives on R^{f.n}")
+    check_retained(m, f.n)
     if box.dim != f.n:
         raise InputError("sampling box dimension does not match the field")
     if not (0 < tol < np.inf):  # an infinite tolerance would pass any field
         raise InputError(f"tol must be finite and positive, got {tol}")
-    m = d.m
 
     def retained(X):  # each FD difference keeps the m retained rows only
         return np.asarray(f.rhs(X), dtype=float)[..., :m]
 
     def conditions(X):
-        flat = np.abs(jacobian_batch(retained, X, m, cols=range(m, d.n))).reshape(len(X), -1)
+        flat = np.abs(jacobian_batch(retained, X, m, cols=range(m, f.n))).reshape(len(X), -1)
         top = flat.max(axis=1)  # NaN if any entry is
         _require_finite(top, "non-finite partial derivative at sample {x}", x=X)
         # the bound column carries each sample's largest entry, flat: j * k + i
@@ -130,7 +128,7 @@ def check_exact_reducible(
     max_partial = 0.0 if ce is None else ce.magnitude
     if max_partial <= tol:
         return ReducibilityReport(REDUCIBLE, n_samples, tol, max_partial)
-    comp, fib = divmod(int(ce.bound), d.k)
+    comp, fib = divmod(int(ce.bound), f.n - m)
     witness = ReducibilityWitness(ce.point["x"], max_partial, comp, fib)
     return ReducibilityReport(NOT_REDUCIBLE, n_samples, tol, max_partial, witness)
 
@@ -158,7 +156,7 @@ def _grid(t_end: float, n_grid: int) -> np.ndarray:
 
 def measure_deviation(
     f: VectorFieldDef,
-    d: Decomposition,
+    m: int,
     x0,
     cfg: IntegratorConfig,
     reduced: VectorFieldDef | None = None,
@@ -166,16 +164,16 @@ def measure_deviation(
 ) -> DeviationReport:
     """Integrate the full field and its reduction from matched initial states.
 
-    The full system starts at ``x0``, the reduced one at the projection of
-    ``x0``; both are resampled onto a shared uniform grid of ``n_grid`` points
-    and compared in the Euclidean norm of the retained block. ``reduced``
-    overrides the slice construction when a system ships its own reduced form.
+    The full system starts at ``x0``, the reduced one at ``x0[:m]``; both
+    are resampled onto a shared uniform grid of ``n_grid`` points and compared
+    in the Euclidean norm of the first m coordinates. ``reduced`` overrides
+    the slice construction when a system ships its own reduced form.
     """
-    x0 = np.asarray(x0, dtype=float)
+    check_retained(m, f.n)
+    x0 = as_state(x0, f.n)
     grid = _grid(cfg.t_end, n_grid)
     if reduced is None:
-        reduced = construct_reduced(f, d)
-    y0 = project(x0, d, "m")
+        reduced = construct_reduced(f, m)
 
     def labeled(which: str, fld, ic):
         try:
@@ -184,13 +182,13 @@ def measure_deviation(
             raise _labeled(which, err) from err
 
     full_traj = labeled("full", f, x0)
-    red_traj = labeled("reduced", reduced, y0)
+    red_traj = labeled("reduced", reduced, x0[:m])
     # both runs are finite at their nodes, so a non-finite value here comes
     # from the interpolation overflowing (steps too short to divide by)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         full_rs = resample(full_traj, grid)
         red_rs = resample(red_traj, grid)
-        full_proj = full_rs.states[:, : d.m]
+        full_proj = full_rs.states[:, :m]
         dev = np.linalg.norm(full_proj - red_rs.states, axis=1)
     if not np.all(np.isfinite(dev)):
         raise _overflow(grid[np.argmax(~np.isfinite(dev))], cfg.t_end)
@@ -207,7 +205,7 @@ def measure_deviation(
 
 def sweep_deviation(
     fields: list,
-    d: Decomposition,
+    m: int,
     x0,
     cfg: IntegratorConfig,
     reduced: list | None = None,
@@ -222,12 +220,13 @@ def sweep_deviation(
     the error :func:`measure_deviation` would raise for it, once the fields
     before it are yielded.
     """
+    x0 = as_state(x0)  # each field's run checks its dimension
+    check_retained(m, x0.size)
     grid = _grid(cfg.t_end, n_grid)
     reduced = reduced or [None] * len(fields)
-    reduced = [r or construct_reduced(f, d) for f, r in zip(fields, reduced)]
-    X0 = np.tile(np.asarray(x0, dtype=float), (len(fields), 1))
-    Y0 = np.tile(project(x0, d, "m"), (len(fields), 1))
-    for sup, t, err in _deviations(fields, X0, reduced, Y0, cfg, grid, d.m):
+    reduced = [r or construct_reduced(f, m) for f, r in zip(fields, reduced)]
+    X0 = np.tile(x0, (len(fields), 1))
+    for sup, t, err in _deviations(fields, X0, reduced, X0[:, :m], cfg, grid, m):
         if err is not None:
             raise err
         yield sup, t
@@ -302,7 +301,7 @@ class DeltaEstimate:
 
 def estimate_delta(
     f: VectorFieldDef,
-    d: Decomposition,
+    m: int,
     S: Box,
     n_ic: int,
     cfg: IntegratorConfig,
@@ -313,11 +312,13 @@ def estimate_delta(
 ) -> DeltaEstimate:
     """Estimate the uniform deviation bound over initial conditions in S.
 
-    ``projected`` mode pairs each sampled full-state x0 with its own
-    projection; ``cross`` mode samples independent pairs (x0 in S, y0 in the
-    projection of S) and compares the projected full run against the reduced
-    run from y0. Integrator failures are counted and skipped.
+    ``projected`` mode pairs each sampled full-state x0 with its own first m
+    coordinates; ``cross`` mode samples independent pairs (x0 in S, y0 in the
+    first m factors of S) and compares the first m coordinates of the full run
+    against the reduced run from y0. Integrator failures are counted and
+    skipped; when every run fails, the ``NumericalError`` names the first.
     """
+    check_retained(m, f.n)
     if pair_mode not in ("projected", "cross"):
         raise InputError(f"pair_mode must be 'projected' or 'cross', got {pair_mode!r}")
     if n_ic < 1:
@@ -326,21 +327,22 @@ def estimate_delta(
     if S.dim != f.n:
         raise InputError("sampling box dimension does not match the field")
     if reduced is None:
-        reduced = construct_reduced(f, d)
+        reduced = construct_reduced(f, m)
     if pair_mode == "projected":
         X0 = sobol_points(S, n_ic, seed)
-        Y0 = X0[:, : d.m]
+        Y0 = X0[:, :m]
     else:
-        P = sobol_points(S.concat(S.project(d, "m")), n_ic, seed)
+        P = sobol_points(S.concat(Box(S.lower[:m], S.upper[:m])), n_ic, seed)
         X0, Y0 = P[:, : f.n], P[:, f.n :]
-    sups, failures = [], 0
-    for sup, _t, err in _deviations(f, X0, reduced, Y0, cfg, grid, d.m):
+    sups, failed = [], []
+    for sup, _t, err in _deviations(f, X0, reduced, Y0, cfg, grid, m):
         if err is None:
             sups.append(sup)
         elif isinstance(err, (DivergenceError, StepBudgetError)):
-            failures += 1
+            failed.append(err)
         else:  # both runs reached the horizon: their interpolation overflowed
             raise err
     if not sups:
-        raise NumericalError(f"all {n_ic} sampled initial conditions failed to integrate")
-    return DeltaEstimate(max(sups), pair_mode, n_ic, failures, seed)
+        raise NumericalError(f"all {n_ic} sampled initial conditions failed to integrate; "
+                             f"the first: {failed[0]}")
+    return DeltaEstimate(max(sups), pair_mode, n_ic, len(failed), seed)

@@ -33,10 +33,10 @@ from .core import (
     Box,
     ComparisonFunction,
     ControlSystemDef,
-    Decomposition,
     EvaluationError,
     InputError,
     VectorFieldDef,
+    check_retained,
 )
 from .numdiff import batch_eval
 from .sampling import DEFAULT_SEED, sobol_blocks, sobol_points
@@ -236,14 +236,22 @@ def _check_pairs(
 ) -> CertificateReport:
     """Falsify ``cert``'s sandwich and decay conditions on Sobol samples of
     (x1, x2, u1, u2); ``grid`` adds the counts of a check made off the
-    samples, whose worst violation is ``prior``."""
+    samples, whose worst violation is ``prior``. V and F are evaluated only
+    where r = |x1-x2| >= xi, the sandwich domain, which holds the decay
+    domain: only there does a non-finite value raise ``EvaluationError``."""
     if state_box.dim != F.n or input_box.dim != F.m_in:
         raise InputError("box dimensions do not match the control system")
+    if state_box.diameter() == 0:
+        raise InputError("the state box has zero diameter, so every sampled pair "
+                         "coincides and only r = 0 would be tested")
 
     def conditions(X1, X2, U1, U2):
-        V, vd = _pair_terms(cert.V, F, X1, X2, U1, U2)
+        r = np.linalg.norm(X1 - X2, axis=1)
         gain = cert.mu.value(np.linalg.norm(U1 - U2, axis=1))
-        return _table(cert, np.linalg.norm(X1 - X2, axis=1), V, vd, gain)
+        rows = np.flatnonzero(r >= cert.xi)
+        V, vd = np.full(len(r), np.nan), np.full(len(r), np.nan)
+        V[rows], vd[rows] = _pair_terms(cert.V, F, X1[rows], X2[rows], U1[rows], U2[rows])
+        return _table(cert, r, V, vd, gain)
 
     def counts(checked):
         return {"sandwich_checked": checked["lower_bound"], **(grid or {}),
@@ -285,7 +293,8 @@ def check_iubibss(
 ) -> CertificateReport:
     """Falsify an IUBIBSS Lyapunov candidate, which has a positive xi: the
     certificate's sampled conditions, after the gain inequality
-    mu(r) + xi >= r + xi on a 1-d grid over [0, diameter(input_box)]."""
+    mu(r) + xi >= r + xi on a 1-d grid over [0, diameter(input_box)]. V and
+    F are evaluated only on the pairs with |x1-x2| >= xi."""
     if not (cert.xi > 0):
         raise InputError("threshold xi must be positive")
     if not (cert.xi < np.inf and cert.mu is not None):  # either passes any field
@@ -315,13 +324,14 @@ def check_iubibss(
 
 def check_fiberwise(
     f: VectorFieldDef,
-    d: Decomposition,
+    m: int,
     cert: IncrementalCertificate,
     box: Box,
     n_samples: int = 4096,
     seed: int = DEFAULT_SEED,
 ) -> CertificateReport:
-    """Falsify a fiberwise practical stability candidate on a box.
+    """Falsify a fiberwise practical stability candidate on a box, the fiber
+    being the last n - m coordinates.
 
     ``cert`` holds a V of one state and its threshold as ``xi``, finite and
     nonnegative; its gain is not read. Its conditions are checked at r = the
@@ -330,13 +340,14 @@ def check_fiberwise(
     (<= -alpha_decay(r) with a rate). A non-finite V or Vdot on such a sample
     is an evaluation error.
     """
-    if box.dim != f.n or d.n != f.n:
-        raise InputError("box and decomposition must match the field dimension")
+    check_retained(m, f.n)
+    if box.dim != f.n:
+        raise InputError("box dimension does not match the field")
     if not (0 <= cert.xi < np.inf):  # a NaN or infinite threshold selects no sample
         raise InputError(f"threshold xi must be finite and nonnegative, got {cert.xi}")
 
     def conditions(X):
-        fiber = np.linalg.norm(X[:, d.m :], axis=1)
+        fiber = np.linalg.norm(X[:, m:], axis=1)
         active = fiber >= cert.xi
         V, (G,) = _value_and_grads(cert.V, X)
         _require_finite(V, "V produced a non-finite value at {x}", active, x=X)

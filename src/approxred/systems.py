@@ -236,9 +236,9 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
     ) -> CertificateSpec:
         _check_boxes("iiss", state_box, input_box, 1, 1)
         if state_box is None or input_box is None:  # only a missing box needs V
-            full_box = sublevel_box()
-            state_box = state_box or full_box.project(entry.decomp, "m")
-            input_box = input_box or full_box.project(entry.decomp, "k")
+            box = sublevel_box()  # (omega, theta): the retained block, then the fiber
+            state_box = state_box or Box(box.lower[:1], box.upper[:1])
+            input_box = input_box or Box(box.lower[1:], box.upper[1:])
         coupling = _compiled("ball-hoop", "coupling")(p)
         L = estimate_lipschitz(coupling, input_box, n_samples=2048, seed=seed) * LIPSCHITZ_SAFETY
         control = ControlSystemDef(n=1, m_in=1, rhs=_compiled("ball-hoop", "control")(p),
@@ -359,7 +359,7 @@ def lookup(
     if unknown:
         raise InputError(
             f"unknown parameter(s) {', '.join(unknown)} for system {name!r}; "
-            f"valid: {', '.join(sorted(defaults))}"
+            f"valid: {', '.join(sorted(defaults)) or 'none'}"
         )
     params = {**defaults, **overrides}
     return factory(params)

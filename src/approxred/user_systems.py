@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Decomposition, EvaluationError, InputError, SystemEntry, VectorFieldDef
+from .core import EvaluationError, InputError, SystemEntry, VectorFieldDef
 
 _ALLOWED_CALLS = {"sin": np.sin, "cos": np.cos}
 _ALLOWED_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub, ast.UAdd)
@@ -335,7 +335,7 @@ def system_factory(doc: dict) -> tuple[Callable[[dict], SystemEntry], dict]:
             name=name,
             params=pvals,
             field=VectorFieldDef(n=n, rhs=bind(pvals), name=name),
-            decomp=Decomposition.retain(n, m),
+            m=m,
             default_ic=x0.copy(),
         )
 

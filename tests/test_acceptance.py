@@ -82,7 +82,7 @@ def test_criterion_2_cart_sweep_boundedness():
         entry = lookup("cart-pendulum", {"d": d})
         rep = measure_deviation(
             entry.field,
-            entry.decomp,
+            entry.m,
             ic,
             IntegratorConfig(t_end=30.0),
             reduced=entry.reduced_override,
@@ -194,7 +194,7 @@ def test_criterion_5_lyapunov_closed_form():
     spec = entry.certificates["fiberwise"]()
     t0 = time.perf_counter()
     rep = check_fiberwise(
-        entry.field, entry.decomp, spec.certificate, spec.state_box, n_samples=100_000
+        entry.field, entry.m, spec.certificate, spec.state_box, n_samples=100_000
     )
     elapsed = time.perf_counter() - t0
     assert rep.verdict == "NO_COUNTEREXAMPLE"
@@ -274,7 +274,7 @@ def test_criterion_9_oracle_pinned_numerics():
 
     # deviation supremum vs dense-output reference with exact reduced side
     rep = measure_deviation(
-        entry.field, entry.decomp, [0.5, 0.3], IntegratorConfig(t_end=20.0)
+        entry.field, entry.m, [0.5, 0.3], IntegratorConfig(t_end=20.0)
     )
     assert rep.sup_dev == pytest.approx(HOOP_SUP_DEV_R5, rel=1e-4)
 

@@ -520,6 +520,16 @@ class TestCheckLyapunov:
         assert_clean_usage_error(rc, capsys, "none of the 4096 samples lies in the domain")
         assert not out.exists()
 
+    @pytest.mark.parametrize("negate", [[], ["--negate-v"]])
+    def test_a_zero_diameter_pair_box_exits_1(self, negate, tmp_path, capsys):
+        # every sampled pair coincides, so only r = 0, where V = -V = 0 = alpha(0),
+        # would be tested: even a negated V used to pass
+        out = tmp_path / "o.json"
+        rc = main(["check-lyapunov", "--system", "ball-hoop", "--certificate", "iiss",
+                   "--box=0.3,0.3", *negate, "--samples", "256", "--out", str(out)])
+        assert_clean_usage_error(rc, capsys, "every sampled pair coincides")
+        assert not out.exists()
+
     def test_fiberwise_takes_no_input_box(self, tmp_path, capsys):
         rc = main(["check-lyapunov", "--system", "ball-hoop", "--certificate", "fiberwise",
                    "--input-box=-1,1", "--samples", "64", "--out", str(tmp_path / "o")])
@@ -614,6 +624,19 @@ class TestBound:
         assert doc["mode"] == "cross"
         # independent reduced starts make the gap at least the time-zero spread
         assert doc["delta_hat"] > 0.3
+
+    def test_all_failures_name_the_first(self, tmp_path, capsys):
+        # y' = y^2 blows up at t = 1/y0 < 5 from every y0 in [1, 2]
+        doc = {"name": "u", "state": ["y", "z"], "m": 1, "rhs": ["y*y", "-z"]}
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["bound", "--config", str(path), "--box=1,2;0,1", "--n-ic", "8",
+                   "--t-end", "5", "--out", str(tmp_path / "b.json")])
+        err = capsys.readouterr().err
+        assert rc == 2 and not (tmp_path / "b.json").exists()
+        assert err.startswith("approxred: numerical failure: all 8 sampled initial "
+                              "conditions failed to integrate; the first: full system: u: ")
+        assert err.count("\n") == 1
 
 
 class TestDecompositionOverride:

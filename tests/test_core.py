@@ -6,63 +6,62 @@ from hypothesis import strategies as st
 from approxred.core import (
     Box,
     ComparisonFunction,
-    Decomposition,
     InputError,
     Trajectory,
     VectorFieldDef,
-    project,
+    check_retained,
 )
+from approxred.integrate import IntegratorConfig
+from approxred.reduction import (
+    check_exact_reducible,
+    construct_reduced,
+    estimate_delta,
+    measure_deviation,
+    sweep_deviation,
+)
+from approxred.stability import IncrementalCertificate, check_fiberwise
 
 LOG_GRID = np.logspace(-6, 6, 1000)
 
 
-class TestProject:
-    def test_first_m_coordinates(self):
-        d = Decomposition(n=3, m=2, k=1)
-        assert np.array_equal(project([1.0, 2.0, 3.0], d, "m"), [1.0, 2.0])
-
-    def test_last_k_coordinates(self):
-        d = Decomposition(n=3, m=2, k=1)
-        assert np.array_equal(project([1.0, 2.0, 3.0], d, "k"), [3.0])
-
-    def test_zero_vector(self):
-        d = Decomposition(n=2, m=1, k=1)
-        assert np.array_equal(project([0.0, 0.0], d, "m"), [0.0])
-
-    def test_dimension_mismatch(self):
-        d = Decomposition(n=3, m=2, k=1)
-        with pytest.raises(InputError):
-            project([1.0, 2.0], d, "m")
-
-    def test_bad_selector(self):
-        d = Decomposition(n=2, m=1, k=1)
-        with pytest.raises(InputError):
-            project([1.0, 2.0], d, "q")
-
-    @given(
-        st.integers(min_value=1, max_value=6),
-        st.integers(min_value=1, max_value=6),
-        st.randoms(use_true_random=False),
-    )
-    def test_reconstruction_is_bit_identical(self, m, k, rnd):
-        d = Decomposition(n=m + k, m=m, k=k)
-        x = np.array([rnd.uniform(-1e6, 1e6) for _ in range(m + k)])
-        rebuilt = np.concatenate([project(x, d, "m"), project(x, d, "k")])
-        assert rebuilt.tobytes() == x.tobytes()
+FIELD_3 = VectorFieldDef(n=3, rhs=lambda x: -np.asarray(x, dtype=float), name="decay")
+BOX_3 = Box.from_pairs([(-1, 1)] * 3)
+CFG = IntegratorConfig(t_end=1.0)
 
 
-class TestDecomposition:
-    def test_requires_consistent_split(self):
-        with pytest.raises(InputError):
-            Decomposition(n=3, m=2, k=2)
+def fiber_quadratic(x):
+    x = np.asarray(x, dtype=float)
+    return np.concatenate([0.5 * np.sum(x[..., 1:] ** 2, axis=-1)[..., None],
+                           np.zeros_like(x[..., :1]), x[..., 1:]], axis=-1)
 
-    def test_requires_nonempty_blocks(self):
-        with pytest.raises(InputError):
-            Decomposition(n=3, m=3, k=0)
 
-    def test_retain_helper(self):
-        d = Decomposition.retain(5, 2)
-        assert (d.n, d.m, d.k) == (5, 2, 3)
+CERT = IncrementalCertificate(fiber_quadratic, ComparisonFunction(0.5, 2.0),
+                              ComparisonFunction(0.5, 2.0))
+
+
+class TestCheckRetained:
+    @pytest.mark.parametrize("m", [1, 2, np.int64(2)])
+    def test_accepts_both_blocks_nonempty(self, m):
+        check_retained(m, 3)
+
+    @pytest.mark.parametrize("m", [0, -1, 3, 4, True, False, 1.0, 1.5, "1", None])
+    def test_rejects_an_empty_block_a_bool_and_a_non_integer(self, m):
+        with pytest.raises(InputError, match=r"retained dimension m=.* 1 <= m < 3"):
+            check_retained(m, 3)
+
+    @pytest.mark.parametrize("call", [
+        lambda m: construct_reduced(FIELD_3, m),
+        lambda m: check_exact_reducible(FIELD_3, m, BOX_3, 8),
+        lambda m: measure_deviation(FIELD_3, m, [0.1, 0.2, 0.3], CFG),
+        lambda m: next(sweep_deviation([FIELD_3], m, [0.1, 0.2, 0.3], CFG)),
+        lambda m: estimate_delta(FIELD_3, m, BOX_3, 4, CFG),
+        lambda m: check_fiberwise(FIELD_3, m, CERT, BOX_3, 8),
+    ], ids=["construct_reduced", "check_exact_reducible", "measure_deviation",
+            "sweep_deviation", "estimate_delta", "check_fiberwise"])
+    def test_every_function_that_takes_m_checks_it(self, call):
+        with pytest.raises(InputError, match="retained dimension m=3"):
+            call(3)
+        call(1)  # the same call with a valid split runs
 
 
 comparison_functions = st.one_of(
@@ -164,12 +163,6 @@ class TestBox:
     def test_rejects_non_finite_bounds_and_widths(self, lower, upper, needle):
         with pytest.raises(InputError, match=f"box {needle} must be finite"):
             Box(lower, upper)
-
-    def test_projection(self):
-        d = Decomposition(n=3, m=2, k=1)
-        box = Box.from_pairs([(-1, 1), (-2, 2), (-3, 3)])
-        assert np.array_equal(box.project(d, "k").lower, [-3.0])
-        assert np.array_equal(box.project(d, "m").upper, [1.0, 2.0])
 
     def test_diameter(self):
         box = Box.from_pairs([(0, 3), (0, 4)])

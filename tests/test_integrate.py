@@ -174,16 +174,16 @@ def _entry(name):
 def _sides(name, mode, n_ic=5):
     """(field, initial states, kept coordinates) of both sides of a bound run."""
     entry = _entry(name)
-    d = entry.decomp
+    n, m = entry.field.n, entry.m
     box = Box(entry.default_ic - 0.4, entry.default_ic + 0.4)
     if mode == "projected":
         X0 = sobol_points(box, n_ic, seed=3)
-        Y0 = X0[:, : d.m]
+        Y0 = X0[:, :m]
     else:
-        P = sobol_points(box.concat(box.project(d, "m")), n_ic, seed=3)
-        X0, Y0 = P[:, : d.n], P[:, d.n :]
-    reduced = entry.reduced_override or construct_reduced(entry.field, d)
-    return [(entry.field, X0, d.m), (reduced, Y0, None)]
+        P = sobol_points(box.concat(Box(box.lower[:m], box.upper[:m])), n_ic, seed=3)
+        X0, Y0 = P[:, :n], P[:, n:]
+    reduced = entry.reduced_override or construct_reduced(entry.field, m)
+    return [(entry.field, X0, m), (reduced, Y0, None)]
 
 
 class TestRowIndependence:

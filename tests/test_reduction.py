@@ -7,7 +7,6 @@ from approxred import integrate, reduction
 from approxred.cli import to_jsonable
 from approxred.core import (
     Box,
-    Decomposition,
     DivergenceError,
     EvaluationError,
     StepBudgetError,
@@ -50,18 +49,17 @@ def decoupled_field() -> VectorFieldDef:
 
 
 UNIT_BOX_3 = Box.from_pairs([(-1, 1)] * 3)
-DEC_3 = Decomposition(n=3, m=2, k=1)
 
 
 class TestConstructReduced:
     def test_hoop_reduces_to_linear_drag(self):
         entry = lookup("ball-hoop", {})
-        red = construct_reduced(entry.field, entry.decomp)
+        red = construct_reduced(entry.field, entry.m)
         for w in (-2.0, 0.0, 0.7, 3.5):
             assert red(np.array([w]))[0] == pytest.approx(-w, abs=0)
 
     def test_decoupled_keeps_retained_block(self):
-        red = construct_reduced(decoupled_field(), DEC_3)
+        red = construct_reduced(decoupled_field(), 2)
         y = np.array([0.3, -1.1])
         assert np.allclose(red(y), A_BLOCK @ y, atol=0, rtol=0)
 
@@ -69,7 +67,7 @@ class TestConstructReduced:
         # with b=0 the slice construction lands exactly on the bundled
         # linear model; with b>0 the slice keeps a constant term b/(R*M)
         entry = lookup("cart-pendulum", {"b": 0.0})
-        red = construct_reduced(entry.field, entry.decomp)
+        red = construct_reduced(entry.field, entry.m)
         p = entry.params
         A = np.array([[0.0, 1.0], [-p["k"] / p["M"], -p["d"] / p["M"]]])
         for y in ([1.0, 0.0], [0.0, 1.0], [0.4, -0.2]):
@@ -80,7 +78,7 @@ class TestConstructReduced:
         # the reduced rhs must equal the projected full rhs on the zero fiber,
         # exactly, at random points
         entry = lookup("cart-pendulum", {})
-        red = construct_reduced(entry.field, entry.decomp)
+        red = construct_reduced(entry.field, entry.m)
         rng = np.random.default_rng(7)
         for _ in range(100):
             y = rng.uniform(-3, 3, 2)
@@ -90,13 +88,13 @@ class TestConstructReduced:
 
 class TestCheckExactReducible:
     def test_decoupled_linear(self):
-        rep = check_exact_reducible(decoupled_field(), DEC_3, UNIT_BOX_3, 256)
+        rep = check_exact_reducible(decoupled_field(), 2, UNIT_BOX_3, 256)
         assert rep.verdict == REDUCIBLE
 
     def test_hoop_is_not_exactly_reducible(self):
         entry = lookup("ball-hoop", {})
         rep = check_exact_reducible(
-            entry.field, entry.decomp, entry.default_box(), 512
+            entry.field, entry.m, entry.default_box(), 512
         )
         assert rep.verdict == NOT_REDUCIBLE
         assert rep.witness.component == 0 and rep.witness.fiber_index == 0
@@ -113,8 +111,8 @@ class TestCheckExactReducible:
             return np.stack([s[..., 0] * s[..., 1], s[..., 1]], axis=-1)
 
         f = VectorFieldDef(n=2, rhs=rhs, name="prod")
-        d = Decomposition(n=2, m=1, k=1)
-        rep = check_exact_reducible(f, d, Box.from_pairs([(0.5, 1.5)] * 2), 512)
+        m = 1
+        rep = check_exact_reducible(f, m, Box.from_pairs([(0.5, 1.5)] * 2), 512)
         assert rep.verdict == NOT_REDUCIBLE
         y = rep.witness.point[0]
         assert rep.witness.magnitude == pytest.approx(abs(y), rel=1e-6)
@@ -123,7 +121,7 @@ class TestCheckExactReducible:
     def test_degenerate_tolerance(self):
         entry = lookup("ball-hoop", {})
         rep = check_exact_reducible(
-            entry.field, entry.decomp, entry.default_box(), 128, tol=1e9
+            entry.field, entry.m, entry.default_box(), 128, tol=1e9
         )
         assert rep.verdict == REDUCIBLE
 
@@ -136,9 +134,9 @@ class TestCheckExactReducible:
             return np.stack([np.where(y < 0, np.nan, -y), -z], axis=-1)
 
         f = VectorFieldDef(n=2, rhs=rhs, name="partial-domain")
-        d = Decomposition(n=2, m=1, k=1)
+        m = 1
         with pytest.raises(EvaluationError, match=r"\["):
-            check_exact_reducible(f, d, Box.from_pairs([(-1, 1)] * 2), 128)
+            check_exact_reducible(f, m, Box.from_pairs([(-1, 1)] * 2), 128)
 
 
 class TestMeasureDeviation:
@@ -146,13 +144,13 @@ class TestMeasureDeviation:
         # fixed-step integration performs identical arithmetic on the
         # retained block of a decoupled system
         cfg = IntegratorConfig(t_end=5.0, method="rk4", dt=0.01)
-        rep = measure_deviation(decoupled_field(), DEC_3, [0.8, -0.4, 0.9], cfg)
+        rep = measure_deviation(decoupled_field(), 2, [0.8, -0.4, 0.9], cfg)
         assert rep.sup_dev <= 1e-8
 
     def test_hoop_matches_reference(self):
         entry = lookup("ball-hoop", {})
         rep = measure_deviation(
-            entry.field, entry.decomp, [0.5, 0.3], IntegratorConfig(t_end=20.0)
+            entry.field, entry.m, [0.5, 0.3], IntegratorConfig(t_end=20.0)
         )
         assert rep.sup_dev == pytest.approx(HOOP_SUP_DEV_R5, rel=1e-4)
         assert rep.t_of_sup == pytest.approx(HOOP_T_OF_SUP_R5, abs=0.05)
@@ -162,7 +160,7 @@ class TestMeasureDeviation:
         for R in (5.0, 10.0, 20.0, 40.0):
             entry = lookup("ball-hoop", {"R": R})
             rep = measure_deviation(
-                entry.field, entry.decomp, [0.5, 0.3], IntegratorConfig(t_end=20.0)
+                entry.field, entry.m, [0.5, 0.3], IntegratorConfig(t_end=20.0)
             )
             sups.append(rep.sup_dev)
         assert all(b < a for a, b in zip(sups, sups[1:]))
@@ -177,18 +175,18 @@ class TestMeasureDeviation:
             return np.stack([-y + z**2 * y, -z * (1.0 + y**2)], axis=-1)
 
         f = VectorFieldDef(n=2, rhs=rhs, name="slice-invariant")
-        d = Decomposition(n=2, m=1, k=1)
-        rep_exact = check_exact_reducible(f, d, Box.from_pairs([(-1, 1)] * 2), 256)
+        m = 1
+        rep_exact = check_exact_reducible(f, m, Box.from_pairs([(-1, 1)] * 2), 256)
         assert rep_exact.verdict == NOT_REDUCIBLE
         cfg = IntegratorConfig(t_end=5.0, method="rk4", dt=0.01)
-        rep = measure_deviation(f, d, [0.9, 0.0], cfg)
+        rep = measure_deviation(f, m, [0.9, 0.0], cfg)
         assert rep.sup_dev <= 1e-8
 
 
 class TestEstimateDelta:
     def test_exactly_reducible_projected(self):
         cfg = IntegratorConfig(t_end=3.0, method="rk4", dt=0.02)
-        est = estimate_delta(decoupled_field(), DEC_3, UNIT_BOX_3, 16, cfg)
+        est = estimate_delta(decoupled_field(), 2, UNIT_BOX_3, 16, cfg)
         assert est.delta_hat <= 1e-8
         assert est.failures == 0
 
@@ -199,10 +197,10 @@ class TestEstimateDelta:
             return -np.asarray(s, dtype=float)
 
         f = VectorFieldDef(n=2, rhs=rhs, name="contract")
-        d = Decomposition(n=2, m=1, k=1)
+        m = 1
         est = estimate_delta(
             f,
-            d,
+            m,
             Box.from_pairs([(-1, 1)] * 2),
             512,
             IntegratorConfig(t_end=2.0),
@@ -214,7 +212,7 @@ class TestEstimateDelta:
         entry = lookup("ball-hoop", {"R": 10.0})
         est = estimate_delta(
             entry.field,
-            entry.decomp,
+            entry.m,
             Box.from_pairs([(-0.5, 0.5), (-0.3, 0.3)]),
             100,
             IntegratorConfig(t_end=10.0),
@@ -226,8 +224,8 @@ class TestEstimateDelta:
         entry = lookup("ball-hoop", {"R": 10.0})
         box = Box.from_pairs([(-0.5, 0.5), (-0.3, 0.3)])
         cfg = IntegratorConfig(t_end=3.0)
-        small = estimate_delta(entry.field, entry.decomp, box, 16, cfg)
-        large = estimate_delta(entry.field, entry.decomp, box, 48, cfg)
+        small = estimate_delta(entry.field, entry.m, box, 16, cfg)
+        large = estimate_delta(entry.field, entry.m, box, 48, cfg)
         assert large.delta_hat >= small.delta_hat
 
     def test_failures_are_counted_and_skipped(self):
@@ -238,10 +236,10 @@ class TestEstimateDelta:
             return np.stack([y**2 * (y > 0), -z], axis=-1)
 
         f = VectorFieldDef(n=2, rhs=rhs, name="half-blowup")
-        d = Decomposition(n=2, m=1, k=1)
+        m = 1
         est = estimate_delta(
             f,
-            d,
+            m,
             Box.from_pairs([(-2, 2), (-1, 1)]),
             16,
             IntegratorConfig(t_end=5.0),
@@ -250,12 +248,12 @@ class TestEstimateDelta:
 
     def test_all_failures_is_an_error(self):
         f = VectorFieldDef(n=2, rhs=lambda s: np.asarray(s, dtype=float) ** 2, name="bad")
-        d = Decomposition(n=2, m=1, k=1)
+        m = 1
         from approxred.core import NumericalError
 
         with pytest.raises(NumericalError):
             estimate_delta(
-                f, d, Box.from_pairs([(2, 3), (2, 3)]), 4, IntegratorConfig(t_end=10.0)
+                f, m, Box.from_pairs([(2, 3), (2, 3)]), 4, IntegratorConfig(t_end=10.0)
             )
 
     def test_invalid_mode_and_count(self):
@@ -263,10 +261,10 @@ class TestEstimateDelta:
 
         f = decoupled_field()
         with pytest.raises(InputError):
-            estimate_delta(f, DEC_3, UNIT_BOX_3, 0, IntegratorConfig(t_end=1.0))
+            estimate_delta(f, 2, UNIT_BOX_3, 0, IntegratorConfig(t_end=1.0))
         with pytest.raises(InputError):
             estimate_delta(
-                f, DEC_3, UNIT_BOX_3, 4, IntegratorConfig(t_end=1.0), pair_mode="zip"
+                f, 2, UNIT_BOX_3, 4, IntegratorConfig(t_end=1.0), pair_mode="zip"
             )
 
 
@@ -297,7 +295,7 @@ class TestBatchedEstimate:
         def both_modes():
             return [
                 estimate_delta(
-                    entry.field, entry.decomp, box, 12, cfg, pair_mode=mode,
+                    entry.field, entry.m, box, 12, cfg, pair_mode=mode,
                     reduced=entry.reduced_override,
                 ).delta_hat
                 for mode in ("projected", "cross")
@@ -314,10 +312,10 @@ class TestBatchedEstimate:
         box = Box(entry.default_ic - 0.3, entry.default_ic + 0.3)
         cfg = IntegratorConfig(t_end=10.0)
         est = estimate_delta(
-            entry.field, entry.decomp, box, 1, cfg, reduced=entry.reduced_override
+            entry.field, entry.m, box, 1, cfg, reduced=entry.reduced_override
         )
         rep = measure_deviation(
-            entry.field, entry.decomp, sobol_points(box, 1)[0], cfg,
+            entry.field, entry.m, sobol_points(box, 1)[0], cfg,
             reduced=entry.reduced_override,
         )
         assert est.delta_hat == rep.sup_dev
@@ -330,10 +328,10 @@ class TestBatchedEstimate:
             return np.stack([y**2 * (y > 0), -z], axis=-1)
 
         f = VectorFieldDef(n=2, rhs=rhs, name="half-blowup")
-        d = Decomposition(n=2, m=1, k=1)
+        m = 1
         box = Box.from_pairs([(-2, 2), (-1, 1)])
         expected = int((sobol_points(box, 16)[:, 0] > 1 / 5.0).sum())  # before t = 5
-        est = estimate_delta(f, d, box, 16, IntegratorConfig(t_end=5.0))
+        est = estimate_delta(f, m, box, 16, IntegratorConfig(t_end=5.0))
         assert 0 < est.failures == expected < 16
 
 
@@ -363,16 +361,16 @@ def chain_entry(m: int):
 
 
 def estimate_cases():
-    """(field, decomposition, box, reduced, n_ic) per system of the oracle test."""
+    """(field, retained dimension, box, reduced, n_ic) per system of the oracle test."""
     cases = {}
     for name in ("ball-hoop", "cart-pendulum"):
         e = lookup(name, {})
-        cases[name] = (e.field, e.decomp, Box(e.default_ic - 0.3, e.default_ic + 0.3),
+        cases[name] = (e.field, e.m, Box(e.default_ic - 0.3, e.default_ic + 0.3),
                        e.reduced_override, 9)
     for m in (2, 8, 9):  # up to and past numpy's eight-term unrolled sum
         e = chain_entry(m)
-        cases[e.name] = (e.field, e.decomp, Box.from_pairs([(-1.0, 1.0)] * (m + 1)), None, 5)
-    cases["half-blowup"] = (half_blowup(), Decomposition(n=2, m=1, k=1),
+        cases[e.name] = (e.field, e.m, Box.from_pairs([(-1.0, 1.0)] * (m + 1)), None, 5)
+    cases["half-blowup"] = (half_blowup(), 1,
                             Box.from_pairs([(-2, 2), (-1, 1)]), None, 12)
     return cases
 
@@ -382,21 +380,21 @@ METHODS = {"rk45": IntegratorConfig(t_end=3.0),
            "rk4": IntegratorConfig(t_end=3.0, method="rk4", dt=0.01)}
 
 
-def oracle_delta(f, d, S, n_ic, cfg, pair_mode, reduced, n_grid=201):
+def oracle_delta(f, m, S, n_ic, cfg, pair_mode, reduced, n_grid=201):
     """delta_hat and failures from one integrate_field + resample + norm per
     sampled pair, the way compare measures one pair."""
     grid = np.linspace(0.0, cfg.t_end, n_grid)
-    reduced = reduced or construct_reduced(f, d)
+    reduced = reduced or construct_reduced(f, m)
     if pair_mode == "projected":
         X0 = sobol_points(S, n_ic)
-        Y0 = X0[:, : d.m]
+        Y0 = X0[:, :m]
     else:
-        P = sobol_points(S.concat(S.project(d, "m")), n_ic)
-        X0, Y0 = P[:, : d.n], P[:, d.n :]
+        P = sobol_points(S.concat(Box(S.lower[:m], S.upper[:m])), n_ic)
+        X0, Y0 = P[:, : f.n], P[:, f.n :]
     sups = []
     for x0, y0 in zip(X0, Y0):
         try:
-            full = resample(integrate_field(f, x0, cfg), grid).states[:, : d.m]
+            full = resample(integrate_field(f, x0, cfg), grid).states[:, :m]
             red = resample(integrate_field(reduced, y0, cfg), grid).states
         except (DivergenceError, StepBudgetError):
             continue
@@ -412,10 +410,10 @@ class TestEstimateMatchesPerPairOracle:
     @pytest.mark.parametrize("mode", ["projected", "cross"])
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_bit_identical(self, name, mode, method):
-        f, d, S, reduced, n_ic = CASES[name]
+        f, m, S, reduced, n_ic = CASES[name]
         cfg = METHODS[method]
-        est = estimate_delta(f, d, S, n_ic, cfg, pair_mode=mode, reduced=reduced, n_grid=201)
-        best, failures = oracle_delta(f, d, S, n_ic, cfg, mode, reduced)
+        est = estimate_delta(f, m, S, n_ic, cfg, pair_mode=mode, reduced=reduced, n_grid=201)
+        best, failures = oracle_delta(f, m, S, n_ic, cfg, mode, reduced)
         assert (est.delta_hat, est.failures) == (best, failures)
         if name == "half-blowup":
             assert 0 < failures < n_ic
@@ -437,11 +435,11 @@ class TestBudgetInvariance:
     )
     @pytest.mark.parametrize("system", ["cart-pendulum", "half-blowup"])
     def test_report_unchanged(self, system, module, constant, value, monkeypatch):
-        f, d, S, reduced, _ = CASES[system]
+        f, m, S, reduced, _ = CASES[system]
 
         def reports():
             return [
-                to_jsonable(estimate_delta(f, d, S, 12, cfg, pair_mode=mode, reduced=reduced))
+                to_jsonable(estimate_delta(f, m, S, 12, cfg, pair_mode=mode, reduced=reduced))
                 for mode in ("projected", "cross")
                 for cfg in METHODS.values()
             ]
@@ -463,7 +461,7 @@ class TestMemory:
         def peak(t_end):
             tracemalloc.start()
             try:
-                estimate_delta(e.field, e.decomp, box, 8, IntegratorConfig(t_end=t_end),
+                estimate_delta(e.field, e.m, box, 8, IntegratorConfig(t_end=t_end),
                                reduced=e.reduced_override)
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -477,7 +475,7 @@ class TestMemory:
         assert len(steps) > 4  # the buffer filled on both sides
         long = peak(50.0)
         # rows and times, then the kept state and derivative columns
-        budget = 256 * (2 + 2 * e.decomp.m) * 8
+        budget = 256 * (2 + 2 * e.m) * 8
         assert abs(long - short) <= budget
 
 
@@ -493,37 +491,37 @@ def outcome(items):
     return out, None
 
 
-def oracle_runs(f, d, x0, cfg, reduced, grid):
+def oracle_runs(f, m, x0, cfg, reduced, grid):
     """The projected full run and the reduced run on ``grid``, each from one
     integrate_field + resample, failures labelled as measure_deviation
     labels them."""
     runs = []
-    for which, field, ic in (("full", f, x0), ("reduced", reduced, x0[: d.m])):
+    for which, field, ic in (("full", f, x0), ("reduced", reduced, x0[:m])):
         try:
-            runs.append(resample(integrate_field(field, ic, cfg), grid).states[:, : d.m])
+            runs.append(resample(integrate_field(field, ic, cfg), grid).states[:, :m])
         except (DivergenceError, StepBudgetError) as err:
             raise type(err)(f"{which} system: {err}", err.t_last) from err
     return runs
 
 
-def loop_sweep(fields, d, x0, cfg, reduced, n_grid):
+def loop_sweep(fields, m, x0, cfg, reduced, n_grid):
     """The sweep as one oracle_runs and one norm per field, in turn."""
     grid = np.linspace(0.0, cfg.t_end, n_grid)
     for f, r in zip(fields, reduced):
-        full, red = oracle_runs(f, d, x0, cfg, r or construct_reduced(f, d), grid)
+        full, red = oracle_runs(f, m, x0, cfg, r or construct_reduced(f, m), grid)
         dev = np.linalg.norm(full - red, axis=1)
         i_sup = int(np.argmax(dev))
         yield float(dev[i_sup]), float(grid[i_sup])
 
 
 def sweep_cases():
-    """(fields, decomposition, x0, reduced) of a parameter sweep per system."""
+    """(fields, retained dimension, x0, reduced) of a parameter sweep per system."""
     hoop = [lookup("ball-hoop", {"R": R}) for R in (5.0, 10.0, 20.0, 40.0)]
     cart = [lookup("cart-pendulum", {"d": d}) for d in (0.001, 0.01, 0.1, 1.0)]
     factory, _ = chain_registry(3)
     chain = [factory({"a": a}) for a in (0.2, 0.7, 1.5)]
     return {
-        name: ([e.field for e in entries], entries[0].decomp, entries[0].default_ic + 0.4,
+        name: ([e.field for e in entries], entries[0].m, entries[0].default_ic + 0.4,
                [e.reduced_override for e in entries])
         for name, entries in (("ball-hoop", hoop), ("cart-pendulum", cart), ("chain-3", chain))
     }
@@ -554,15 +552,15 @@ class TestSweepMatchesPerValueOracle:
     @pytest.mark.parametrize("method", sorted(SWEEP_METHODS))
     @pytest.mark.parametrize("name", ["ball-hoop", "cart-pendulum", "chain-3"])
     def test_bit_identical(self, name, method):
-        fields, d, x0, reduced = sweep_cases()[name]
+        fields, m, x0, reduced = sweep_cases()[name]
         cfg = SWEEP_METHODS[method]
-        got = outcome(sweep_deviation(fields, d, x0, cfg, reduced, n_grid=301))
-        assert got == outcome(loop_sweep(fields, d, x0, cfg, reduced, 301))
+        got = outcome(sweep_deviation(fields, m, x0, cfg, reduced, n_grid=301))
+        assert got == outcome(loop_sweep(fields, m, x0, cfg, reduced, 301))
         assert got[1] is None and len(got[0]) == len(fields)
         grid = np.linspace(0.0, cfg.t_end, 301)
         for f, r, row in zip(fields, reduced, got[0]):
-            rep = measure_deviation(f, d, x0, cfg, r, n_grid=301)
-            full, red = oracle_runs(f, d, x0, cfg, r or construct_reduced(f, d), grid)
+            rep = measure_deviation(f, m, x0, cfg, r, n_grid=301)
+            full, red = oracle_runs(f, m, x0, cfg, r or construct_reduced(f, m), grid)
             assert rep.full_projected.tobytes() == full.tobytes()
             assert rep.reduced_states.tobytes() == red.tobytes()
             assert (rep.sup_dev, rep.t_of_sup) == row
@@ -589,20 +587,20 @@ class TestSweepMatchesPerValueOracle:
                 fields.append(later[failure])
                 reduced.append(None)
         cfg = SWEEP_METHODS[method]
-        args = (fields, hoop[0].decomp, hoop[0].default_ic, cfg, reduced)
+        args = (fields, hoop[0].m, hoop[0].default_ic, cfg, reduced)
         got = outcome(sweep_deviation(*args, n_grid=301))
         assert got == outcome(loop_sweep(*args, 301))
         assert len(got[0]) == position and got[1] is not None
         assert got[1][0] is (EvaluationError if failure == "raises" else DivergenceError)
 
     def test_blocks_do_not_change_the_rows(self, monkeypatch):
-        fields, d, x0, reduced = sweep_cases()["cart-pendulum"]
+        fields, m, x0, reduced = sweep_cases()["cart-pendulum"]
         cfg = SWEEP_METHODS["rk45"]
-        default = list(sweep_deviation(fields, d, x0, cfg, reduced, n_grid=301))
+        default = list(sweep_deviation(fields, m, x0, cfg, reduced, n_grid=301))
         monkeypatch.setattr(reduction, "BLOCK_ROWS", 3)
-        assert list(sweep_deviation(fields, d, x0, cfg, reduced, n_grid=301)) == default
+        assert list(sweep_deviation(fields, m, x0, cfg, reduced, n_grid=301)) == default
         monkeypatch.setattr(reduction, "_STORE_BYTES", 1)
-        assert list(sweep_deviation(fields, d, x0, cfg, reduced, n_grid=301)) == default
+        assert list(sweep_deviation(fields, m, x0, cfg, reduced, n_grid=301)) == default
 
 
     @pytest.mark.parametrize("constant,value", [(None, None), ("BLOCK_ROWS", 3),
@@ -615,11 +613,11 @@ class TestSweepMatchesPerValueOracle:
         fields = [factory({"a": a}).field for a in (0.2, 0.7, 1.5, 3.0)]
         if constant is not None:
             monkeypatch.setattr(reduction, constant, value)
-        d, x0 = Decomposition(n=2, m=1, k=1), np.array([0.8, -0.4])
+        m, x0 = 1, np.array([0.8, -0.4])
         cfg = SWEEP_METHODS["rk4"]
-        rows = list(sweep_deviation(fields, d, x0, cfg, n_grid=301))
+        rows = list(sweep_deviation(fields, m, x0, cfg, n_grid=301))
         assert rows == [(0.0, 0.0)] * 4
-        assert rows == list(loop_sweep(fields, d, x0, cfg, [None] * 4, 301))
+        assert rows == list(loop_sweep(fields, m, x0, cfg, [None] * 4, 301))
 
 
 class TestSweepMemory:
@@ -632,7 +630,7 @@ class TestSweepMemory:
             fields = [e.field for e in entries]
             tracemalloc.start()
             try:
-                rows = list(sweep_deviation(fields, entries[0].decomp, entries[0].default_ic,
+                rows = list(sweep_deviation(fields, entries[0].m, entries[0].default_ic,
                                             IntegratorConfig(t_end=1.0), n_grid=n_grid))
                 assert len(rows) == count
                 return tracemalloc.get_traced_memory()[1]
@@ -649,7 +647,7 @@ class TestSweepMemory:
         # both sides' grid values
         n_grid, count = 20001, 8
         entries = [lookup("ball-hoop", {"R": 5.0 + i}) for i in range(count)]
-        args = ([e.field for e in entries], entries[0].decomp, entries[0].default_ic,
+        args = ([e.field for e in entries], entries[0].m, entries[0].default_ic,
                 IntegratorConfig(t_end=1.0))
         list(sweep_deviation(*args, n_grid=201))  # compile outside the trace
         tracemalloc.start()

@@ -10,7 +10,6 @@ from approxred.core import (
     Box,
     ComparisonFunction,
     ControlSystemDef,
-    Decomposition,
     EvaluationError,
     InputError,
     VectorFieldDef,
@@ -191,6 +190,19 @@ class TestCheckIISS:
         with pytest.raises(EvaluationError, match="x1="):
             check_iiss(DRIVEN, cert, SYM_BOX_1, SYM_BOX_1, 512)
 
+    @pytest.mark.parametrize("check,change", [
+        (check_iiss, {}), (check_iubibss, {"alpha_decay": None, "xi": 0.5}),
+    ], ids=["iiss", "iubibss"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["V", "negated-V"])
+    def test_a_zero_diameter_state_box_is_rejected(self, check, change, sign):
+        # every sampled pair coincides, so only r = 0 would be tested, where
+        # V = -V = 0 = alpha(0): even a negated V would pass
+        V = contraction_certificate().V
+        cert = dataclasses.replace(contraction_certificate(), **change,
+                                   V=lambda *xs: sign * V(*xs))
+        with pytest.raises(InputError, match="every sampled pair coincides"):
+            check(DRIVEN, cert, Box.from_pairs([(0.3, 0.3)]), SYM_BOX_1, 64)
+
     @pytest.mark.parametrize("change", [dict(alpha_decay=None), dict(xi=0.5)],
                              ids=["no-decay-rate", "threshold"])
     def test_needs_a_decay_rate_and_no_threshold(self, change):
@@ -223,6 +235,24 @@ class TestCheckIUBIBSS:
         assert rep.counterexample.condition == "gain_threshold"
         assert rep.counterexample.point["r"][0] == pytest.approx(0.5)
         assert rep.counterexample.magnitude == pytest.approx(0.25)
+
+    def test_v_is_evaluated_only_on_pairs_at_least_xi_apart(self):
+        # V is NaN where |x1 - x2| < xi, outside the domain of every condition
+        xi = 0.5
+        base = dataclasses.replace(contraction_certificate(), alpha_decay=None, xi=xi)
+
+        def V(x1, x2):
+            gap = np.linalg.norm(np.asarray(x1) - np.asarray(x2), axis=-1)
+            return np.where((gap < xi)[..., None], np.nan, base.V(x1, x2))
+
+        rep = check_iubibss(DRIVEN, dataclasses.replace(base, V=V), SYM_BOX_1, SYM_BOX_1, 2048)
+        plain = check_iubibss(DRIVEN, base, SYM_BOX_1, SYM_BOX_1, 2048)
+        assert rep.verdict == NO_COUNTEREXAMPLE and rep.condition_counts["sandwich_checked"] > 0
+        assert (rep.note, rep.condition_counts) == (plain.note, plain.condition_counts)
+        # IISS has xi = 0 and evaluates every pair, NaN ones too
+        iiss = dataclasses.replace(base, V=V, xi=0.0, alpha_decay=ComparisonFunction(0.5, 2.0))
+        with pytest.raises(EvaluationError, match="V produced a non-finite value"):
+            check_iiss(DRIVEN, iiss, SYM_BOX_1, SYM_BOX_1, 2048)
 
     def test_cart_pendulum_certificate(self):
         entry = lookup("cart-pendulum", {})
@@ -326,16 +356,14 @@ class TestCheckFiberwise:
         )
 
     def test_contracting_fiber_passes(self):
-        d = Decomposition(n=2, m=1, k=1)
         rep = check_fiberwise(
-            fiber_field(-1.0), d, self.certificate(), Box.from_pairs([(-1, 1)] * 2), 2048
+            fiber_field(-1.0), 1, self.certificate(), Box.from_pairs([(-1, 1)] * 2), 2048
         )
         assert rep.verdict == NO_COUNTEREXAMPLE
 
     def test_expanding_fiber_fails(self):
-        d = Decomposition(n=2, m=1, k=1)
         rep = check_fiberwise(
-            fiber_field(+1.0), d, self.certificate(), Box.from_pairs([(-1, 1)] * 2), 2048
+            fiber_field(+1.0), 1, self.certificate(), Box.from_pairs([(-1, 1)] * 2), 2048
         )
         assert rep.verdict == COUNTEREXAMPLE
         assert rep.counterexample.condition == "decay"
@@ -350,31 +378,29 @@ class TestCheckFiberwise:
     def test_a_threshold_that_selects_nothing_is_rejected(self, xi):
         # the expanding fiber fails at threshold 0.05; a NaN threshold used to
         # report NO_COUNTEREXAMPLE with no active sample
-        d = Decomposition(n=2, m=1, k=1)
         box = Box.from_pairs([(-1, 1)] * 2)
         cert = dataclasses.replace(self.certificate(), xi=0.05)
-        assert check_fiberwise(fiber_field(+1.0), d, cert, box, 1024).verdict == COUNTEREXAMPLE
+        assert check_fiberwise(fiber_field(+1.0), 1, cert, box, 1024).verdict == COUNTEREXAMPLE
         with pytest.raises(InputError, match="threshold xi must be finite and nonnegative"):
-            check_fiberwise(fiber_field(+1.0), d, dataclasses.replace(cert, xi=xi), box, 1024)
+            check_fiberwise(fiber_field(+1.0), 1, dataclasses.replace(cert, xi=xi), box, 1024)
 
     def test_a_box_inside_the_threshold_band_is_rejected(self):
         # every fiber norm is below the threshold, so no condition tests a
         # sample: even the expanding fiber used to pass with no active sample
-        d = Decomposition(n=2, m=1, k=1)
         cert = dataclasses.replace(self.certificate(), xi=0.05)
         with pytest.raises(InputError, match=r"of any condition \(lower_bound, upper_bound, "
                                              r"decay\): the check would test nothing"):
-            check_fiberwise(fiber_field(+1.0), d, cert, Box.from_pairs([(-1, 1), (-0.01, 0.01)]),
+            check_fiberwise(fiber_field(+1.0), 1, cert, Box.from_pairs([(-1, 1), (-0.01, 0.01)]),
                             1024)
         # a box that reaches past the threshold is checked
         box = Box.from_pairs([(-1, 1), (-0.01, 0.06)])
-        assert check_fiberwise(fiber_field(+1.0), d, cert, box, 1024).verdict == COUNTEREXAMPLE
+        assert check_fiberwise(fiber_field(+1.0), 1, cert, box, 1024).verdict == COUNTEREXAMPLE
 
     def test_hoop_energy_certificate(self):
         entry = lookup("ball-hoop", {})
         spec = entry.certificates["fiberwise"]()
         rep = check_fiberwise(
-            entry.field, entry.decomp, spec.certificate, spec.state_box, 20000
+            entry.field, entry.m, spec.certificate, spec.state_box, 20000
         )
         assert rep.verdict == NO_COUNTEREXAMPLE
         assert rep.condition_counts["active_samples"] > 10000

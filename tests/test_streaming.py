@@ -18,7 +18,6 @@ from approxred.core import (
     Box,
     ComparisonFunction,
     ControlSystemDef,
-    Decomposition,
     EvaluationError,
     InputError,
     VectorFieldDef,
@@ -39,7 +38,6 @@ from approxred.user_systems import system_from_dict
 SMALL_BLOCKS = (7, 1)
 UNIT_SQUARE = Box.from_pairs([(-1.0, 1.0)] * 2)
 HALF_SQ = ComparisonFunction(0.5, 2.0)
-FIBER = Decomposition(n=2, m=1, k=1)
 
 
 def certificate_map(value, grads):
@@ -70,13 +68,13 @@ class TestBlockSizeInvariance:
         entry = lookup(name, {})
         box = cli._default_box(entry)
         whole = [
-            cli.to_jsonable(check_exact_reducible(entry.field, entry.decomp, box, n, seed=s))
+            cli.to_jsonable(check_exact_reducible(entry.field, entry.m, box, n, seed=s))
             for n, s in ((300, 42), (129, 7), (1, 3))
         ]
         for rows in SMALL_BLOCKS:
             monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", rows)
             blocked = [
-                cli.to_jsonable(check_exact_reducible(entry.field, entry.decomp, box, n, seed=s))
+                cli.to_jsonable(check_exact_reducible(entry.field, entry.m, box, n, seed=s))
                 for n, s in ((300, 42), (129, 7), (1, 3))
             ]
             assert blocked == whole
@@ -149,13 +147,13 @@ def run_check(name, kind, n, seed, negate=False):
     """The JSON form of one check's report on a bundled system."""
     entry = lookup(name, {})
     if kind == "exact":
-        report = check_exact_reducible(entry.field, entry.decomp, cli._default_box(entry),
+        report = check_exact_reducible(entry.field, entry.m, cli._default_box(entry),
                                        n, seed=seed)
         return cli.to_jsonable(report)
     spec = entry.certificates[kind](state_box=None, input_box=None, seed=seed)
     cert = cli._negate_certificate(spec.certificate) if negate else spec.certificate
     if kind == "fiberwise":
-        report = check_fiberwise(entry.field, entry.decomp, cert, spec.state_box, n, seed)
+        report = check_fiberwise(entry.field, entry.m, cert, spec.state_box, n, seed)
     else:
         check = check_iiss if kind == "iiss" else check_iubibss
         report = check(spec.control, cert, spec.state_box, spec.input_box, n, seed)
@@ -235,7 +233,7 @@ class TestTies:
         for rows in (None, 7, 1):
             if rows is not None:
                 monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", rows)
-            ce = check_fiberwise(f, FIBER, cert, UNIT_SQUARE, 64).counterexample
+            ce = check_fiberwise(f, 1, cert, UNIT_SQUARE, 64).counterexample
             assert (ce.condition, ce.sample_index) == ("decay", first)
 
     def test_check_exact_tie_across_blocks_keeps_the_lowest_index(self, monkeypatch):
@@ -251,7 +249,7 @@ class TestTies:
         for rows in (None, 7, 1):
             if rows is not None:
                 monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", rows)
-            witness = check_exact_reducible(f, FIBER, UNIT_SQUARE, 64).witness
+            witness = check_exact_reducible(f, 1, UNIT_SQUARE, 64).witness
             assert witness.point.tolist() == X[first].tolist()
 
     def test_check_exact_tie_between_entries_keeps_the_lowest(self, monkeypatch):
@@ -263,7 +261,6 @@ class TestTies:
             return np.stack([y * (z1 + z2), -z1, -z2], axis=-1)
 
         f = VectorFieldDef(n=3, rhs=rhs)
-        d = Decomposition(n=3, m=1, k=2)
         box = Box.from_pairs([(-1.0, 1.0), (0.0, 0.0), (0.0, 0.0)])
         X = sobol_points(box, 64)
         J = np.abs(jacobian_batch(lambda s: rhs(s)[..., :1], X, 1, cols=[1, 2]))[:, 0]
@@ -272,7 +269,7 @@ class TestTies:
         for rows in (None, 7, 1):
             if rows is not None:
                 monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", rows)
-            report = check_exact_reducible(f, d, box, 64)
+            report = check_exact_reducible(f, 1, box, 64)
             witness = report.witness
             assert report.max_residual == witness.magnitude == J.max()
             assert witness.point.tolist() == X[first].tolist()
@@ -320,7 +317,7 @@ class TestNonFiniteInALaterBlock:
         X = sobol_points(UNIT_SQUARE, 128)
         expected = self.first_bad(X, X[:, 0] > 0.95)
         with pytest.raises(EvaluationError) as err:
-            check_exact_reducible(f, FIBER, UNIT_SQUARE, 128)
+            check_exact_reducible(f, 1, UNIT_SQUARE, 128)
         assert str(expected) in str(err.value)
 
     def test_iiss_v(self, monkeypatch):
@@ -349,7 +346,7 @@ class TestNonFiniteInALaterBlock:
         X = sobol_points(UNIT_SQUARE, 1024)
         expected = X[np.argmax(X[:, 1] > 0.5)].tolist()
         with pytest.raises(EvaluationError, match="along f") as err:
-            check_fiberwise(f, FIBER, cert, UNIT_SQUARE, 1024)
+            check_fiberwise(f, 1, cert, UNIT_SQUARE, 1024)
         assert str(expected) in str(err.value)
 
     def test_fiberwise_derivative(self, monkeypatch):
@@ -360,7 +357,7 @@ class TestNonFiniteInALaterBlock:
         X = sobol_points(UNIT_SQUARE, 1024)
         expected = self.first_bad(X, X[:, 1] > 0.9)
         with pytest.raises(EvaluationError, match="along f") as err:
-            check_fiberwise(f, FIBER, cert, UNIT_SQUARE, 1024)
+            check_fiberwise(f, 1, cert, UNIT_SQUARE, 1024)
         assert str(expected) in str(err.value)
 
     def test_fiberwise_derivative_ignores_inactive_samples(self):
@@ -368,7 +365,7 @@ class TestNonFiniteInALaterBlock:
         f = field(lambda y, z: -y, lambda y, z: np.where(np.abs(z) < 0.1, np.nan, -z))
         cert = IncrementalCertificate(V=fiber_square(), alpha_lower=HALF_SQ,
                                       alpha_upper=ComparisonFunction(1.0, 2.0), xi=0.2)
-        report = check_fiberwise(f, FIBER, cert, UNIT_SQUARE, 1024)
+        report = check_fiberwise(f, 1, cert, UNIT_SQUARE, 1024)
         assert report.passed
 
     def test_fiberwise_derivative_exits_2(self, tmp_path, monkeypatch, capsys):
@@ -379,7 +376,7 @@ class TestNonFiniteInALaterBlock:
         def factory(params):
             spec = CertificateSpec("fiberwise", cert, UNIT_SQUARE)
             return SystemEntry(
-                name="nan-fiber", params=params, field=f, decomp=FIBER,
+                name="nan-fiber", params=params, field=f, m=1,
                 default_ic=np.zeros(2),
                 certificates={"fiberwise": lambda **kw: spec},
             )
@@ -395,14 +392,14 @@ class TestFiberColumns:
     @pytest.mark.parametrize("name", ["ball-hoop", "cart-pendulum"])
     def test_fiber_columns_equal_the_full_jacobian_slice(self, name):
         entry = lookup(name, {})
-        d = entry.decomp
+        n, m = entry.field.n, entry.m
         X = sobol_points(cli._default_box(entry), 1000, seed=9)
-        full = jacobian_batch(entry.field.rhs, X, d.n)
-        fiber = jacobian_batch(entry.field.rhs, X, d.n, cols=range(d.m, d.n))
-        assert fiber.shape == (1000, d.n, d.k)
-        assert np.array_equal(fiber, full[:, :, d.m :])
-        picked = jacobian_batch(entry.field.rhs, X, d.n, cols=[d.n - 1, 0])
-        assert np.array_equal(picked, full[:, :, [d.n - 1, 0]])
+        full = jacobian_batch(entry.field.rhs, X, n)
+        fiber = jacobian_batch(entry.field.rhs, X, n, cols=range(m, n))
+        assert fiber.shape == (1000, n, n - m)
+        assert np.array_equal(fiber, full[:, :, m:])
+        picked = jacobian_batch(entry.field.rhs, X, n, cols=[n - 1, 0])
+        assert np.array_equal(picked, full[:, :, [n - 1, 0]])
 
     def test_check_exact_evaluates_the_fiber_columns_only(self):
         # two evaluations per fiber coordinate and sample, none for y
@@ -414,8 +411,8 @@ class TestFiberColumns:
             return entry.field.rhs(s)
 
         f = VectorFieldDef(n=4, rhs=rhs)
-        check_exact_reducible(f, entry.decomp, cli._default_box(entry), 500)
-        assert sum(points) == 2 * entry.decomp.k * 500
+        check_exact_reducible(f, entry.m, cli._default_box(entry), 500)
+        assert sum(points) == 2 * (entry.field.n - entry.m) * 500
 
     def test_peak_memory_stays_near_the_sample_array(self):
         # whole-array evaluation holds several (N, n) copies and the (N, n, k)
@@ -423,10 +420,10 @@ class TestFiberColumns:
         entry = lookup("cart-pendulum", {})
         box = cli._default_box(entry)
         n = 2**18
-        check_exact_reducible(entry.field, entry.decomp, box, 64)  # warm up
+        check_exact_reducible(entry.field, entry.m, box, 64)  # warm up
         tracemalloc.start()
         try:
-            check_exact_reducible(entry.field, entry.decomp, box, n)
+            check_exact_reducible(entry.field, entry.m, box, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -446,10 +443,10 @@ def test_check_exact_keeps_the_retained_rows_only():
     }
     entry, _ = system_from_dict(doc)
     box = Box(-np.ones(n), np.ones(n))
-    check_exact_reducible(entry.field, entry.decomp, box, 64)  # warm up
+    check_exact_reducible(entry.field, entry.m, box, 64)  # warm up
     tracemalloc.start()
     try:
-        report = check_exact_reducible(entry.field, entry.decomp, box, 8192)
+        report = check_exact_reducible(entry.field, entry.m, box, 8192)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -484,7 +481,7 @@ class TestConstantMemory:
     def test_check_exact(self):
         entry = lookup("cart-pendulum", {})
         box = cli._default_box(entry)
-        self.assert_constant(lambda n: check_exact_reducible(entry.field, entry.decomp, box, n))
+        self.assert_constant(lambda n: check_exact_reducible(entry.field, entry.m, box, n))
 
     def test_check_iubibss(self):
         spec = lookup("cart-pendulum", {}).certificates["iubibss"](

@@ -172,8 +172,13 @@ class TestLookup:
             lookup("unknown", {})
 
     def test_unknown_parameter(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="valid: R, g, m, mu, xi_hoop$"):
             lookup("ball-hoop", {"spring": 2.0})
+
+    def test_unknown_parameter_of_a_system_without_parameters(self):
+        doc = {"name": "bare", "state": ["y", "z"], "m": 1, "params": {}, "rhs": ["-y", "-z"]}
+        with pytest.raises(InputError, match="for system 'bare'; valid: none$"):
+            lookup("bare", {"a": 1.0}, extra_registry=system_from_dict(doc)[1])
 
 
 # compiled user documents: ** with exponents 2, 0.5, -1, 3 and -1.5, a
@@ -210,7 +215,7 @@ def bundled_maps():
     maps = []
     for name in ("ball-hoop", "cart-pendulum"):
         e = lookup(name, {})
-        sliced = construct_reduced(e.field, e.decomp)
+        sliced = construct_reduced(e.field, e.m)
         for label, f in [(name, e.field), (f"{name}-sliced", sliced),
                          (f"{name}-reduced", e.reduced_override)]:
             if f is not None:
@@ -231,7 +236,7 @@ def bundled_maps():
             maps.append(pytest.param(energy, (e.field.n,), id=f"{name}-energy"))
     for doc in USER_DOCS:
         e, _ = system_from_dict(doc)
-        sliced = construct_reduced(e.field, e.decomp)
+        sliced = construct_reduced(e.field, e.m)
         maps.append(pytest.param(e.field.rhs, (e.field.n,), id=doc["name"]))
         maps.append(pytest.param(sliced.rhs, (sliced.n,), id=f"{doc['name']}-sliced"))
     return maps

@@ -88,7 +88,7 @@ class TestSystemFromConfig:
     def test_round_trip_evaluation(self):
         entry, registry = system_from_dict(demo_doc())
         assert entry.field.n == 2
-        assert entry.decomp.m == 1
+        assert entry.m == 1
         out = entry.field([2.0, 1.0])
         assert np.allclose(out, [-4.0, 0.0], atol=0)
         assert np.allclose(entry.field([0.0, 1.0]), [0.0, -1.0], atol=0)
