@@ -49,9 +49,6 @@ GRAVITY_DEFAULT = 9.81
 LIPSCHITZ_SAFETY = 1.2
 FIBER_THRESHOLD = 0.05  # the hoop's fiberwise certificate checks |theta| >= this
 
-HOOP_RADIUS_SWEEP = (5.0, 10.0, 20.0, 40.0)
-CART_FRICTION_SWEEP = (0.001, 0.01, 0.1, 1.0)
-
 
 @dataclass(frozen=True)
 class CertificateSpec:
@@ -327,10 +324,6 @@ def make_cart_pendulum(params: dict) -> SystemEntry:
         certificates={"iubibss": cert_iubibss},
     )
 
-
-# s[..., CART_ORDER] maps a cart state from the natural order (x, theta, v,
-# omega) to the internal (x, v, theta, omega), and back: the swap is its own inverse
-CART_ORDER = [0, 2, 1, 3]
 
 REGISTRY: dict[str, tuple[Callable[[dict], SystemEntry], dict]] = {
     "ball-hoop": (make_ball_in_hoop, BALL_HOOP["params"]),

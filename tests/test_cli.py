@@ -1111,6 +1111,17 @@ GRID_COMMANDS = [
 ]
 
 
+@pytest.mark.parametrize("command", [["simulate"], *GRID_COMMANDS], ids=" ".join)
+def test_an_overflowing_rk4_step_count_exits_2(command, tmp_path, capsys):
+    # t_end / dt overflows to inf: over the step budget, as any dt too small is
+    argv = [*command, "--system", "ball-hoop", "--method", "rk4", "--dt", "1e-320",
+            "--t-end", "1", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("approxred: numerical failure:") and err.count("\n") == 1
+    assert "step budget of 10000000 exhausted at t=0" in err
+
+
 class TestGridLimit:
     """More than 100000 grid points is a usage error, raised before the grid
     is built."""

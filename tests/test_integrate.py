@@ -73,8 +73,10 @@ class TestIntegrateField:
             integrate_field(f, [1.0], IntegratorConfig(t_end=3.0))
         assert 0.0 < exc.value.t_last <= 1.5
 
-    def test_step_budget(self):
-        cfg = IntegratorConfig(t_end=1.0, method="rk4", dt=1e-4, max_steps=100)
+    # 1e-320 makes t_end / dt overflow to inf
+    @pytest.mark.parametrize("dt", [1e-4, 1e-320])
+    def test_step_budget(self, dt):
+        cfg = IntegratorConfig(t_end=1.0, method="rk4", dt=dt, max_steps=100)
         with pytest.raises(StepBudgetError):
             integrate_field(DECAY, [1.0], cfg)
 

@@ -1,25 +1,24 @@
-"""The study scripts regenerate the committed results byte for byte, and the
+"""The study runner regenerates the committed results byte for byte, and the
 same-bytes check tells equal outputs from changed ones."""
 
 import importlib.util
 import pathlib
 
-import pytest
-
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script", ["run_hoop_radius_sweep", "run_cart_friction_sweep"])
-def test_results_regenerate_byte_identically(script, tmp_path, monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location(script, ROOT / "scripts" / f"{script}.py")
+def test_results_regenerate_byte_identically(tmp_path, monkeypatch, capsys):
+    script = ROOT / "scripts" / "run_studies.py"
+    spec = importlib.util.spec_from_file_location("run_studies", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     monkeypatch.setattr(module, "RESULTS", tmp_path)
     assert module.run() == 0
-    written = sorted(tmp_path.iterdir())
-    assert len(written) == 5  # the sweep table and four comparison series
-    for path in written:
-        assert path.read_bytes() == (ROOT / "results" / path.name).read_bytes(), path.name
+    written = sorted(path.name for path in tmp_path.iterdir())
+    committed = sorted(path.name for path in (ROOT / "results").glob("*.csv"))
+    assert written == committed and len(written) == 10  # two tables, eight series
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (ROOT / "results" / name).read_bytes(), name
 
 
 def run_same_bytes(parent_src, change_src):

@@ -2,8 +2,6 @@ import ast
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from approxred.core import Box, ConstraintError, InputError, UnknownSystemError
 from approxred.integrate import IntegratorConfig, integrate_field
@@ -13,7 +11,6 @@ from approxred.systems import (
     BALL_HOOP,
     CART_ANGLE_BOX,
     CART_FUNCTIONS,
-    CART_ORDER,
     CART_PENDULUM,
     HOOP_FUNCTIONS,
     _compiled,
@@ -149,16 +146,6 @@ class TestCartPendulum:
         for key in ("d", "b"):  # NaN is not nonnegative either
             with pytest.raises(InputError, match=f"parameter {key} must be nonnegative"):
                 lookup("cart-pendulum", {key: float("nan")})
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4))
-    @settings(max_examples=50)
-    def test_reordering_is_an_involution(self, vals):
-        s = np.array(vals)
-        assert np.array_equal(s[CART_ORDER][CART_ORDER], s)
-
-    def test_reordering_convention(self):
-        natural = np.array([1.0, 2.0, 3.0, 4.0])  # (x, theta, v, omega)
-        assert np.array_equal(natural[CART_ORDER], [1.0, 3.0, 2.0, 4.0])
 
 
 class TestLookup:
