@@ -1,7 +1,7 @@
 """Check that two source trees write the same bytes on the benchmark's commands.
 
     python scripts/same_bytes.py PARENT_SRC CHANGE_SRC \
-        [--workloads interactive,deviation,falsify] [--seeds 0,1,2]
+        [--workloads interactive,deviation,falsify,errors] [--seeds 0,1,2]
 
 PARENT_SRC and CHANGE_SRC are directories holding the ``approxred`` package,
 such as the ``src/`` of two checkouts. Every command that
@@ -14,11 +14,16 @@ one BLAS thread). The script compares stdout, stderr, exit code and the
 ``"config"`` object, a CSV's ``# `` header lines), or DIFF naming the parts
 that differ. It exits 1 unless every command is SAME. It reads ``bench/`` and
 changes nothing there.
+
+The ``errors`` workload is the fixed table ``ERRORS`` of failing commands, one
+per kind of failure that exits 1 or 2, run once whatever the seeds: the
+benchmark's commands all succeed, so they never reach an error path.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -32,6 +37,56 @@ import workloads  # noqa: E402  (bench/ is not a package)
 
 PARTS = ("stdout", "stderr", "exit code", "--out file")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+# user systems whose runs fail: y' = y^2 diverges before t = 1, and the square
+# root of a negative y is NaN
+_ERROR_FILES = {
+    "blowup.json": json.dumps({"name": "blowup", "state": ["y", "z"], "m": 1,
+                               "rhs": ["y*y", "-z"], "x0": [2.0, 0.0]}),
+    "root.json": json.dumps({"name": "root", "state": ["y", "z"], "m": 1,
+                             "rhs": ["y**0.5 + 0*z", "-z"]}),
+}
+_HOOP = ("--system", "ball-hoop")
+_ERROR_ARGV = {1: [
+    # names, parameters and flags
+    ("simulate", "--system", "nope"),
+    ("simulate", "--system", "it's"),
+    ("simulate", *_HOOP, "--set", "xi_hoop=2", "--set", "R=5"),
+    ("simulate", *_HOOP, "--set", "spring=2"),
+    ("simulate", *_HOOP, "--set", "R"),
+    ("simulate", *_HOOP, "--set", "R=abc"),
+    ("simulate",),
+    ("simulate", *_HOOP, "--bogus"),
+    ("simulate", *_HOOP, "--method", "euler"),
+    ("simulate", *_HOOP, "--x0", "1,2,3"),
+    ("simulate", *_HOOP, "--config", "{tmp}/blowup.json"),
+    ("compare", *_HOOP, "--m", "2"),
+    ("sweep", *_HOOP, "--param", "R", "--values", ","),
+    ("sweep", *_HOOP, "--param", "R", "--values", "5,-1", "--t-end", "1"),
+    # boxes, certificates and sampling settings
+    ("check-exact", *_HOOP, "--box", "1,2,3"),
+    ("check-exact", *_HOOP, "--box=1,0;0,1"),
+    ("check-exact", *_HOOP, "--box=0,1"),
+    ("check-exact", *_HOOP, "--seed", "-1"),
+    ("check-lyapunov", *_HOOP, "--certificate", "nope"),
+    ("check-lyapunov", *_HOOP, "--certificate", "iiss", "--box=0.3,0.3", "--samples", "256"),
+    ("bound", *_HOOP, "--n-ic", "0"),
+], 2: [
+    # integration and evaluation
+    ("simulate", *_HOOP, "--method", "rk4", "--dt", "1e-320", "--t-end", "1"),
+    ("simulate", "--system", "cart-pendulum", "--set", "d=1e200", "--t-end", "1"),
+    ("simulate", "--config", "{tmp}/blowup.json", "--t-end", "1"),
+    ("compare", *_HOOP, "--t-end", "1e-300"),
+    ("check-exact", "--config", "{tmp}/root.json", "--box=-2,-1;0,1", "--samples", "64"),
+    ("check-lyapunov", *_HOOP, "--certificate", "iiss", "--box=-1e200,1e200",
+     "--samples", "64"),
+]}
+ERRORS = workloads.Workload(
+    name="errors", seed=0, work_unit="command", files=_ERROR_FILES,
+    commands=tuple(workloads.Command(argv, "json", exit_code=code)
+                   for code, table in _ERROR_ARGV.items() for argv in table),
+)
+WORKLOADS = (*workloads.GENERATORS, "errors")
 
 
 def outcome(src: Path, cmd: workloads.Command, files: dict, work: Path) -> tuple:
@@ -75,7 +130,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", type=Path)
     parser.add_argument("change_src", type=Path)
-    parser.add_argument("--workloads", default=",".join(workloads.GENERATORS))
+    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--seeds", default="0,1,2")
     args = parser.parse_args(argv)
     trees = [args.parent_src.resolve(), args.change_src.resolve()]
@@ -83,7 +138,7 @@ def main(argv=None) -> int:
         if not (tree / "approxred" / "__init__.py").is_file():
             parser.error(f"{tree} holds no approxred package")
     names = args.workloads.split(",")
-    unknown = sorted(set(names) - set(workloads.GENERATORS))
+    unknown = sorted(set(names) - set(WORKLOADS))
     if unknown:
         parser.error(f"unknown workload(s) {', '.join(unknown)}")
     try:
@@ -91,16 +146,20 @@ def main(argv=None) -> int:
     except ValueError:
         parser.error(f"--seeds expects comma-separated integers, got {args.seeds!r}")
     counts = {"SAME": 0, "CONFIG": 0, "DIFF": 0}
+    runs = []
+    for name in names:
+        if name == "errors":
+            runs.append(("errors", ERRORS))  # a fixed table: once, not once per seed
+        else:
+            runs += [(f"{name}:{seed}", workloads.generate(name, seed)) for seed in seeds]
     with tempfile.TemporaryDirectory() as tmp:
-        for name in names:
-            for seed in seeds:
-                workload = workloads.generate(name, seed)
-                for i, cmd in enumerate(workload.commands):
-                    parent, change = (outcome(tree, cmd, workload.files, Path(tmp))
-                                      for tree in trees)
-                    found = verdict(parent, change)
-                    print(f"{found} {name}:{seed}:{i} {' '.join(cmd.argv)}", flush=True)
-                    counts[found.split()[0]] += 1
+        for label, workload in runs:
+            for i, cmd in enumerate(workload.commands):
+                parent, change = (outcome(tree, cmd, workload.files, Path(tmp))
+                                  for tree in trees)
+                found = verdict(parent, change)
+                print(f"{found} {label}:{i} {' '.join(cmd.argv)}", flush=True)
+                counts[found.split()[0]] += 1
     total = sum(counts.values())
     print(f"{counts['SAME']} of {total} commands wrote the same bytes, "
           f"{counts['CONFIG']} the same bytes outside their config")

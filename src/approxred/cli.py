@@ -23,20 +23,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .core import (
-    Box,
-    ConstraintError,
-    InputError,
-    NumericalError,
-    SystemEntry,
-    UnknownSystemError,
-)
+from .core import Box, InputError, NumericalError, SystemEntry
 from .integrate import DEFAULT_ATOL, DEFAULT_RTOL, IntegratorConfig, integrate_field
 from .reduction import (
     DEFAULT_GRID_POINTS,
@@ -61,23 +53,17 @@ EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_VERDICT = 3
 
-SEED_ENV_VAR = "APPROXRED_SEED"
-
-
-class UsageError(Exception):
-    pass
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse that takes whole flag names only, so that a flag one command
     lacks is never read as a prefix of another (``--m`` of ``--method``), and
-    reports usage problems via exceptions, not sys.exit(2)."""
+    reports usage problems as :class:`InputError`, not sys.exit(2)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
-        raise UsageError(message)
+        raise InputError(message)
 
 
 def to_jsonable(obj):
@@ -137,11 +123,11 @@ def _parse_set(pairs: list[str]) -> dict:
     for pair in pairs or []:
         key, sep, value = pair.partition("=")
         if not sep or not key:
-            raise UsageError(f"--set expects key=value, got {pair!r}")
+            raise InputError(f"--set expects key=value, got {pair!r}")
         try:
             out[key] = float(value)
         except ValueError as err:
-            raise UsageError(f"--set {key}: {value!r} is not a number") from err
+            raise InputError(f"--set {key}: {value!r} is not a number") from err
     return out
 
 
@@ -154,7 +140,7 @@ def _parse_floats(text: str, flag: str) -> list[float]:
     try:
         return [float(tok) for tok in tokens]
     except ValueError as err:
-        raise UsageError(f"{flag} expects comma-separated numbers, got {text!r}") from err
+        raise InputError(f"{flag} expects comma-separated numbers, got {text!r}") from err
 
 
 def _parse_box(text: str, flag: str) -> Box:
@@ -162,26 +148,14 @@ def _parse_box(text: str, flag: str) -> Box:
     for part in text.split(";"):
         vals = _parse_floats(part, flag)
         if len(vals) != 2:
-            raise UsageError(
+            raise InputError(
                 f"{flag} expects 'lo1,hi1;lo2,hi2;...', got segment {part!r}"
             )
         pairs.append((vals[0], vals[1]))
     try:
         return Box.from_pairs(pairs)
     except InputError as err:
-        raise UsageError(f"{flag}: {err}") from err
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as err:
-            raise UsageError(f"{SEED_ENV_VAR}={env!r} is not an integer") from err
-    return DEFAULT_SEED
+        raise InputError(f"{flag}: {err}") from err
 
 
 def _resolver(args):
@@ -194,17 +168,17 @@ def _resolver(args):
     if getattr(args, "config", None):
         _entry, extra = load_system_config(args.config)
         if args.system not in (None, _entry.name):
-            raise UsageError(f"--system {args.system!r} differs from the system "
+            raise InputError(f"--system {args.system!r} differs from the system "
                              f"{_entry.name!r} that --config {args.config} defines")
         args.system = _entry.name
     if args.system is None:
-        raise UsageError("--system is required (or provide --config)")
+        raise InputError("--system is required (or provide --config)")
 
     def resolve(overrides: dict | None = None) -> SystemEntry:
         entry = lookup(args.system, {**sets, **(overrides or {})}, extra_registry=extra)
         n = entry.field.n
         if m is not None and not (1 <= m < n):
-            raise UsageError(f"--m must be in [1, {n - 1}] for system {entry.name!r}")
+            raise InputError(f"--m must be in [1, {n - 1}] for system {entry.name!r}")
         if m not in (None, entry.m):
             # the bundled reduction is for the stock split
             entry = dataclasses.replace(entry, m=m, reduced_override=None)
@@ -218,12 +192,12 @@ def _resolve_x0(args, entry: SystemEntry) -> np.ndarray:
         return entry.default_ic.copy()
     vals = _parse_floats(args.x0, "--x0")
     if len(vals) != entry.field.n:
-        raise UsageError(
+        raise InputError(
             f"--x0 has {len(vals)} entries but system {entry.name!r} has "
             f"dimension {entry.field.n}"
         )
     if not np.all(np.isfinite(vals)):
-        raise UsageError(f"--x0 must be finite, got {args.x0!r}")
+        raise InputError(f"--x0 must be finite, got {args.x0!r}")
     return np.array(vals)
 
 
@@ -240,8 +214,8 @@ _SHARED = ("method", "dt", "rtol", "atol", "t_end", "x0", "seed", "format")
 def _config(command: str, args, entry: SystemEntry, **settings) -> dict:
     """The settings one run used, embedded in every output: the system's, the
     shared ones among the command's flags, then ``settings`` in order. A
-    resolved value in ``settings`` (``x0``, ``seed``, ``params``) keeps its
-    key's place."""
+    resolved value in ``settings`` (``x0``, ``params``) keeps its key's
+    place."""
     config = {"tool": "approxred", "version": __version__, "command": command,
               "system": entry.name, "params": entry.params, "m": entry.m}
     given = {**vars(args), **settings}
@@ -262,7 +236,7 @@ def _resolve_box(args, entry: SystemEntry) -> Box:
     """``--box``, else the default box, checked against the system's dimension."""
     box = _default_box(entry) if args.box is None else _parse_box(args.box, "--box")
     if box.dim != entry.field.n:
-        raise UsageError(
+        raise InputError(
             f"--box has dimension {box.dim} but system {entry.name!r} has "
             f"dimension {entry.field.n}"
         )
@@ -332,7 +306,7 @@ def cmd_compare(args) -> int:
 def cmd_sweep(args) -> int:
     values = _parse_floats(args.values, "--values")
     if not values:
-        raise UsageError("--values must list at least one number")
+        raise InputError("--values must list at least one number")
     cfg = _integrator_config(args)
     resolve = _resolver(args)
     entries = [resolve({args.param: values[0]})]
@@ -341,7 +315,7 @@ def cmd_sweep(args) -> int:
     for value in values[1:]:
         try:
             entries.append(resolve({args.param: value}))
-        except (UsageError, InputError, ConstraintError, UnknownSystemError) as err:
+        except InputError as err:
             failed = err
             break
     sweep = sweep_deviation(
@@ -379,13 +353,10 @@ def cmd_sweep(args) -> int:
 def cmd_check_exact(args) -> int:
     entry = _resolver(args)()
     box = _resolve_box(args, entry)
-    seed = _resolve_seed(args)
     report = check_exact_reducible(
-        entry.field, entry.m, box, n_samples=args.samples, tol=args.tol, seed=seed
+        entry.field, entry.m, box, n_samples=args.samples, tol=args.tol, seed=args.seed
     )
-    meta = _config(
-        "check-exact", args, entry, seed=seed, samples=args.samples, tol=args.tol, box=box
-    )
+    meta = _config("check-exact", args, entry, samples=args.samples, tol=args.tol, box=box)
     doc = to_jsonable({"config": meta, "report": report})
     _emit(args.out, _json_document(doc))
     return EXIT_OK if report.reducible else EXIT_VERDICT
@@ -395,15 +366,14 @@ def cmd_check_lyapunov(args) -> int:
     entry = _resolver(args)()
     if args.certificate not in entry.certificates:
         have = ", ".join(sorted(entry.certificates)) or "none"
-        raise UsageError(
+        raise InputError(
             f"system {entry.name!r} has no certificate {args.certificate!r}; "
             f"available: {have}"
         )
-    seed = _resolve_seed(args)
     state_box = None if args.box is None else _parse_box(args.box, "--box")
     input_box = None if args.input_box is None else _parse_box(args.input_box, "--input-box")
     spec = entry.certificates[args.certificate](
-        state_box=state_box, input_box=input_box, seed=seed
+        state_box=state_box, input_box=input_box, seed=args.seed
     )
     cert = spec.certificate
     if args.negate_v:
@@ -411,16 +381,16 @@ def cmd_check_lyapunov(args) -> int:
     if spec.kind == "fiberwise":
         report = check_fiberwise(
             entry.field, entry.m, cert, spec.state_box, n_samples=args.samples,
-            seed=seed,
+            seed=args.seed,
         )
     else:
         check = {"iiss": check_iiss, "iubibss": check_iubibss}[spec.kind]
         report = check(
             spec.control, cert, spec.state_box, spec.input_box,
-            n_samples=args.samples, seed=seed,
+            n_samples=args.samples, seed=args.seed,
         )
     meta = _config(
-        "check-lyapunov", args, entry, seed=seed, certificate=args.certificate,
+        "check-lyapunov", args, entry, certificate=args.certificate,
         kind=spec.kind, samples=args.samples, negate_v=args.negate_v,
     )
     doc = to_jsonable({"config": meta, "report": report})
@@ -442,17 +412,15 @@ def _negate_certificate(cert):
 def cmd_bound(args) -> int:
     entry = _resolver(args)()
     if args.n_ic < 1:
-        raise UsageError("--n-ic must be at least 1")
+        raise InputError("--n-ic must be at least 1")
     box = _resolve_box(args, entry)
     cfg = _integrator_config(args)
-    seed = _resolve_seed(args)
     est = estimate_delta(
         entry.field, entry.m, box, args.n_ic, cfg, pair_mode=args.mode,
-        reduced=entry.reduced_override, seed=seed, n_grid=args.n_grid,
+        reduced=entry.reduced_override, seed=args.seed, n_grid=args.n_grid,
     )
     meta = _config(
-        "bound", args, entry, seed=seed, mode=args.mode, n_ic=args.n_ic, box=box,
-        n_grid=args.n_grid,
+        "bound", args, entry, mode=args.mode, n_ic=args.n_ic, box=box, n_grid=args.n_grid
     )
     _emit(args.out, _json_document({"config": meta, **to_jsonable(est)}))
     return EXIT_OK
@@ -473,8 +441,8 @@ def _add_common(p: _Parser, *uses: str) -> None:
     if "m" in uses:
         p.add_argument("--m", type=int, help="override the retained dimension")
     if "seed" in uses:
-        p.add_argument("--seed", type=int, help=f"sampling seed (default {DEFAULT_SEED}; "
-                       f"env {SEED_ENV_VAR})")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                       help=f"sampling seed (default {DEFAULT_SEED})")
     p.add_argument("--out", help="output path (default: stdout)")
     if "format" in uses:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -547,17 +515,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as err:
-        print(f"approxred: error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except NumericalError as err:
         # EvaluationError is both an input and a numerical error; it lands
         # here so that bad evaluations never masquerade as usage mistakes
         print(f"approxred: numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (InputError, ConstraintError, UnknownSystemError) as err:
-        msg = err.args[0] if err.args else str(err)
-        print(f"approxred: error: {msg}", file=sys.stderr)
+    except InputError as err:
+        print(f"approxred: error: {err}", file=sys.stderr)
         return EXIT_USAGE
 
 

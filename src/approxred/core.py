@@ -13,6 +13,9 @@ Conventions fixed here and relied on everywhere else:
   other ``n - m``. The retained dimension ``m`` is the whole split, and
   :func:`check_retained` is its one validity check.
 * All distances are Euclidean.
+* Every failure raises one of two classes: :class:`InputError` for bad input
+  (CLI exit 1) or :class:`NumericalError` for a failed computation (exit 2).
+  :class:`EvaluationError` is both and counts as numerical.
 """
 
 from __future__ import annotations
@@ -24,38 +27,30 @@ import numpy as np
 
 
 class InputError(ValueError):
-    """Invalid argument: wrong dimension, out-of-domain value, bad name."""
-
-
-class ConstraintError(ValueError):
-    """A declared parameter constraint is violated."""
-
-
-class UnknownSystemError(KeyError):
-    """Requested system name is not registered."""
+    """Invalid argument: wrong dimension, out-of-domain value, bad name,
+    violated parameter constraint. The CLI exits 1 on it."""
 
 
 class NumericalError(RuntimeError):
-    """Base class for failures of numerical procedures."""
+    """Failure of a numerical procedure; the CLI exits 2 on it.
+
+    ``t_last`` is the last time at which an integration was still finite, or
+    None where no integration failed.
+    """
+
+    t_last = None
+
+    def __init__(self, message: str, t_last: float | None = None):
+        super().__init__(message)
+        self.t_last = t_last
 
 
 class DivergenceError(NumericalError):
-    """State became non-finite during integration.
-
-    ``t_last`` is the last time at which the state was still finite.
-    """
-
-    def __init__(self, message: str, t_last: float):
-        super().__init__(message)
-        self.t_last = float(t_last)
+    """State became non-finite during integration."""
 
 
 class StepBudgetError(NumericalError):
     """Integration exceeded its step budget before reaching the horizon."""
-
-    def __init__(self, message: str, t_last: float):
-        super().__init__(message)
-        self.t_last = float(t_last)
 
 
 class EvaluationError(InputError, NumericalError):

@@ -36,11 +36,11 @@ When it fills, and at the end of the run, the buffered steps of every row are
 evaluated at once on the stretch of a shared time grid they cover, at most
 ``_GRID_CHUNK`` points at a time, and dropped, each row keeping its last node;
 ``sup_distance_on_grid`` keeps of their values only each row's largest
-distance to a target and the first grid time that reaches it.
-The values are those of the cubic Hermite interpolant ``resample`` builds
-from stored nodes, bit for bit: same step assignment, same coefficients. So
-neither full trajectories nor more than a fixed number of steps are ever
-held, however long the horizon or fine the grid.
+distance to a target and the first grid time that reaches it. So neither
+full trajectories nor more than a fixed number of steps are ever held,
+however long the horizon or fine the grid. ``resample`` feeds a stored
+trajectory's nodes to the same sink, so its values are those of the batched
+runs bit for bit, and the cubic Hermite interpolant has one evaluator.
 
 Downstream tolerances: every comparison made on integrated trajectories adds
 slack of ten times the integrator tolerance. At the defaults (rtol = atol =
@@ -411,7 +411,7 @@ class _GridSink:
         Y, F = self.y[:, order], self.f[:, order]
         last = np.append(R[1:] != R[:-1], True)  # a row's latest node
         # the step from entry j to j + 1 holds the grid times in [T[j],
-        # T[j + 1]), and a row's last step the horizon too, as in resample;
+        # T[j + 1]), and a row's last step the horizon too;
         # a step joining two rows holds none, so its cubic is never read
         bounds = self.grid.searchsorted(T)
         bounds[last & (T == self.t_end)] = self.grid.size
@@ -427,7 +427,7 @@ class _GridSink:
             n = np.minimum(ends[at], p1) - np.maximum(starts, p0)
             g = np.arange(p0, p1) + (bounds[at] - starts).repeat(n)  # grid index
             s = self.grid[g] - T[at].repeat(n)
-            v = c3[:, at].repeat(n, axis=1)  # valued in _hermite's order
+            v = c3[:, at].repeat(n, axis=1)  # ((c3 s + c2) s + f) s + y
             v *= s
             v += c2[:, at].repeat(n, axis=1)
             v *= s
@@ -475,13 +475,6 @@ def _cubic(h, y0, y1, f0, f1):
     slope = (y1 - y0) / h
     c = (f0 + f1 - 2.0 * slope) / h
     return c / h, (slope - f0) / h - c
-
-
-def _hermite(s, h, y0, y1, f0, f1):
-    """Value and slope at offsets ``s`` of the cubic through (0, y0) with slope
-    f0 and (h, y1) with slope f1."""
-    c3, c2 = _cubic(h, y0, y1, f0, f1)
-    return ((c3 * s + c2) * s + f0) * s + y0, (3.0 * c3 * s + 2.0 * c2) * s + f0
 
 
 def _quiet():
@@ -555,9 +548,10 @@ def resample(traj: Trajectory, times) -> Trajectory:
     """Interpolate a trajectory onto a new valid trajectory grid.
 
     Cubic Hermite interpolation on the node derivatives, which every
-    trajectory of the integrator stores; original nodes reproduce exactly. The
+    trajectory of the integrator stores, evaluated by the grid sink of
+    :func:`integrate_on_grid`; original nodes reproduce exactly. The
     requested grid must start at 0, be strictly increasing, and stay within
-    the original span (no extrapolation).
+    the original span (no extrapolation). The result stores no derivatives.
     """
     if traj.derivs is None:
         raise InputError("resample needs a trajectory with node derivatives")
@@ -571,12 +565,11 @@ def resample(traj: Trajectory, times) -> Trajectory:
             f"resample grid ends at {new_times[-1]:.6g}, beyond the trajectory "
             f"horizon {traj.times[-1]:.6g}"
         )
-    # node k covers [t_k, t_k+1), the last one its closed interval
-    k = np.searchsorted(traj.times, new_times, side="right") - 1
-    k = np.minimum(k, traj.times.shape[0] - 2)
-    t0 = traj.times[k][:, None]
-    states, derivs = _hermite(
-        new_times[:, None] - t0, traj.times[k + 1][:, None] - t0,
-        traj.states[k], traj.states[k + 1], traj.derivs[k], traj.derivs[k + 1],
-    )
-    return Trajectory(times=new_times, states=states, dim=traj.dim, derivs=derivs)
+    # the nodes of a run of one row, fed to its grid sink as the run would
+    t, y, f = traj.times, traj.states, traj.derivs
+    sink = _GridSink(new_times, y[:1], f[:1], traj.dim, t[-1])
+    step = sink.t.size - 1  # a flush keeps one node in the buffer
+    for a in range(1, t.size, step):
+        b = min(a + step, t.size)
+        sink(np.zeros(b - a, dtype=np.intp), t[a:b], y[a:b], f[a:b])
+    return Trajectory(times=new_times, states=sink.result([None])[0], dim=traj.dim)

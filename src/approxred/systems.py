@@ -34,11 +34,9 @@ import numpy as np
 from .core import (
     Box,
     ComparisonFunction,
-    ConstraintError,
     ControlSystemDef,
     InputError,
     SystemEntry,
-    UnknownSystemError,
     VectorFieldDef,
 )
 from .sampling import DEFAULT_SEED, sobol_points
@@ -175,7 +173,7 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
     except OverflowError:  # xi**2 beyond float range
         spin = np.inf
     if not (spin < g):
-        raise ConstraintError(
+        raise InputError(
             f"ball-hoop requires R*xi_hoop^2 < g (got {spin:.6g} >= {g:.6g}); "
             "the hanging equilibrium is otherwise not a minimum"
         )
@@ -343,7 +341,7 @@ def lookup(
     """
     registry = {**REGISTRY, **(extra_registry or {})}
     if name not in registry:
-        raise UnknownSystemError(
+        raise InputError(
             f"unknown system {name!r}; available: {', '.join(sorted(registry))}"
         )
     factory, defaults = registry[name]

@@ -5,6 +5,13 @@ import pytest
 
 from approxred import cli
 from approxred.cli import main
+from approxred.core import (
+    DivergenceError,
+    EvaluationError,
+    InputError,
+    NumericalError,
+    StepBudgetError,
+)
 from approxred.systems import lookup
 from approxred.user_systems import load_system_config
 
@@ -752,22 +759,6 @@ class TestReproducibility:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_seed_env_fallback(self, tmp_path, monkeypatch):
-        out = tmp_path / "c.json"
-        monkeypatch.setenv("APPROXRED_SEED", "123")
-        main(
-            [
-                "check-exact",
-                "--system",
-                "ball-hoop",
-                "--samples",
-                "16",
-                "--out",
-                str(out),
-            ]
-        )
-        assert json.loads(out.read_text())["config"]["seed"] == 123
-
     def test_metadata_round_trips_to_same_output(self, tmp_path):
         out1 = tmp_path / "r1.csv"
         assert (
@@ -818,7 +809,7 @@ class TestReproducibility:
 
 
 class TestNegativeSeed:
-    """A seed below 0 exits 1 cleanly, from the flag or the environment."""
+    """A seed below 0 exits 1 cleanly."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -840,19 +831,6 @@ class TestNegativeSeed:
         rc = main([*argv, "--out", str(tmp_path / "out.json")])
         assert_clean_usage_error(rc, capsys, "non-negative", f"got {argv[-1]}")
         assert not (tmp_path / "out.json").exists()
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["check-exact", "--system", "ball-hoop"],
-            ["check-lyapunov", "--system", "ball-hoop", "--certificate", "iiss"],
-            ["bound", "--system", "ball-hoop", "--n-ic", "4"],
-        ],
-        ids=lambda argv: argv[0],
-    )
-    def test_seed_environment_variable(self, argv, monkeypatch, capsys):
-        monkeypatch.setenv("APPROXRED_SEED", "-3")
-        assert_clean_usage_error(main(argv), capsys, "non-negative", "got -3")
 
 
 INTEGRATOR_KEYS = ["method", "dt", "rtol", "atol", "t_end"]
@@ -900,15 +878,17 @@ class TestEachCommandTakesItsSettings:
 
     @pytest.mark.parametrize("command", sorted(SHORT_RUNS))
     def test_the_seed_variable_applies_only_where_a_command_samples(self, command,
-                                                                     tmp_path, monkeypatch,
-                                                                     capsys):
+                                                                     tmp_path, monkeypatch):
+        # no command reads APPROXRED_SEED: the seed comes from --seed alone
         flags, keys = SHORT_RUNS[command]
+        argv = [command, "--system", "ball-hoop", *flags, "--out"]
+        rc = main([*argv, str(tmp_path / "plain.json")])
         monkeypatch.setenv("APPROXRED_SEED", "abc")
-        rc = main([command, "--system", "ball-hoop", *flags, "--out", str(tmp_path / "o")])
+        assert main([*argv, str(tmp_path / "out.json")]) == rc != 1
+        out = (tmp_path / "out.json").read_bytes()
+        assert out == (tmp_path / "plain.json").read_bytes()
         if "seed" in keys:
-            assert_clean_usage_error(rc, capsys, "APPROXRED_SEED='abc' is not an integer")
-        else:
-            assert rc == 0
+            assert json.loads(out)["config"]["seed"] == 42
 
     def test_negate_v_is_recorded_as_a_boolean(self, tmp_path):
         out = tmp_path / "out.json"
@@ -1120,6 +1100,26 @@ def test_an_overflowing_rk4_step_count_exits_2(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("approxred: numerical failure:") and err.count("\n") == 1
     assert "step budget of 10000000 exhausted at t=0" in err
+
+
+@pytest.mark.parametrize("error,code,prefix", [
+    (InputError("bad input"), 1, "error"),
+    (EvaluationError("bad value"), 2, "numerical failure"),
+    (DivergenceError("diverged", 0.0), 2, "numerical failure"),
+    (StepBudgetError("out of steps", 0.5), 2, "numerical failure"),
+    (NumericalError("failed"), 2, "numerical failure"),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_exit_code_follows_the_exception_class(error, code, prefix, monkeypatch, capsys):
+    # InputError exits 1 and NumericalError 2; EvaluationError, both, exits 2
+    def lookup_raising(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "lookup", lookup_raising)
+    assert main(["simulate", "--system", "ball-hoop"]) == code
+    assert capsys.readouterr().err == f"approxred: {prefix}: {error}\n"
+    if isinstance(error, NumericalError):
+        assert error.t_last is None or isinstance(error.t_last, float)
+        assert (error.t_last is None) == (type(error) in (NumericalError, EvaluationError))
 
 
 class TestGridLimit:

@@ -233,6 +233,28 @@ class TestRowIndependence:
         assert resample(nodes, grid).states.tobytes() == direct.tobytes()
 
 
+# (s, c)' = (1, 3 s^2) from 0 is s = t, c = t^3: both tableaus integrate it
+# exactly, and a cubic Hermite interpolant reproduces it between the nodes
+CUBE = VectorFieldDef(
+    n=2, rhs=lambda x: np.stack([np.ones_like(x[..., 0]), 3.0 * x[..., 0] ** 2], axis=-1),
+    name="cube",
+)
+
+
+@pytest.mark.parametrize("budgets", [{}, {"_BUFFER_ROW_STEPS": 1}], ids=["default", "buffer-1"])
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_grid_values_are_the_closed_form_cube(method, budgets, monkeypatch):
+    for name, value in budgets.items():
+        monkeypatch.setattr(integrate, name, value)
+    t_end = 30.0  # 3000 rk4 steps: more than one buffer of the default size
+    cfg = IntegratorConfig(t_end=t_end, method=method, dt=0.01 if method == "rk4" else None)
+    grid = np.linspace(0.0, t_end, 2001)
+    on_grid = integrate_on_grid(CUBE, np.zeros((1, 2)), cfg, grid)[0][0]
+    resampled = resample(integrate_field(CUBE, [0.0, 0.0], cfg), grid).states
+    for values in (on_grid, resampled):
+        assert np.abs(values[:, 1] - grid**3).max() <= 1e-12 * t_end**3
+
+
 # a grid sink's budgets at their defaults, and small enough that each run
 # spans many chunks and flushes
 SINK_BUDGETS = pytest.mark.parametrize(

@@ -7,11 +7,15 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def test_results_regenerate_byte_identically(tmp_path, monkeypatch, capsys):
-    script = ROOT / "scripts" / "run_studies.py"
-    spec = importlib.util.spec_from_file_location("run_studies", script)
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_results_regenerate_byte_identically(tmp_path, monkeypatch, capsys):
+    module = load_script("run_studies")
     monkeypatch.setattr(module, "RESULTS", tmp_path)
     assert module.run() == 0
     written = sorted(path.name for path in tmp_path.iterdir())
@@ -21,12 +25,12 @@ def test_results_regenerate_byte_identically(tmp_path, monkeypatch, capsys):
         assert (tmp_path / name).read_bytes() == (ROOT / "results" / name).read_bytes(), name
 
 
-def run_same_bytes(parent_src, change_src):
+def run_same_bytes(parent_src, change_src, workloads="deviation"):
     import subprocess
     import sys
 
     argv = [sys.executable, str(ROOT / "scripts" / "same_bytes.py"), str(parent_src),
-            str(change_src), "--workloads", "deviation", "--seeds", "0"]
+            str(change_src), "--workloads", workloads, "--seeds", "0"]
     return subprocess.run(argv, capture_output=True, text=True, timeout=300)
 
 
@@ -68,3 +72,24 @@ def test_same_bytes_reports_a_config_only_difference(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 6 and all(line.startswith("CONFIG ") for line in lines[:5])
+
+
+def test_same_bytes_reports_a_changed_error_message(tmp_path):
+    import shutil
+
+    # a copy whose exit-1 messages carry another prefix
+    shutil.copytree(ROOT / "src" / "approxred", tmp_path / "approxred",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "approxred" / "cli.py"
+    source = cli.read_text()
+    old = 'print(f"approxred: error: {err}", file=sys.stderr)'
+    assert source.count(old) == 1
+    cli.write_text(source.replace(old, old.replace("error:", "usage error:")))
+    proc = run_same_bytes(ROOT / "src", tmp_path, workloads="errors")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    commands = load_script("same_bytes").ERRORS.commands
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(commands) + 1
+    for i, (line, cmd) in enumerate(zip(lines, commands)):
+        found = "DIFF (stderr)" if cmd.exit_code == 1 else "SAME"
+        assert line == f"{found} errors:{i} {' '.join(cmd.argv)}"
