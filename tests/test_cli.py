@@ -1507,7 +1507,9 @@ def test_certificate_outputs_keep_their_bytes(tmp_path, system, certificate, neg
 # each config began to record only the settings its command uses: they pin the
 # config's keys and their order, each document's keys and every float's digits.
 # The two hoop runs that sample the default box were recorded again when that
-# box became the exact bounding box of {V <= c}, whose theta range is wider
+# box became the exact bounding box of {V <= c}, whose theta range is wider.
+# The cart compare (a CSV with a two-column retained block) and the CSV sweep
+# were recorded before JSON and CSV documents came from one series writer
 OUTPUT_SHA256 = {
     "simulate --system ball-hoop --t-end 2":
         "e8002d6c6cbe9009a22e86f169cc77aceb1da21bd2edb20f7233ddc8bee84fc7",
@@ -1517,6 +1519,10 @@ OUTPUT_SHA256 = {
         "edc1c53714cc1b6bc4477d9d577eb65e9d6016fb5c58f6bc117b6c6da64858ca",
     "sweep --system ball-hoop --param R --values 5,10 --t-end 2 --n-grid 51 --format json":
         "5416a2e3aa34f911d75390afeffdbcd5ad483ce766628d5a5cc86b2df6acc7a3",
+    "compare --system cart-pendulum --t-end 1 --n-grid 51":
+        "7dd28c7d626e0df218cc77797d690bcf0b2331d005050597adfa396fd6605b3b",
+    "sweep --system ball-hoop --param R --values 5,10 --t-end 2 --n-grid 51":
+        "1028e5d0649922c55eb835fb595a6ac6d40159e25f9bcd342af8e451eb573b97",
     "check-exact --system ball-hoop --samples 64":
         "63f39b60182284f6b298e59c229de1ad26aef80b6f68d48e06d31c58fddcac87",
     "bound --system ball-hoop --n-ic 4 --t-end 2 --n-grid 51":
@@ -1527,9 +1533,15 @@ OUTPUT_SHA256 = {
         "4b0b9a253cd5e53eded56fd5cf1ae9c20fee5a4b09a5be7648cfb24fe5857b42",
 }
 
+# what a command with --out prints: only a CSV compare prints its summary
+OUTPUT_STDOUT = {
+    "compare --system cart-pendulum --t-end 1 --n-grid 51":
+        '{"sup_dev": 0.8517728584792594, "t_of_sup": 0.58}\n',
+}
+
 
 @pytest.mark.parametrize("command", sorted(OUTPUT_SHA256))
-def test_outputs_keep_their_bytes(tmp_path, command):
+def test_outputs_keep_their_bytes(tmp_path, capsys, command):
     import hashlib
 
     out = tmp_path / "out"
@@ -1537,6 +1549,7 @@ def test_outputs_keep_their_bytes(tmp_path, command):
     rc = main([*argv, "--out", str(out)])
     assert rc == (3 if command.startswith("check-exact") else 0)  # the hoop is not exact
     assert hashlib.sha256(out.read_bytes()).hexdigest() == OUTPUT_SHA256[command]
+    assert capsys.readouterr().out == OUTPUT_STDOUT.get(command, "")
 
 
 @pytest.mark.parametrize("argv", [
