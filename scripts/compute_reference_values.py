@@ -90,18 +90,6 @@ def hoop_sup_dev_reference():
     return sup, t_sup
 
 
-def hoop_sweep_reference():
-    """Development check only: the radius sweep should decay fast."""
-    sups = []
-    for R in (5.0, 10.0, 20.0, 40.0):
-        sup, _, _ = hoop_deviation(R, (0.5, 0.3), 20.0)
-        sups.append(sup)
-    ratios = [b / a for a, b in zip(sups, sups[1:])]
-    print(f"# radius sweep sups = {sups}", file=sys.stderr)
-    print(f"# radius sweep ratios = {ratios}", file=sys.stderr)
-    return sups
-
-
 def lipschitz_reference():
     """max over a dense grid of |d/dtheta (xi^2 sin cos - (g/R) sin)| on [-0.3, 0.3]."""
     R = 5.0
@@ -196,7 +184,6 @@ def cart_rhs_references():
 def main():
     endpoint = hoop_endpoint_reference()
     sup_dev, t_sup = hoop_sup_dev_reference()
-    hoop_sweep_reference()
     lip = lipschitz_reference()
     delta = delta_reference()
     cart = cart_rhs_references()

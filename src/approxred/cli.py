@@ -66,44 +66,33 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def to_jsonable(obj):
-    """Recursively convert reports, arrays and boxes to JSON-safe values."""
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, bool):  # a JSON boolean, not the int it subclasses
-        return obj
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
+def _jsonable(obj):
+    """``json.dumps``'s hook for what it cannot write itself: arrays and numpy
+    scalars become lists and numbers, a Box its bounds, a report dataclass its
+    fields in order."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     if isinstance(obj, Box):
-        return {"lower": obj.lower.tolist(), "upper": obj.upper.tolist()}
+        return {"lower": obj.lower, "upper": obj.upper}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: to_jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    return obj
-
-
-def _meta_lines(meta: dict) -> list[str]:
-    return [f"# {k}={json.dumps(v, sort_keys=True)}" for k, v in meta.items()]
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"cannot write a {type(obj).__name__} as JSON")
 
 
 def _emit(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", newline="\n") as fh:
             fh.write(text)
+    except OSError as err:
+        raise InputError(f"cannot write --out {path}: {err.strerror}") from err
 
 
 def _csv_document(meta: dict, header: list[str], rows) -> str:
-    lines = _meta_lines(meta)
+    lines = [f"# {k}={json.dumps(v, sort_keys=True, default=_jsonable)}"
+             for k, v in meta.items()]
     lines.append(",".join(header))
     # Python floats, whose repr is the shortest decimal that round-trips
     for row in np.asarray(rows, dtype=float).tolist():
@@ -111,8 +100,27 @@ def _csv_document(meta: dict, header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def _json_document(doc) -> str:
+    return json.dumps(doc, indent=2, default=_jsonable) + "\n"
+
+
+def _write_series(args, meta: dict, columns, summary: dict | None = None) -> None:
+    """Write ``columns`` of ``(JSON key, CSV header or prefix, array)``: in
+    JSON after the config and ``summary``, in CSV as columns, a 2-d array's
+    headed by its prefix and column index. A CSV sent to ``--out`` leaves
+    the summary on stdout."""
+    if args.format == "json":
+        doc = {"config": meta} if summary is None else {"config": meta, "summary": summary}
+        doc.update((key, array) for key, _, array in columns)
+        _emit(args.out, _json_document(doc))
+        return
+    header = []
+    for _, name, array in columns:
+        header += [name] if array.ndim == 1 else [f"{name}{i}" for i in range(array.shape[1])]
+    rows = np.column_stack([array for *_, array in columns])
+    _emit(args.out, _csv_document(meta, header, rows))
+    if summary is not None and args.out is not None:
+        sys.stdout.write(json.dumps(summary) + "\n")
 
 
 # ----------------------------------------------------------------- parsing
@@ -221,7 +229,7 @@ def _config(command: str, args, entry: SystemEntry, **settings) -> dict:
     given = {**vars(args), **settings}
     config.update((key, given[key]) for key in _SHARED if key in given)
     config.update(settings)
-    return to_jsonable(config)
+    return config
 
 
 def _default_box(entry: SystemEntry) -> Box:
@@ -252,13 +260,7 @@ def cmd_simulate(args) -> int:
     cfg = _integrator_config(args)
     traj = integrate_field(entry.field, x0, cfg)
     meta = _config("simulate", args, entry, x0=x0)
-    if args.format == "json":
-        doc = to_jsonable({"config": meta, "times": traj.times, "states": traj.states})
-        _emit(args.out, _json_document(doc))
-    else:
-        header = ["t"] + [f"x{i}" for i in range(entry.field.n)]
-        rows = np.column_stack([traj.times, traj.states])
-        _emit(args.out, _csv_document(meta, header, rows))
+    _write_series(args, meta, [("times", "t", traj.times), ("states", "x", traj.states)])
     return EXIT_OK
 
 
@@ -275,31 +277,14 @@ def cmd_compare(args) -> int:
         n_grid=args.n_grid,
     )
     meta = _config("compare", args, entry, x0=x0, n_grid=args.n_grid)
+    columns = [
+        ("times", "t", rep.times),
+        ("full_projected", "full_proj_", rep.full_projected),
+        ("reduced", "reduced_", rep.reduced_states),
+        ("deviation", "deviation", rep.dev_series),
+    ]
     summary = {"sup_dev": rep.sup_dev, "t_of_sup": rep.t_of_sup}
-    m = entry.m
-    if args.format == "json":
-        doc = to_jsonable({
-            "config": meta,
-            "summary": summary,
-            "times": rep.times,
-            "full_projected": rep.full_projected,
-            "reduced": rep.reduced_states,
-            "deviation": rep.dev_series,
-        })
-        _emit(args.out, _json_document(doc))
-    else:
-        header = (
-            ["t"]
-            + [f"full_proj_{i}" for i in range(m)]
-            + [f"reduced_{i}" for i in range(m)]
-            + ["deviation"]
-        )
-        rows = np.column_stack(
-            [rep.times, rep.full_projected, rep.reduced_states, rep.dev_series]
-        )
-        _emit(args.out, _csv_document(meta, header, rows))
-        if args.out is not None:
-            sys.stdout.write(json.dumps(summary) + "\n")
+    _write_series(args, meta, columns, summary)
     return EXIT_OK
 
 
@@ -357,8 +342,7 @@ def cmd_check_exact(args) -> int:
         entry.field, entry.m, box, n_samples=args.samples, tol=args.tol, seed=args.seed
     )
     meta = _config("check-exact", args, entry, samples=args.samples, tol=args.tol, box=box)
-    doc = to_jsonable({"config": meta, "report": report})
-    _emit(args.out, _json_document(doc))
+    _emit(args.out, _json_document({"config": meta, "report": report}))
     return EXIT_OK if report.reducible else EXIT_VERDICT
 
 
@@ -393,8 +377,7 @@ def cmd_check_lyapunov(args) -> int:
         "check-lyapunov", args, entry, certificate=args.certificate,
         kind=spec.kind, samples=args.samples, negate_v=args.negate_v,
     )
-    doc = to_jsonable({"config": meta, "report": report})
-    _emit(args.out, _json_document(doc))
+    _emit(args.out, _json_document({"config": meta, "report": report}))
     return EXIT_VERDICT if report.verdict == COUNTEREXAMPLE else EXIT_OK
 
 
@@ -422,7 +405,7 @@ def cmd_bound(args) -> int:
     meta = _config(
         "bound", args, entry, mode=args.mode, n_ic=args.n_ic, box=box, n_grid=args.n_grid
     )
-    _emit(args.out, _json_document({"config": meta, **to_jsonable(est)}))
+    _emit(args.out, _json_document({"config": meta, **dataclasses.asdict(est)}))
     return EXIT_OK
 
 

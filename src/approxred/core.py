@@ -164,10 +164,6 @@ class Trajectory:
             if derivs.shape != states.shape:
                 raise InputError("derivs must have the same shape as states")
 
-    @property
-    def endpoint(self) -> np.ndarray:
-        return self.states[-1].copy()
-
 
 @dataclass(frozen=True)
 class ComparisonFunction:

@@ -104,10 +104,6 @@ class CertificateReport:
     condition_counts: dict = field(default_factory=dict)
     note: str = EVIDENCE_NOTE
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == NO_COUNTEREXAMPLE
-
 
 def _value_and_grads(V: Callable, *blocks) -> tuple[np.ndarray, list[np.ndarray]]:
     """A certificate map's value column on paired sample rows, and its

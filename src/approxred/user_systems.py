@@ -356,6 +356,8 @@ def load_system_config(path: str | Path) -> tuple[SystemEntry, dict]:
         doc = json.loads(path.read_text())
     except FileNotFoundError as err:
         raise InputError(f"config file not found: {path}") from err
+    except OSError as err:  # a directory, or no permission to read
+        raise InputError(f"config file {path} cannot be read: {err.strerror}") from err
     except ValueError as err:  # malformed, not UTF-8, or an integer of too many digits
         raise InputError(f"config file {path} is not valid JSON: {err}") from err
     if not isinstance(doc, dict):

@@ -235,7 +235,7 @@ def test_criterion_7_integrator_order():
     errors = []
     for dt in (0.1, 0.05, 0.025, 0.0125):
         traj = integrate_field(f, [1.0], IntegratorConfig(t_end=1.0, method="rk4", dt=dt))
-        errors.append(abs(traj.endpoint[0] - math.exp(-1.0)))
+        errors.append(abs(traj.states[-1][0] - math.exp(-1.0)))
     ratios = [a / b for a, b in zip(errors, errors[1:])]
     assert len(ratios) == 3
     assert all(r >= 12.0 for r in ratios), ratios
@@ -270,7 +270,7 @@ def test_criterion_9_oracle_pinned_numerics():
     traj = integrate_field(
         entry.field, [0.5, 0.3], IntegratorConfig(t_end=10.0, method="rk4", dt=1e-3)
     )
-    assert traj.endpoint == pytest.approx(HOOP_ENDPOINT_T10, abs=1e-6)
+    assert traj.states[-1] == pytest.approx(HOOP_ENDPOINT_T10, abs=1e-6)
 
     # deviation supremum vs dense-output reference with exact reduced side
     rep = measure_deviation(

@@ -6,12 +6,14 @@ import pytest
 from approxred import cli
 from approxred.cli import main
 from approxred.core import (
+    Box,
     DivergenceError,
     EvaluationError,
     InputError,
     NumericalError,
     StepBudgetError,
 )
+from approxred.reduction import ReducibilityReport, ReducibilityWitness
 from approxred.systems import lookup
 from approxred.user_systems import load_system_config
 
@@ -1120,6 +1122,49 @@ def test_exit_code_follows_the_exception_class(error, code, prefix, monkeypatch,
     if isinstance(error, NumericalError):
         assert error.t_last is None or isinstance(error.t_last, float)
         assert (error.t_last is None) == (type(error) in (NumericalError, EvaluationError))
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", [["simulate"], ["bound", "--n-ic", "2"]], ids=" ".join)
+def test_an_unwritable_out_exits_1_naming_it(command, target, tmp_path, capsys):
+    path = tmp_path / "missing" / "out.csv" if target == "missing-directory" else tmp_path
+    rc = main([*command, "--system", "ball-hoop", "--t-end", "1", "--out", str(path)])
+    assert_clean_usage_error(rc, capsys, f"cannot write --out {path}: ")
+
+
+def test_a_directory_as_config_exits_1_naming_it(tmp_path, capsys):
+    rc = main(["simulate", "--config", str(tmp_path)])
+    assert_clean_usage_error(rc, capsys, f"config file {tmp_path} cannot be read: ")
+
+
+class Opaque:
+    pass
+
+
+def test_json_documents_write_numpy_values_boxes_and_reports():
+    witness = ReducibilityWitness(np.array([0.5, -0.25]), np.float32(2.0), np.int64(1), 0)
+    doc = {
+        "int": np.int64(7),
+        "flag": np.bool_(True),
+        "scalar": np.array(1.5),
+        "grid": np.arange(4.0).reshape(2, 2),
+        "box": Box([0.0, -1.0], [1.0, 1.0]),
+        "report": ReducibilityReport("NOT_REDUCIBLE", 8, 1e-6, 2.0, witness),
+    }
+    # the plain values the hook stands for, in the same order
+    plain = {
+        "int": 7,
+        "flag": True,
+        "scalar": 1.5,
+        "grid": [[0.0, 1.0], [2.0, 3.0]],
+        "box": {"lower": [0.0, -1.0], "upper": [1.0, 1.0]},
+        "report": {"verdict": "NOT_REDUCIBLE", "samples": 8, "tol": 1e-6, "max_residual": 2.0,
+                   "witness": {"point": [0.5, -0.25], "magnitude": 2.0, "component": 1,
+                               "fiber_index": 0}},
+    }
+    assert cli._json_document(doc) == json.dumps(plain, indent=2) + "\n"
+    with pytest.raises(TypeError, match="Opaque"):
+        cli._json_document({"report": Opaque()})
 
 
 class TestGridLimit:

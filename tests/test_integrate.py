@@ -32,7 +32,7 @@ class TestIntegrateField:
     def test_exponential_decay_rk4(self):
         cfg = IntegratorConfig(t_end=1.0, method="rk4", dt=0.01)
         traj = integrate_field(DECAY, [1.0], cfg)
-        assert traj.endpoint[0] == pytest.approx(math.exp(-1.0), abs=1e-8)
+        assert traj.states[-1][0] == pytest.approx(math.exp(-1.0), abs=1e-8)
 
     def test_zero_field_is_constant(self):
         f = VectorFieldDef(n=2, rhs=lambda x: np.zeros(2), name="still")
@@ -44,7 +44,7 @@ class TestIntegrateField:
         entry = lookup("ball-hoop", {})
         cfg = IntegratorConfig(t_end=10.0, method="rk4", dt=1e-3)
         traj = integrate_field(entry.field, [0.5, 0.3], cfg)
-        assert traj.endpoint == pytest.approx(HOOP_ENDPOINT_T10, abs=1e-6)
+        assert traj.states[-1] == pytest.approx(HOOP_ENDPOINT_T10, abs=1e-6)
 
     def test_initial_condition_exact_and_grid_monotone(self):
         for cfg in (
@@ -63,7 +63,7 @@ class TestIntegrateField:
         for dt in (0.1, 0.05, 0.025, 0.0125):
             cfg = IntegratorConfig(t_end=1.0, method="rk4", dt=dt)
             traj = integrate_field(DECAY, [1.0], cfg)
-            errors.append(abs(traj.endpoint[0] - math.exp(-1.0)))
+            errors.append(abs(traj.states[-1][0] - math.exp(-1.0)))
         ratios = [a / b for a, b in zip(errors, errors[1:])]
         assert all(r >= 12.0 for r in ratios), ratios
 
@@ -111,8 +111,8 @@ class TestAdaptiveFixedAgreement:
             entry = lookup(name, {})
             fine = IntegratorConfig(t_end=10.0, rtol=1e-10, atol=1e-10)
             fixed = IntegratorConfig(t_end=10.0, method="rk4", dt=1e-4)
-            end_adaptive = integrate_field(entry.field, entry.default_ic, fine).endpoint
-            end_fixed = integrate_field(entry.field, entry.default_ic, fixed).endpoint
+            end_adaptive = integrate_field(entry.field, entry.default_ic, fine).states[-1]
+            end_fixed = integrate_field(entry.field, entry.default_ic, fixed).states[-1]
             assert np.linalg.norm(end_adaptive - end_fixed) < 1e-6
 
 
@@ -392,7 +392,7 @@ class TestScipyOracle:
         traj = integrate_field(counted, x0, IntegratorConfig(t_end=t_end, rtol=tol, atol=tol))
         assert len(traj.times) - 1 == steps
         assert len(calls) == solver.nfev
-        np.testing.assert_allclose(traj.endpoint, solver.y, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(traj.states[-1], solver.y, rtol=1e-12, atol=0)
 
 
 def _mixed_field():

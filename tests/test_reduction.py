@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from approxred import integrate, reduction
-from approxred.cli import to_jsonable
+from approxred.cli import _json_document
 from approxred.core import (
     Box,
     DivergenceError,
@@ -439,7 +439,7 @@ class TestBudgetInvariance:
 
         def reports():
             return [
-                to_jsonable(estimate_delta(f, m, S, 12, cfg, pair_mode=mode, reduced=reduced))
+                _json_document(estimate_delta(f, m, S, 12, cfg, pair_mode=mode, reduced=reduced))
                 for mode in ("projected", "cross")
                 for cfg in METHODS.values()
             ]

@@ -49,9 +49,9 @@ def test_same_bytes_reports_a_changed_output(tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__"))
     cli = tmp_path / "approxred" / "cli.py"
     source = cli.read_text()
-    old = 'return json.dumps(doc, indent=2) + "\\n"'
+    old = 'return json.dumps(doc, indent=2, default=_jsonable) + "\\n"'
     assert source.count(old) == 1
-    cli.write_text(source.replace(old, 'return json.dumps(doc, indent=2) + " \\n"'))
+    cli.write_text(source.replace(old, old.replace('"\\n"', '" \\n"')))
     proc = run_same_bytes(ROOT / "src", tmp_path)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "DIFF (--out file) deviation:0:0 bound" in proc.stdout
@@ -65,9 +65,9 @@ def test_same_bytes_reports_a_config_only_difference(tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__"))
     cli = tmp_path / "approxred" / "cli.py"
     source = cli.read_text()
-    old = "    return to_jsonable(config)\n"
+    old = "    return config\n"
     assert source.count(old) == 1
-    cli.write_text(source.replace(old, '    return to_jsonable({**config, "extra": 1})\n'))
+    cli.write_text(source.replace(old, '    return {**config, "extra": 1}\n'))
     proc = run_same_bytes(ROOT / "src", tmp_path)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()

@@ -331,7 +331,8 @@ class TestThresholdBand:
         # |d| >= 2.25|du| takes in every sample beyond the band (|du| <= 0.4),
         # and the IISS decay holds on all of them
         beyond = dataclasses.replace(iiss, mu=ComparisonFunction(1.0 + 0.5 / 0.4))
-        assert check_iiss(BOOSTED, beyond, SYM_BOX_1, NARROW_INPUT, 4096).passed
+        report = check_iiss(BOOSTED, beyond, SYM_BOX_1, NARROW_INPUT, 4096)
+        assert report.verdict == NO_COUNTEREXAMPLE
 
 
 def fiber_field(sign: float) -> VectorFieldDef:

@@ -26,6 +26,7 @@ from approxred.numdiff import jacobian_batch
 from approxred.reduction import check_exact_reducible
 from approxred.sampling import sobol_blocks, sobol_points
 from approxred.stability import (
+    NO_COUNTEREXAMPLE,
     IncrementalCertificate,
     _falsify,
     check_fiberwise,
@@ -68,13 +69,13 @@ class TestBlockSizeInvariance:
         entry = lookup(name, {})
         box = cli._default_box(entry)
         whole = [
-            cli.to_jsonable(check_exact_reducible(entry.field, entry.m, box, n, seed=s))
+            cli._json_document(check_exact_reducible(entry.field, entry.m, box, n, seed=s))
             for n, s in ((300, 42), (129, 7), (1, 3))
         ]
         for rows in SMALL_BLOCKS:
             monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", rows)
             blocked = [
-                cli.to_jsonable(check_exact_reducible(entry.field, entry.m, box, n, seed=s))
+                cli._json_document(check_exact_reducible(entry.field, entry.m, box, n, seed=s))
                 for n, s in ((300, 42), (129, 7), (1, 3))
             ]
             assert blocked == whole
@@ -149,7 +150,7 @@ def run_check(name, kind, n, seed, negate=False):
     if kind == "exact":
         report = check_exact_reducible(entry.field, entry.m, cli._default_box(entry),
                                        n, seed=seed)
-        return cli.to_jsonable(report)
+        return cli._json_document(report)
     spec = entry.certificates[kind](state_box=None, input_box=None, seed=seed)
     cert = cli._negate_certificate(spec.certificate) if negate else spec.certificate
     if kind == "fiberwise":
@@ -157,7 +158,7 @@ def run_check(name, kind, n, seed, negate=False):
     else:
         check = check_iiss if kind == "iiss" else check_iubibss
         report = check(spec.control, cert, spec.state_box, spec.input_box, n, seed)
-    return cli.to_jsonable(report)
+    return cli._json_document(report)
 
 
 def check_outcome(*args):
@@ -366,7 +367,7 @@ class TestNonFiniteInALaterBlock:
         cert = IncrementalCertificate(V=fiber_square(), alpha_lower=HALF_SQ,
                                       alpha_upper=ComparisonFunction(1.0, 2.0), xi=0.2)
         report = check_fiberwise(f, 1, cert, UNIT_SQUARE, 1024)
-        assert report.passed
+        assert report.verdict == NO_COUNTEREXAMPLE
 
     def test_fiberwise_derivative_exits_2(self, tmp_path, monkeypatch, capsys):
         f = field(lambda y, z: -y, lambda y, z: np.where(z > 0.5, np.nan, -z))
