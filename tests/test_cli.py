@@ -1137,11 +1137,10 @@ def test_a_directory_as_config_exits_1_naming_it(tmp_path, capsys):
     assert_clean_usage_error(rc, capsys, f"config file {tmp_path} cannot be read: ")
 
 
-class Opaque:
-    pass
-
-
 def test_json_documents_write_numpy_values_boxes_and_reports():
+    class Opaque:
+        pass
+
     witness = ReducibilityWitness(np.array([0.5, -0.25]), np.float32(2.0), np.int64(1), 0)
     doc = {
         "int": np.int64(7),
