@@ -1,7 +1,7 @@
 """Check that two source trees write the same bytes on the benchmark's commands.
 
     python scripts/same_bytes.py PARENT_SRC CHANGE_SRC \
-        [--workloads interactive,deviation,falsify,errors] [--seeds 0,1,2]
+        [--workloads interactive,deviation,falsify,errors,front] [--seeds 0,1,2]
 
 PARENT_SRC and CHANGE_SRC are directories holding the ``approxred`` package,
 such as the ``src/`` of two checkouts. Every command that
@@ -17,7 +17,9 @@ changes nothing there.
 
 The ``errors`` workload is the fixed table ``ERRORS`` of failing commands, one
 per kind of failure that exits 1 or 2, run once whatever the seeds: the
-benchmark's commands all succeed, so they never reach an error path.
+benchmark's commands all succeed, so they never reach an error path. The
+``front`` workload is the fixed table ``FRONT`` of what the parser answers
+alone with exit 0: ``--version``, ``--help`` and each command's ``--help``.
 """
 
 from __future__ import annotations
@@ -86,7 +88,18 @@ ERRORS = workloads.Workload(
     commands=tuple(workloads.Command(argv, "json", exit_code=code)
                    for code, table in _ERROR_ARGV.items() for argv in table),
 )
-WORKLOADS = (*workloads.GENERATORS, "errors")
+# argparse acts on --version and --help as it reaches them, so the --out that
+# outcome() appends after them is never read
+FRONT = workloads.Workload(
+    name="front", seed=0, work_unit="command",
+    commands=tuple(workloads.Command(argv, "txt") for argv in [
+        ("--version",), ("--help",),
+        *((command, "--help") for command in ("simulate", "compare", "sweep", "check-exact",
+                                              "check-lyapunov", "bound")),
+    ]),
+)
+FIXED = {"errors": ERRORS, "front": FRONT}  # fixed tables: run once, not once per seed
+WORKLOADS = (*workloads.GENERATORS, *FIXED)
 
 
 def outcome(src: Path, cmd: workloads.Command, files: dict, work: Path) -> tuple:
@@ -148,8 +161,8 @@ def main(argv=None) -> int:
     counts = {"SAME": 0, "CONFIG": 0, "DIFF": 0}
     runs = []
     for name in names:
-        if name == "errors":
-            runs.append(("errors", ERRORS))  # a fixed table: once, not once per seed
+        if name in FIXED:
+            runs.append((name, FIXED[name]))
         else:
             runs += [(f"{name}:{seed}", workloads.generate(name, seed)) for seed in seeds]
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,16 +1,7 @@
-"""approxred command line interface.
-
-Subcommands:
-
-* ``simulate``       integrate a system and emit the trajectory
-* ``compare``        run full vs reduced dynamics and emit the deviation series
-* ``sweep``          repeat compare over a list of parameter values
-* ``check-exact``    sampled test for exact reducibility
-* ``check-lyapunov`` falsify a bundled stability certificate
-* ``bound``          sampled estimate of the uniform deviation bound
-
-Exit codes: 0 success or positive verdict, 1 usage error, 2 numerical
-failure, 3 negative verdict (not reducible / counterexample found).
+"""The commands of the approxred command line, one ``cmd_*`` function each,
+and the writers of their outputs. :mod:`approxred.front` parses the flags,
+lists the commands and exit codes, and imports this module only once the
+flags parse; its :func:`main` and :func:`build_parser` are re-exported here.
 
 Every output file embeds the resolved settings its command used (as ``#``
 key=value lines in CSV, as a ``config`` object in JSON), and identical
@@ -20,25 +11,23 @@ shortest representation that round-trips.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .core import Box, InputError, NumericalError, SystemEntry
-from .integrate import DEFAULT_ATOL, DEFAULT_RTOL, IntegratorConfig, integrate_field
+from .core import Box, InputError, SystemEntry
+from .front import EXIT_OK, EXIT_VERDICT, build_parser, main  # noqa: F401  (re-exported)
+from .integrate import IntegratorConfig, integrate_field
 from .reduction import (
-    DEFAULT_GRID_POINTS,
-    DEFAULT_TOL,
     check_exact_reducible,
     estimate_delta,
     measure_deviation,
     sweep_deviation,
 )
-from .sampling import DEFAULT_SEED
 from .stability import (
     COUNTEREXAMPLE,
     check_fiberwise,
@@ -47,23 +36,6 @@ from .stability import (
 )
 from .systems import lookup
 from .user_systems import load_system_config
-
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_NUMERICAL = 2
-EXIT_VERDICT = 3
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse that takes whole flag names only, so that a flag one command
-    lacks is never read as a prefix of another (``--m`` of ``--method``), and
-    reports usage problems as :class:`InputError`, not sys.exit(2)."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, allow_abbrev=False, **kwargs)
-
-    def error(self, message):
-        raise InputError(message)
 
 
 def _jsonable(obj):
@@ -81,7 +53,17 @@ def _jsonable(obj):
 
 def _emit(path: str | None, text: str) -> None:
     if path is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as err:
+            # what stdout still buffers would fail again at exit, with an
+            # "Exception ignored" message and status 120: let it drain into
+            # the null device instead
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+            raise InputError(f"cannot write to stdout: {err.strerror}") from err
         return
     try:
         with open(path, "w", newline="\n") as fh:
@@ -120,7 +102,7 @@ def _write_series(args, meta: dict, columns, summary: dict | None = None) -> Non
     rows = np.column_stack([array for *_, array in columns])
     _emit(args.out, _csv_document(meta, header, rows))
     if summary is not None and args.out is not None:
-        sys.stdout.write(json.dumps(summary) + "\n")
+        _emit(None, json.dumps(summary) + "\n")
 
 
 # ----------------------------------------------------------------- parsing
@@ -407,105 +389,6 @@ def cmd_bound(args) -> int:
     )
     _emit(args.out, _json_document({"config": meta, **dataclasses.asdict(est)}))
     return EXIT_OK
-
-
-# ------------------------------------------------------------------ wiring
-
-
-def _add_common(p: _Parser, *uses: str) -> None:
-    """The system flags and ``--out``, then the shared flags of what the
-    command ``uses``: "m" (a retained dimension), "seed" (sampling), "format"
-    (CSV output) and "integrator"."""
-    p.add_argument("--system", help="registered system name")
-    p.add_argument("--config", help="JSON config file defining a user system")
-    p.add_argument(
-        "--set", action="append", metavar="KEY=VALUE", help="override a parameter"
-    )
-    if "m" in uses:
-        p.add_argument("--m", type=int, help="override the retained dimension")
-    if "seed" in uses:
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help=f"sampling seed (default {DEFAULT_SEED})")
-    p.add_argument("--out", help="output path (default: stdout)")
-    if "format" in uses:
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-    if "integrator" in uses:
-        p.add_argument("--t-end", type=float, default=10.0, dest="t_end")
-        p.add_argument("--dt", type=float, help="fixed step (rk4 only)")
-        p.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
-        p.add_argument("--atol", type=float, default=DEFAULT_ATOL)
-        p.add_argument("--method", choices=("rk4", "rk45"), default="rk45")
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="approxred", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=f"approxred {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("simulate", help="integrate a system and emit the trajectory")
-    _add_common(p, "format", "integrator")
-    p.add_argument("--x0", help="comma-separated initial condition")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("compare", help="full vs reduced run with deviation series")
-    _add_common(p, "m", "format", "integrator")
-    p.add_argument("--x0", help="comma-separated initial condition")
-    p.add_argument("--n-grid", type=int, default=DEFAULT_GRID_POINTS, dest="n_grid")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("sweep", help="compare over a list of parameter values")
-    _add_common(p, "m", "format", "integrator")
-    p.add_argument("--x0", help="comma-separated initial condition (fixed across rows)")
-    p.add_argument("--param", required=True, help="parameter to sweep")
-    p.add_argument("--values", required=True, help="comma-separated parameter values")
-    p.add_argument("--n-grid", type=int, default=DEFAULT_GRID_POINTS, dest="n_grid")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("check-exact", help="sampled exact-reducibility test")
-    _add_common(p, "m", "seed")
-    p.add_argument("--box", help="sampling box 'lo1,hi1;lo2,hi2;...'")
-    p.add_argument("--samples", type=int, default=512)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.set_defaults(func=cmd_check_exact)
-
-    p = sub.add_parser("check-lyapunov", help="falsify a bundled certificate")
-    _add_common(p, "seed")
-    p.add_argument("--certificate", required=True, help="bundled certificate name")
-    p.add_argument("--box", help="state box 'lo1,hi1;...' (default: bundled box)")
-    p.add_argument("--input-box", dest="input_box", help="input box for iiss/iubibss")
-    p.add_argument("--samples", type=int, default=4096)
-    p.add_argument(
-        "--negate-v",
-        dest="negate_v",
-        action="store_true",
-        help="diagnostic: check -V instead of V (must fail on a healthy setup)",
-    )
-    p.set_defaults(func=cmd_check_lyapunov)
-
-    p = sub.add_parser("bound", help="sampled uniform deviation bound estimate")
-    _add_common(p, "m", "seed", "integrator")
-    p.add_argument("--box", help="initial condition box 'lo1,hi1;...'")
-    p.add_argument("--n-ic", type=int, default=100, dest="n_ic")
-    p.add_argument("--mode", choices=("projected", "cross"), default="projected")
-    p.add_argument("--n-grid", type=int, default=DEFAULT_GRID_POINTS, dest="n_grid")
-    p.set_defaults(func=cmd_bound)
-
-    return parser
-
-
-def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except NumericalError as err:
-        # EvaluationError is both an input and a numerical error; it lands
-        # here so that bad evaluations never masquerade as usage mistakes
-        print(f"approxred: numerical failure: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except InputError as err:
-        print(f"approxred: error: {err}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

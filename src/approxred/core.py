@@ -15,7 +15,8 @@ Conventions fixed here and relied on everywhere else:
 * All distances are Euclidean.
 * Every failure raises one of two classes: :class:`InputError` for bad input
   (CLI exit 1) or :class:`NumericalError` for a failed computation (exit 2).
-  :class:`EvaluationError` is both and counts as numerical.
+  :class:`EvaluationError` is both and counts as numerical. They live in the
+  numpy-free :mod:`base` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -25,40 +26,13 @@ from typing import Callable
 
 import numpy as np
 
-
-class InputError(ValueError):
-    """Invalid argument: wrong dimension, out-of-domain value, bad name,
-    violated parameter constraint. The CLI exits 1 on it."""
-
-
-class NumericalError(RuntimeError):
-    """Failure of a numerical procedure; the CLI exits 2 on it.
-
-    ``t_last`` is the last time at which an integration was still finite, or
-    None where no integration failed.
-    """
-
-    t_last = None
-
-    def __init__(self, message: str, t_last: float | None = None):
-        super().__init__(message)
-        self.t_last = t_last
-
-
-class DivergenceError(NumericalError):
-    """State became non-finite during integration."""
-
-
-class StepBudgetError(NumericalError):
-    """Integration exceeded its step budget before reaching the horizon."""
-
-
-class EvaluationError(InputError, NumericalError):
-    """A function evaluation produced a non-finite value.
-
-    Doubles as an input error (the supplied function misbehaves) and a
-    numerical failure (the CLI reports it with the numerical exit code).
-    """
+from .base import (  # noqa: F401  (re-exported)
+    DivergenceError,
+    EvaluationError,
+    InputError,
+    NumericalError,
+    StepBudgetError,
+)
 
 
 def as_state(x, n: int | None = None) -> np.ndarray:

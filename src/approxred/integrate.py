@@ -58,6 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import DEFAULT_ATOL, DEFAULT_RTOL
 from .core import (
     DivergenceError,
     InputError,
@@ -67,8 +68,6 @@ from .core import (
     as_state,
 )
 
-DEFAULT_RTOL = 1e-9
-DEFAULT_ATOL = 1e-9
 DEFAULT_MAX_STEPS = 10_000_000
 # (row, step) nodes a grid sink buffers before it evaluates them
 _BUFFER_ROW_STEPS = 2048

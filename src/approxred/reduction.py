@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import DEFAULT_GRID_POINTS, DEFAULT_TOL
 from .core import (
     Box,
     DivergenceError,
@@ -41,8 +42,6 @@ from .numdiff import jacobian_batch
 from .sampling import DEFAULT_SEED, sobol_points
 from .stability import _falsify, _require_finite
 
-DEFAULT_TOL = 1e-6
-DEFAULT_GRID_POINTS = 2001
 MAX_GRID_POINTS = 100_000
 # rows (initial conditions or swept fields) integrated together, fewer where
 # a block's full-run grid values, (rows, n_grid, m) float64, would pass _STORE_BYTES

@@ -28,9 +28,9 @@ from typing import Iterator
 
 import numpy as np
 
+from .base import DEFAULT_SEED
 from .core import Box, InputError
 
-DEFAULT_SEED = 42
 BITS = 30
 MAX_POINTS = 2**BITS
 MAX_DIM = 64

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -946,10 +949,6 @@ class TestArithmeticInExpressions:
 
 def run_in_subprocess(argv, timeout=120, script=None):
     """Run ``python -m approxred argv`` (or ``script``) in a fresh interpreter."""
-    import os
-    import subprocess
-    import sys
-
     import approxred
 
     src = os.path.dirname(os.path.dirname(approxred.__file__))
@@ -974,9 +973,24 @@ MODULES_SCRIPT = (
     "print(rc, sorted(m for m in sys.modules if (m + '.').startswith(prefix + '.')))\n"
 )
 
+# runs ``python -m approxred`` on the argv given as JSON, then prints its exit
+# code and the loaded modules named numpy or approxred
+FRONT_SCRIPT = (
+    "import json, runpy, sys\n"
+    "sys.argv = ['approxred', *json.loads(sys.argv[1])]\n"
+    "try:\n"
+    "    runpy.run_module('approxred', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as stop:\n"
+    "    rc = stop.code\n"
+    "print(rc, sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'approxred')))\n"
+)
+# what the front may load: no module that imports numpy
+FRONT_MODULES = ["approxred", "approxred.base", "approxred.front"]
+
 
 class TestImportFloor:
-    """No command imports scipy: the package runs on numpy alone."""
+    """No command imports scipy: the package runs on numpy alone. The front
+    (``--version``, ``--help`` and usage errors) runs without numpy."""
 
     def test_no_command_imports_scipy(self, tmp_path):
         out = ["--out", str(tmp_path / "o.csv")]
@@ -1044,6 +1058,58 @@ class TestImportFloor:
             for node in ast.walk(ast.parse(text)):
                 if isinstance(node, ast.ImportFrom) and node.module == "numpy":
                     assert "random" not in [a.name for a in node.names], path
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--version"], 0),
+        (["--help"], 0),
+        (["bound", "--help"], 0),
+        (["simulate", "--bogus"], 1),
+        (["bound", "--n-ic", "x"], 1),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_the_front_answers_without_numpy(self, argv, code):
+        proc = run_in_subprocess([json.dumps(argv)], script=FRONT_SCRIPT)
+        assert proc.stdout.strip().splitlines()[-1] == f"{code} {FRONT_MODULES}", proc.stderr
+
+    def test_importing_the_package_loads_no_numpy(self):
+        script = "import sys, approxred; print(sorted(m for m in sys.modules if 'numpy' in m))"
+        proc = run_in_subprocess([], script=script)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+    def test_package_names_are_their_modules_objects(self):
+        import sys
+
+        import approxred
+
+        assert approxred.Box is approxred.core.Box
+        for name in approxred.__all__:
+            if name == "__version__":
+                continue
+            obj = getattr(approxred, name)
+            assert getattr(sys.modules[obj.__module__], name) is obj, name
+            assert name not in vars(approxred), name  # looked up, never stored
+        assert set(approxred.__all__) <= set(dir(approxred))
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            approxred.nope
+
+    def test_the_console_script_is_the_front(self):
+        import ast
+        import importlib
+        import pathlib
+        import tomllib
+
+        import approxred
+
+        root = pathlib.Path(approxred.__file__).parent
+        pyproject = tomllib.loads((root.parent.parent / "pyproject.toml").read_text())
+        module, attr = pyproject["project"]["scripts"]["approxred"].split(":")
+        # the function ``python -m approxred`` runs, as __main__.py imports it
+        node = next(n for n in ast.walk(ast.parse((root / "__main__.py").read_text()))
+                    if isinstance(n, ast.ImportFrom) and "main" in [a.name for a in n.names])
+        ran = getattr(importlib.import_module(f"approxred.{node.module}"), "main")
+        assert getattr(importlib.import_module(module), attr) is ran is cli.main
+        script = f"import sys, {module}; print('numpy' in sys.modules)"
+        proc = run_in_subprocess([], script=script)
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 class TestNonFiniteSettings:
@@ -1130,6 +1196,29 @@ def test_an_unwritable_out_exits_1_naming_it(command, target, tmp_path, capsys):
     path = tmp_path / "missing" / "out.csv" if target == "missing-directory" else tmp_path
     rc = main([*command, "--system", "ball-hoop", "--t-end", "1", "--out", str(path)])
     assert_clean_usage_error(rc, capsys, f"cannot write --out {path}: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--system", "ball-hoop", "--t-end", "1"],
+    ["check-exact", "--system", "ball-hoop", "--samples", "64"],
+    # a CSV --out leaves the summary line on stdout
+    ["compare", "--system", "ball-hoop", "--t-end", "1", "--out", "{tmp}/f.csv"],
+], ids=lambda argv: argv[0])
+def test_a_full_stdout_exits_1_with_one_line(argv, unbuffered, tmp_path):
+    # buffered, the text fails at the explicit flush; unbuffered, at the write.
+    # Either way the interpreter's own flush at exit must find nothing to fail on
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "approxred", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (
+        1, "approxred: error: cannot write to stdout: No space left on device\n")
 
 
 def test_a_directory_as_config_exits_1_naming_it(tmp_path, capsys):

@@ -80,11 +80,11 @@ def test_same_bytes_reports_a_changed_error_message(tmp_path):
     # a copy whose exit-1 messages carry another prefix
     shutil.copytree(ROOT / "src" / "approxred", tmp_path / "approxred",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    cli = tmp_path / "approxred" / "cli.py"
-    source = cli.read_text()
+    front = tmp_path / "approxred" / "front.py"
+    source = front.read_text()
     old = 'print(f"approxred: error: {err}", file=sys.stderr)'
     assert source.count(old) == 1
-    cli.write_text(source.replace(old, old.replace("error:", "usage error:")))
+    front.write_text(source.replace(old, old.replace("error:", "usage error:")))
     proc = run_same_bytes(ROOT / "src", tmp_path, workloads="errors")
     assert proc.returncode == 1, proc.stdout + proc.stderr
     commands = load_script("same_bytes").ERRORS.commands
@@ -93,3 +93,29 @@ def test_same_bytes_reports_a_changed_error_message(tmp_path):
     for i, (line, cmd) in enumerate(zip(lines, commands)):
         found = "DIFF (stderr)" if cmd.exit_code == 1 else "SAME"
         assert line == f"{found} errors:{i} {' '.join(cmd.argv)}"
+
+
+def test_same_bytes_reports_a_changed_help_text(tmp_path):
+    import shutil
+
+    from approxred.front import build_parser
+
+    # the front table asks every command for its help
+    commands = load_script("same_bytes").FRONT.commands
+    (subparsers,) = build_parser()._subparsers._group_actions
+    assert [cmd.argv for cmd in commands[2:]] == [(c, "--help") for c in subparsers.choices]
+    # a copy whose commands describe --system in other words
+    shutil.copytree(ROOT / "src" / "approxred", tmp_path / "approxred",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    front = tmp_path / "approxred" / "front.py"
+    source = front.read_text()
+    old = 'help="registered system name"'
+    assert source.count(old) == 1
+    front.write_text(source.replace(old, 'help="a registered system name"'))
+    proc = run_same_bytes(ROOT / "src", tmp_path, workloads="front")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(commands) + 1
+    for i, (line, cmd) in enumerate(zip(lines, commands)):
+        found = "SAME" if i < 2 else "DIFF (stdout)"  # --version and --help list no flag
+        assert line == f"{found} front:{i} {' '.join(cmd.argv)}"
