@@ -2,9 +2,8 @@
 every failure raises and the defaults its help text shows.
 
 This module imports nothing, so that ``--version``, ``--help`` and usage
-errors answer without loading numpy. :mod:`core` re-exports the exceptions;
-:mod:`sampling`, :mod:`integrate` and :mod:`reduction` re-export the defaults
-they use.
+errors answer without loading numpy. Every module takes these names from
+here; :mod:`core` also re-exports the exceptions for callers who look there.
 """
 
 from __future__ import annotations

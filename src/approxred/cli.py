@@ -11,6 +11,7 @@ shortest representation that round-trips.
 
 from __future__ import annotations
 
+import atexit
 import dataclasses
 import json
 import os
@@ -19,8 +20,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import Box, InputError, SystemEntry
-from .front import EXIT_OK, EXIT_VERDICT, build_parser, main  # noqa: F401  (re-exported)
+from .base import InputError
+from .core import Box, SystemEntry
+from .front import EXIT_OK, EXIT_VERDICT
+from .front import build_parser, main  # noqa: F401  (in-process callers read them here)
 from .integrate import IntegratorConfig, integrate_field
 from .reduction import (
     check_exact_reducible,
@@ -51,18 +54,26 @@ def _jsonable(obj):
     raise TypeError(f"cannot write a {type(obj).__name__} as JSON")
 
 
+def _drain_stdout() -> None:
+    """At exit, point a stdout that still cannot flush at the null device:
+    the interpreter's own flush would fail on it again, print "Exception
+    ignored" and exit 120."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+
+
 def _emit(path: str | None, text: str) -> None:
     if path is None:
         try:
             sys.stdout.write(text)
             sys.stdout.flush()
         except OSError as err:
-            # what stdout still buffers would fail again at exit, with an
-            # "Exception ignored" message and status 120: let it drain into
-            # the null device instead
-            null = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(null, sys.stdout.fileno())
-            os.close(null)
+            # the caller keeps its stdout until the process ends
+            atexit.register(_drain_stdout)
             raise InputError(f"cannot write to stdout: {err.strerror}") from err
         return
     try:

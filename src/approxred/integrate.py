@@ -58,15 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DEFAULT_ATOL, DEFAULT_RTOL
-from .core import (
-    DivergenceError,
-    InputError,
-    StepBudgetError,
-    Trajectory,
-    VectorFieldDef,
-    as_state,
-)
+from .base import DEFAULT_ATOL, DEFAULT_RTOL, DivergenceError, InputError, StepBudgetError
+from .core import Trajectory, VectorFieldDef, as_state
 
 DEFAULT_MAX_STEPS = 10_000_000
 # (row, step) nodes a grid sink buffers before it evaluates them

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import InputError
+from .base import InputError
 
 FD_SCALE = 1e-6
 

@@ -20,17 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DEFAULT_GRID_POINTS, DEFAULT_TOL
-from .core import (
-    Box,
+from .base import (
+    DEFAULT_GRID_POINTS,
+    DEFAULT_SEED,
+    DEFAULT_TOL,
     DivergenceError,
     InputError,
     NumericalError,
     StepBudgetError,
-    VectorFieldDef,
-    as_state,
-    check_retained,
 )
+from .core import Box, VectorFieldDef, as_state, check_retained
 from .integrate import (
     IntegratorConfig,
     integrate_field,
@@ -39,7 +38,7 @@ from .integrate import (
     sup_distance_on_grid,
 )
 from .numdiff import jacobian_batch
-from .sampling import DEFAULT_SEED, sobol_points
+from .sampling import sobol_points
 from .stability import _falsify, _require_finite
 
 MAX_GRID_POINTS = 100_000

@@ -28,8 +28,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .base import DEFAULT_SEED
-from .core import Box, InputError
+from .base import DEFAULT_SEED, InputError
+from .core import Box
 
 BITS = 30
 MAX_POINTS = 2**BITS

@@ -29,17 +29,16 @@ from typing import Callable
 
 import numpy as np
 
+from .base import DEFAULT_SEED, EvaluationError, InputError
 from .core import (
     Box,
     ComparisonFunction,
     ControlSystemDef,
-    EvaluationError,
-    InputError,
     VectorFieldDef,
     check_retained,
 )
 from .numdiff import batch_eval
-from .sampling import DEFAULT_SEED, sobol_blocks, sobol_points
+from .sampling import sobol_blocks, sobol_points
 
 GAIN_GRID = 1001  # radii of the IUBIBSS gain-threshold grid
 

@@ -31,15 +31,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (
-    Box,
-    ComparisonFunction,
-    ControlSystemDef,
-    InputError,
-    SystemEntry,
-    VectorFieldDef,
-)
-from .sampling import DEFAULT_SEED, sobol_points
+from .base import DEFAULT_SEED, InputError
+from .core import Box, ComparisonFunction, ControlSystemDef, SystemEntry, VectorFieldDef
+from .sampling import sobol_points
 from .stability import IncrementalCertificate, estimate_lipschitz
 from .user_systems import compile_map, system_factory
 

@@ -38,7 +38,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import EvaluationError, InputError, SystemEntry, VectorFieldDef
+from .base import EvaluationError, InputError
+from .core import SystemEntry, VectorFieldDef
 
 _ALLOWED_CALLS = {"sin": np.sin, "cos": np.cos}
 _ALLOWED_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub, ast.UAdd)

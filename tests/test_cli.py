@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import subprocess
@@ -1092,22 +1094,17 @@ class TestImportFloor:
             approxred.nope
 
     def test_the_console_script_is_the_front(self):
-        import ast
-        import importlib
         import pathlib
         import tomllib
 
-        import approxred
+        from approxred import front
 
-        root = pathlib.Path(approxred.__file__).parent
+        root = pathlib.Path(front.__file__).parent
         pyproject = tomllib.loads((root.parent.parent / "pyproject.toml").read_text())
-        module, attr = pyproject["project"]["scripts"]["approxred"].split(":")
-        # the function ``python -m approxred`` runs, as __main__.py imports it
-        node = next(n for n in ast.walk(ast.parse((root / "__main__.py").read_text()))
-                    if isinstance(n, ast.ImportFrom) and "main" in [a.name for a in n.names])
-        ran = getattr(importlib.import_module(f"approxred.{node.module}"), "main")
-        assert getattr(importlib.import_module(module), attr) is ran is cli.main
-        script = f"import sys, {module}; print('numpy' in sys.modules)"
+        assert pyproject["project"]["scripts"]["approxred"] == "approxred.front:main"
+        assert "from .front import main" in (root / "__main__.py").read_text()
+        assert front.main is cli.main
+        script = "import sys, approxred.front; print('numpy' in sys.modules)"
         proc = run_in_subprocess([], script=script)
         assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
@@ -1219,6 +1216,20 @@ def test_a_full_stdout_exits_1_with_one_line(argv, unbuffered, tmp_path):
                               stderr=subprocess.PIPE, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stderr) == (
         1, "approxred: error: cannot write to stdout: No space left on device\n")
+
+
+def test_a_failing_stdout_leaves_the_callers_descriptors_alone(capsys, monkeypatch):
+    # in process, a stream without a descriptor: the error is the one line,
+    # and fd 1 still points where it pointed
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    before = os.fstat(1)
+    monkeypatch.setattr(sys, "stdout", Full())
+    rc = main(["simulate", "--system", "ball-hoop", "--t-end", "1"])
+    assert_clean_usage_error(rc, capsys, "cannot write to stdout: No space left on device")
+    assert os.path.samestat(os.fstat(1), before)
 
 
 def test_a_directory_as_config_exits_1_naming_it(tmp_path, capsys):
