@@ -18,7 +18,8 @@ __version__ = "0.1.0"
 
 # defining module -> the public names it holds
 _EXPORTS = {
-    "base": ("DivergenceError", "InputError", "NumericalError", "StepBudgetError"),
+    "base": ("DivergenceError", "EvaluationError", "InputError", "NumericalError",
+             "StepBudgetError"),
     "core": ("Box", "ComparisonFunction", "ControlSystemDef", "SystemEntry", "Trajectory",
              "VectorFieldDef"),
     "integrate": ("IntegratorConfig", "integrate_field", "resample"),

@@ -3,7 +3,7 @@ every failure raises and the defaults its help text shows.
 
 This module imports nothing, so that ``--version``, ``--help`` and usage
 errors answer without loading numpy. Every module takes these names from
-here; :mod:`core` also re-exports the exceptions for callers who look there.
+here.
 """
 
 from __future__ import annotations

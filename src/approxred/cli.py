@@ -11,18 +11,15 @@ shortest representation that round-trips.
 
 from __future__ import annotations
 
-import atexit
 import dataclasses
 import json
-import os
-import sys
 
 import numpy as np
 
 from . import __version__
 from .base import InputError
 from .core import Box, SystemEntry
-from .front import EXIT_OK, EXIT_VERDICT
+from .front import EXIT_OK, EXIT_VERDICT, write_stdout
 from .front import build_parser, main  # noqa: F401  (in-process callers read them here)
 from .integrate import IntegratorConfig, integrate_field
 from .reduction import (
@@ -54,27 +51,9 @@ def _jsonable(obj):
     raise TypeError(f"cannot write a {type(obj).__name__} as JSON")
 
 
-def _drain_stdout() -> None:
-    """At exit, point a stdout that still cannot flush at the null device:
-    the interpreter's own flush would fail on it again, print "Exception
-    ignored" and exit 120."""
-    try:
-        sys.stdout.flush()
-    except OSError:
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, sys.stdout.fileno())
-        os.close(null)
-
-
 def _emit(path: str | None, text: str) -> None:
     if path is None:
-        try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        except OSError as err:
-            # the caller keeps its stdout until the process ends
-            atexit.register(_drain_stdout)
-            raise InputError(f"cannot write to stdout: {err.strerror}") from err
+        write_stdout(text)
         return
     try:
         with open(path, "w", newline="\n") as fh:
@@ -400,7 +379,3 @@ def cmd_bound(args) -> int:
     )
     _emit(args.out, _json_document({"config": meta, **dataclasses.asdict(est)}))
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

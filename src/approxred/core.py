@@ -16,7 +16,7 @@ Conventions fixed here and relied on everywhere else:
 * Every failure raises one of two classes: :class:`InputError` for bad input
   (CLI exit 1) or :class:`NumericalError` for a failed computation (exit 2).
   :class:`EvaluationError` is both and counts as numerical. They live in the
-  numpy-free :mod:`base` and are re-exported here.
+  numpy-free :mod:`base`.
 """
 
 from __future__ import annotations
@@ -26,13 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .base import (  # noqa: F401  (re-exported)
-    DivergenceError,
-    EvaluationError,
-    InputError,
-    NumericalError,
-    StepBudgetError,
-)
+from .base import InputError
 
 
 def as_state(x, n: int | None = None) -> np.ndarray:

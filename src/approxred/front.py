@@ -21,6 +21,8 @@ commands, and runs the one named.
 from __future__ import annotations
 
 import argparse
+import atexit
+import os
 import sys
 
 from . import __version__
@@ -40,16 +42,46 @@ EXIT_NUMERICAL = 2
 EXIT_VERDICT = 3
 
 
+def _drain_stdout() -> None:
+    """At exit, point a stdout that still cannot flush at the null device:
+    the interpreter's own flush would fail on it again, print "Exception
+    ignored" and exit 120."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+
+
+def write_stdout(text: str) -> None:
+    """Write ``text`` to stdout and flush it, or raise :class:`InputError`;
+    the caller keeps its stdout until :func:`_drain_stdout` runs at exit."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as err:
+        atexit.register(_drain_stdout)
+        raise InputError(f"cannot write to stdout: {err.strerror}") from err
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that takes whole flag names only, so that a flag one command
-    lacks is never read as a prefix of another (``--m`` of ``--method``), and
-    reports usage problems as :class:`InputError`, not sys.exit(2)."""
+    lacks is never read as a prefix of another (``--m`` of ``--method``),
+    reports usage problems as :class:`InputError`, not sys.exit(2), and
+    writes help and version text with :func:`write_stdout`."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise InputError(message)
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:
+            write_stdout(message)
+        else:
+            super()._print_message(message, file)
 
 
 def _add_common(p: _Parser, *uses: str) -> None:

@@ -15,7 +15,7 @@ therefore give nested estimates.
 
 A row stops with :class:`DivergenceError` when its state turns non-finite or
 its adaptive step falls below ten ulps of ``t_end`` (a pace of over 4e14 steps
-to the horizon), and with :class:`StepBudgetError` after ``max_steps``
+to the horizon), and with :class:`StepBudgetError` after ``MAX_STEPS``
 accepted steps; the other rows carry on.
 
 A batch holds one field for every row, or one field per row (the values of a
@@ -61,7 +61,7 @@ import numpy as np
 from .base import DEFAULT_ATOL, DEFAULT_RTOL, DivergenceError, InputError, StepBudgetError
 from .core import Trajectory, VectorFieldDef, as_state
 
-DEFAULT_MAX_STEPS = 10_000_000
+MAX_STEPS = 10_000_000
 # (row, step) nodes a grid sink buffers before it evaluates them
 _BUFFER_ROW_STEPS = 2048
 # grid points a flush evaluates at once
@@ -90,9 +90,8 @@ class IntegratorConfig:
     """Integration settings.
 
     ``method`` is "rk45" (adaptive, uses rtol/atol) or "rk4" (fixed step,
-    uses dt). ``max_steps`` bounds the number of accepted steps. The horizon,
-    the step and the tolerances must be finite: an infinite horizon would
-    never end.
+    uses dt). The horizon, the step and the tolerances must be finite: an
+    infinite horizon would never end.
     """
 
     t_end: float
@@ -100,7 +99,6 @@ class IntegratorConfig:
     dt: float | None = None
     rtol: float = DEFAULT_RTOL
     atol: float = DEFAULT_ATOL
-    max_steps: int = DEFAULT_MAX_STEPS
 
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
@@ -117,8 +115,6 @@ class IntegratorConfig:
         else:
             if not (self.rtol > 0 and self.atol > 0):
                 raise InputError("rk45 requires positive rtol and atol")
-        if self.max_steps < 2:
-            raise InputError("max_steps must be at least 2")
 
 
 # ------------------------------------------------------------------ engine
@@ -179,7 +175,7 @@ class _Batch:
             if value is not None:
                 setattr(self, name, value[keep])
 
-    def errors(self, labels: list, cfg: IntegratorConfig) -> list:
+    def errors(self, labels: list) -> list:
         """One entry per row: None if it reached t_end, else what stopped it,
         labelled with the row's entry of ``labels``."""
         out = []
@@ -191,7 +187,7 @@ class _Batch:
                 msg = f"{label}: adaptive step size underflow near t={t:.6g}"
                 out.append(DivergenceError(msg, t))
             elif kind == _BUDGET:
-                msg = f"{label}: step budget of {cfg.max_steps} exhausted at t={t:.6g}"
+                msg = f"{label}: step budget of {MAX_STEPS} exhausted at t={t:.6g}"
                 out.append(StepBudgetError(msg, t))
             else:
                 out.append(None)
@@ -201,12 +197,12 @@ class _Batch:
 def _rk4(rhs, b: _Batch, cfg: IntegratorConfig, sink) -> None:
     # clamped past the budget, so an overflowing t_end / dt (inf) converts
     # to an int and still stops every row as over budget below
-    n_full = int(np.floor(min(cfg.t_end / cfg.dt, cfg.max_steps + 1) + 1e-12))
+    n_full = int(np.floor(min(cfg.t_end / cfg.dt, MAX_STEPS + 1) + 1e-12))
     remainder = cfg.t_end - n_full * cfg.dt
     n_steps = n_full + (1 if remainder > 1e-12 * cfg.t_end else 0)
     if n_steps < 1:
         n_steps, n_full, remainder = 1, 0, cfg.t_end
-    if n_steps > cfg.max_steps:
+    if n_steps > MAX_STEPS:
         b.stop(np.ones(b.rows.size, dtype=bool), _BUDGET)
         return
     t = 0.0
@@ -237,7 +233,7 @@ def _dopri5(rhs, b: _Batch, cfg: IntegratorConfig, sink) -> None:
     min_step = 10 * np.spacing(cfg.t_end)
     while b.rows.size:
         b.h_abs = np.where(b.rejected, b.h_abs, np.maximum(b.h_abs, min_step))
-        over = b.steps >= cfg.max_steps
+        over = b.steps >= MAX_STEPS
         small = ~(b.h_abs >= min_step)  # a NaN step size counts as underflow
         if (over | small).any():
             b.stop(over, _BUDGET)
@@ -289,7 +285,7 @@ def _solve(rhs, X0, F0, cfg: IntegratorConfig, sink, labels: list) -> list:
     b.stop(~(np.isfinite(X0).all(axis=1) & np.isfinite(F0).all(axis=1)), _NONFINITE)
     if b.rows.size:
         (_rk4 if cfg.method == "rk4" else _dopri5)(rhs, b, cfg, sink)
-    return b.errors(labels, cfg)
+    return b.errors(labels)
 
 
 def _fields(f, X0: np.ndarray) -> list:

@@ -10,14 +10,14 @@ import pytest
 
 from approxred import cli
 from approxred.cli import main
-from approxred.core import (
-    Box,
+from approxred.base import (
     DivergenceError,
     EvaluationError,
     InputError,
     NumericalError,
     StepBudgetError,
 )
+from approxred.core import Box
 from approxred.reduction import ReducibilityReport, ReducibilityWitness
 from approxred.systems import lookup
 from approxred.user_systems import load_system_config
@@ -1202,6 +1202,10 @@ def test_an_unwritable_out_exits_1_naming_it(command, target, tmp_path, capsys):
     ["check-exact", "--system", "ball-hoop", "--samples", "64"],
     # a CSV --out leaves the summary line on stdout
     ["compare", "--system", "ball-hoop", "--t-end", "1", "--out", "{tmp}/f.csv"],
+    # the parser's own help and version text
+    ["--version"],
+    ["--help"],
+    pytest.param(["bound", "--help"], id="bound --help"),
 ], ids=lambda argv: argv[0])
 def test_a_full_stdout_exits_1_with_one_line(argv, unbuffered, tmp_path):
     # buffered, the text fails at the explicit flush; unbuffered, at the write.
@@ -1218,7 +1222,11 @@ def test_a_full_stdout_exits_1_with_one_line(argv, unbuffered, tmp_path):
         1, "approxred: error: cannot write to stdout: No space left on device\n")
 
 
-def test_a_failing_stdout_leaves_the_callers_descriptors_alone(capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--system", "ball-hoop", "--t-end", "1"],
+    ["--help"],
+], ids=lambda argv: argv[0])
+def test_a_failing_stdout_leaves_the_callers_descriptors_alone(argv, capsys, monkeypatch):
     # in process, a stream without a descriptor: the error is the one line,
     # and fd 1 still points where it pointed
     class Full(io.StringIO):
@@ -1227,7 +1235,7 @@ def test_a_failing_stdout_leaves_the_callers_descriptors_alone(capsys, monkeypat
 
     before = os.fstat(1)
     monkeypatch.setattr(sys, "stdout", Full())
-    rc = main(["simulate", "--system", "ball-hoop", "--t-end", "1"])
+    rc = main(argv)
     assert_clean_usage_error(rc, capsys, "cannot write to stdout: No space left on device")
     assert os.path.samestat(os.fstat(1), before)
 

@@ -3,14 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from approxred.core import (
-    Box,
-    ComparisonFunction,
-    InputError,
-    Trajectory,
-    VectorFieldDef,
-    check_retained,
-)
+from approxred.base import InputError
+from approxred.core import Box, ComparisonFunction, Trajectory, VectorFieldDef, check_retained
 from approxred.integrate import IntegratorConfig
 from approxred.reduction import (
     check_exact_reducible,

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from approxred import integrate
-from approxred.core import (
-    Box,
-    DivergenceError,
-    InputError,
-    StepBudgetError,
-    VectorFieldDef,
-)
+from approxred.base import DivergenceError, InputError, StepBudgetError
+from approxred.core import Box, VectorFieldDef
 from approxred.integrate import (
     IntegratorConfig,
     integrate_field,
@@ -75,8 +70,9 @@ class TestIntegrateField:
 
     # 1e-320 makes t_end / dt overflow to inf
     @pytest.mark.parametrize("dt", [1e-4, 1e-320])
-    def test_step_budget(self, dt):
-        cfg = IntegratorConfig(t_end=1.0, method="rk4", dt=dt, max_steps=100)
+    def test_step_budget(self, dt, monkeypatch):
+        monkeypatch.setattr(integrate, "MAX_STEPS", 100)
+        cfg = IntegratorConfig(t_end=1.0, method="rk4", dt=dt)
         with pytest.raises(StepBudgetError):
             integrate_field(DECAY, [1.0], cfg)
 
@@ -407,7 +403,7 @@ def _mixed_field():
 
 
 class TestBatchFailures:
-    def test_failed_rows_do_not_disturb_survivors(self):
+    def test_failed_rows_do_not_disturb_survivors(self, monkeypatch):
         f = _mixed_field()
         X0 = np.array(
             [
@@ -420,7 +416,8 @@ class TestBatchFailures:
                 [0.5, 0.0, np.inf],  # non-finite from the start
             ]
         )
-        cfg = IntegratorConfig(t_end=2.0, max_steps=1000)
+        monkeypatch.setattr(integrate, "MAX_STEPS", 1000)
+        cfg = IntegratorConfig(t_end=2.0)
         grid = np.linspace(0.0, 2.0, 201)
         values, errors = integrate_on_grid(f, X0, cfg, grid, keep=1)
         assert isinstance(errors[0], DivergenceError) and 0.5 < errors[0].t_last <= 1.0
@@ -440,10 +437,11 @@ class TestBatchFailures:
             with pytest.raises(InputError):
                 integrate_on_grid(DECAY, X0, IntegratorConfig(t_end=1.0), np.array(grid))
 
-    def test_lone_row_failure_raises(self):
+    def test_lone_row_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(integrate, "MAX_STEPS", 1000)
         f = _mixed_field()
         with pytest.raises(StepBudgetError):
-            integrate_field(f, [0.5, 2000.0, 0.0], IntegratorConfig(t_end=2.0, max_steps=1000))
+            integrate_field(f, [0.5, 2000.0, 0.0], IntegratorConfig(t_end=2.0))
         with pytest.raises(DivergenceError):
             integrate_field(f, [1.0, 0.0, 1.0], IntegratorConfig(t_end=2.0))
 

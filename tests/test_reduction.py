@@ -5,13 +5,8 @@ import pytest
 
 from approxred import integrate, reduction
 from approxred.cli import _json_document
-from approxred.core import (
-    Box,
-    DivergenceError,
-    EvaluationError,
-    StepBudgetError,
-    VectorFieldDef,
-)
+from approxred.base import DivergenceError, EvaluationError, StepBudgetError
+from approxred.core import Box, VectorFieldDef
 from approxred.integrate import IntegratorConfig, integrate_field, resample
 from approxred.numdiff import jacobian_batch
 from approxred.reduction import (
@@ -126,7 +121,7 @@ class TestCheckExactReducible:
         assert rep.verdict == REDUCIBLE
 
     def test_non_finite_evaluation_identifies_sample(self):
-        from approxred.core import EvaluationError
+        from approxred.base import EvaluationError
 
         def rhs(s):
             s = np.asarray(s, dtype=float)
@@ -249,7 +244,7 @@ class TestEstimateDelta:
     def test_all_failures_is_an_error(self):
         f = VectorFieldDef(n=2, rhs=lambda s: np.asarray(s, dtype=float) ** 2, name="bad")
         m = 1
-        from approxred.core import NumericalError
+        from approxred.base import NumericalError
 
         with pytest.raises(NumericalError):
             estimate_delta(
@@ -257,7 +252,7 @@ class TestEstimateDelta:
             )
 
     def test_invalid_mode_and_count(self):
-        from approxred.core import InputError
+        from approxred.base import InputError
 
         f = decoupled_field()
         with pytest.raises(InputError):

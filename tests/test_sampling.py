@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from approxred import sampling
-from approxred.core import Box, InputError
+from approxred.base import InputError
+from approxred.core import Box
 from approxred.sampling import (
     BITS,
     DEFAULT_SEED,

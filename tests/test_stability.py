@@ -6,14 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from approxred.core import (
-    Box,
-    ComparisonFunction,
-    ControlSystemDef,
-    EvaluationError,
-    InputError,
-    VectorFieldDef,
-)
+from approxred.base import EvaluationError, InputError
+from approxred.core import Box, ComparisonFunction, ControlSystemDef, VectorFieldDef
 from approxred.integrate import _batch_rhs
 from approxred.numdiff import batch_eval, batch_eval_pair
 from approxred.sampling import sobol_points
@@ -179,7 +173,7 @@ class TestCheckIISS:
         assert large.counterexample.magnitude >= small.counterexample.magnitude
 
     def test_non_finite_v_identifies_sample(self):
-        from approxred.core import EvaluationError
+        from approxred.base import EvaluationError
 
         def bad(x1, x2):
             d = np.asarray(x1, dtype=float) - np.asarray(x2, dtype=float)

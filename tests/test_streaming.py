@@ -14,14 +14,8 @@ import numpy as np
 import pytest
 
 from approxred import cli, reduction, sampling, stability, systems
-from approxred.core import (
-    Box,
-    ComparisonFunction,
-    ControlSystemDef,
-    EvaluationError,
-    InputError,
-    VectorFieldDef,
-)
+from approxred.base import EvaluationError, InputError
+from approxred.core import Box, ComparisonFunction, ControlSystemDef, VectorFieldDef
 from approxred.numdiff import jacobian_batch
 from approxred.reduction import check_exact_reducible
 from approxred.sampling import sobol_blocks, sobol_points

@@ -3,7 +3,8 @@ import ast
 import numpy as np
 import pytest
 
-from approxred.core import Box, InputError
+from approxred.base import InputError
+from approxred.core import Box
 from approxred.integrate import IntegratorConfig, integrate_field
 from approxred.reduction import construct_reduced
 from approxred.sampling import sobol_points

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from approxred.core import EvaluationError, InputError
+from approxred.base import EvaluationError, InputError
 from approxred.user_systems import (
     _parse,
     compile_map,
