@@ -1654,6 +1654,30 @@ def test_certificate_outputs_keep_their_bytes(tmp_path, system, certificate, neg
     assert digest == CERTIFICATE_OUTPUT_SHA256[system, certificate, negate]
 
 
+# sha256 of the --out file of sampled checks at 12293 samples: three full
+# blocks of 4096 and a partial one, so the running worst crosses block
+# boundaries. Recorded while each block was still row-major, before the
+# blocks became coordinate-major.
+BLOCKS_OUTPUT_SHA256 = {
+    "check-exact --system cart-pendulum":
+        "245f3e2fa6f853bc700a7eed47f225fd63930774002635e38ca7270949e39279",
+    "check-lyapunov --system cart-pendulum --certificate iubibss":
+        "f51fad6025fa242da7b060366af28a8e88aaf5e52a4f5cac6f549e9cb784bb02",
+    "check-lyapunov --system ball-hoop --certificate iiss --negate-v":
+        "ad645d70be505637aba4b3999b5d8692a7ac4ed19a8484899f42eb885aacc164",
+}
+
+
+@pytest.mark.parametrize("command", sorted(BLOCKS_OUTPUT_SHA256))
+def test_checks_across_blocks_keep_their_bytes(tmp_path, command):
+    import hashlib
+
+    out = tmp_path / "report.json"
+    rc = main([*command.split(), "--samples", "12293", "--out", str(out)])
+    assert rc == (0 if command.endswith("iubibss") else 3)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BLOCKS_OUTPUT_SHA256[command]
+
+
 # sha256 of the --out file of one short run per document kind at the default
 # seed, recorded while the run configuration was a dataclass and again when
 # each config began to record only the settings its command uses: they pin the
