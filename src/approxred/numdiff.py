@@ -10,7 +10,8 @@ have no caller but stay, because ``bench/trace_shim.py`` wraps each by name.
 Every map here takes a block of states ``(N, d)`` as well as a lone state,
 with the same bits for a row either way (the contract of
 ``core.VectorFieldDef``): ``batch_eval`` calls it once on the whole block and
-rejects an output of another shape with ``InputError``.
+rejects an output of another shape with ``InputError``. A map's output
+follows its input's layout, as ``user_systems.compile_map``'s does.
 """
 
 from __future__ import annotations
@@ -54,21 +55,24 @@ def jacobian_batch(fn: Callable, X: np.ndarray, out_dim: int, cols=None) -> np.n
     so a caller that needs a few columns pays two evaluations per column only.
     Both evaluations of a column step one working copy of ``X``, so the first
     output is copied into the result before the second step: a map may return
-    a view of its input.
+    a view of its input. The working copy and the result keep ``X``'s layout:
+    on a coordinate-major block each column's difference is written to one
+    contiguous ``(N, out_dim)`` slice ``J[:, :, j]``.
     """
     X = np.asarray(X, dtype=float)
     n, d = X.shape
     cols = range(d) if cols is None else cols
-    H = FD_SCALE * (1.0 + np.abs(X))
-    J = np.empty((n, out_dim, len(cols)))
-    W = X.copy()
+    J = np.empty((n, out_dim, len(cols)), order="F" if X.flags.f_contiguous else "C")
+    W = X.copy(order="K")
     for j, i in enumerate(cols):
-        W[:, i] = X[:, i] + H[:, i]
+        x = X[:, i]
+        h = FD_SCALE * (1.0 + np.abs(x))
+        W[:, i] = x + h
         J[:, :, j] = batch_eval(fn, W, out_dim=out_dim).reshape(n, out_dim)
-        W[:, i] = X[:, i] - H[:, i]
+        W[:, i] = x - h
         J[:, :, j] -= batch_eval(fn, W, out_dim=out_dim).reshape(n, out_dim)
-        J[:, :, j] /= 2.0 * H[:, i][:, None]
-        W[:, i] = X[:, i]
+        J[:, :, j] /= 2.0 * h[:, None]
+        W[:, i] = x
     return J
 
 

@@ -116,11 +116,17 @@ def check_exact_reducible(
         return np.asarray(f.rhs(X), dtype=float)[..., :m]
 
     def conditions(X):
-        flat = np.abs(jacobian_batch(retained, X, m, cols=range(m, f.n))).reshape(len(X), -1)
-        top = flat.max(axis=1)  # NaN if any entry is
+        A = np.abs(jacobian_batch(retained, X, m, cols=range(m, f.n)))
+        # each sample's largest entry, NaN if any entry is, and its flat index
+        # j * k + i, one contiguous column A[:, j, i] at a time; only a
+        # strictly larger entry moves the index, so a tie keeps the lowest
+        top, flat = np.full(len(X), -np.inf), np.zeros(len(X), dtype=np.intp)
+        for index, (j, i) in enumerate(np.ndindex(m, f.n - m)):
+            np.copyto(flat, index, where=A[:, j, i] > top)
+            np.maximum(top, A[:, j, i], out=top)
         _require_finite(top, "non-finite partial derivative at sample {x}", x=X)
-        # the bound column carries each sample's largest entry, flat: j * k + i
-        return [("partial", np.ones(len(X), bool), top, top, flat.argmax(axis=1))]
+        # the bound column carries the flat index of each sample's largest entry
+        return [("partial", np.ones(len(X), bool), top, top, flat)]
 
     ce = _falsify(box, {"x": slice(None)}, n_samples, seed, conditions, {}, dict).counterexample
     max_partial = 0.0 if ce is None else ce.magnitude

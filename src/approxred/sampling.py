@@ -7,10 +7,10 @@ Two properties matter and are relied on by the test suite:
 * nesting: drawing n' > n points with the same seed reproduces the first n
   points exactly, so enlarging a sample never loses a found witness.
 
-``sobol_blocks`` streams the points in row blocks, each made from a table of
-block size, so its memory grows with ``SAMPLE_BLOCK_ROWS`` times the dimension
-and not with the sample count; ``sobol_points`` is the same stream as one
-array, for the small draws.
+``sobol_blocks`` streams the points in coordinate-major row blocks, each made
+from a table of block size, so its memory grows with ``SAMPLE_BLOCK_ROWS``
+times the dimension and not with the sample count; ``sobol_points`` is the
+same stream as one row-major array, for the small draws.
 
 The generator is scipy's scrambled Sobol sequence written out in numpy: the
 points equal ``scipy.stats.qmc.Sobol(dim, scramble=True, seed=seed).random(n)``
@@ -189,6 +189,11 @@ def sobol_blocks(
 
     The blocks are consecutive fresh arrays of at most ``SAMPLE_BLOCK_ROWS``
     rows, so a check that consumes them runs in memory independent of ``n``.
+    Each block is coordinate-major (Fortran order), its columns contiguous,
+    so an operation on a few columns runs numpy's inner loop over the
+    block's rows, not over a sample's few coordinates; a map's output
+    follows its input's layout, so a compiled map's columns are contiguous
+    too. Each point has the bits it has in the row-major ``sobol_points``.
     Bad arguments raise ``InputError`` here, before the first block.
     """
     shift, v = _scramble(box.dim, n, seed)
@@ -203,14 +208,16 @@ def _stream(box: Box, n: int, shift: np.ndarray, v: np.ndarray):
     # start, xored with base(s) = shift ^ the direction numbers of gray(s).
     # T is the block size rounded up to a power of two.
     rows = min(1 << (SAMPLE_BLOCK_ROWS - 1).bit_length(), n)
-    # Gray-code order: point 2^b + k is point 2^b - 1 - k xor direction number b
-    table = np.empty((rows, box.dim), dtype=np.uint32)
-    table[0] = 0
+    # Gray-code order: point 2^b + k is point 2^b - 1 - k xor direction number
+    # b. The table is coordinate-major, (dim, rows), as the blocks are.
+    table = np.empty((box.dim, rows), dtype=np.uint32)
+    table[:, 0] = 0
     half, b = 1, 0
     while half < rows:
         width = min(half, rows - half)
         np.bitwise_xor(
-            table[half - width : half][::-1], v[:, b], out=table[half : half + width]
+            table[:, half - width : half][:, ::-1], v[:, b, None],
+            out=table[:, half : half + width],
         )
         half, b = 2 * half, b + 1
     for start in range(0, n, rows):
@@ -219,7 +226,8 @@ def _stream(box: Box, n: int, shift: np.ndarray, v: np.ndarray):
         for b in range(gray.bit_length()):
             if gray >> b & 1:
                 base ^= v[:, b]
-        P = (table[: n - start] ^ base) * 2.0**-BITS
+        # a fresh (rows, dim) block whose columns are contiguous
+        P = np.multiply((table[:, : n - start] ^ base[:, None]).T, 2.0**-BITS, order="F")
         P *= box.widths
         P += box.lower
         if len(P) <= SAMPLE_BLOCK_ROWS:
@@ -227,7 +235,7 @@ def _stream(box: Box, n: int, shift: np.ndarray, v: np.ndarray):
             continue
         # a block size that is not a power of two: cut the table's points
         for k in range(0, len(P), SAMPLE_BLOCK_ROWS):
-            yield start + k, P[k : k + SAMPLE_BLOCK_ROWS].copy()
+            yield start + k, P[k : k + SAMPLE_BLOCK_ROWS].copy(order="F")
 
 
 def sobol_points(box: Box, n: int, seed: int = DEFAULT_SEED) -> np.ndarray:

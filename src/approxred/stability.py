@@ -244,6 +244,8 @@ def _check_pairs(
         r = np.linalg.norm(X1 - X2, axis=1)
         gain = cert.mu.value(np.linalg.norm(U1 - U2, axis=1))
         rows = np.flatnonzero(r >= cert.xi)
+        if len(rows) == len(r):  # every pair in the domain, as always with xi = 0
+            return _table(cert, r, *_pair_terms(cert.V, F, X1, X2, U1, U2), gain)
         V, vd = np.full(len(r), np.nan), np.full(len(r), np.nan)
         V[rows], vd[rows] = _pair_terms(cert.V, F, X1[rows], X2[rows], U1[rows], U2[rows])
         return _table(cert, r, V, vd, gain)

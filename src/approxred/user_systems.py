@@ -223,7 +223,11 @@ def compile_map(sources: list[str], blocks: list[list[str]], params: list[str],
     batch ``(..., n_j)`` whose columns ``blocks[j]`` names. It returns the
     ``(..., k)`` array of each expression's value followed, given the names
     ``wrt``, by its partials along them, so ``k = len(sources) * (1 +
-    len(wrt))``, all computed by one code object. An arithmetic error or a
+    len(wrt))``, all computed by one code object. The output follows its
+    input's layout: a coordinate-major (Fortran-order) batch, as
+    ``sampling.sobol_blocks`` yields, gets coordinate-major output columns,
+    and a row-major one row-major output; the bits do not depend on it. With
+    several blocks, the last one sets the layout. An arithmetic error or a
     complex value raises ``EvaluationError`` naming the first expression
     that fails."""
     args = [name for block in blocks for name in block]
@@ -268,7 +272,8 @@ def compile_map(sources: list[str], blocks: list[list[str]], params: list[str],
                 out = np.array(results)
                 if out.dtype is _REAL:  # else a column is complex
                     return out
-            out = np.empty((*a.shape[:-1], len(results)))
+            order = "F" if a.flags.f_contiguous else "C"  # the input's layout
+            out = np.empty((*a.shape[:-1], len(results)), order=order)
             for i, value in enumerate(results):
                 if may_be_complex and _is_complex(value):  # casting would drop it
                     raise _error(sources[i // (1 + len(wrt))], "has a complex value")

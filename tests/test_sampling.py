@@ -108,8 +108,20 @@ class TestStream:
         for start, pts in sobol_blocks(box, n, 6):
             assert start == end and 1 <= len(pts) <= block_rows
             assert pts.shape[1] == 3 and pts.flags.owndata
+            assert pts.flags.f_contiguous  # coordinate-major, a cut block too
             end += len(pts)
         assert end == n
+
+    @pytest.mark.parametrize("block_rows", [7, 8, SAMPLE_BLOCK_ROWS])
+    def test_blocks_concatenate_to_the_points(self, block_rows, monkeypatch):
+        # the row-major points are drawn at the default block size
+        box = Box.from_pairs([(-1.0, 3.0), (0.5, 0.75), (2.0, 2.0), (-7.0, 1e3)])
+        n = 3 * block_rows + 5
+        points = sobol_points(box, n, 6)
+        assert points.flags.c_contiguous
+        monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", block_rows)
+        blocks = np.concatenate([pts for _, pts in sobol_blocks(box, n, 6)])
+        assert_same_bytes(np.ascontiguousarray(blocks), points)
 
     def test_bad_arguments_fail_at_the_call(self):
         box = Box.from_pairs([(0.0, 1.0)])

@@ -270,6 +270,31 @@ class TestTies:
             assert witness.point.tolist() == X[first].tolist()
             assert (witness.component, witness.fiber_index) == (0, 0)
 
+    def test_check_exact_tie_between_components_keeps_the_lower_flat_index(self, monkeypatch):
+        # m = 2, k = 2: f_y1 = y1 z2 and f_y2 = y1 z1. At z = 0 the entries
+        # (component 0, fiber 1) and (component 1, fiber 0) step by the same h,
+        # so they tie bit for bit, and (0, 1), flat index 0 * 2 + 1 = 1, must
+        # win over (1, 0), flat index 2, which a fiber-major scan meets first
+        def rhs(s):
+            s = np.asarray(s, dtype=float)
+            y1, y2, z1, z2 = (s[..., c] for c in range(4))
+            return np.stack([y1 * z2, y1 * z1, -z1, -z2 - y2], axis=-1)
+
+        f = VectorFieldDef(n=4, rhs=rhs)
+        box = Box.from_pairs([(-1.0, 1.0), (-1.0, 1.0), (0.0, 0.0), (0.0, 0.0)])
+        X = sobol_points(box, 64)
+        J = np.abs(jacobian_batch(lambda s: rhs(s)[..., :2], X, 2, cols=[2, 3]))
+        first = int(np.argmax(J[:, 0, 1]))
+        assert J[first, 0, 1] == J[first, 1, 0] > 0 == J[first, 0, 0] == J[first, 1, 1]
+        for rows in (None, 7, 1):
+            if rows is not None:
+                monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", rows)
+            report = check_exact_reducible(f, 2, box, 64)
+            witness = report.witness
+            assert report.max_residual == witness.magnitude == J.max()
+            assert witness.point.tolist() == X[first].tolist()
+            assert (witness.component, witness.fiber_index) == (0, 1)
+
     def test_conditions_tie_in_table_order(self, monkeypatch):
         # equal violations: the earlier condition in the table wins, even when
         # the later condition met its worst sample in an earlier block

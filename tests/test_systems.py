@@ -247,6 +247,30 @@ class TestLoneStateMatchesBatchRow:
         assert batch.tobytes() == lone.tobytes()
 
 
+class TestLayout:
+    """A compiled map gives the same bits on a row-major block, on the same
+    block coordinate-major (as the sampled checks stream it) and on a lone
+    row, and its output follows its input's layout."""
+
+    @pytest.mark.parametrize("rhs,widths", [
+        param for param in bundled_maps() if not param.id.endswith("-sliced")])
+    def test_bits_do_not_depend_on_layout(self, rhs, widths):
+        dim = sum(widths)
+        X = sobol_points(Box(np.full(dim, -2.0), np.full(dim, 2.0)), 64, 5)
+        outs = []
+        for block in (X, np.asfortranarray(X)):
+            blocks = np.split(block, np.cumsum(widths)[:-1], axis=1)
+            out = rhs(*blocks)
+            if blocks[-1].flags.f_contiguous:  # a lone column is of both layouts
+                assert out.flags.f_contiguous
+            else:
+                assert out.flags.c_contiguous
+            outs.append(np.ascontiguousarray(out))
+        blocks = np.split(X, np.cumsum(widths)[:-1], axis=1)
+        lone = np.stack([rhs(*row) for row in zip(*blocks)])
+        assert outs[0].tobytes() == outs[1].tobytes() == lone.tobytes()
+
+
 def hoop_closures(p):
     """The ball-hoop's hand-written certificate functions, before they
     became expressions: oracles for the compiled ones."""
