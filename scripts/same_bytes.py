@@ -16,8 +16,10 @@ that differ. It exits 1 unless every command is SAME. It reads ``bench/`` and
 changes nothing there.
 
 The ``errors`` workload is the fixed table ``ERRORS`` of failing commands, one
-per kind of failure that exits 1 or 2, run once whatever the seeds: the
-benchmark's commands all succeed, so they never reach an error path. The
+per kind of failure that exits 1 or 2, and of ``bound`` commands that exit 0
+counting the initial conditions whose runs fail inside a batch. It runs once
+whatever the seeds: the benchmark's commands all succeed, so they never reach
+an error path. The
 ``front`` workload is the fixed table ``FRONT`` of what the parser answers
 alone with exit 0: ``--version``, ``--help`` and each command's ``--help``.
 """
@@ -40,16 +42,25 @@ import workloads  # noqa: E402  (bench/ is not a package)
 PARTS = ("stdout", "stderr", "exit code", "--out file")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
-# user systems whose runs fail: y' = y^2 diverges before t = 1, and the square
-# root of a negative y is NaN
+# user systems whose runs fail: y' = y^2 diverges before t = 1, so does
+# y' = a y^2 + z for a > 0 from some starts, and the square root of a negative y
+# is NaN
 _ERROR_FILES = {
     "blowup.json": json.dumps({"name": "blowup", "state": ["y", "z"], "m": 1,
                                "rhs": ["y*y", "-z"], "x0": [2.0, 0.0]}),
+    "gain.json": json.dumps({"name": "gain", "state": ["y", "z"], "m": 1, "params": {"a": 0.0},
+                             "rhs": ["a*y*y + z", "-z"], "x0": [2.0, 0.0]}),
     "root.json": json.dumps({"name": "root", "state": ["y", "z"], "m": 1,
                              "rhs": ["y**0.5 + 0*z", "-z"]}),
 }
 _HOOP = ("--system", "ball-hoop")
-_ERROR_ARGV = {1: [
+_GAIN_BOUND = ("bound", "--config", "{tmp}/gain.json", "--set", "a=1", "--n-ic", "16",
+               "--t-end", "2", "--box=-2,1;-1,1")
+_ERROR_ARGV = {0: [
+    # 5 of the 16 initial conditions fail inside the batch
+    _GAIN_BOUND,
+    (*_GAIN_BOUND, "--method", "rk4", "--dt", "0.01"),
+], 1: [
     # names, parameters and flags
     ("simulate", "--system", "nope"),
     ("simulate", "--system", "it's"),
@@ -78,6 +89,10 @@ _ERROR_ARGV = {1: [
     ("simulate", *_HOOP, "--method", "rk4", "--dt", "1e-320", "--t-end", "1"),
     ("simulate", "--system", "cart-pendulum", "--set", "d=1e200", "--t-end", "1"),
     ("simulate", "--config", "{tmp}/blowup.json", "--t-end", "1"),
+    ("simulate", "--config", "{tmp}/blowup.json", "--method", "rk4", "--dt", "0.01",
+     "--t-end", "1"),
+    ("sweep", "--config", "{tmp}/gain.json", "--param", "a", "--values", "0,1,2", "--t-end", "1",
+     "--method", "rk4", "--dt", "0.01"),
     ("compare", *_HOOP, "--t-end", "1e-300"),
     ("check-exact", "--config", "{tmp}/root.json", "--box=-2,-1;0,1", "--samples", "64"),
     ("check-lyapunov", *_HOOP, "--certificate", "iiss", "--box=-1e200,1e200",

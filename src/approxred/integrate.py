@@ -16,7 +16,10 @@ therefore give nested estimates.
 A row stops with :class:`DivergenceError` when its state turns non-finite or
 its adaptive step falls below ten ulps of ``t_end`` (a pace of over 4e14 steps
 to the horizon), and with :class:`StepBudgetError` after ``MAX_STEPS``
-accepted steps; the other rows carry on.
+accepted steps; the other rows carry on. ``_solve`` owns a run from set-up
+to errors: it builds the right-hand side and labels each row with its
+field's name, and the batch records a dropped row's error, so labelled, from
+one of three ``(error class, message)`` failures.
 
 A batch holds one field for every row, or one field per row (the values of a
 parameter sweep, say). Each evaluation of the right-hand side receives the
@@ -28,10 +31,11 @@ first output of another shape raises :class:`InputError`. A lone row, and
 every row of a batch of fields, is evaluated on its 1-d state ``(n,)``,
 exactly as a run of that row alone is.
 
-Each accepted step is handed to a sink with its end states and derivatives.
+``_solve`` hands each row's initial node, then each accepted step, to a sink
+in one call ``sink(rows, t, y, f)``, with the nodes' states and derivatives.
 ``integrate_field`` keeps them as the nodes of a batch of one.
-``integrate_on_grid`` and ``sup_distance_on_grid`` only append each step's
-end node to a buffer of at most ``_BUFFER_ROW_STEPS`` (row, step) entries.
+``integrate_on_grid`` and ``sup_distance_on_grid`` only append each node to
+a buffer of at most ``_BUFFER_ROW_STEPS`` (row, step) entries.
 When it fills, and at the end of the run, the buffered steps of every row are
 evaluated at once on the stretch of a shared time grid they cover, at most
 ``_GRID_CHUNK`` points at a time, and dropped, each row keeping its last node;
@@ -82,7 +86,11 @@ _DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 5  # -1 / (order of the embedded error estimate + 1)
 
-_NONFINITE, _UNDERFLOW, _BUDGET = 1, 2, 3
+# what stops a row: its error class and message, formatted with the row's
+# label, the time it stopped at and the step budget in force
+_NONFINITE = (DivergenceError, "{label}: state became non-finite after t={t:.6g}")
+_UNDERFLOW = (DivergenceError, "{label}: adaptive step size underflow near t={t:.6g}")
+_BUDGET = (StepBudgetError, "{label}: step budget of {budget} exhausted at t={t:.6g}")
 
 
 @dataclass(frozen=True)
@@ -152,46 +160,31 @@ def _initial_step(rhs, rows, y, f, cfg: IntegratorConfig) -> np.ndarray:
 
 
 class _Batch:
-    """The rows of a run still integrating and their per-row state; records
-    how each dropped row failed."""
+    """The rows of a run still integrating and their per-row state.
+    ``errors`` holds one entry per row: None, or the error that dropped it,
+    labelled with its entry of ``labels``."""
 
-    def __init__(self, X0, F0):
+    def __init__(self, X0, F0, labels: list):
         n_rows = X0.shape[0]
         self.rows = np.arange(n_rows)
         self.t = np.zeros(n_rows)
         self.y, self.f = X0, F0
         self.h_abs = self.rejected = self.steps = None  # set by the rk45 loop
-        self.kind = np.zeros(n_rows, dtype=np.int8)
-        self.t_last = np.zeros(n_rows)
+        self.labels, self.errors = labels, [None] * n_rows
 
-    def stop(self, mask, kind: int = 0) -> None:
-        """Drop the rows in ``mask``, as failures of ``kind`` unless it is 0."""
-        if kind:
-            self.kind[self.rows[mask]] = kind
-            self.t_last[self.rows[mask]] = self.t[mask]
+    def stop(self, mask, failure=None) -> None:
+        """Drop the rows in ``mask``; unless ``failure`` is None, record each
+        one's error from that ``(error class, message)`` pair."""
+        if failure is not None:
+            error, message = failure
+            for row, t in zip(self.rows[mask].tolist(), self.t[mask].tolist()):
+                text = message.format(label=self.labels[row], t=t, budget=MAX_STEPS)
+                self.errors[row] = error(text, t)
         keep = ~mask
         for name in ("rows", "t", "y", "f", "h_abs", "rejected", "steps"):
             value = getattr(self, name)
             if value is not None:
                 setattr(self, name, value[keep])
-
-    def errors(self, labels: list) -> list:
-        """One entry per row: None if it reached t_end, else what stopped it,
-        labelled with the row's entry of ``labels``."""
-        out = []
-        for kind, t, label in zip(self.kind.tolist(), self.t_last.tolist(), labels):
-            if kind == _NONFINITE:
-                msg = f"{label}: state became non-finite after t={t:.6g}"
-                out.append(DivergenceError(msg, t))
-            elif kind == _UNDERFLOW:
-                msg = f"{label}: adaptive step size underflow near t={t:.6g}"
-                out.append(DivergenceError(msg, t))
-            elif kind == _BUDGET:
-                msg = f"{label}: step budget of {MAX_STEPS} exhausted at t={t:.6g}"
-                out.append(StepBudgetError(msg, t))
-            else:
-                out.append(None)
-        return out
 
 
 def _rk4(rhs, b: _Batch, cfg: IntegratorConfig, sink) -> None:
@@ -220,7 +213,7 @@ def _rk4(rhs, b: _Batch, cfg: IntegratorConfig, sink) -> None:
             b.stop(~ok, _NONFINITE)
             if not b.rows.size:
                 return
-            y, f, y_new = b.y, b.f, y_new[ok]
+            y_new = y_new[ok]
         f_new = rhs(b.rows, y_new)
         sink(b.rows, t_new, y_new, f_new)
         t, b.y, b.f = t_new, y_new, f_new
@@ -276,49 +269,52 @@ def _dopri5(rhs, b: _Batch, cfg: IntegratorConfig, sink) -> None:
             b.stop(done)
 
 
-def _solve(rhs, X0, F0, cfg: IntegratorConfig, sink, labels: list) -> list:
-    """Advance every row of X0 to cfg.t_end, handing each accepted step to
-    ``sink(rows, t, y, f)``: the rows that took it and their end times,
-    states and derivatives. Return one entry per row, None or the
-    :class:`NumericalError` that stopped it, labelled as ``labels``."""
-    b = _Batch(X0, F0)
+def _solve(f, X0, cfg: IntegratorConfig, sink) -> list:
+    """Advance every row of X0 under ``f`` (as :func:`_batch_rhs` takes it)
+    to cfg.t_end, handing the initial node of each row that starts finite,
+    then each accepted step, to ``sink(rows, t, y, f)``: the rows that took
+    it and their end times, states and derivatives. Return one entry per row,
+    None or the :class:`NumericalError` that stopped it, labelled with its
+    field's name."""
+    rhs, F0, labels = _batch_rhs(f, X0)
+    b = _Batch(X0, F0, labels)
     b.stop(~(np.isfinite(X0).all(axis=1) & np.isfinite(F0).all(axis=1)), _NONFINITE)
     if b.rows.size:
+        sink(b.rows, 0.0, b.y, b.f)
         (_rk4 if cfg.method == "rk4" else _dopri5)(rhs, b, cfg, sink)
-    return b.errors(labels)
-
-
-def _fields(f, X0: np.ndarray) -> list:
-    """One field per row of the initial states X0, from ``f``: a
-    :class:`VectorFieldDef` for every row, or a sequence of one per row."""
-    if isinstance(f, VectorFieldDef):
-        if X0.ndim != 2 or X0.shape[1] != f.n:
-            raise InputError(f"expected initial states of shape (N, {f.n}), got {X0.shape}")
-        return [f] * X0.shape[0]
-    fields = list(f)
-    if X0.ndim != 2 or len(fields) != X0.shape[0] or any(g.n != X0.shape[1] for g in fields):
-        raise InputError(
-            f"expected one initial state per field, got {len(fields)} fields "
-            f"and initial states of shape {X0.shape}"
-        )
-    return fields
+    return b.errors
 
 
 def _batch_rhs(f, X0: np.ndarray):
     """The right-hand side of a run as a map ``rhs(rows, Y)`` from the states
-    Y of the batch rows ``rows`` to their derivatives, and its value at X0.
+    Y of the batch rows ``rows`` to their derivatives, its value at X0, and
+    each row's label: its field's name.
 
-    ``f`` is one field for every row, evaluated on the whole block when it
-    holds N > 1 rows, or a sequence of one field per row. A lone row, and
-    each row of a field per row, is passed as its 1-d state.
+    ``f`` is one field for every row of X0, shape (N, n), evaluated on the
+    whole block when it holds N > 1 rows, or a sequence of one field per
+    row. A lone row, and each row of a field per row, is passed as its 1-d
+    state.
     """
-    one = isinstance(f, VectorFieldDef)
-    if one and X0.shape[0] > 1:
-        F0 = np.asarray(f.rhs(X0), dtype=float)
-        if F0.shape != X0.shape:
-            raise InputError(f"rhs of '{f.name}' returned shape {F0.shape}, expected {X0.shape}")
-        return (lambda _rows, Y: np.asarray(f.rhs(Y), dtype=float)), F0
-    fields = [f] * X0.shape[0] if one else f
+    if isinstance(f, VectorFieldDef):
+        if X0.ndim != 2 or X0.shape[1] != f.n:
+            raise InputError(f"expected initial states of shape (N, {f.n}), got {X0.shape}")
+        labels = [f.name] * X0.shape[0]
+        if X0.shape[0] > 1:
+            F0 = np.asarray(f.rhs(X0), dtype=float)
+            if F0.shape != X0.shape:
+                raise InputError(
+                    f"rhs of '{f.name}' returned shape {F0.shape}, expected {X0.shape}"
+                )
+            return (lambda _rows, Y: np.asarray(f.rhs(Y), dtype=float)), F0, labels
+        fields = [f]
+    else:
+        fields = list(f)
+        if X0.ndim != 2 or len(fields) != X0.shape[0] or any(g.n != X0.shape[1] for g in fields):
+            raise InputError(
+                f"expected one initial state per field, got {len(fields)} fields "
+                f"and initial states of shape {X0.shape}"
+            )
+        labels = [g.name for g in fields]
 
     def rowwise(rows, Y):
         out = np.empty(Y.shape)
@@ -326,14 +322,15 @@ def _batch_rhs(f, X0: np.ndarray):
             out[i] = fields[row].rhs(Y[i])
         return out
 
-    return rowwise, np.stack([g(x) for g, x in zip(fields, X0)])
+    return rowwise, np.stack([g(x) for g, x in zip(fields, X0)]), labels
 
 
 class _Nodes:
-    """Sink keeping the accepted steps of a batch of one as trajectory nodes."""
+    """Sink keeping the initial node and the accepted steps of a batch of one
+    as trajectory nodes."""
 
-    def __init__(self, X0, F0):
-        self.times, self.states, self.derivs = [], [X0], [F0]
+    def __init__(self):
+        self.times, self.states, self.derivs = [], [], []
 
     def __call__(self, rows, t, y, f):
         self.times.append(t)  # a float (rk4) or a (1,) array (rk45)
@@ -343,7 +340,7 @@ class _Nodes:
     def trajectory(self) -> Trajectory:
         states = np.concatenate(self.states)
         return Trajectory(
-            times=np.concatenate([[0.0], np.asarray(self.times).ravel()]),
+            times=np.concatenate([[0.0], np.asarray(self.times[1:]).ravel()]),
             states=states,
             dim=states.shape[1],
             derivs=np.concatenate(self.derivs),
@@ -354,18 +351,20 @@ class _GridSink:
     """Sink evaluating a batch's runs on a shared ``grid``, increasing within
     [0, t_end], for the leading ``keep`` coordinates.
 
-    Each accepted step only appends its end node (row, t1, y1, f1) to a
-    buffer. When the buffer would pass ``max(_BUFFER_ROW_STEPS, 2 N)``
-    entries, and once more at the end of the run, :meth:`flush` evaluates
-    each row's buffered nodes onto the stretch of the grid they cover and
-    drops them, keeping each row's last node. Without a ``target`` the values
-    fill ``out``, shape (N, len(grid), keep). With a ``target`` of that shape
-    ``out`` keeps each row's largest Euclidean distance to it, counting NaN
-    as inf, and ``at`` the grid index of the first point that reaches it.
+    Each node :func:`_solve` hands it, initial or the end of an accepted
+    step, is only appended to a buffer as (row, t, y, f). When the buffer
+    would pass ``max(_BUFFER_ROW_STEPS, 2 N)`` entries, and once more at the
+    end of the run, :meth:`flush` evaluates each row's buffered nodes onto
+    the stretch of the grid they cover and drops them, keeping each row's
+    last node. Without a ``target`` the values fill ``out``, shape (N,
+    len(grid), keep). With a ``target`` of that shape ``out`` keeps each
+    row's largest Euclidean distance to it, counting NaN as inf, and ``at``
+    the grid index of the first point that reaches it. A row that fails
+    before its first node keeps its initial ``out``; :meth:`result` gives
+    every failed row NaN.
     """
 
-    def __init__(self, grid, X0, F0, keep: int, t_end: float, target=None):
-        n_rows = X0.shape[0]
+    def __init__(self, grid, n_rows: int, keep: int, t_end: float, target=None):
         self.grid, self.keep, self.t_end, self.target = grid, keep, t_end, target
         if target is None:
             self.out = np.full((n_rows, grid.size, keep), np.nan)
@@ -379,7 +378,6 @@ class _GridSink:
         self.y = np.empty((keep, capacity))  # coordinates first: long inner loops
         self.f = np.empty((keep, capacity))
         self.size = 0
-        self(np.arange(n_rows), 0.0, X0, F0)
 
     def __call__(self, rows, t, y, f):
         if self.size + rows.size > self.t.size:
@@ -476,10 +474,9 @@ def _quiet():
 def integrate_field(f: VectorFieldDef, x0, cfg: IntegratorConfig) -> Trajectory:
     """Solve dx/dt = f(x) from x0 over [0, cfg.t_end]; return the step nodes."""
     X0 = as_state(x0, f.n)[None, :]
+    nodes = _Nodes()
     with _quiet():
-        rhs, F0 = _batch_rhs(f, X0)
-        nodes = _Nodes(X0, F0)
-        error = _solve(rhs, X0, F0, cfg, nodes, [f.name])[0]
+        error = _solve(f, X0, cfg, nodes)[0]
     if error is not None:
         raise error
     return nodes.trajectory()
@@ -520,15 +517,15 @@ def sup_distance_on_grid(
 
 def _run_on_grid(f, X0, cfg: IntegratorConfig, grid, keep: int | None, target=None):
     X0 = np.asarray(X0, dtype=float)
-    labels = [g.name for g in _fields(f, X0)]
     grid = np.asarray(grid, dtype=float)
     inside = grid.ndim == 1 and 0 <= grid[0] and grid[-1] <= cfg.t_end
     if not (inside and np.all(np.diff(grid) > 0)):
         raise InputError("the grid must be increasing within [0, t_end]")
+    # an X0 of another shape than (N, n) allocates a harmless sink, and
+    # _solve rejects it
+    sink = _GridSink(grid, len(X0), keep or X0.shape[-1], cfg.t_end, target)
     with _quiet():
-        rhs, F0 = _batch_rhs(f, X0)
-        sink = _GridSink(grid, X0, F0, keep or X0.shape[1], cfg.t_end, target)
-        errors = _solve(rhs, X0, F0, cfg, sink, labels)
+        errors = _solve(f, X0, cfg, sink)
         return sink.result(errors), errors
 
 
@@ -555,9 +552,9 @@ def resample(traj: Trajectory, times) -> Trajectory:
         )
     # the nodes of a run of one row, fed to its grid sink as the run would
     t, y, f = traj.times, traj.states, traj.derivs
-    sink = _GridSink(new_times, y[:1], f[:1], traj.dim, t[-1])
+    sink = _GridSink(new_times, 1, traj.dim, t[-1])
     step = sink.t.size - 1  # a flush keeps one node in the buffer
-    for a in range(1, t.size, step):
+    for a in range(0, t.size, step):
         b = min(a + step, t.size)
         sink(np.zeros(b - a, dtype=np.intp), t[a:b], y[a:b], f[a:b])
     return Trajectory(times=new_times, states=sink.result([None])[0], dim=traj.dim)

@@ -431,6 +431,30 @@ class TestBatchFailures:
             assert solo_errors == [None]
             assert solo[0].tobytes() == values[i].tobytes()
 
+    def test_rk4_rows_that_turn_non_finite_do_not_disturb_survivors(self):
+        f = _mixed_field()
+        X0 = np.array(
+            [
+                [1.0, 0.0, 1.0],  # blows up at t = 1
+                [0.5, 1.0, 0.0],
+                [0.5, 2000.0, 0.0],  # unstable at this step: grows 5513-fold a step
+                [2.0, 0.0, 1.0],  # blows up at t = 0.5
+                [-0.3, 2.0, 0.5],
+            ]
+        )
+        cfg = IntegratorConfig(t_end=2.0, method="rk4", dt=0.01)
+        grid = np.linspace(0.0, 2.0, 201)
+        values, errors = integrate_on_grid(f, X0, cfg, grid, keep=1)
+        for i in (0, 2, 3):
+            assert isinstance(errors[i], DivergenceError)
+            assert errors[i].t_last == _rk4_last_finite_time(f, X0[i], cfg)
+            assert np.all(np.isnan(values[i]))
+        for i in (1, 4):
+            assert errors[i] is None
+            solo, solo_errors = integrate_on_grid(f, X0[i : i + 1], cfg, grid, keep=1)
+            assert solo_errors == [None]
+            assert solo[0].tobytes() == values[i].tobytes()
+
     def test_grid_outside_the_horizon_rejected(self):
         X0 = np.array([[1.0]])
         for grid in ([0.0, 2.0], [0.5, 0.2], [-0.1, 0.5]):
@@ -444,6 +468,71 @@ class TestBatchFailures:
             integrate_field(f, [0.5, 2000.0, 0.0], IntegratorConfig(t_end=2.0))
         with pytest.raises(DivergenceError):
             integrate_field(f, [1.0, 0.0, 1.0], IntegratorConfig(t_end=2.0))
+
+
+def _rk4_last_finite_time(field, x0, cfg: IntegratorConfig) -> float:
+    """The time of the last finite state of a classical RK4 run of ``field``
+    from x0, written out on the lone state; None if it reaches cfg.t_end."""
+    t, x, h = 0.0, x0, cfg.dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < cfg.t_end:
+            k1 = field.rhs(x)
+            k2 = field.rhs(x + 0.5 * h * k1)
+            k3 = field.rhs(x + 0.5 * h * k2)
+            k4 = field.rhs(x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(x)):
+                return t
+            t = t + h
+    return None
+
+
+# x' = 1e308 overflows the state in one accepted step; x' = x^2 from 1 drives
+# the adaptive step to underflow near t = 1, and rk4's state to overflow past
+# it; x' = -x needs more than 8 steps
+SURGE = VectorFieldDef(n=1, rhs=lambda x: np.full(np.shape(x), 1e308), name="surge")
+BLOWUP = VectorFieldDef(n=1, rhs=lambda x: np.asarray(x) ** 2, name="blowup")
+RK45 = IntegratorConfig(t_end=2.0)
+RK4 = IntegratorConfig(t_end=2.0, method="rk4", dt=0.1)
+
+
+class TestFailureMessages:
+    """The engine's three failure messages, byte for byte, for a lone row and
+    for a row of a batch whose other row survives (every row, when the rk4
+    step count alone is over budget)."""
+
+    @pytest.mark.parametrize(
+        "field,x0,cfg,budget,error,message",
+        [
+            (SURGE, [1e308, -1e308], RK45, None, DivergenceError,
+             "surge: state became non-finite after t=0.700363"),
+            (BLOWUP, [1.0, -1.0], RK4, None, DivergenceError,
+             "blowup: state became non-finite after t=1.2"),
+            (BLOWUP, [1.0, -1.0], RK45, None, DivergenceError,
+             "blowup: adaptive step size underflow near t=1"),
+            (DECAY, [1.0, 0.0], RK45, 8, StepBudgetError,
+             "decay: step budget of 8 exhausted at t=0.489213"),
+            (DECAY, [1.0, 0.0], RK4, 8, StepBudgetError,
+             "decay: step budget of 8 exhausted at t=0"),
+        ],
+        ids=["non-finite-rk45", "non-finite-rk4", "underflow-rk45", "budget-rk45", "budget-rk4"],
+    )
+    def test_lone_and_batch_rows_fail_with_the_same_message(
+        self, field, x0, cfg, budget, error, message, monkeypatch
+    ):
+        if budget is not None:
+            monkeypatch.setattr(integrate, "MAX_STEPS", budget)
+        with pytest.raises(error) as lone:
+            integrate_field(field, x0[:1], cfg)
+        assert str(lone.value) == message
+        grid = np.linspace(0.0, cfg.t_end, 5)
+        _values, errors = integrate_on_grid(field, np.array(x0)[:, None], cfg, grid)
+        assert type(errors[0]) is error and str(errors[0]) == message
+        assert errors[0].t_last == lone.value.t_last
+        if cfg.method == "rk4" and budget is not None:
+            assert str(errors[1]) == message
+        else:
+            assert errors[1] is None
 
 
 class TestBlockContract:
