@@ -15,11 +15,13 @@ one BLAS thread). The script compares stdout, stderr, exit code and the
 that differ. It exits 1 unless every command is SAME. It reads ``bench/`` and
 changes nothing there.
 
-The ``errors`` workload is the fixed table ``ERRORS`` of failing commands, one
-per kind of failure that exits 1 or 2, and of ``bound`` commands that exit 0
-counting the initial conditions whose runs fail inside a batch. It runs once
-whatever the seeds: the benchmark's commands all succeed, so they never reach
-an error path. The
+The ``errors`` workload is the fixed table ``ERRORS`` of commands off the
+benchmark's paths, run once whatever the seeds: the benchmark's commands all
+succeed with default boxes, so they never reach these. It holds one failing
+command per kind of failure that exits 1 or 2; ``bound`` commands that exit 0
+counting the initial conditions whose runs fail inside a batch; and
+``check-lyapunov`` commands on a given ``--box`` or ``--input-box`` that pass
+(exit 0) or, with ``--negate-v``, find a counterexample (exit 3). The
 ``front`` workload is the fixed table ``FRONT`` of what the parser answers
 alone with exit 0: ``--version``, ``--help`` and each command's ``--help``.
 """
@@ -43,8 +45,8 @@ PARTS = ("stdout", "stderr", "exit code", "--out file")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 # user systems whose runs fail: y' = y^2 diverges before t = 1, so does
-# y' = a y^2 + z for a > 0 from some starts, and the square root of a negative y
-# is NaN
+# y' = a y^2 + z for a > 0 from some starts, the square root of a negative y
+# is NaN, and y' = y/0 is not finite at any start
 _ERROR_FILES = {
     "blowup.json": json.dumps({"name": "blowup", "state": ["y", "z"], "m": 1,
                                "rhs": ["y*y", "-z"], "x0": [2.0, 0.0]}),
@@ -52,14 +54,31 @@ _ERROR_FILES = {
                              "rhs": ["a*y*y + z", "-z"], "x0": [2.0, 0.0]}),
     "root.json": json.dumps({"name": "root", "state": ["y", "z"], "m": 1,
                              "rhs": ["y**0.5 + 0*z", "-z"]}),
+    "zero.json": json.dumps({"name": "zero", "state": ["y", "z"], "m": 1,
+                             "rhs": ["y/0", "-z"], "x0": [1.0, 0.0]}),
 }
 _HOOP = ("--system", "ball-hoop")
+_HOOP_IISS = ("check-lyapunov", *_HOOP, "--certificate", "iiss", "--box=-0.5,0.5",
+              "--input-box=-0.4,0.4", "--samples", "4096")
+_CART_IUBIBSS = ("check-lyapunov", "--system", "cart-pendulum", "--certificate", "iubibss",
+                 "--samples", "4096")
+_CART_BOX, _CART_INPUT_BOX = "--box=-1,1;-1,1", "--input-box=-0.5,0.5;-1,1;-3,3"
 _GAIN_BOUND = ("bound", "--config", "{tmp}/gain.json", "--set", "a=1", "--n-ic", "16",
                "--t-end", "2", "--box=-2,1;-1,1")
 _ERROR_ARGV = {0: [
     # 5 of the 16 initial conditions fail inside the batch
     _GAIN_BOUND,
     (*_GAIN_BOUND, "--method", "rk4", "--dt", "0.01"),
+    # certificates on given boxes
+    _HOOP_IISS,
+    ("check-lyapunov", *_HOOP, "--certificate", "fiberwise", "--box=-0.5,0.5;-0.4,0.4",
+     "--samples", "4096"),
+    (*_CART_IUBIBSS, _CART_BOX, _CART_INPUT_BOX),
+    (*_CART_IUBIBSS, _CART_INPUT_BOX),
+], 3: [
+    # the negated V of a certificate on given boxes
+    (*_HOOP_IISS, "--negate-v"),
+    (*_CART_IUBIBSS, _CART_BOX, "--negate-v"),
 ], 1: [
     # names, parameters and flags
     ("simulate", "--system", "nope"),
@@ -89,6 +108,7 @@ _ERROR_ARGV = {0: [
     ("simulate", *_HOOP, "--method", "rk4", "--dt", "1e-320", "--t-end", "1"),
     ("simulate", "--system", "cart-pendulum", "--set", "d=1e200", "--t-end", "1"),
     ("simulate", "--config", "{tmp}/blowup.json", "--t-end", "1"),
+    ("bound", "--config", "{tmp}/zero.json", "--n-ic", "8", "--t-end", "1"),
     ("simulate", "--config", "{tmp}/blowup.json", "--method", "rk4", "--dt", "0.01",
      "--t-end", "1"),
     ("sweep", "--config", "{tmp}/gain.json", "--param", "a", "--values", "0,1,2", "--t-end", "1",

@@ -13,6 +13,8 @@ DEFAULT_RTOL = 1e-9  # integrator tolerances
 DEFAULT_ATOL = 1e-9
 DEFAULT_TOL = 1e-6  # exact-reducibility tolerance
 DEFAULT_GRID_POINTS = 2001  # deviation grid
+DEFAULT_EXACT_SAMPLES = 512  # check-exact samples
+DEFAULT_LYAPUNOV_SAMPLES = 4096  # check-lyapunov samples
 
 
 class InputError(ValueError):

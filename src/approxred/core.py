@@ -215,6 +215,11 @@ class Box:
                 d = s * np.linalg.norm(w / s)
         return float(d)
 
+    def corners(self) -> np.ndarray:
+        """The ``2**dim`` vertices, one per row, the first coordinate slowest."""
+        grids = np.meshgrid(*zip(self.lower, self.upper), indexing="ij")
+        return np.stack(grids, axis=-1).reshape(-1, self.dim)
+
     def concat(self, other: "Box") -> "Box":
         return Box(
             np.concatenate([self.lower, other.lower]),

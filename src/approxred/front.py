@@ -28,7 +28,9 @@ import sys
 from . import __version__
 from .base import (
     DEFAULT_ATOL,
+    DEFAULT_EXACT_SAMPLES,
     DEFAULT_GRID_POINTS,
+    DEFAULT_LYAPUNOV_SAMPLES,
     DEFAULT_RTOL,
     DEFAULT_SEED,
     DEFAULT_TOL,
@@ -133,7 +135,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("check-exact", help="sampled exact-reducibility test")
     _add_common(p, "m", "seed")
     p.add_argument("--box", help="sampling box 'lo1,hi1;lo2,hi2;...'")
-    p.add_argument("--samples", type=int, default=512)
+    p.add_argument("--samples", type=int, default=DEFAULT_EXACT_SAMPLES)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = sub.add_parser("check-lyapunov", help="falsify a bundled certificate")
@@ -141,7 +143,7 @@ def build_parser() -> _Parser:
     p.add_argument("--certificate", required=True, help="bundled certificate name")
     p.add_argument("--box", help="state box 'lo1,hi1;...' (default: bundled box)")
     p.add_argument("--input-box", dest="input_box", help="input box for iiss/iubibss")
-    p.add_argument("--samples", type=int, default=4096)
+    p.add_argument("--samples", type=int, default=DEFAULT_LYAPUNOV_SAMPLES)
     p.add_argument(
         "--negate-v",
         dest="negate_v",

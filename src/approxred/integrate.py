@@ -193,8 +193,6 @@ def _rk4(rhs, b: _Batch, cfg: IntegratorConfig, sink) -> None:
     n_full = int(np.floor(min(cfg.t_end / cfg.dt, MAX_STEPS + 1) + 1e-12))
     remainder = cfg.t_end - n_full * cfg.dt
     n_steps = n_full + (1 if remainder > 1e-12 * cfg.t_end else 0)
-    if n_steps < 1:
-        n_steps, n_full, remainder = 1, 0, cfg.t_end
     if n_steps > MAX_STEPS:
         b.stop(np.ones(b.rows.size, dtype=bool), _BUDGET)
         return

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import (
+    DEFAULT_EXACT_SAMPLES,
     DEFAULT_GRID_POINTS,
     DEFAULT_SEED,
     DEFAULT_TOL,
@@ -92,7 +93,7 @@ def check_exact_reducible(
     f: VectorFieldDef,
     m: int,
     box: Box,
-    n_samples: int = 512,
+    n_samples: int = DEFAULT_EXACT_SAMPLES,
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
 ) -> ReducibilityReport:

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .base import DEFAULT_SEED, EvaluationError, InputError
+from .base import DEFAULT_LYAPUNOV_SAMPLES, DEFAULT_SEED, EvaluationError, InputError
 from .core import (
     Box,
     ComparisonFunction,
@@ -267,7 +267,7 @@ def check_iiss(
     cert: IncrementalCertificate,
     state_box: Box,
     input_box: Box,
-    n_samples: int = 4096,
+    n_samples: int = DEFAULT_LYAPUNOV_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> CertificateReport:
     """Falsify an IISS Lyapunov candidate, which has a decay rate and xi = 0,
@@ -285,7 +285,7 @@ def check_iubibss(
     cert: IncrementalCertificate,
     state_box: Box,
     input_box: Box,
-    n_samples: int = 4096,
+    n_samples: int = DEFAULT_LYAPUNOV_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> CertificateReport:
     """Falsify an IUBIBSS Lyapunov candidate, which has a positive xi: the
@@ -324,7 +324,7 @@ def check_fiberwise(
     m: int,
     cert: IncrementalCertificate,
     box: Box,
-    n_samples: int = 4096,
+    n_samples: int = DEFAULT_LYAPUNOV_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> CertificateReport:
     """Falsify a fiberwise practical stability candidate on a box, the fiber

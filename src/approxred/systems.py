@@ -150,6 +150,22 @@ def _from_box(kind: str, state_box):
         raise InputError(f"--box gives certificate {kind!r} a degenerate constant: {err}") from None
 
 
+def _pair_certificate(system: str, p: dict, kind: str, state_box: Box, input_box: Box,
+                      seed: int, gain: Callable[[float], float], **bounds) -> CertificateSpec:
+    """A pair certificate of a bundled system: its gap U with the comparison
+    functions ``bounds`` and the input gain ``gain(L)``, checked along its
+    control form. L is the coupling's Lipschitz constant sampled on
+    the input box at 2048 points, times LIPSCHITZ_SAFETY."""
+    coupling = _compiled(system, "coupling")(p)
+    L = estimate_lipschitz(coupling, input_box, n_samples=2048, seed=seed) * LIPSCHITZ_SAFETY
+    control = ControlSystemDef(n=state_box.dim, m_in=input_box.dim,
+                               rhs=_compiled(system, "control")(p), name=f"{system}-control")
+    cert = IncrementalCertificate(V=_compiled(system, "U")(p), mu=ComparisonFunction(gain(L)),
+                                  **bounds)
+    return CertificateSpec(kind=kind, certificate=cert, state_box=state_box,
+                           input_box=input_box, control=control)
+
+
 # default certificate boxes for the cart: retained block, then angle ranges
 CART_STATE_BOX = Box.from_pairs([(-2.0, 2.0), (-2.0, 2.0)])
 CART_ANGLE_BOX = Box.from_pairs([(-0.7, 0.7), (-1.5, 1.5)])
@@ -208,10 +224,7 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
         a_lo = 2.0 * m * R * (g - R * xi**2) / np.pi**2
         # V is even and increasing in |omega| and |theta| on the box, so the
         # maximum sits at a corner
-        corners = np.array(
-            [[wc, tc] for wc in (box.lower[0], box.upper[0]) for tc in (box.lower[1], box.upper[1])]
-        )
-        v_max = float(lyapunov(corners)[:, 0].max())
+        v_max = float(lyapunov(box.corners())[:, 0].max())
         with _from_box("fiberwise", state_box):
             alpha_upper = ComparisonFunction(v_max / FIBER_THRESHOLD**2, 2.0)
         cert = IncrementalCertificate(lyapunov, ComparisonFunction(a_lo, 2.0), alpha_upper,
@@ -228,20 +241,11 @@ def make_ball_in_hoop(params: dict) -> SystemEntry:
             box = sublevel_box()  # (omega, theta): the retained block, then the fiber
             state_box = state_box or Box(box.lower[:1], box.upper[:1])
             input_box = input_box or Box(box.lower[1:], box.upper[1:])
-        coupling = _compiled("ball-hoop", "coupling")(p)
-        L = estimate_lipschitz(coupling, input_box, n_samples=2048, seed=seed) * LIPSCHITZ_SAFETY
-        control = ControlSystemDef(n=1, m_in=1, rhs=_compiled("ball-hoop", "control")(p),
-                                   name="ball-hoop-control")
-        cert = IncrementalCertificate(
-            V=_compiled("ball-hoop", "U")(p),
+        return _pair_certificate(
+            "ball-hoop", p, "iiss", state_box, input_box, seed, lambda L: 2.0 * m * L / mu,
             alpha_lower=ComparisonFunction(0.5, 2.0),
             alpha_upper=ComparisonFunction(0.5, 2.0),
             alpha_decay=ComparisonFunction(mu / (2.0 * m), 2.0),
-            mu=ComparisonFunction(2.0 * m * L / mu),
-        )
-        return CertificateSpec(
-            kind="iiss", certificate=cert, state_box=state_box, input_box=input_box,
-            control=control,
         )
 
     return replace(
@@ -278,35 +282,20 @@ def make_cart_pendulum(params: dict) -> SystemEntry:
         if input_box is None:
             # the range of the angular acceleration over the default box
             full_box = CART_STATE_BOX.concat(CART_ANGLE_BOX)
-            corners = np.array(
-                np.meshgrid(*zip(full_box.lower, full_box.upper), indexing="ij")
-            ).reshape(4, -1).T
-            pts = np.vstack([sobol_points(full_box, 4096, seed), corners])
+            pts = np.vstack([sobol_points(full_box, 4096, seed), full_box.corners()])
             a_max = float(np.abs(entry.field.rhs(pts)[:, 3]).max()) * 1.05
-            ibox = CART_ANGLE_BOX.concat(Box.from_pairs([(-a_max, a_max)]))
-        else:
-            ibox = input_box
+            input_box = CART_ANGLE_BOX.concat(Box.from_pairs([(-a_max, a_max)]))
         # the decay argument controls only the velocity gap, so the
         # threshold must exceed the largest position gap the box allows
         xi = float(sbox.widths[0]) * 1.0125
         with _from_box("iubibss", state_box):
             if not (0 < xi < np.inf):
                 raise InputError(f"threshold xi must be positive and finite, got {xi}")
-        coupling = _compiled("cart-pendulum", "coupling")(p)
-        L = estimate_lipschitz(coupling, ibox, n_samples=2048, seed=seed) * LIPSCHITZ_SAFETY
-        control_accel = ControlSystemDef(
-            n=2, m_in=3, rhs=_compiled("cart-pendulum", "control")(p),
-            name="cart-pendulum-control-accel",
-        )
-        cert = IncrementalCertificate(
-            V=_compiled("cart-pendulum", "U")(p),
+        return _pair_certificate(
+            "cart-pendulum", p, "iubibss", sbox, input_box, seed, lambda L: 2.0 * m * R * L / d,
             alpha_lower=ComparisonFunction(1.0 / (2.0 * (m + M)), 2.0),
             alpha_upper=ComparisonFunction(0.5, 2.0),
-            mu=ComparisonFunction(2.0 * m * R * L / d),
             xi=xi,
-        )
-        return CertificateSpec(
-            kind="iubibss", certificate=cert, state_box=sbox, input_box=ibox, control=control_accel
         )
 
     return replace(

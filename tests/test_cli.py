@@ -11,6 +11,7 @@ import pytest
 from approxred import cli
 from approxred.cli import main
 from approxred.base import (
+    DEFAULT_GRID_POINTS,
     DivergenceError,
     EvaluationError,
     InputError,
@@ -651,6 +652,53 @@ class TestBound:
         assert err.startswith("approxred: numerical failure: all 8 sampled initial "
                               "conditions failed to integrate; the first: full system: u: ")
         assert err.count("\n") == 1
+
+    def test_all_failures_at_the_start_name_the_first(self, tmp_path, capsys):
+        # y' = y/0 is non-finite at every initial condition, so no run takes a step
+        doc = {"name": "zero", "state": ["y", "z"], "m": 1, "rhs": ["y/0", "-z"],
+               "x0": [1.0, 0.0]}
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["bound", "--config", str(path), "--n-ic", "8", "--t-end", "1",
+                   "--out", str(tmp_path / "b.json")])
+        assert rc == 2 and not (tmp_path / "b.json").exists()
+        assert capsys.readouterr().err == (
+            "approxred: numerical failure: all 8 sampled initial conditions failed to "
+            "integrate; the first: full system: zero: state became non-finite after t=0\n"
+        )
+
+    @pytest.mark.parametrize("mode", ["projected", "cross"])
+    def test_linear_bound_approaches_its_corner_supremum(self, tmp_path, mode):
+        # the deviation of a linear system is linear in the initial pair, and
+        # its norm convex, so its supremum over the box sits at a corner
+        from scipy.linalg import expm
+
+        A = np.array([[-1.0, 0.0, 0.5], [0.0, -0.5, 0.3], [0.2, -0.4, -2.0]])
+        doc = {"name": "lin3", "state": ["y1", "y2", "z"], "m": 2,
+               "rhs": ["-y1 + 0.5*z", "-0.5*y2 + 0.3*z", "0.2*y1 - 0.4*y2 - 2*z"]}
+        path = tmp_path / "lin3.json"
+        path.write_text(json.dumps(doc))
+        grid = np.linspace(0.0, 10.0, DEFAULT_GRID_POINTS)
+        full = np.array([expm(A * t)[:2] for t in grid])  # (grid, 2, 3)
+        red = np.array([expm(A[:2, :2] * t) for t in grid])  # the slice at z = 0
+        box = Box.from_pairs([(-1.0, 1.0)] * 3)
+        if mode == "projected":
+            M = full - red @ np.eye(2, 3)
+        else:  # the reduced run starts from its own corner of the first m factors
+            box = box.concat(Box.from_pairs([(-1.0, 1.0)] * 2))
+            M = np.concatenate([full, -red], axis=2)
+        corner = np.linalg.norm(M @ box.corners().T, axis=1).max()
+
+        def delta_hat(n_ic):
+            out = tmp_path / f"{mode}-{n_ic}.json"
+            rc = main(["bound", "--config", str(path), "--box=-1,1;-1,1;-1,1", "--t-end", "10",
+                       "--mode", mode, "--n-ic", str(n_ic), "--out", str(out)])
+            assert rc == 0
+            return json.loads(out.read_text())["delta_hat"]
+
+        coarse, fine = delta_hat(16), delta_hat(256)
+        assert coarse <= fine <= corner + 1e-6
+        assert fine >= 0.75 * corner
 
 
 class TestDecompositionOverride:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +159,14 @@ class TestBox:
     def test_rejects_non_finite_bounds_and_widths(self, lower, upper, needle):
         with pytest.raises(InputError, match=f"box {needle} must be finite"):
             Box(lower, upper)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_corners_are_the_vertices_first_coordinate_slowest(self, dim):
+        pairs = [(-1.5 * (i + 1), 0.25 + i) for i in range(dim)]
+        corners = Box.from_pairs(pairs).corners()
+        expected = np.array(list(itertools.product(*pairs)))
+        assert corners.shape == (2**dim, dim) and corners.flags.c_contiguous
+        assert corners.tobytes() == expected.tobytes()
 
     def test_diameter(self):
         box = Box.from_pairs([(0, 3), (0, 4)])

@@ -455,6 +455,30 @@ class TestBatchFailures:
             assert solo_errors == [None]
             assert solo[0].tobytes() == values[i].tobytes()
 
+    @pytest.mark.parametrize("method", ["rk45", "rk4"])
+    def test_a_batch_that_fails_at_the_start_is_all_nan(self, method):
+        # no row hands its initial node to the sink, whose buffer stays empty
+        f = _mixed_field()
+        X0 = np.array(
+            [
+                [np.inf, 0.0, 1.0],
+                [np.nan, 1.0, 0.0],
+                [1e10, 0.0, 1e308],  # a finite state whose derivative overflows
+            ]
+        )
+        cfg = IntegratorConfig(t_end=1.0, method=method, dt=0.1)
+        grid = np.linspace(0.0, 1.0, 11)
+        values, errors = integrate_on_grid(f, X0, cfg, grid, keep=1)
+        target = np.zeros((3, grid.size, 3))
+        sups, times, sup_errors = sup_distance_on_grid(f, X0, cfg, grid, target)
+        assert values.shape == (3, grid.size, 1) and np.all(np.isnan(values))
+        assert np.all(np.isnan(sups)) and np.all(np.isnan(times))
+        for errs in (errors, sup_errors):
+            assert len(errs) == 3
+            for err in errs:
+                assert isinstance(err, DivergenceError) and err.t_last == 0.0
+                assert str(err) == "mixed: state became non-finite after t=0"
+
     def test_grid_outside_the_horizon_rejected(self):
         X0 = np.array([[1.0]])
         for grid in ([0.0, 2.0], [0.5, 0.2], [-0.1, 0.5]):
