@@ -1776,6 +1776,28 @@ def test_outputs_keep_their_bytes(tmp_path, capsys, command):
     assert capsys.readouterr().out == OUTPUT_STDOUT.get(command, "")
 
 
+# sha256 of the --out file of two long documents, recorded while every
+# document was built whole in memory before it was written: a CSV simulate of
+# 2501 rows, which a writer streaming 1024 rows at a time writes in three
+# pieces, and a JSON compare on the default grid
+STREAMED_OUTPUT_SHA256 = {
+    "simulate --system cart-pendulum --method rk4 --dt 1e-3 --t-end 2.5":
+        "367e00c7ba39cfc145308f444b7f870eccd545948fc35940bba7ed365cbcbd3c",
+    "compare --system cart-pendulum --t-end 30 --format json":
+        "985476fbfef5b2df03438f1fc3f8e3461f041735fb0551880746233d7b336eb5",
+}
+
+
+@pytest.mark.parametrize("command", sorted(STREAMED_OUTPUT_SHA256))
+def test_long_outputs_keep_their_bytes(tmp_path, capsys, command):
+    import hashlib
+
+    out = tmp_path / "out"
+    assert main([*command.split(), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == STREAMED_OUTPUT_SHA256[command]
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("argv", [
     # sqrt of a negative y is NaN with a RuntimeWarning
     ["check-exact", "--config", "{tmp}/root.json", "--box=-2,-1;0,1"],
