@@ -37,6 +37,9 @@ from .stability import (
 from .systems import lookup
 from .user_systems import load_system_config
 
+# rows a CSV document formats and writes at once
+_CSV_ROWS = 1024
+
 
 def _jsonable(obj):
     """``json.dumps``'s hook for what it cannot write itself: arrays and numpy
@@ -51,29 +54,37 @@ def _jsonable(obj):
     raise TypeError(f"cannot write a {type(obj).__name__} as JSON")
 
 
-def _emit(path: str | None, text: str) -> None:
+def _emit(path: str | None, pieces) -> None:
+    """Write the pieces of a document to stdout, or one by one to the file
+    ``path``, so that a long document is never held whole."""
     if path is None:
-        write_stdout(text)
+        write_stdout("".join(pieces))
         return
     try:
         with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as err:
         raise InputError(f"cannot write --out {path}: {err.strerror}") from err
 
 
-def _csv_document(meta: dict, header: list[str], rows) -> str:
-    lines = [f"# {k}={json.dumps(v, sort_keys=True, default=_jsonable)}"
-             for k, v in meta.items()]
-    lines.append(",".join(header))
-    # Python floats, whose repr is the shortest decimal that round-trips
-    for row in np.asarray(rows, dtype=float).tolist():
-        lines.append(",".join(map(repr, row)))
-    return "\n".join(lines) + "\n"
+def _csv_document(meta: dict, header: list[str], rows):
+    """The pieces of a CSV document: its ``#`` key=value lines and header,
+    then its rows, ``_CSV_ROWS`` at a time."""
+    yield "".join(f"# {k}={json.dumps(v, sort_keys=True, default=_jsonable)}\n"
+                  for k, v in meta.items())
+    yield ",".join(header) + "\n"
+    rows = np.asarray(rows, dtype=float)
+    for start in range(0, len(rows), _CSV_ROWS):
+        # Python floats, whose repr is the shortest decimal that round-trips
+        yield "".join(",".join(map(repr, row)) + "\n"
+                      for row in rows[start:start + _CSV_ROWS].tolist())
 
 
-def _json_document(doc) -> str:
-    return json.dumps(doc, indent=2, default=_jsonable) + "\n"
+def _json_document(doc):
+    """The pieces of a JSON document: those ``json.dumps(doc, indent=2)``
+    joins, then a newline."""
+    yield from json.JSONEncoder(indent=2, default=_jsonable).iterencode(doc)
+    yield "\n"
 
 
 def _write_series(args, meta: dict, columns, summary: dict | None = None) -> None:
@@ -92,7 +103,7 @@ def _write_series(args, meta: dict, columns, summary: dict | None = None) -> Non
     rows = np.column_stack([array for *_, array in columns])
     _emit(args.out, _csv_document(meta, header, rows))
     if summary is not None and args.out is not None:
-        _emit(None, json.dumps(summary) + "\n")
+        write_stdout(json.dumps(summary) + "\n")
 
 
 # ----------------------------------------------------------------- parsing

@@ -1244,6 +1244,24 @@ def test_an_unwritable_out_exits_1_naming_it(command, target, tmp_path, capsys):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv,fails_at", [
+    # 5001 CSV rows fill the file's buffer many times, so a write inside the
+    # stream fails first
+    (["simulate", "--system", "cart-pendulum", "--method", "rk4", "--dt", "1e-3",
+      "--t-end", "5"], "write"),
+    # a short document stays in the buffer until the file closes
+    (["simulate", "--system", "ball-hoop", "--t-end", "0.1", "--format", "json"], "close"),
+], ids=["mid-stream", "at-close"])
+def test_a_full_out_file_exits_1_with_one_line(argv, fails_at, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert (out.stat().st_size > io.DEFAULT_BUFFER_SIZE) == (fails_at == "write")
+    assert main([*argv, "--out", "/dev/full"]) == 1
+    assert capsys.readouterr() == (
+        "", "approxred: error: cannot write --out /dev/full: No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [
     ["simulate", "--system", "ball-hoop", "--t-end", "1"],
@@ -1317,9 +1335,9 @@ def test_json_documents_write_numpy_values_boxes_and_reports():
                    "witness": {"point": [0.5, -0.25], "magnitude": 2.0, "component": 1,
                                "fiber_index": 0}},
     }
-    assert cli._json_document(doc) == json.dumps(plain, indent=2) + "\n"
+    assert "".join(cli._json_document(doc)) == json.dumps(plain, indent=2) + "\n"
     with pytest.raises(TypeError, match="Opaque"):
-        cli._json_document({"report": Opaque()})
+        "".join(cli._json_document({"report": Opaque()}))
 
 
 class TestGridLimit:
@@ -1796,6 +1814,9 @@ def test_long_outputs_keep_their_bytes(tmp_path, capsys, command):
     assert main([*command.split(), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == STREAMED_OUTPUT_SHA256[command]
     assert capsys.readouterr().out == ""
+    if command.startswith("simulate"):  # the rows cross two of the writer's pieces
+        lines = out.read_bytes().splitlines()
+        assert sum(not line.startswith(b"# ") for line in lines) - 1 > 2 * cli._CSV_ROWS
 
 
 @pytest.mark.parametrize("argv", [

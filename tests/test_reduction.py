@@ -434,7 +434,8 @@ class TestBudgetInvariance:
 
         def reports():
             return [
-                _json_document(estimate_delta(f, m, S, 12, cfg, pair_mode=mode, reduced=reduced))
+                "".join(_json_document(
+                    estimate_delta(f, m, S, 12, cfg, pair_mode=mode, reduced=reduced)))
                 for mode in ("projected", "cross")
                 for cfg in METHODS.values()
             ]

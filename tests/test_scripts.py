@@ -49,7 +49,7 @@ def test_same_bytes_reports_a_changed_output(tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__"))
     cli = tmp_path / "approxred" / "cli.py"
     source = cli.read_text()
-    old = 'return json.dumps(doc, indent=2, default=_jsonable) + "\\n"'
+    old = 'iterencode(doc)\n    yield "\\n"'
     assert source.count(old) == 1
     cli.write_text(source.replace(old, old.replace('"\\n"', '" \\n"')))
     proc = run_same_bytes(ROOT / "src", tmp_path)
@@ -119,3 +119,4 @@ def test_same_bytes_reports_a_changed_help_text(tmp_path):
     for i, (line, cmd) in enumerate(zip(lines, commands)):
         found = "SAME" if i < 2 else "DIFF (stdout)"  # --version and --help list no flag
         assert line == f"{found} front:{i} {' '.join(cmd.argv)}"
+

@@ -63,13 +63,15 @@ class TestBlockSizeInvariance:
         entry = lookup(name, {})
         box = cli._default_box(entry)
         whole = [
-            cli._json_document(check_exact_reducible(entry.field, entry.m, box, n, seed=s))
+            "".join(cli._json_document(
+                check_exact_reducible(entry.field, entry.m, box, n, seed=s)))
             for n, s in ((300, 42), (129, 7), (1, 3))
         ]
         for rows in SMALL_BLOCKS:
             monkeypatch.setattr(sampling, "SAMPLE_BLOCK_ROWS", rows)
             blocked = [
-                cli._json_document(check_exact_reducible(entry.field, entry.m, box, n, seed=s))
+                "".join(cli._json_document(
+                    check_exact_reducible(entry.field, entry.m, box, n, seed=s)))
                 for n, s in ((300, 42), (129, 7), (1, 3))
             ]
             assert blocked == whole
@@ -144,7 +146,7 @@ def run_check(name, kind, n, seed, negate=False):
     if kind == "exact":
         report = check_exact_reducible(entry.field, entry.m, cli._default_box(entry),
                                        n, seed=seed)
-        return cli._json_document(report)
+        return "".join(cli._json_document(report))
     spec = entry.certificates[kind](state_box=None, input_box=None, seed=seed)
     cert = cli._negate_certificate(spec.certificate) if negate else spec.certificate
     if kind == "fiberwise":
@@ -152,7 +154,7 @@ def run_check(name, kind, n, seed, negate=False):
     else:
         check = check_iiss if kind == "iiss" else check_iubibss
         report = check(spec.control, cert, spec.state_box, spec.input_box, n, seed)
-    return cli._json_document(report)
+    return "".join(cli._json_document(report))
 
 
 def check_outcome(*args):
