@@ -33,7 +33,8 @@ exactly as a run of that row alone is.
 
 ``_solve`` hands each row's initial node, then each accepted step, to a sink
 in one call ``sink(rows, t, y, f)``, with the nodes' states and derivatives.
-``integrate_field`` keeps them as the nodes of a batch of one.
+``integrate_field`` keeps them as the nodes of a batch of one, in flat
+arrays that double in length when full.
 ``integrate_on_grid`` and ``sup_distance_on_grid`` only append each node to
 a buffer of at most ``_BUFFER_ROW_STEPS`` (row, step) entries.
 When it fills, and at the end of the run, the buffered steps of every row are
@@ -70,6 +71,8 @@ MAX_STEPS = 10_000_000
 _BUFFER_ROW_STEPS = 2048
 # grid points a flush evaluates at once
 _GRID_CHUNK = 2048
+# nodes a lone-row trajectory holds before its arrays first double
+_FIRST_NODES = 1024
 
 # Dormand-Prince 5(4): stage matrix, fifth-order weights and error weights
 # (the last one multiplies the derivative at the step's end)
@@ -325,24 +328,35 @@ def _batch_rhs(f, X0: np.ndarray):
 
 class _Nodes:
     """Sink keeping the initial node and the accepted steps of a batch of one
-    as trajectory nodes."""
+    as trajectory nodes: times, states and derivatives in flat arrays that
+    double in length when full."""
 
-    def __init__(self):
-        self.times, self.states, self.derivs = [], [], []
+    def __init__(self, n: int):
+        self.size = 0
+        self.times = np.empty(_FIRST_NODES)
+        self.states, self.derivs = np.empty((_FIRST_NODES, n)), np.empty((_FIRST_NODES, n))
 
     def __call__(self, rows, t, y, f):
-        self.times.append(t)  # a float (rk4) or a (1,) array (rk45)
-        self.states.append(y)
-        self.derivs.append(f)
+        i = self.size
+        if i == self.times.size:
+            self.times, self.states, self.derivs = map(_doubled, (self.times, self.states,
+                                                                  self.derivs))
+        self.times[i:i + 1] = t  # a float (rk4) or a (1,) array (rk45)
+        self.states[i:i + 1] = y
+        self.derivs[i:i + 1] = f
+        self.size = i + 1
 
     def trajectory(self) -> Trajectory:
-        states = np.concatenate(self.states)
-        return Trajectory(
-            times=np.concatenate([[0.0], np.asarray(self.times[1:]).ravel()]),
-            states=states,
-            dim=states.shape[1],
-            derivs=np.concatenate(self.derivs),
-        )
+        n = self.size
+        return Trajectory(times=self.times[:n], states=self.states[:n],
+                          dim=self.states.shape[1], derivs=self.derivs[:n])
+
+
+def _doubled(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` with as many again uninitialised rows after its own."""
+    out = np.empty((2 * len(a), *a.shape[1:]))
+    out[: len(a)] = a
+    return out
 
 
 class _GridSink:
@@ -472,7 +486,7 @@ def _quiet():
 def integrate_field(f: VectorFieldDef, x0, cfg: IntegratorConfig) -> Trajectory:
     """Solve dx/dt = f(x) from x0 over [0, cfg.t_end]; return the step nodes."""
     X0 = as_state(x0, f.n)[None, :]
-    nodes = _Nodes()
+    nodes = _Nodes(f.n)
     with _quiet():
         error = _solve(f, X0, cfg, nodes)[0]
     if error is not None:

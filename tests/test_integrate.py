@@ -76,6 +76,26 @@ class TestIntegrateField:
         with pytest.raises(StepBudgetError):
             integrate_field(DECAY, [1.0], cfg)
 
+    def test_a_long_run_keeps_its_nodes_in_flat_arrays(self):
+        # 10^5 rk4 steps on four states: a node's time, state and derivative
+        # take (2 * 4 + 1) * 8 bytes, and arrays that double when full keep
+        # the run's peak within three times that per node
+        import tracemalloc
+
+        f = VectorFieldDef(n=4, rhs=lambda x: -0.01 * x, name="decay4")
+        dt = 2.0**-10  # exact sums: node i is at i * dt
+        cfg = IntegratorConfig(t_end=100_000 * dt, method="rk4", dt=dt)
+        tracemalloc.start()
+        try:
+            traj = integrate_field(f, [1.0, 2.0, 3.0, 4.0], cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 10**5 * 9 * 8, peak
+        assert np.array_equal(traj.times, np.arange(100_001) * dt)
+        assert traj.states.shape == (100_001, 4)
+        assert np.array_equal(traj.derivs, -0.01 * traj.states)
+
     def test_config_validation(self):
         with pytest.raises(InputError):
             IntegratorConfig(t_end=-1.0)
