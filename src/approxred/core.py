@@ -82,7 +82,6 @@ class ControlSystemDef:
     n: int
     m_in: int
     rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    name: str = "control_system"
 
     def __post_init__(self):
         if self.n < 1 or self.m_in < 1:

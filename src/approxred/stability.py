@@ -386,4 +386,10 @@ def estimate_lipschitz(
     if not np.all(np.isfinite(J)):
         bad = int(np.argmax((~np.isfinite(J.reshape(n_samples, -1))).any(axis=1)))
         raise EvaluationError(f"non-finite derivative at sample {X[bad].tolist()}")
+    if J.shape[1] == 1:  # a gradient's operator norm is its length: no LAPACK call
+        G = J[:, 0]
+        # scaled by a power of two, which is exact, so that no square
+        # overflows: the bits are the unscaled length's wherever that is finite
+        scale = np.ldexp(1.0, np.frexp(np.abs(G).max())[1] - 1)
+        return float(np.linalg.norm(G / scale, axis=1).max() * scale)
     return float(np.linalg.svd(J, compute_uv=False)[:, 0].max())

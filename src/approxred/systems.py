@@ -159,7 +159,7 @@ def _pair_certificate(system: str, p: dict, kind: str, state_box: Box, input_box
     coupling = _compiled(system, "coupling")(p)
     L = estimate_lipschitz(coupling, input_box, n_samples=2048, seed=seed) * LIPSCHITZ_SAFETY
     control = ControlSystemDef(n=state_box.dim, m_in=input_box.dim,
-                               rhs=_compiled(system, "control")(p), name=f"{system}-control")
+                               rhs=_compiled(system, "control")(p))
     cert = IncrementalCertificate(V=_compiled(system, "U")(p), mu=ComparisonFunction(gain(L)),
                                   **bounds)
     return CertificateSpec(kind=kind, certificate=cert, state_box=state_box,

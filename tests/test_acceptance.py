@@ -221,7 +221,7 @@ def test_criterion_6_iiss_certificate():
         u = np.asarray(u, dtype=float)
         return (+(p["mu"] / p["m"]) * s[..., 0] + coupling(u)[..., 0])[..., None]
 
-    flipped = ControlSystemDef(n=1, m_in=1, rhs=flipped_rhs, name="flipped-friction")
+    flipped = ControlSystemDef(n=1, m_in=1, rhs=flipped_rhs)
     rep2 = check_iiss(
         flipped, spec.certificate, spec.state_box, spec.input_box, n_samples=100_000
     )

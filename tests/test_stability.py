@@ -45,17 +45,12 @@ def gap_pair(scale: float = 1.0):
     return V
 
 
-CONTRACT = ControlSystemDef(
-    n=1, m_in=1, rhs=lambda x, u: -np.asarray(x, dtype=float), name="contract"
-)
-EXPAND = ControlSystemDef(
-    n=1, m_in=1, rhs=lambda x, u: +np.asarray(x, dtype=float), name="expand"
-)
+CONTRACT = ControlSystemDef(n=1, m_in=1, rhs=lambda x, u: -np.asarray(x, dtype=float))
+EXPAND = ControlSystemDef(n=1, m_in=1, rhs=lambda x, u: +np.asarray(x, dtype=float))
 DRIVEN = ControlSystemDef(
     n=1,
     m_in=1,
     rhs=lambda x, u: np.atleast_1d(-np.asarray(x, dtype=float)[..., 0] + np.asarray(u, dtype=float)[..., 0]),
-    name="driven",
 )
 
 
@@ -80,9 +75,7 @@ class TestPairTerms:
         assert (vals.tolist(), vd.tolist()) == ([0.5], [-1.0])
 
     def test_common_input_is_static(self):
-        carried = ControlSystemDef(
-            n=1, m_in=1, rhs=lambda x, u: np.asarray(u, dtype=float), name="carried"
-        )
+        carried = ControlSystemDef(n=1, m_in=1, rhs=lambda x, u: np.asarray(u, dtype=float))
         u = [[0.4], [-1.0]]
         v = pair_derivative(gap_pair(), carried, [[0.7], [1.5]], [[-0.2], [0.1]], u, u)
         assert v.tolist() == [0.0, 0.0]
@@ -288,8 +281,7 @@ class TestCheckIUBIBSS:
 # x' = -x + 2u: with V = |x1-x2|^2/2, dV/dt = -d^2 + 2 d du for d = x1 - x2
 # and du = u1 - u2, which is positive only where |d| < 2|du|
 BOOSTED = ControlSystemDef(
-    n=1, m_in=1, rhs=lambda x, u: -np.asarray(x, dtype=float) + 2.0 * np.asarray(u, dtype=float),
-    name="boosted",
+    n=1, m_in=1, rhs=lambda x, u: -np.asarray(x, dtype=float) + 2.0 * np.asarray(u, dtype=float)
 )
 NARROW_INPUT = Box.from_pairs([(-0.2, 0.2)])  # |du| <= 0.4
 
@@ -477,6 +469,34 @@ class TestEstimateLipschitz:
         box = Box.from_pairs([(-1, 1), (-1, 1)])
         L = estimate_lipschitz(coupling_map(["3.0*u1", "4.0*u1 + u2"], ["u1", "u2"]), box, 64)
         assert L == pytest.approx(np.linalg.norm(A, 2), rel=1e-12)
+
+    def test_one_output_estimate_is_the_largest_gradient_length(self):
+        box = Box.from_pairs([(-1.0, 1.0), (-2.0, 0.5), (0.0, 3.0)])
+        g = coupling_map(["sin(u1)*u2 + u3*u3 - cos(u2*u3)"], ["u1", "u2", "u3"])
+        L = estimate_lipschitz(g, box, 512, seed=11)
+        grads = g(sobol_points(box, 512, 11))[:, 1:]
+        assert L == np.linalg.norm(grads, axis=1).max()
+        # the one singular value of each one-row Jacobian, to rounding
+        top = np.linalg.svd(grads[:, None, :], compute_uv=False)[:, 0].max()
+        assert L == pytest.approx(top, rel=1e-14)
+
+    @pytest.mark.parametrize("slope", [1e200, 1e-200])
+    def test_one_output_estimate_survives_squares_beyond_float_range(self, slope):
+        # the squares of the partials overflow, or underflow, unscaled
+        box = Box.from_pairs([(-1.0, 1.0), (-1.0, 1.0)])
+        g = coupling_map([f"{slope!r}*u1 - {slope!r}*u2"], ["u1", "u2"])
+        assert estimate_lipschitz(g, box, 64) == pytest.approx(slope * 2**0.5, rel=1e-15)
+
+    @pytest.mark.parametrize("system,certificate", [("ball-hoop", "iiss"),
+                                                    ("cart-pendulum", "iubibss")])
+    def test_bundled_certificates_set_up_without_lapack(self, monkeypatch, system,
+                                                         certificate):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd was called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        spec = lookup(system, {}).certificates[certificate](state_box=None, input_box=None)
+        assert spec.kind == certificate and spec.certificate.mu.a > 0
 
     def test_a_value_only_map_is_an_input_error(self):
         value_only = compile_map(["sin(u)"], [["u"]], [])({})
