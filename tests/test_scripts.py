@@ -120,3 +120,22 @@ def test_same_bytes_reports_a_changed_help_text(tmp_path):
         found = "SAME" if i < 2 else "DIFF (stdout)"  # --version and --help list no flag
         assert line == f"{found} front:{i} {' '.join(cmd.argv)}"
 
+
+def test_peak_rss_reports_each_command_and_the_workload_peak():
+    import subprocess
+    import sys
+
+    argv = [sys.executable, str(ROOT / "scripts" / "peak_rss.py"), str(ROOT / "src"),
+            str(ROOT / "src"), "--workloads", "interactive", "--seeds", "0", "--repeats", "2",
+            "--commands", "0,7"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rows = [line.split(maxsplit=3) for line in proc.stdout.splitlines()]
+    labels = [rest for *_, rest in rows]
+    assert [label.split()[0] for label in labels] == ["interactive:0:0", "interactive:0:7",
+                                                      "interactive:0"]
+    assert labels[0].split()[1] == "simulate" and labels[1].split()[1] == "check-exact"
+    assert labels[2] == "interactive:0 peak"
+    medians = [(float(parent), float(change)) for parent, change, *_ in rows]
+    assert all(10 < mb < 500 for pair in medians for mb in pair), medians
+    assert medians[2] == tuple(max(column) for column in zip(*medians[:2]))
