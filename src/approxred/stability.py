@@ -388,8 +388,8 @@ def estimate_lipschitz(
         raise EvaluationError(f"non-finite derivative at sample {X[bad].tolist()}")
     if J.shape[1] == 1:  # a gradient's operator norm is its length: no LAPACK call
         G = J[:, 0]
-        # scaled by a power of two, which is exact, so that no square
-        # overflows: the bits are the unscaled length's wherever that is finite
+        # scaled by a power of two, which is exact, so that no square leaves
+        # float range: the bits are the unscaled length's wherever none does
         scale = np.ldexp(1.0, np.frexp(np.abs(G).max())[1] - 1)
         return float(np.linalg.norm(G / scale, axis=1).max() * scale)
     return float(np.linalg.svd(J, compute_uv=False)[:, 0].max())
